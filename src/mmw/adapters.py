@@ -195,10 +195,3 @@ class DocLinesAdapter(_FileDirAdapter):
         if row_filter is None:
             return table
         return Table(table.schema, [row for row in table.rows if row_filter(row)])
-
-
-ADAPTER_KINDS = {
-    "memory": MemoryAdapter,
-    "delimited_dir": DelimitedDirAdapter,
-    "doc_lines": DocLinesAdapter,
-}

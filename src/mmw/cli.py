@@ -21,15 +21,12 @@ import time
 from pathlib import Path
 
 from mmw.errors import AccessDeniedError, ConfigError, MeshError
-from mmw.formats import render_csv, render_jsonl, render_pretty
+from mmw.formats import render_table
 from mmw.mask import Rendering
-from mmw.relational import Table
 from mmw.runtime.mesh import Mesh
 from mmw.runtime.protocol import TcpBinding, table_from_response
 from mmw.runtime.topology import TopologyError, load_topology_file, validate_topology
 from mmw.demo import DEFAULT_SEED, run_scenario
-
-_RENDERERS = {"csv": render_csv, "jsonl": render_jsonl, "pretty": render_pretty}
 
 
 def _error_json(exc: Exception) -> str:
@@ -62,16 +59,11 @@ def _load(config_path: str):
     return load_topology_file(Path(config_path))
 
 
-def _render_table(table: Table, format_tag: str) -> str:
-    ordered = Table(table.schema, table.sorted_rows())
-    return _RENDERERS[format_tag](ordered)
-
-
 def _print_output(result, format_tag: str) -> None:
     if isinstance(result, Rendering):
         sys.stdout.write(result.text)
     else:
-        sys.stdout.write(_render_table(result, format_tag))
+        sys.stdout.write(render_table(result, format_tag))
     sys.stdout.flush()
 
 

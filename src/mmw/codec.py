@@ -1,4 +1,4 @@
-"""JSON encodings for schemas, tables and lineage shared by the wire
+"""JSON encodings for schemas and cell values shared by the wire
 protocol, topology configs and the memory adapter."""
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from mmw.relational import (
     Kind,
     ProductSchema,
     RelationSchema,
-    Table,
     Value,
     canonical_text,
     kind_from_name,
@@ -96,23 +95,3 @@ def value_from_wire(kind: Kind, cell) -> Value:
         return value_from_text(kind, cell)
     except ValueError as exc:
         raise ProtocolError(f"bad cell for {kind}: {exc}") from None
-
-
-def table_to_obj(table: Table) -> dict:
-    return {
-        "schema": relation_to_obj(table.schema),
-        "rows": [[value_to_wire(v) for v in row] for row in table.rows],
-    }
-
-
-def table_from_obj(obj: dict) -> Table:
-    schema = relation_from_obj(obj["schema"])
-    kinds = [attr.data_type for attr in schema.attributes]
-    rows = []
-    for raw in obj.get("rows", []):
-        if len(raw) != len(kinds):
-            raise ProtocolError(
-                f"row arity {len(raw)} does not match schema arity {len(kinds)}"
-            )
-        rows.append(tuple(value_from_wire(kind, cell) for kind, cell in zip(kinds, raw)))
-    return Table(schema, rows)

@@ -1,7 +1,10 @@
-"""Shared component machinery: counters, access logging, lineage nodes.
+"""Shared component machinery: the request path, counters, access logging,
+lineage nodes.
 
-Every data request against a component (served, denied or failed) produces
-exactly one access-log entry. Entry timestamps are monotone per component.
+Every data request that passes the liveness check (and, at a mask, the mode
+check) produces exactly one access-log entry, whether it is served, denied
+or failed; a stopped component raises first and logs nothing. Entry
+timestamps are monotone per component.
 """
 
 from __future__ import annotations
@@ -9,15 +12,22 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Optional
 
 from mmw.errors import AccessDeniedError, UnavailableError
+from mmw.query.ast import Query
+from mmw.query.render import RenderError, render_query
 
 # (allowed, matched_rule_description); None rule means the default applied.
 AccessDecision = tuple[bool, Optional[str]]
 AccessChecker = Callable[[str], AccessDecision]
+
+# Entries kept in memory per component; older ones are dropped, while the
+# counters and the on-disk log still cover every request.
+ACCESS_LOG_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,14 @@ class LineageNode:
             yield from child.walk()
 
 
+def _query_text(q: Query) -> Optional[str]:
+    """Canonical text of q, or None when q has no textual form."""
+    try:
+        return render_query(q)
+    except (RenderError, TypeError):
+        return None
+
+
 COUNTER_NAMES = ("queries_served", "rows_returned", "cache_hits", "cache_misses", "errors")
 
 
@@ -92,7 +110,7 @@ class ComponentBase:
         self.component_id = component_id
         self._lock = threading.Lock()
         self._counters = {name: 0 for name in COUNTER_NAMES}
-        self._access_log: list[AccessLogEntry] = []
+        self._access_log: deque[AccessLogEntry] = deque(maxlen=ACCESS_LOG_CAPACITY)
         self._log_path = None
         self._last_log_second = 0
         self._access_checker: Optional[AccessChecker] = None
@@ -154,13 +172,27 @@ class ComponentBase:
         with self._lock:
             self._counters["cache_hits" if hit else "cache_misses"] += 1
 
-    def _record_failure(self, principal: str, query_text: str, exc: Exception) -> None:
-        """One log entry per failed request; stamps this component as origin
-        when the failure arose here."""
-        outcome = "denied" if isinstance(exc, AccessDeniedError) else "error"
-        self._record(principal, query_text, 0, False, outcome)
-        if getattr(exc, "origin", "") is None:
-            exc.origin = self.component_id
+    def _serve_request(self, q: Query, principal: str, work):
+        """Check liveness, authorize, run `work(query_text)` and log once.
+
+        `work` gets the canonical text of q (None when q has none) and
+        returns (result, row_count, cache_hit). A failure is logged as
+        denied or error and, when it arose here, stamped with this origin.
+        """
+        self._check_alive()
+        query_text = _query_text(q)
+        logged = "<unrenderable query>" if query_text is None else query_text
+        try:
+            self._authorize(principal)
+            result, rows, cache_hit = work(query_text)
+        except Exception as exc:
+            outcome = "denied" if isinstance(exc, AccessDeniedError) else "error"
+            self._record(principal, logged, 0, False, outcome)
+            if getattr(exc, "origin", "") is None:
+                exc.origin = self.component_id
+            raise
+        self._record(principal, logged, rows, cache_hit, "ok")
+        return result
 
     # -- public monitoring surface ----------------------------------------------
 

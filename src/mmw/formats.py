@@ -341,3 +341,12 @@ def render_pretty(table: Table) -> str:
             ).rstrip()
         )
     return "\n".join(lines) + "\n"
+
+
+_RENDERERS = {"csv": render_csv, "jsonl": render_jsonl, "pretty": render_pretty}
+
+
+def render_table(table: Table, format: str) -> str:
+    """Render in csv, jsonl or pretty with rows sorted by all columns, so
+    identical tables produce identical text."""
+    return _RENDERERS[format](Table(table.schema, table.sorted_rows()))

@@ -23,18 +23,14 @@ from typing import Optional
 
 from mmw.component import ComponentBase, LineageNode
 from mmw.errors import ConfigError, ProtocolError, UnavailableError
-from mmw.formats import render_csv, render_jsonl, render_pretty
+from mmw.formats import render_csv, render_table
 from mmw.query.ast import Project, QualifiedName, Scan
-from mmw.query.render import render_query
 from mmw.relational import ProductSchema, Table
 
 logger = logging.getLogger(__name__)
 
 FORMATS = ("csv", "jsonl", "pretty")
 MODES = ("virtualizing", "materializing")
-
-_RENDERERS = {"csv": render_csv, "jsonl": render_jsonl, "pretty": render_pretty}
-
 
 @dataclass(frozen=True)
 class Rendering:
@@ -153,49 +149,36 @@ class Mask(ComponentBase):
 
     def execute(self, q, principal: str = "") -> Table:
         """Raw table pass-through (the wire protocol's format=table path)."""
-        self._check_alive()
-        if self.mode != "virtualizing":
-            raise ProtocolError(
-                "materializing masks do not serve queries", origin=self.component_id
-            )
-        query_text = _canonical(q)
-        try:
-            self._authorize(principal)
-            if self.upstream is None:
-                raise UnavailableError("mask has no upstream", origin=self.component_id)
-            result = self.upstream.execute(q, principal)
-        except Exception as exc:
-            self._record_failure(principal, query_text, exc)
-            raise
-        self._record(principal, query_text, len(result.rows), False, "ok")
-        return result
+        return self._serve_upstream(q, principal, None)
 
     # -- virtualizing ---------------------------------------------------------------
 
     def serve(self, q, format: str, principal: str = "") -> Rendering:
-        self._check_alive()
+        return self._serve_upstream(q, principal, format)
+
+    def _serve_upstream(self, q, principal: str, format: Optional[str]):
+        """Ask upstream for q; render the table in `format`, or pass it
+        through when format is None."""
         if self.mode != "virtualizing":
             raise ProtocolError(
                 "materializing masks do not serve queries", origin=self.component_id
             )
-        query_text = _canonical(q)
-        try:
-            if format not in self.formats:
+
+        def work(_query_text):
+            if format is not None and format not in self.formats:
                 raise ProtocolError(
                     f"format {format!r} disabled (enabled: {', '.join(self.formats)})",
                     origin=self.component_id,
                 )
-            self._authorize(principal)
             if self.upstream is None:
                 raise UnavailableError("mask has no upstream", origin=self.component_id)
             table = self.upstream.execute(q, principal)
-        except Exception as exc:
-            self._record_failure(principal, query_text, exc)
-            raise
-        ordered = Table(table.schema, table.sorted_rows())
-        data = _RENDERERS[format](ordered).encode("utf-8")
-        self._record(principal, query_text, len(table.rows), False, "ok")
-        return Rendering(format, data)
+            if format is None:
+                return table, len(table.rows), False
+            data = render_table(table, format).encode("utf-8")
+            return Rendering(format, data), len(table.rows), False
+
+        return self._serve_request(q, principal, work)
 
     # -- materializing -----------------------------------------------------------------
 
@@ -276,10 +259,3 @@ class Mask(ComponentBase):
     @property
     def current_path(self) -> Optional[Path]:
         return None if self.target is None else self.target / "current"
-
-
-def _canonical(q) -> str:
-    try:
-        return render_query(q)
-    except Exception:
-        return "<unrenderable query>"

@@ -22,7 +22,6 @@ from mmw.errors import ConfigError, UnavailableError, UnknownRelationError
 from mmw.planner import Placement, plan, execute_plan
 from mmw.query.ast import QualifiedName, Query, rewrite_namespaces, scan_names
 from mmw.query.infer import infer_schema
-from mmw.query.render import render_query
 from mmw.relational import ProductSchema, RelationSchema, Table, is_identifier
 from mmw.views import ViewDeclaration, check_views, parse_view_source, unfold
 
@@ -145,47 +144,42 @@ class Mediator(ComponentBase):
         return max(downstream_epochs, default=0) + self._generation
 
     def execute(self, q: Query, principal: str = "") -> Table:
-        self._check_alive()
-        query_text = _canonical(q)
-        try:
-            self._authorize(principal)
-            result_schema = infer_schema(q, self._product_env)
-            epoch = self.epoch()
-            key = (query_text, epoch)
+        return self._serve_request(q, principal, lambda text: self._answer(q, text))
+
+    def _answer(self, q: Query, query_text: Optional[str]) -> tuple[Table, int, bool]:
+        result_schema = infer_schema(q, self._product_env)
+        # A query with no textual form has no cache key, so it always misses.
+        key = None if query_text is None else (query_text, self.epoch())
+        if key is not None:
             with self._cache_lock:
                 cached = self._cache.get(key)
                 if cached is not None:
                     self._cache.move_to_end(key)
             if cached is not None:
                 self._count_cache(True)
-                self._record(principal, query_text, len(cached.rows), True, "ok")
-                return cached
-            self._count_cache(False)
-            exec_plan = plan(q, self.views, self._placement, self._base_env)
+                return cached, len(cached.rows), True
+        self._count_cache(False)
+        exec_plan = plan(q, self.views, self._placement, self._base_env)
 
-            def fetch(step):
-                binding = self._placement.binding(step.namespace)
-                remote_namespace = getattr(binding, "namespace", step.namespace)
-                translated = rewrite_namespaces(
-                    step.query, {step.namespace: remote_namespace}
-                )
-                return binding.execute(translated, self.component_id)
+        def fetch(step):
+            binding = self._placement.binding(step.namespace)
+            remote_namespace = getattr(binding, "namespace", step.namespace)
+            translated = rewrite_namespaces(
+                step.query, {step.namespace: remote_namespace}
+            )
+            return binding.execute(translated, self.component_id)
 
-            result = execute_plan(exec_plan, fetch, self.salt)
-            # Client-facing schema comes from inference against the product
-            # environment, not from plan internals.
-            result = Table(result_schema, result.rows)
-            if self.cache_capacity > 0:
-                with self._cache_lock:
-                    self._cache[key] = result
-                    self._cache.move_to_end(key)
-                    while len(self._cache) > self.cache_capacity:
-                        self._cache.popitem(last=False)
-        except Exception as exc:
-            self._record_failure(principal, query_text, exc)
-            raise
-        self._record(principal, query_text, len(result.rows), False, "ok")
-        return result
+        result = execute_plan(exec_plan, fetch, self.salt)
+        # Client-facing schema comes from inference against the product
+        # environment, not from plan internals.
+        result = Table(result_schema, result.rows)
+        if key is not None and self.cache_capacity > 0:
+            with self._cache_lock:
+                self._cache[key] = result
+                self._cache.move_to_end(key)
+                while len(self._cache) > self.cache_capacity:
+                    self._cache.popitem(last=False)
+        return result, len(result.rows), False
 
     # -- lineage --------------------------------------------------------------------
 
@@ -219,10 +213,3 @@ class Mediator(ComponentBase):
     def cache_info(self) -> dict[str, int]:
         with self._cache_lock:
             return {"entries": len(self._cache), "capacity": self.cache_capacity}
-
-
-def _canonical(q: Query) -> str:
-    try:
-        return render_query(q)
-    except Exception:
-        return "<unrenderable query>"

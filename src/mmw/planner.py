@@ -456,17 +456,3 @@ def execute_plan(
             table.schema.rename(step.intermediate.relation), table.rows
         )
     return evaluate(exec_plan.residual, db, salt)
-
-
-def plan_and_evaluate(
-    q: Query,
-    views: Sequence[ViewDeclaration],
-    placement: Placement,
-    env: Environment,
-    db: Mapping[QualifiedName, Table],
-    salt: str = "",
-    push_predicates: bool = True,
-) -> Table:
-    """Plan, then serve fetches straight from `db`; used by tests and oracles."""
-    exec_plan = plan(q, views, placement, env, push_predicates)
-    return execute_plan(exec_plan, lambda step: evaluate(step.query, db), salt)

@@ -40,6 +40,10 @@ from mmw.relational import RelationSchema, Table
 
 logger = logging.getLogger(__name__)
 
+# Longest request line a server reads, newline included; a longer one gets one
+# protocol error and the connection is closed, so memory per client stays bounded.
+MAX_REQUEST_LINE = 1 << 20
+
 WIRE_CODES = ("syntax", "type", "unknown_relation", "access_denied", "unavailable", "protocol")
 
 _CODE_CLASSES = {
@@ -73,6 +77,10 @@ def error_from_obj(obj: dict) -> MeshError:
     exc = MeshError(message, origin=origin)
     exc.code = code  # e.g. "syntax": positions live in the message text
     return exc
+
+
+def _encode_line(obj: dict) -> bytes:
+    return (json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def table_response(table: Table) -> dict:
@@ -153,7 +161,11 @@ class ProtocolServer:
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(handler) -> None:  # noqa: N805
-                for raw_line in handler.rfile:
+                for raw_line in iter(lambda: handler.rfile.readline(MAX_REQUEST_LINE + 1), b""):
+                    if len(raw_line) > MAX_REQUEST_LINE:
+                        error = ProtocolError(f"request line exceeds {MAX_REQUEST_LINE} bytes")
+                        handler.wfile.write(_encode_line(error_to_obj(error)))
+                        return
                     line = raw_line.decode("utf-8", errors="replace").strip()
                     if not line:
                         continue
@@ -172,9 +184,7 @@ class ProtocolServer:
                             response = error_to_obj(exc)
                             if not response.get("origin"):
                                 response["origin"] = component.component_id
-                    handler.wfile.write(
-                        (json.dumps(response, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
-                    )
+                    handler.wfile.write(_encode_line(response))
                     handler.wfile.flush()
 
         class Server(socketserver.ThreadingTCPServer):
@@ -245,9 +255,7 @@ class ProtocolClient:
         with self._lock:
             self._connect()
             try:
-                self._sock.sendall(
-                    (json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
-                )
+                self._sock.sendall(_encode_line(payload))
                 line = self._reader.readline()
             except OSError as exc:
                 self._drop()

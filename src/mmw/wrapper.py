@@ -29,7 +29,6 @@ from mmw.query.ast import (
 )
 from mmw.query.evaluate import eval_predicate, evaluate
 from mmw.query.infer import infer_schema
-from mmw.query.render import render_query
 from mmw.planner import push_down_selects
 
 
@@ -80,10 +79,7 @@ class Wrapper(ComponentBase):
     # -- data --------------------------------------------------------------
 
     def execute(self, q: Query, principal: str = "") -> Table:
-        self._check_alive()
-        query_text = _loggable(q)
-        try:
-            self._authorize(principal)
+        def work(_query_text):
             foreign = namespaces(q) - {self.namespace}
             if foreign:
                 raise UnknownRelationError(
@@ -95,11 +91,9 @@ class Wrapper(ComponentBase):
             rewritten = push_down_selects(q, env)
             db = self._load_snapshot(rewritten, env)
             result = evaluate(rewritten, db, self.config.salt)
-        except Exception as exc:
-            self._record_failure(principal, query_text, exc)
-            raise
-        self._record(principal, query_text, len(result.rows), False, "ok")
-        return result
+            return result, len(result.rows), False
+
+        return self._serve_request(q, principal, work)
 
     def _load_snapshot(self, q: Query, env) -> dict[QualifiedName, Table]:
         """Load every scanned relation once, filtering at read time when every
@@ -139,7 +133,7 @@ class Wrapper(ComponentBase):
 
     # -- change signal --------------------------------------------------------
 
-    def snapshot_epoch(self) -> int:
+    def epoch(self) -> int:
         self._check_alive()
         current = self.adapter.fingerprint()
         with self._lock:
@@ -147,9 +141,6 @@ class Wrapper(ComponentBase):
                 self._last_fingerprint = current
                 self._epoch += 1
             return self._epoch
-
-    def epoch(self) -> int:
-        return self.snapshot_epoch()
 
     # -- lineage ------------------------------------------------------------------
 
@@ -165,10 +156,3 @@ class Wrapper(ComponentBase):
             relation,
             source=f"{self.adapter.kind}:{self.adapter.location()}",
         )
-
-
-def _loggable(q: Query) -> str:
-    try:
-        return render_query(q)
-    except Exception:
-        return "<unrenderable query>"

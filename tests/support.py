@@ -11,6 +11,8 @@ import string
 from datetime import datetime, timezone
 from decimal import Decimal
 
+from mmw.planner import Placement, execute_plan, plan
+from mmw.query.evaluate import evaluate
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value
 from mmw.query.ast import (
     AttrRef,
@@ -31,6 +33,14 @@ from mmw.query.ast import (
     Select,
     Union,
 )
+
+def plan_and_evaluate(
+    q, views, placement: Placement, env, db, salt: str = "", push_predicates: bool = True
+) -> Table:
+    """Plan, then serve fetches straight from `db`; the planner's oracle."""
+    exec_plan = plan(q, views, placement, env, push_predicates)
+    return execute_plan(exec_plan, lambda step: evaluate(step.query, db), salt)
+
 
 VALUE_KINDS = (Kind.BOOLEAN, Kind.INTEGER, Kind.DECIMAL, Kind.TEXT, Kind.TIMESTAMP)
 

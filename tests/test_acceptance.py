@@ -21,7 +21,7 @@ from mmw.errors import ConfigError
 from mmw.formats import parse_csv, parse_jsonl, render_csv, render_jsonl
 from mmw.mask import Mask
 from mmw.mediator import Mediator
-from mmw.planner import Placement, plan_and_evaluate
+from mmw.planner import Placement
 from mmw.query.ast import QualifiedName
 from mmw.query.evaluate import evaluate
 from mmw.query.parse import parse_query
@@ -39,7 +39,13 @@ from mmw.runtime.protocol import ProtocolServer
 from mmw.runtime.topology import load_topology
 from mmw.views import ViewDeclaration, check_views
 from mmw.wrapper import Wrapper, WrapperConfig
-from support import make_environment, random_block, random_database, random_query
+from support import (
+    make_environment,
+    plan_and_evaluate,
+    random_block,
+    random_database,
+    random_query,
+)
 
 
 def report(line: str) -> None:

@@ -10,6 +10,7 @@ import pytest
 from mmw.adapters import MemoryAdapter
 from mmw.errors import AccessDeniedError, ConfigError, UnavailableError, UnknownRelationError
 from mmw.mediator import Mediator
+from mmw.query.ast import AttrRef, CompareOp, Comparison, Literal, QualifiedName, Rename, Scan, Select
 from mmw.query.evaluate import evaluate, fnv1a_hex
 from mmw.query.parse import parse_query
 from mmw.relational import Attribute, Kind, RelationSchema, Value, bag_equal
@@ -205,6 +206,28 @@ class TestCache:
         mediator.execute(q)
         assert mediator.stats()["cache_hits"] == 0
         assert mediator.cache_info()["entries"] == 0
+
+    def test_unrenderable_queries_skip_the_cache(self):
+        # A rename has no textual form, so two different ones must not share
+        # a cache entry at one epoch.
+        mediator = Mediator(
+            "m1", "prod", {"p": people_wrapper()}, ["CREATE VIEW v AS SELECT id, name FROM p.people"]
+        )
+
+        def where_id(n):
+            equal = Comparison(AttrRef("id"), CompareOp.EQ, Literal(Value.integer(n)))
+            return Select(Scan(QualifiedName("prod", "v")), equal)
+
+        first = mediator.execute(Rename(where_id(1), {"id": "ident"}))
+        second = mediator.execute(Rename(where_id(2), {"name": "label"}))
+        assert first.schema.attribute_names == ("ident", "name")
+        assert first.rows == ((Value.integer(1), Value.text("ada")),)
+        assert second.schema.attribute_names == ("id", "label")
+        assert second.rows == ((Value.integer(2), Value.text("grace")),)
+        assert mediator.stats()["cache_hits"] == 0
+        assert mediator.stats()["cache_misses"] == 2
+        assert [entry.cache_hit for entry in mediator.access_log] == [False, False]
+        assert mediator.access_log[0].query == "<unrenderable query>"
 
     def test_transparency_under_random_schedules(self):
         # Cache on vs off must serve identical results under interleaved

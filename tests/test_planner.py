@@ -13,7 +13,6 @@ from mmw.planner import (
     execute_plan,
     flatten_query,
     plan,
-    plan_and_evaluate,
     push_down_selects,
 )
 from mmw.query.ast import (
@@ -28,7 +27,7 @@ from mmw.query.parse import parse_query
 from mmw.query.render import render_query
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value, bag_equal
 from mmw.views import ViewDeclaration, unfold
-from support import make_environment, random_block, random_database, random_query
+from support import make_environment, plan_and_evaluate, random_block, random_database, random_query
 
 W1_R = QualifiedName("w1", "r")
 W2_S = QualifiedName("w2", "s")

@@ -12,7 +12,7 @@ from mmw.errors import AccessDeniedError, UnavailableError
 from mmw.mask import Mask
 from mmw.mediator import Mediator
 from mmw.relational import Attribute, Kind, RelationSchema, Value
-from mmw.runtime.protocol import ProtocolServer, TcpBinding
+from mmw.runtime.protocol import MAX_REQUEST_LINE, ProtocolServer, TcpBinding
 from mmw.query.parse import parse_query
 from mmw.relational import bag_equal
 from mmw.wrapper import Wrapper, WrapperConfig
@@ -137,6 +137,24 @@ class TestConformance:
         first, second = (json.loads(line) for line in lines)
         assert first["type"] == "error" and first["code"] == "protocol"
         assert second["type"] == "schema"
+
+    def test_over_long_line_is_refused_and_closes_connection(self, endpoint):
+        _, server = endpoint
+        # A line exactly at the limit, newline included, is still served.
+        request = b'{"type":"get_schema"}'
+        at_limit = request + b" " * (MAX_REQUEST_LINE - len(request) - 1)
+        (line,) = raw_roundtrip(server, at_limit)
+        assert json.loads(line)["type"] == "schema"
+        # One byte more, with no newline in sight, gets one protocol error
+        # and the server hangs up.
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"x" * (MAX_REQUEST_LINE + 1))
+            response = json.loads(reader.readline())
+            assert response["type"] == "error" and response["code"] == "protocol"
+            assert reader.readline() == b""
+        (line,) = raw_roundtrip(server, {"type": "get_schema"})
+        assert json.loads(line)["type"] == "schema"
 
     def test_syntax_error_message_carries_position(self, endpoint):
         _, server = endpoint

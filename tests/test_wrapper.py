@@ -59,27 +59,27 @@ class TestMemoryWrapper:
 
     def test_epoch_increments_on_mutation_only(self):
         wrapper = memory_wrapper()
-        first = wrapper.snapshot_epoch()
-        assert wrapper.snapshot_epoch() == first
+        first = wrapper.epoch()
+        assert wrapper.epoch() == first
         wrapper.adapter.insert(
             "people", (Value.integer(4), Value.text("alan"), Value.integer(41))
         )
-        assert wrapper.snapshot_epoch() == first + 1
+        assert wrapper.epoch() == first + 1
 
     def test_epoch_strictly_monotone_over_random_mutations(self):
         wrapper = memory_wrapper()
         rng = random.Random(55)
-        previous = wrapper.snapshot_epoch()
+        previous = wrapper.epoch()
         for _ in range(100):
             if rng.random() < 0.5:
                 wrapper.adapter.insert(
                     "people",
                     (Value.integer(rng.randint(5, 10**6)), Value.text("x"), Value.null()),
                 )
-                current = wrapper.snapshot_epoch()
+                current = wrapper.epoch()
                 assert current == previous + 1
             else:
-                current = wrapper.snapshot_epoch()
+                current = wrapper.epoch()
                 assert current == previous
             previous = current
 
@@ -150,11 +150,11 @@ class TestDelimitedDirWrapper:
         target = tmp_path / "people.csv"
         target.write_text("id:integer\n1\n", encoding="utf-8")
         wrapper = Wrapper(WrapperConfig("w_csv", "files", DelimitedDirAdapter(tmp_path)))
-        first = wrapper.snapshot_epoch()
-        assert wrapper.snapshot_epoch() == first
+        first = wrapper.epoch()
+        assert wrapper.epoch() == first
         time.sleep(0.01)
         target.write_text("id:integer\n1\n2\n", encoding="utf-8")
-        assert wrapper.snapshot_epoch() > first
+        assert wrapper.epoch() > first
 
     def test_pushdown_equals_naive_scan_on_large_file(self, tmp_path):
         rng = random.Random(77)
