@@ -255,7 +255,3 @@ class Mask(ComponentBase):
                 continue
             if number < current_epoch - 1:
                 shutil.rmtree(entry, ignore_errors=True)
-
-    @property
-    def current_path(self) -> Optional[Path]:
-        return None if self.target is None else self.target / "current"

@@ -4,7 +4,9 @@ A mediator binds downstream components under local aliases, declares views
 over them, serves the derived product schema under its product name, and
 executes queries by unfolding, planning and fetching. Results are cached
 keyed by (canonical query text, freshness epoch), so a stale entry can never
-be served: any downstream change moves the epoch and misses the cache.
+be served. The epoch is the sum of the downstream epochs plus the
+configuration generation; no part ever decreases, so a change to any
+downstream moves the sum and misses the cache.
 
 Downstream bindings are fetched once at configure time; schema changes
 require an explicit reconfiguration, which bumps the mediator's epoch.
@@ -23,7 +25,7 @@ from mmw.planner import Placement, plan, execute_plan
 from mmw.query.ast import QualifiedName, Query, rewrite_namespaces, scan_names
 from mmw.query.infer import infer_schema
 from mmw.relational import ProductSchema, RelationSchema, Table, is_identifier
-from mmw.views import ViewDeclaration, check_views, parse_view_source, unfold
+from mmw.views import ViewDeclaration, derive_global_schema, parse_view_source, unfold
 
 ViewInput = TypingUnion[str, ViewDeclaration]
 
@@ -88,10 +90,9 @@ class Mediator(ComponentBase):
                 ) from None
             for relation in downstream_product.relations:
                 env[QualifiedName(alias, relation.name)] = relation
-        schemas = check_views(declared, env)
-        relations = [schemas[view.qualified] for view in declared]
+        product = derive_global_schema(declared, env, self.product, self.version, self.metadata)
         if self.deny_raw_identifying:
-            for relation in relations:
+            for relation in product.relations:
                 for attr in relation.attributes:
                     if attr.identifying:
                         raise ConfigError(
@@ -101,9 +102,9 @@ class Mediator(ComponentBase):
         self.views = tuple(declared)
         self._views_by_name = {view.name: view for view in declared}
         self._base_env = env
-        self._product_schema = ProductSchema(self.product, self.version, relations, self.metadata)
+        self._product_schema = product
         self._product_env = {
-            QualifiedName(self.product, relation.name): relation for relation in relations
+            QualifiedName(self.product, relation.name): relation for relation in product.relations
         }
         self._placement = Placement(self.downstream)
         self._generation += 1
@@ -141,7 +142,7 @@ class Mediator(ComponentBase):
                     f"downstream {alias!r} unavailable: {exc.message}",
                     origin=exc.origin or getattr(binding, "component_id", alias),
                 ) from None
-        return max(downstream_epochs, default=0) + self._generation
+        return sum(downstream_epochs) + self._generation
 
     def execute(self, q: Query, principal: str = "") -> Table:
         return self._serve_request(q, principal, lambda text: self._answer(q, text))

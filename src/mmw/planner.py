@@ -22,26 +22,20 @@ from mmw.errors import ConfigError, TypeCheckError
 from mmw.relational import Table
 from mmw.query.ast import (
     AttrRef,
-    Comparison,
-    ConcatCall,
     Expr,
-    HashCall,
     Join,
-    Literal,
     LogicalAnd,
-    LogicalNot,
-    LogicalOr,
     Predicate,
     Project,
     ProjectItem,
     QualifiedName,
     Query,
-    RedactCall,
     Rename,
     Scan,
     Select,
     Union,
     contains_hash_call,
+    map_children,
     namespaces,
     predicate_attrs,
 )
@@ -83,39 +77,15 @@ class ExecutionPlan:
     residual: Query
 
 
-# --- expression / predicate substitution ----------------------------------------
+# --- substitution and conjuncts -----------------------------------------------
 
 
-def subst_expr(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    if isinstance(expr, AttrRef):
-        return mapping.get(expr.name, expr)
-    if isinstance(expr, Literal):
-        return expr
-    if isinstance(expr, HashCall):
-        return HashCall(subst_expr(expr.arg, mapping))
-    if isinstance(expr, RedactCall):
-        return expr
-    if isinstance(expr, ConcatCall):
-        return ConcatCall(subst_expr(expr.left, mapping), subst_expr(expr.right, mapping))
-    raise TypeError(f"unknown expression {type(expr).__name__}")
-
-
-def subst_predicate(predicate: Predicate, mapping: Mapping[str, Expr]) -> Predicate:
-    if isinstance(predicate, Comparison):
-        return Comparison(
-            subst_expr(predicate.left, mapping), predicate.op, subst_expr(predicate.right, mapping)
-        )
-    if isinstance(predicate, LogicalAnd):
-        return LogicalAnd(
-            subst_predicate(predicate.left, mapping), subst_predicate(predicate.right, mapping)
-        )
-    if isinstance(predicate, LogicalOr):
-        return LogicalOr(
-            subst_predicate(predicate.left, mapping), subst_predicate(predicate.right, mapping)
-        )
-    if isinstance(predicate, LogicalNot):
-        return LogicalNot(subst_predicate(predicate.child, mapping))
-    raise TypeError(f"unknown predicate {type(predicate).__name__}")
+def substitute(node, mapping: Mapping[str, Expr]):
+    """An expression or predicate with each attribute named in mapping
+    replaced by its expression."""
+    if isinstance(node, AttrRef):
+        return mapping.get(node.name, node)
+    return map_children(node, lambda child: substitute(child, mapping))
 
 
 def _conjuncts(predicate: Predicate) -> list[Predicate]:
@@ -136,41 +106,18 @@ def _and_all(conjuncts: Sequence[Predicate]) -> Predicate:
 
 def push_down_selects(q: Query, env: Environment) -> Query:
     """Sink selections toward scans; single-side conjuncts cross joins."""
-    if isinstance(q, Scan):
-        return q
     if isinstance(q, Select):
         return _apply_conjuncts(push_down_selects(q.child, env), _conjuncts(q.predicate), env)
-    if isinstance(q, Project):
-        return Project(push_down_selects(q.child, env), q.items)
-    if isinstance(q, Rename):
-        return Rename(push_down_selects(q.child, env), q.mapping)
-    if isinstance(q, Join):
-        return Join(push_down_selects(q.left, env), push_down_selects(q.right, env), q.pairs)
-    if isinstance(q, Union):
-        return Union(push_down_selects(q.left, env), push_down_selects(q.right, env))
-    raise TypeError(f"unknown query node {type(q).__name__}")
+    return map_children(q, lambda child: push_down_selects(child, env))
 
 
 def _apply_conjuncts(node: Query, conjuncts: list[Predicate], env: Environment) -> Query:
     if not conjuncts:
         return node
+    if isinstance(node, Scan):
+        return Select(node, _and_all(conjuncts))
     if isinstance(node, Select):
         return _apply_conjuncts(node.child, _conjuncts(node.predicate) + conjuncts, env)
-    if isinstance(node, Project) and node.items is not None:
-        mapping = {item.name: item.expr for item in node.items}
-        mapped = [subst_predicate(conjunct, mapping) for conjunct in conjuncts]
-        return Project(_apply_conjuncts(node.child, mapped, env), node.items)
-    if isinstance(node, Project):
-        return Project(_apply_conjuncts(node.child, conjuncts, env), None)
-    if isinstance(node, Rename):
-        inverse = {new: AttrRef(old) for old, new in node.mapping}
-        mapped = [subst_predicate(conjunct, inverse) for conjunct in conjuncts]
-        return Rename(_apply_conjuncts(node.child, mapped, env), node.mapping)
-    if isinstance(node, Union):
-        return Union(
-            _apply_conjuncts(node.left, conjuncts, env),
-            _apply_conjuncts(node.right, conjuncts, env),
-        )
     if isinstance(node, Join):
         left_names = set(infer_schema(node.left, env).attribute_names)
         right_names = set(infer_schema(node.right, env).attribute_names) - {
@@ -193,7 +140,14 @@ def _apply_conjuncts(node: Query, conjuncts: list[Predicate], env: Environment) 
             node.pairs,
         )
         return Select(joined, _and_all(staying)) if staying else joined
-    return Select(node, _and_all(conjuncts))
+    if isinstance(node, Project) and node.items is not None:
+        mapping = {item.name: item.expr for item in node.items}
+        conjuncts = [substitute(conjunct, mapping) for conjunct in conjuncts]
+    elif isinstance(node, Rename):
+        inverse = {new: AttrRef(old) for old, new in node.mapping}
+        conjuncts = [substitute(conjunct, inverse) for conjunct in conjuncts]
+    # Star projections and unions pass the conjuncts on unchanged.
+    return map_children(node, lambda child: _apply_conjuncts(child, conjuncts, env))
 
 
 # --- flattening into the textual grammar ----------------------------------------
@@ -233,13 +187,13 @@ def _flatten(node: Query, env: Environment) -> list[_Block]:
         for block in blocks:
             mapping = block.item_map()
             block.items = [
-                ProjectItem(subst_expr(item.expr, mapping), item.name) for item in node.items
+                ProjectItem(substitute(item.expr, mapping), item.name) for item in node.items
             ]
         return blocks
     if isinstance(node, Select):
         blocks = _flatten(node.child, env)
         for block in blocks:
-            mapped = subst_predicate(node.predicate, block.item_map())
+            mapped = substitute(node.predicate, block.item_map())
             block.predicate = (
                 mapped if block.predicate is None else LogicalAnd(block.predicate, mapped)
             )
@@ -311,10 +265,10 @@ def _combine_join(
     for item in right.items:
         if item.name in dropped_outputs:
             continue
-        items.append(ProjectItem(subst_expr(item.expr, substitution), item.name))
+        items.append(ProjectItem(substitute(item.expr, substitution), item.name))
     predicate = left.predicate
     if right.predicate is not None:
-        mapped = subst_predicate(right.predicate, substitution)
+        mapped = substitute(right.predicate, substitution)
         predicate = mapped if predicate is None else LogicalAnd(predicate, mapped)
     return _Block(left.base, joins, predicate, items)
 
@@ -413,17 +367,7 @@ def plan(
             # Single-relation scans always flatten; reaching here means the
             # namespace itself was unplannable, which the check above rejects.
             raise ConfigError(f"cannot push scan of {node.name}")
-        if isinstance(node, Select):
-            return Select(split(node.child), node.predicate)
-        if isinstance(node, Project):
-            return Project(split(node.child), node.items)
-        if isinstance(node, Rename):
-            return Rename(split(node.child), node.mapping)
-        if isinstance(node, Join):
-            return Join(split(node.left), split(node.right), node.pairs)
-        if isinstance(node, Union):
-            return Union(split(node.left), split(node.right))
-        raise TypeError(f"unknown query node {type(node).__name__}")
+        return map_children(node, split)
 
     residual = split(sunk)
 

@@ -2,13 +2,18 @@
 
 Trees are plain frozen dataclasses compared structurally; rewrites build new
 trees. `Project` with ``items=None`` is the star projection (identity).
+
+`children` and `map_children` are the one place that knows the shape of a
+tree: which fields of a node hold its sub-trees and how to rebuild it. A
+rewrite handles its own special cases and leaves the rest to `map_children`,
+so a new node class changes those two functions and none of the rewrites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from mmw.relational import Value
 
@@ -123,10 +128,6 @@ class Project(Query):
         object.__setattr__(self, "child", child)
         object.__setattr__(self, "items", tuple(items) if items is not None else None)
 
-    @property
-    def is_star(self) -> bool:
-        return self.items is None
-
 
 @dataclass(frozen=True)
 class Rename(Query):
@@ -166,23 +167,56 @@ class Union(Query):
     right: Query
 
 
+def children(node) -> tuple:
+    """The direct sub-trees of node in its own tree: child queries of a query
+    node, operands of a predicate or an expression. A select's predicate and a
+    projection's items belong to other trees and are not children."""
+    if isinstance(node, (Select, Project, Rename, LogicalNot)):
+        return (node.child,)
+    if isinstance(node, (Join, Union, Comparison, LogicalAnd, LogicalOr, ConcatCall)):
+        return (node.left, node.right)
+    if isinstance(node, HashCall):
+        return (node.arg,)
+    if isinstance(node, (Scan, AttrRef, Literal, RedactCall)):
+        return ()
+    raise TypeError(f"unknown node {type(node).__name__}")
+
+
+def map_children(node, fn):
+    """node rebuilt with fn applied to each of its children, left to right."""
+    if isinstance(node, (Scan, AttrRef, Literal, RedactCall)):
+        return node
+    if isinstance(node, (Union, LogicalAnd, LogicalOr, ConcatCall)):
+        return type(node)(fn(node.left), fn(node.right))
+    if isinstance(node, Select):
+        return Select(fn(node.child), node.predicate)
+    if isinstance(node, Project):
+        return Project(fn(node.child), node.items)
+    if isinstance(node, Rename):
+        return Rename(fn(node.child), node.mapping)
+    if isinstance(node, Join):
+        return Join(fn(node.left), fn(node.right), node.pairs)
+    if isinstance(node, Comparison):
+        return Comparison(fn(node.left), node.op, fn(node.right))
+    if isinstance(node, LogicalNot):
+        return LogicalNot(fn(node.child))
+    if isinstance(node, HashCall):
+        return HashCall(fn(node.arg))
+    raise TypeError(f"unknown node {type(node).__name__}")
+
+
+def walk(node) -> Iterator:
+    """Every node of node's tree in pre-order, children left to right."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(reversed(children(current)))
+
+
 def scan_names(q: Query) -> list[QualifiedName]:
     """Every relation scanned by q, in tree order (duplicates preserved)."""
-    found: list[QualifiedName] = []
-
-    def walk(node: Query) -> None:
-        if isinstance(node, Scan):
-            found.append(node.name)
-        elif isinstance(node, (Select, Project, Rename)):
-            walk(node.child)
-        elif isinstance(node, (Join, Union)):
-            walk(node.left)
-            walk(node.right)
-        else:
-            raise TypeError(f"unknown query node {type(node).__name__}")
-
-    walk(q)
-    return found
+    return [node.name for node in walk(q) if isinstance(node, Scan)]
 
 
 def namespaces(q: Query) -> set[str]:
@@ -191,88 +225,25 @@ def namespaces(q: Query) -> set[str]:
 
 def rewrite_namespaces(q: Query, mapping: dict[str, str]) -> Query:
     """Rename scan namespaces (e.g. consumer alias -> producer namespace)."""
-
-    def walk(node: Query) -> Query:
-        if isinstance(node, Scan):
-            target = mapping.get(node.name.namespace)
-            if target is None:
-                return node
-            return Scan(QualifiedName(target, node.name.relation))
-        if isinstance(node, Select):
-            return Select(walk(node.child), node.predicate)
-        if isinstance(node, Project):
-            return Project(walk(node.child), node.items)
-        if isinstance(node, Rename):
-            return Rename(walk(node.child), node.mapping)
-        if isinstance(node, Join):
-            return Join(walk(node.left), walk(node.right), node.pairs)
-        if isinstance(node, Union):
-            return Union(walk(node.left), walk(node.right))
-        raise TypeError(f"unknown query node {type(node).__name__}")
-
-    return walk(q)
+    if isinstance(q, Scan):
+        target = mapping.get(q.name.namespace)
+        return q if target is None else Scan(QualifiedName(target, q.name.relation))
+    return map_children(q, lambda child: rewrite_namespaces(child, mapping))
 
 
 def predicate_attrs(predicate: Predicate) -> set[str]:
-    found: set[str] = set()
-
-    def walk_expr(expr: Expr) -> None:
-        if isinstance(expr, AttrRef):
-            found.add(expr.name)
-        elif isinstance(expr, HashCall):
-            walk_expr(expr.arg)
-        elif isinstance(expr, ConcatCall):
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-
-    def walk(node: Predicate) -> None:
-        if isinstance(node, Comparison):
-            walk_expr(node.left)
-            walk_expr(node.right)
-        elif isinstance(node, (LogicalAnd, LogicalOr)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, LogicalNot):
-            walk(node.child)
-
-    walk(predicate)
-    return found
-
-
-def expr_attrs(expr: Expr) -> set[str]:
-    if isinstance(expr, AttrRef):
-        return {expr.name}
-    if isinstance(expr, HashCall):
-        return expr_attrs(expr.arg)
-    if isinstance(expr, ConcatCall):
-        return expr_attrs(expr.left) | expr_attrs(expr.right)
-    return set()
+    return {node.name for node in walk(predicate) if isinstance(node, AttrRef)}
 
 
 def contains_hash_call(node) -> bool:
     """True if any expression in the subtree applies the salted hash."""
-    if isinstance(node, HashCall):
-        return True
-    if isinstance(node, ConcatCall):
-        return contains_hash_call(node.left) or contains_hash_call(node.right)
-    if isinstance(node, (AttrRef, Literal, RedactCall)):
-        return False
-    if isinstance(node, Comparison):
-        return contains_hash_call(node.left) or contains_hash_call(node.right)
-    if isinstance(node, (LogicalAnd, LogicalOr)):
-        return contains_hash_call(node.left) or contains_hash_call(node.right)
-    if isinstance(node, LogicalNot):
-        return contains_hash_call(node.child)
-    if isinstance(node, Scan):
-        return False
-    if isinstance(node, Select):
-        return contains_hash_call(node.child) or contains_hash_call(node.predicate)
-    if isinstance(node, Project):
-        if node.items is not None and any(contains_hash_call(item.expr) for item in node.items):
+    for current in walk(node):
+        if isinstance(current, HashCall):
             return True
-        return contains_hash_call(node.child)
-    if isinstance(node, Rename):
-        return contains_hash_call(node.child)
-    if isinstance(node, (Join, Union)):
-        return contains_hash_call(node.left) or contains_hash_call(node.right)
-    raise TypeError(f"unknown node {type(node).__name__}")
+        if isinstance(current, Select) and contains_hash_call(current.predicate):
+            return True
+        if isinstance(current, Project) and any(
+            contains_hash_call(item.expr) for item in current.items or ()
+        ):
+            return True
+    return False

@@ -28,10 +28,10 @@ from mmw.query.ast import (
     ProjectItem,
     Query,
     RedactCall,
-    Rename,
     Scan,
     Select,
     Union,
+    map_children,
 )
 
 
@@ -50,19 +50,6 @@ def normalize(q: Query) -> Query:
 
 
 def _normalize(q: Query) -> Query:
-    if isinstance(q, Scan):
-        return q
-    if isinstance(q, Select):
-        child = _normalize(q.child)
-        if isinstance(child, Select):
-            return Select(child.child, LogicalAnd(child.predicate, q.predicate))
-        return Select(child, q.predicate)
-    if isinstance(q, Project):
-        return Project(_normalize(q.child), q.items)
-    if isinstance(q, Rename):
-        return Rename(_normalize(q.child), q.mapping)
-    if isinstance(q, Join):
-        return Join(_normalize(q.left), _normalize(q.right), q.pairs)
     if isinstance(q, Union):
         branches = [
             block if isinstance(block, Project) else Project(block, None)
@@ -72,7 +59,10 @@ def _normalize(q: Query) -> Query:
         for block in reversed(branches[:-1]):
             node = Union(block, node)
         return node
-    raise TypeError(f"unknown query node {type(q).__name__}")
+    node = map_children(q, _normalize)
+    if isinstance(node, Select) and isinstance(node.child, Select):
+        return Select(node.child.child, LogicalAnd(node.child.predicate, node.predicate))
+    return node
 
 
 def _union_branches(q: Query) -> list[Query]:

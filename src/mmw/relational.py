@@ -309,9 +309,6 @@ class Table:
     def __hash__(self):
         raise TypeError("Table is not hashable")
 
-    def with_schema(self, schema: RelationSchema) -> "Table":
-        return Table(schema, self.rows)
-
     def sorted_rows(self) -> tuple[Row, ...]:
         return tuple(sorted(self.rows, key=lambda row: tuple(sort_key(v) for v in row)))
 

@@ -13,17 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from mmw.errors import ConfigError, TypeCheckError, UnknownRelationError, ViewCycleError
 from mmw.relational import ProductSchema, RelationSchema
-from mmw.query.ast import (
-    Join,
-    Project,
-    QualifiedName,
-    Query,
-    Rename,
-    Scan,
-    Select,
-    Union,
-    scan_names,
-)
+from mmw.query.ast import QualifiedName, Query, Scan, map_children, scan_names
 from mmw.query.infer import Environment, infer_schema
 from mmw.query.parse import parse_view_statements
 
@@ -128,17 +118,7 @@ def unfold(q: Query, views: Iterable[ViewDeclaration]) -> Query:
                 cycle = list(active[active.index(node.name):]) + [node.name]
                 raise ViewCycleError([str(name) for name in cycle])
             return expand(view.body, active + (node.name,))
-        if isinstance(node, Select):
-            return Select(expand(node.child, active), node.predicate)
-        if isinstance(node, Project):
-            return Project(expand(node.child, active), node.items)
-        if isinstance(node, Rename):
-            return Rename(expand(node.child, active), node.mapping)
-        if isinstance(node, Join):
-            return Join(expand(node.left, active), expand(node.right, active), node.pairs)
-        if isinstance(node, Union):
-            return Union(expand(node.left, active), expand(node.right, active))
-        raise TypeError(f"unknown query node {type(node).__name__}")
+        return map_children(node, lambda child: expand(child, active))
 
     return expand(q, ())
 

@@ -16,17 +16,7 @@ from mmw.adapters import SourceAdapter
 from mmw.component import ComponentBase, LineageNode
 from mmw.errors import ConfigError, UnknownRelationError
 from mmw.relational import ProductSchema, RelationSchema, Table, is_identifier
-from mmw.query.ast import (
-    Join,
-    Project,
-    QualifiedName,
-    Query,
-    Rename,
-    Scan,
-    Select,
-    Union,
-    namespaces,
-)
+from mmw.query.ast import QualifiedName, Query, Scan, Select, children, namespaces
 from mmw.query.evaluate import eval_predicate, evaluate
 from mmw.query.infer import infer_schema
 from mmw.planner import push_down_selects
@@ -105,11 +95,9 @@ class Wrapper(ComponentBase):
                 filters.setdefault(node.name.relation, []).append(pending)
             elif isinstance(node, Select):
                 collect(node.child, node.predicate)
-            elif isinstance(node, (Project, Rename)):
-                collect(node.child, None)
-            elif isinstance(node, (Join, Union)):
-                collect(node.left, None)
-                collect(node.right, None)
+            else:
+                for child in children(node):
+                    collect(child, None)
 
         collect(q, None)
         db: dict[QualifiedName, Table] = {}

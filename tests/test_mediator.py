@@ -231,33 +231,32 @@ class TestCache:
 
     def test_transparency_under_random_schedules(self):
         # Cache on vs off must serve identical results under interleaved
-        # queries and mutations.
+        # queries and mutations, whichever of three downstreams changes.
         rng = random.Random(3131)
-        queries = [
-            parse_query("SELECT * FROM prod.v"),
-            parse_query("SELECT name FROM prod.v WHERE name <> 'x'"),
+        aliases = ("a", "b", "c")
+        views = [f"CREATE VIEW v{alias} AS SELECT * FROM {alias}.people" for alias in aliases]
+        queries = [parse_query(f"SELECT * FROM prod.v{alias}") for alias in aliases] + [
+            parse_query(f"SELECT name FROM prod.v{alias} WHERE name <> 'x'") for alias in aliases
         ]
+        hits = 0
         for _ in range(10):
-            wrapper_a = people_wrapper()
-            wrapper_b = people_wrapper()
-            cached = Mediator(
-                "ma", "prod", {"p": wrapper_a},
-                ["CREATE VIEW v AS SELECT * FROM p.people"], cache_capacity=16,
-            )
-            uncached = Mediator(
-                "mb", "prod", {"p": wrapper_b},
-                ["CREATE VIEW v AS SELECT * FROM p.people"], cache_capacity=0,
-            )
+            wrappers_a = {alias: people_wrapper() for alias in aliases}
+            wrappers_b = {alias: people_wrapper() for alias in aliases}
+            cached = Mediator("ma", "prod", wrappers_a, views, cache_capacity=16)
+            uncached = Mediator("mb", "prod", wrappers_b, views, cache_capacity=0)
             serial = 100
             for _ in range(40):
                 if rng.random() < 0.3:
                     row = (Value.integer(serial), Value.text(f"n{serial}"), Value.text("s"))
                     serial += 1
-                    wrapper_a.adapter.insert("people", row)
-                    wrapper_b.adapter.insert("people", row)
+                    alias = rng.choice(aliases)
+                    wrappers_a[alias].adapter.insert("people", row)
+                    wrappers_b[alias].adapter.insert("people", row)
                 else:
                     q = rng.choice(queries)
                     assert bag_equal(cached.execute(q), uncached.execute(q))
+            hits += cached.stats()["cache_hits"]
+        assert hits > 0
 
 
 class TestEpoch:

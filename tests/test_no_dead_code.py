@@ -1,0 +1,79 @@
+"""Every function, class and method defined in `src/mmw` is used somewhere.
+
+The check parses every Python file under `src/`, `tests/` and `meshbench/`
+and counts a definition as used when its name appears as a variable, an
+attribute, an imported name or a string constant (an `__all__` entry, a name
+patched with `setattr`). A definition's references to itself, as in
+recursion, do not count. Dunder names are called by Python itself.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = ("src", "tests", "meshbench")
+PACKAGE = ROOT / "src" / "mmw"
+
+# Called by a framework, never by name in this repository.
+ALLOWED = {
+    "handle",  # socketserver.StreamRequestHandler hook in runtime/protocol.py
+}
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+class _Scan(ast.NodeVisitor):
+    def __init__(self):
+        self.enclosing: list[str] = []
+        self.definitions: list[tuple[str, int]] = []
+        self.references: set[str] = set()
+
+    def _reference(self, name: str) -> None:
+        if name not in self.enclosing:
+            self.references.add(name)
+
+    def generic_visit(self, node):
+        if isinstance(node, _DEFINITIONS):
+            self.definitions.append((node.name, node.lineno))
+            self.enclosing.append(node.name)
+            super().generic_visit(node)
+            self.enclosing.pop()
+            return
+        if isinstance(node, ast.Name):
+            self._reference(node.id)
+        elif isinstance(node, ast.Attribute):
+            self._reference(node.attr)
+        elif isinstance(node, ast.alias):
+            for part in node.name.split("."):
+                self._reference(part)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            self._reference(node.value)
+        super().generic_visit(node)
+
+
+def _scan(path: Path) -> _Scan:
+    scan = _Scan()
+    scan.visit(ast.parse(path.read_text(), filename=str(path)))
+    return scan
+
+
+def test_every_definition_in_the_package_is_referenced():
+    references: set[str] = set()
+    definitions: list[tuple[Path, str, int]] = []
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            scan = _scan(path)
+            references |= scan.references
+            if path.is_relative_to(PACKAGE):
+                definitions.extend((path, name, line) for name, line in scan.definitions)
+    assert definitions, "no definitions found under src/mmw"
+    dead = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path, name, line in definitions
+        if name not in references
+        and name not in ALLOWED
+        and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert dead == [], "defined but never referenced:\n" + "\n".join(dead)
