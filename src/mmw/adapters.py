@@ -13,13 +13,13 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, TypeVar
 
 from mmw.errors import ConfigError, UnavailableError
 from mmw.formats import iter_csv_rows, parse_jsonl
 from mmw.relational import RelationSchema, Row, Table, conform, is_identifier
 
-RowFilter = Optional[Callable[[Row], bool]]
+T = TypeVar("T")
 
 
 class SourceAdapter(ABC):
@@ -32,8 +32,8 @@ class SourceAdapter(ABC):
         """Schemas of every relation the source currently offers."""
 
     @abstractmethod
-    def load(self, relation: str, row_filter: RowFilter = None) -> Table:
-        """One consistent snapshot of a relation, filtered while reading."""
+    def load(self, relation: str) -> Table:
+        """One consistent snapshot of every row of a relation."""
 
     @abstractmethod
     def fingerprint(self) -> object:
@@ -65,36 +65,36 @@ class MemoryAdapter(SourceAdapter):
             raise ConfigError(f"memory adapter has no relation {relation!r}")
         return schema
 
-    def replace_rows(self, relation: str, rows: Iterable[Row]) -> None:
+    def _conforming(self, relation: str, rows: Iterable[Row]) -> list[Row]:
         schema = self._schema(relation)
         checked = []
         for row in rows:
-            ok, violation = conform(tuple(row), schema)
+            row = tuple(row)
+            ok, violation = conform(row, schema)
             if not ok:
                 raise ConfigError(f"row does not conform to {relation!r}: {violation}")
-            checked.append(tuple(row))
+            checked.append(row)
+        return checked
+
+    def replace_rows(self, relation: str, rows: Iterable[Row]) -> None:
+        checked = self._conforming(relation, rows)
         with self._lock:
             self._rows[relation] = checked
             self._generation += 1
 
     def insert(self, relation: str, row: Row) -> None:
-        schema = self._schema(relation)
-        ok, violation = conform(tuple(row), schema)
-        if not ok:
-            raise ConfigError(f"row does not conform to {relation!r}: {violation}")
+        (checked,) = self._conforming(relation, [row])
         with self._lock:
-            self._rows[relation].append(tuple(row))
+            self._rows[relation].append(checked)
             self._generation += 1
 
     def relations(self) -> list[RelationSchema]:
         return [self._schemas[name] for name in sorted(self._schemas)]
 
-    def load(self, relation: str, row_filter: RowFilter = None) -> Table:
+    def load(self, relation: str) -> Table:
         schema = self._schema(relation)
         with self._lock:
             rows = list(self._rows[relation])
-        if row_filter is not None:
-            rows = [row for row in rows if row_filter(row)]
         return Table(schema, rows)
 
     def fingerprint(self) -> object:
@@ -103,12 +103,20 @@ class MemoryAdapter(SourceAdapter):
 
 
 class _FileDirAdapter(SourceAdapter):
+    """One relation per file with the adapter's suffix; a subclass only
+    decodes the text of one file."""
+
     suffix = ""
 
     def __init__(self, path):
         self.path = Path(path)
         if not self.path.is_dir():
             raise ConfigError(f"source directory {self.path} is not readable")
+
+    @abstractmethod
+    def _decode(self, name: str, text: str) -> tuple[RelationSchema, Iterable[Row]]:
+        """Schema and rows of one file; raises ValueError on malformed text,
+        also while the rows are iterated."""
 
     def location(self) -> str:
         return str(self.path)
@@ -131,11 +139,23 @@ class _FileDirAdapter(SourceAdapter):
                 return file
         raise ConfigError(f"source has no relation {relation!r}")
 
-    def _read(self, file: Path) -> str:
+    def _parse(self, file: Path, take: Callable[[RelationSchema, Iterable[Row]], T]) -> T:
+        """Decode one file and hand its schema and rows to `take`; a decoding
+        error becomes a ConfigError naming the file."""
         try:
-            return file.read_text(encoding="utf-8")
+            text = file.read_text(encoding="utf-8")
         except OSError as exc:
             raise UnavailableError(f"source unavailable: {exc}") from None
+        try:
+            return take(*self._decode(file.stem, text))
+        except ValueError as exc:
+            raise ConfigError(f"{file.name}: {exc}") from None
+
+    def relations(self) -> list[RelationSchema]:
+        return [self._parse(file, lambda schema, rows: schema) for file in self._files()]
+
+    def load(self, relation: str) -> Table:
+        return self._parse(self._file_for(relation), Table)
 
     def fingerprint(self) -> object:
         try:
@@ -154,25 +174,8 @@ class DelimitedDirAdapter(_FileDirAdapter):
     kind = "delimited_dir"
     suffix = ".csv"
 
-    def relations(self) -> list[RelationSchema]:
-        schemas = []
-        for file in self._files():
-            text = self._read(file)
-            try:
-                schema, _ = iter_csv_rows(file.stem, text)
-            except ValueError as exc:
-                raise ConfigError(f"{file.name}: {exc}") from None
-            schemas.append(schema)
-        return schemas
-
-    def load(self, relation: str, row_filter: RowFilter = None) -> Table:
-        file = self._file_for(relation)
-        text = self._read(file)
-        try:
-            schema, rows = iter_csv_rows(relation, text, row_filter)
-            return Table(schema, list(rows))
-        except ValueError as exc:
-            raise ConfigError(f"{file.name}: {exc}") from None
+    def _decode(self, name: str, text: str) -> tuple[RelationSchema, Iterable[Row]]:
+        return iter_csv_rows(name, text)
 
 
 class DocLinesAdapter(_FileDirAdapter):
@@ -181,17 +184,6 @@ class DocLinesAdapter(_FileDirAdapter):
     kind = "doc_lines"
     suffix = ".jsonl"
 
-    def _parse(self, file: Path) -> Table:
-        try:
-            return parse_jsonl(self._read(file), file.stem)
-        except ValueError as exc:
-            raise ConfigError(f"{file.name}: {exc}") from None
-
-    def relations(self) -> list[RelationSchema]:
-        return [self._parse(file).schema for file in self._files()]
-
-    def load(self, relation: str, row_filter: RowFilter = None) -> Table:
-        table = self._parse(self._file_for(relation))
-        if row_filter is None:
-            return table
-        return Table(table.schema, [row for row in table.rows if row_filter(row)])
+    def _decode(self, name: str, text: str) -> tuple[RelationSchema, Iterable[Row]]:
+        table = parse_jsonl(text, name)
+        return table.schema, table.rows

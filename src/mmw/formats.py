@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 from decimal import Decimal
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from mmw.relational import (
     Attribute,
@@ -175,10 +175,9 @@ def render_csv(table: Table) -> str:
     return join_delimited(rows)
 
 
-def iter_csv_rows(
-    name: str, text: str, row_filter: Optional[Callable[[Row], bool]] = None
-) -> tuple[RelationSchema, Iterator[Row]]:
-    """Streaming read: the filter runs while rows are decoded."""
+def iter_csv_rows(name: str, text: str) -> tuple[RelationSchema, Iterator[Row]]:
+    """Split the text and read the header now; decode each data row only as
+    the returned iterator reaches it, so reading the schema decodes none."""
     raw_rows = split_delimited(text)
     if not raw_rows:
         raise ValueError("missing header row")
@@ -190,12 +189,10 @@ def iter_csv_rows(
                 raise ValueError(
                     f"line {line_number}: expected {len(schema.attributes)} fields, got {len(raw)}"
                 )
-            row = tuple(
+            yield tuple(
                 _cell_to_value(cell, attr, f"line {line_number}")
                 for cell, attr in zip(raw, schema.attributes)
             )
-            if row_filter is None or row_filter(row):
-                yield row
 
     return schema, generate()
 

@@ -158,34 +158,47 @@ class ProtocolServer:
 
     def __init__(self, component, host: str, port: int):
         self.component = component
+        # Connections being served, so that close() can end them too.
+        self._connections: set[socket.socket] = set()
+        self._closed = False
+        self._lock = threading.Lock()
+        endpoint = self
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(handler) -> None:  # noqa: N805
-                for raw_line in iter(lambda: handler.rfile.readline(MAX_REQUEST_LINE + 1), b""):
-                    if len(raw_line) > MAX_REQUEST_LINE:
-                        error = ProtocolError(f"request line exceeds {MAX_REQUEST_LINE} bytes")
-                        handler.wfile.write(_encode_line(error_to_obj(error)))
+                with endpoint._lock:
+                    if endpoint._closed:
                         return
-                    line = raw_line.decode("utf-8", errors="replace").strip()
-                    if not line:
-                        continue
-                    try:
-                        request = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        response = error_to_obj(ProtocolError(f"bad JSON: {exc}"))
-                    else:
+                    endpoint._connections.add(handler.connection)
+                try:
+                    for raw_line in iter(lambda: handler.rfile.readline(MAX_REQUEST_LINE + 1), b""):
+                        if len(raw_line) > MAX_REQUEST_LINE:
+                            error = ProtocolError(f"request line exceeds {MAX_REQUEST_LINE} bytes")
+                            handler.wfile.write(_encode_line(error_to_obj(error)))
+                            return
+                        line = raw_line.decode("utf-8", errors="replace").strip()
+                        if not line:
+                            continue
                         try:
-                            response = handle_request(component, request)
-                        except Exception as exc:  # serialized, connection stays up
-                            if not isinstance(exc, MeshError):
-                                logger.exception(
-                                    "request failed on %s", component.component_id
-                                )
-                            response = error_to_obj(exc)
-                            if not response.get("origin"):
-                                response["origin"] = component.component_id
-                    handler.wfile.write(_encode_line(response))
-                    handler.wfile.flush()
+                            request = json.loads(line)
+                        except json.JSONDecodeError as exc:
+                            response = error_to_obj(ProtocolError(f"bad JSON: {exc}"))
+                        else:
+                            try:
+                                response = handle_request(component, request)
+                            except Exception as exc:  # serialized, connection stays up
+                                if not isinstance(exc, MeshError):
+                                    logger.exception(
+                                        "request failed on %s", component.component_id
+                                    )
+                                response = error_to_obj(exc)
+                                if not response.get("origin"):
+                                    response["origin"] = component.component_id
+                        handler.wfile.write(_encode_line(response))
+                        handler.wfile.flush()
+                finally:
+                    with endpoint._lock:
+                        endpoint._connections.discard(handler.connection)
 
         class Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
@@ -206,8 +219,18 @@ class ProtocolServer:
         self._thread.start()
 
     def close(self) -> None:
+        """Stop accepting, then end every connection still being served, so
+        clients connected before the close get no further answers."""
         self._server.shutdown()
         self._server.server_close()
+        with self._lock:
+            self._closed = True
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the client hung up first
         self._thread.join(timeout=5)
 
 
@@ -251,18 +274,35 @@ class ProtocolClient:
             self._sock = None
 
     def request(self, payload: dict) -> dict:
-        """Send one request; raises the decoded error for error responses."""
+        """Send one request; raises the decoded error for error responses.
+
+        A connection kept from an earlier request may have been closed by the
+        server since. If it fails before the first byte of the response (end
+        of file, or a socket error other than a timeout), the request is sent
+        once more on a new connection. A new connection that fails raises."""
+        data = _encode_line(payload)
         with self._lock:
-            self._connect()
-            try:
-                self._sock.sendall(_encode_line(payload))
-                line = self._reader.readline()
-            except OSError as exc:
+            may_resend = self._sock is not None
+            while True:
+                self._connect()
+                started = False
+                try:
+                    self._sock.sendall(data)
+                    started = bool(self._reader.peek(1))
+                    line = self._reader.readline()
+                except OSError as exc:
+                    failure = f"failed: {exc}"
+                    # After a timeout the server may still be running the
+                    # request, so sending it again could run it twice.
+                    resendable = not started and not isinstance(exc, TimeoutError)
+                else:
+                    if line:
+                        break
+                    failure, resendable = "closed", True
                 self._drop()
-                raise UnavailableError(f"connection to {self.host}:{self.port} failed: {exc}") from None
-            if not line:
-                self._drop()
-                raise UnavailableError(f"connection to {self.host}:{self.port} closed")
+                if not (may_resend and resendable):
+                    raise UnavailableError(f"connection to {self.host}:{self.port} {failure}")
+                may_resend = False
         try:
             response = json.loads(line.decode("utf-8"))
         except json.JSONDecodeError as exc:

@@ -2,22 +2,21 @@
 
 A wrapper answers schema and query requests for exactly one source and is a
 standalone quantum: it configures and serves with no other component
-present. Each execute reads one consistent snapshot; selections that end up
-directly above a scan run as row filters while the source is read, the rest
-evaluates locally.
+present. Each execute loads every relation the query scans once, as one
+consistent snapshot, and evaluates the query over it with selections pushed
+below joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from mmw.adapters import SourceAdapter
 from mmw.component import ComponentBase, LineageNode
 from mmw.errors import ConfigError, UnknownRelationError
 from mmw.relational import ProductSchema, RelationSchema, Table, is_identifier
-from mmw.query.ast import QualifiedName, Query, Scan, Select, children, namespaces
-from mmw.query.evaluate import eval_predicate, evaluate
+from mmw.query.ast import QualifiedName, Query, namespaces, scan_names
+from mmw.query.evaluate import evaluate
 from mmw.query.infer import infer_schema
 from mmw.planner import push_down_selects
 
@@ -79,45 +78,15 @@ class Wrapper(ComponentBase):
             env = self.environment()
             infer_schema(q, env)
             rewritten = push_down_selects(q, env)
-            db = self._load_snapshot(rewritten, env)
+            db = self._load_snapshot(rewritten)
             result = evaluate(rewritten, db, self.config.salt)
             return result, len(result.rows), False
 
         return self._serve_request(q, principal, work)
 
-    def _load_snapshot(self, q: Query, env) -> dict[QualifiedName, Table]:
-        """Load every scanned relation once, filtering at read time when every
-        occurrence of the relation carries a selection directly above it."""
-        filters: dict[str, list] = {}
-
-        def collect(node: Query, pending: Optional[object]) -> None:
-            if isinstance(node, Scan):
-                filters.setdefault(node.name.relation, []).append(pending)
-            elif isinstance(node, Select):
-                collect(node.child, node.predicate)
-            else:
-                for child in children(node):
-                    collect(child, None)
-
-        collect(q, None)
-        db: dict[QualifiedName, Table] = {}
-        for relation, pendings in filters.items():
-            schema = env[QualifiedName(self.namespace, relation)]
-            row_filter = None
-            if all(p is not None for p in pendings):
-                index = {attr.name: i for i, attr in enumerate(schema.attributes)}
-                disjuncts = list(pendings)
-                salt = self.config.salt
-
-                def row_filter(row, _disjuncts=disjuncts, _index=index, _salt=salt):
-                    return any(
-                        eval_predicate(p, row, _index, _salt) is True for p in _disjuncts
-                    )
-
-            db[QualifiedName(self.namespace, relation)] = self.adapter.load(
-                relation, row_filter
-            )
-        return db
+    def _load_snapshot(self, q: Query) -> dict[QualifiedName, Table]:
+        """Load every relation q scans, once however often it is scanned."""
+        return {name: self.adapter.load(name.relation) for name in dict.fromkeys(scan_names(q))}
 
     # -- change signal --------------------------------------------------------
 

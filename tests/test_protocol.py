@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
+import threading
 
 import pytest
 
@@ -12,7 +14,7 @@ from mmw.errors import AccessDeniedError, UnavailableError
 from mmw.mask import Mask
 from mmw.mediator import Mediator
 from mmw.relational import Attribute, Kind, RelationSchema, Value
-from mmw.runtime.protocol import MAX_REQUEST_LINE, ProtocolServer, TcpBinding
+from mmw.runtime.protocol import MAX_REQUEST_LINE, ProtocolServer, TcpBinding, handle_request
 from mmw.query.parse import parse_query
 from mmw.relational import bag_equal
 from mmw.wrapper import Wrapper, WrapperConfig
@@ -233,3 +235,69 @@ class TestTcpBinding:
         server.close()
         with pytest.raises(UnavailableError):
             TcpBinding(server.host, server.port)
+
+    def test_closed_endpoint_ends_open_connections(self):
+        component = wrapper_component()
+        server = ProtocolServer(component, "127.0.0.1", 0)
+        binding = TcpBinding(server.host, server.port)
+        try:
+            assert binding.epoch() == 1
+            server.close()
+            with pytest.raises(UnavailableError):
+                binding.epoch()
+        finally:
+            binding.close()
+
+
+class HangUpServer(socketserver.ThreadingTCPServer):
+    """Answers `limit` requests on each connection, then closes it, as a
+    server with an idle timeout would."""
+
+    daemon_threads = True
+
+    def __init__(self, component, limit: int):
+        self.connections = 0
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(handler):  # noqa: N805
+                self.connections += 1
+                for _ in range(limit):
+                    line = handler.rfile.readline()
+                    if not line:
+                        return
+                    response = handle_request(component, json.loads(line))
+                    handler.wfile.write(json.dumps(response).encode() + b"\n")
+
+        super().__init__(("127.0.0.1", 0), Handler)
+        self.host, self.port = self.server_address[:2]
+        self._thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.05})
+        self._thread.start()
+
+    def close(self):
+        self.shutdown()
+        self.server_close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+class TestReconnect:
+    def test_request_after_server_hang_up_resends_on_new_connection(self):
+        server = HangUpServer(wrapper_component(), limit=2)
+        binding = TcpBinding(server.host, server.port)  # request 1: get_schema
+        try:
+            assert binding.epoch() == 1  # request 2, then the server hangs up
+            assert binding.epoch() == 1  # sent again on a second connection
+            assert binding.epoch() == 1
+            assert server.connections == 2
+        finally:
+            binding.close()
+            server.close()
+
+    def test_fresh_connection_that_is_closed_raises(self):
+        server = HangUpServer(wrapper_component(), limit=0)
+        try:
+            with pytest.raises(UnavailableError, match="closed"):
+                TcpBinding(server.host, server.port)
+            assert server.connections == 1
+        finally:
+            server.close()

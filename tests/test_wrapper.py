@@ -9,10 +9,12 @@ import pytest
 
 from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter, MemoryAdapter
 from mmw.errors import ConfigError, UnavailableError, UnknownRelationError
+from mmw.formats import render_csv, render_jsonl
 from mmw.query.parse import parse_query
 from mmw.relational import Attribute, Kind, ProductSchema, RelationSchema, Value, bag_equal
 from mmw.query.evaluate import evaluate
 from mmw.wrapper import Wrapper, WrapperConfig
+from support import make_environment, random_database, random_query
 
 PEOPLE = RelationSchema(
     "people",
@@ -36,6 +38,24 @@ def people_rows():
 def memory_wrapper(component_id="w_mem", namespace="ops"):
     adapter = MemoryAdapter([PEOPLE], {"people": people_rows()})
     return Wrapper(WrapperConfig(component_id, namespace, adapter))
+
+
+def wrapper_over(kind, tables, directory):
+    """A wrapper serving `tables` from an adapter of `kind`; the file kinds
+    get one .csv or .jsonl file per table in `directory`."""
+    if kind == "memory":
+        adapter = MemoryAdapter(
+            [table.schema for table in tables], {table.schema.name: table.rows for table in tables}
+        )
+    else:
+        adapter_class, suffix, render = {
+            "delimited_dir": (DelimitedDirAdapter, ".csv", render_csv),
+            "doc_lines": (DocLinesAdapter, ".jsonl", render_jsonl),
+        }[kind]
+        for table in tables:
+            (directory / f"{table.schema.name}{suffix}").write_text(render(table), encoding="utf-8")
+        adapter = adapter_class(directory)
+    return Wrapper(WrapperConfig(f"w_{kind}", "ops", adapter))
 
 
 class TestMemoryWrapper:
@@ -88,6 +108,17 @@ class TestMemoryWrapper:
         wrapper = memory_wrapper()
         assert wrapper.get_schema().product == "ops"
         assert wrapper.stats()["queries_served"] == 0
+
+    def test_non_conforming_rows_are_refused(self):
+        wrapper = memory_wrapper()
+        epoch = wrapper.epoch()
+        bad = (Value.text("x"), Value.text("ada"), Value.null())
+        with pytest.raises(ConfigError, match="row does not conform to 'people': "):
+            wrapper.adapter.insert("people", bad)
+        with pytest.raises(ConfigError, match="row does not conform to 'people': "):
+            wrapper.adapter.replace_rows("people", people_rows() + [bad])
+        assert wrapper.epoch() == epoch
+        assert bag_equal(wrapper.adapter.load("people"), memory_wrapper().adapter.load("people"))
 
     def test_execute_matches_reference_evaluator(self):
         wrapper = memory_wrapper()
@@ -226,18 +257,48 @@ class TestDocLinesWrapper:
 
 
 class TestWrapperContract:
-    def test_universal_interface_on_random_queries(self):
+    @pytest.mark.parametrize("kind", ["memory", "delimited_dir", "doc_lines"])
+    def test_universal_interface_on_random_queries(self, kind, tmp_path):
         # For every adapter and well-typed query, execute() must bag-equal
         # the reference evaluation of the materialized snapshot.
         rng = random.Random(99)
-        wrapper = memory_wrapper()
+        schemas = make_environment(rng, namespaces=("ops",), relations_per_namespace=3)
+        # A doc_lines relation takes its columns from its records, so an
+        # empty table would have none to query.
+        db = random_database(rng, schemas, max_rows=8)
+        while not all(table.rows for table in db.values()):
+            db = random_database(rng, schemas, max_rows=8)
+        wrapper = wrapper_over(kind, list(db.values()), tmp_path)
+        for qname, table in db.items():
+            assert wrapper.adapter.load(qname.relation).row_bag() == table.row_bag()
         env = wrapper.environment()
-        from support import random_query
-
         for _ in range(100):
-            q = random_query(rng, env, allow_union=True, max_joins=0)
+            q = random_query(rng, env, allow_union=True)
             snapshot = {k: wrapper.adapter.load(k.relation) for k in env}
             assert bag_equal(wrapper.execute(q), evaluate(q, snapshot, ""))
+
+    @pytest.mark.parametrize(
+        "adapter_class,file_name,text",
+        [
+            (DelimitedDirAdapter, "people.csv", "id:integer,name:text\n1,ada\n2\n"),
+            (DocLinesAdapter, "people.jsonl", '{"id":1,"name":"ada"}\n{"id":2,\n'),
+        ],
+    )
+    def test_malformed_data_row_is_config_error_naming_the_file(
+        self, tmp_path, adapter_class, file_name, text
+    ):
+        (tmp_path / file_name).write_text(text, encoding="utf-8")
+        adapter = adapter_class(tmp_path)
+        wrapper = Wrapper(WrapperConfig("w_bad", "files", adapter))
+        if adapter_class is DelimitedDirAdapter:
+            # The header is intact and the schema decodes no data row.
+            assert adapter.relations()[0].attribute_names == ("id", "name")
+        with pytest.raises(ConfigError) as err:
+            adapter.load("people")
+        assert str(err.value).startswith(f"{file_name}: line ")
+        with pytest.raises(ConfigError) as err:
+            wrapper.execute(parse_query("SELECT * FROM files.people"))
+        assert str(err.value).startswith(f"{file_name}: line ")
 
     def test_schema_stability(self, tmp_path):
         (tmp_path / "r.csv").write_text("a:integer\n1\n", encoding="utf-8")
