@@ -4,7 +4,8 @@ Delimited format: UTF-8, comma separator, '"' quoting with "" escaping,
 header row of `name:type` cells (a '?' suffix marks nullable attributes).
 An unquoted empty field is null; an empty quoted field is empty text. The
 stdlib csv module collapses exactly that distinction, so the splitter is
-hand-rolled.
+this module's own: one regular expression that matches a cell and the
+separator after it.
 
 json-lines format: one flat JSON object per row, field order = schema
 order. Decimals are emitted as raw numeric tokens with a forced '.' so a
@@ -39,70 +40,38 @@ Cell = tuple[str, bool]  # text, was_quoted
 # --- delimited splitting / joining ------------------------------------------------
 
 
+# One cell and the separator after it: a quoted cell with its unquoted tail,
+# or a plain cell. The (?!") keeps a quoted cell from ending on the first quote
+# of a "" pair. No separator group means a bare carriage return, a stray quote,
+# or an opening quote that is never closed.
+_CELL_RE = re.compile(r'(?:"((?:[^"]|"")*)"(?!")([^,"\r\n]*)|([^,"\r\n]*))(,|\r?\n|\Z)?')
+
+
 def split_delimited(text: str) -> list[list[Cell]]:
     """Parse delimited text into rows of (text, was_quoted) cells."""
     rows: list[list[Cell]] = []
     row: list[Cell] = []
-    field: list[str] = []
-    quoted = False
-    in_quotes = False
     pos = 0
-    length = len(text)
-
-    def end_field() -> None:
-        nonlocal field, quoted
-        row.append(("".join(field), quoted))
-        field = []
-        quoted = False
-
-    def end_row() -> None:
-        nonlocal row
-        end_field()
-        rows.append(row)
-        row = []
-
-    while pos < length:
-        ch = text[pos]
-        if in_quotes:
-            if ch == '"':
-                if text.startswith('""', pos):
-                    field.append('"')
-                    pos += 2
-                    continue
-                in_quotes = False
-                pos += 1
-                continue
-            field.append(ch)
-            pos += 1
+    while True:
+        match = _CELL_RE.match(text, pos)
+        body, tail, plain, separator = match.groups()
+        row.append((plain, False) if body is None else (body.replace('""', '"') + tail, True))
+        pos = match.end()
+        if separator is None:
+            if text[pos] == "\r":
+                raise ValueError(f"bare carriage return at offset {pos}")
+            if plain == "":
+                raise ValueError("unterminated quoted field")
+            raise ValueError(f"stray quote inside unquoted field at offset {pos}")
+        if separator == ",":
             continue
-        if ch == '"':
-            if field:
-                raise ValueError(f"stray quote inside unquoted field at offset {pos}")
-            in_quotes = True
-            quoted = True
-            pos += 1
+        if separator:
+            rows.append(row)
+            row = []
             continue
-        if ch == ",":
-            end_field()
-            pos += 1
-            continue
-        if ch == "\n":
-            end_row()
-            pos += 1
-            continue
-        if ch == "\r":
-            if text.startswith("\r\n", pos):
-                end_row()
-                pos += 2
-                continue
-            raise ValueError(f"bare carriage return at offset {pos}")
-        field.append(ch)
-        pos += 1
-    if in_quotes:
-        raise ValueError("unterminated quoted field")
-    if field or quoted or row:
-        end_row()
-    return rows
+        if row != [("", False)]:  # after a final line break there is no last row
+            rows.append(row)
+        return rows
 
 
 def _join_cell(text: str, force_quote: bool) -> str:
@@ -264,7 +233,7 @@ def parse_jsonl(text: str, name: str = "relation") -> Table:
             continue
         try:
             obj = json.loads(line, parse_float=Decimal)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"line {line_number}: {exc}") from None
         if not isinstance(obj, dict):
             raise ValueError(f"line {line_number}: record is not an object")

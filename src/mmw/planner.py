@@ -391,8 +391,7 @@ def execute_plan(
     fetch: Callable[[FetchStep], Table],
     salt: str = "",
 ) -> Table:
-    """Run fetch steps, then the residual locally. Fetches may be concurrent;
-    this driver runs them in order."""
+    """Run fetch steps in order, then the residual locally."""
     db: dict[QualifiedName, Table] = {}
     for step in exec_plan.fetches:
         table = fetch(step)

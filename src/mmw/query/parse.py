@@ -9,14 +9,19 @@ Grammar:
     pair   := identifier '=' identifier
     view   := CREATE VIEW identifier AS query
 
-Keywords are case-insensitive, identifiers are not. Text literals are
-single-quoted with '' escaping; '--' starts a line comment. View files hold
-';'-terminated statements.
+Tokens, matched by one regular expression: KW (a keyword, case-insensitive),
+IDENT (any other word; the parser accepts only lowercase snake case), NUMBER
+(ASCII digits with an optional '-' and fraction), STRING (single-quoted, ''
+escapes a quote), OP (<> <= >= = < > , . * ( ) ;) and a final EOF. Spaces,
+tabs, line breaks and '--' line comments separate tokens. View files hold
+';'-terminated statements. Nesting is bounded by MAX_DEPTH.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from mmw.errors import QuerySyntaxError
 from mmw.relational import Value, is_identifier
@@ -64,6 +69,16 @@ KEYWORDS = {
 
 _COMPARE_OPS = {op.value: op for op in CompareOp}
 
+# Most levels a parsed query tree may have, counting one per NOT, function
+# call and UNION and one per link of an AND, OR or JOIN chain, and most
+# parentheses that may be open at once. The rendered text of an accepted query
+# puts parentheses around every AND/OR operand and NOT argument, and is accepted
+# too. At this depth neither parsing that text nor a walk of the tree (render,
+# infer, evaluate, plan) comes near the interpreter's recursion limit.
+MAX_DEPTH = 64
+
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class Token:
@@ -77,80 +92,44 @@ def _error(message: str, line: int, column: int, expected: tuple[str, ...] = ())
     return QuerySyntaxError(message, line=line, column=column, expected=expected)
 
 
+# One alternative per token class, tried in this order at each position. The
+# (?!') keeps a literal from ending on the first quote of a '' pair, so an
+# unterminated literal falls through to BAD.
+_TOKEN_RE = re.compile(
+    r"""(?P<SKIP>[ \t\r\n]+|--[^\n]*)
+      | (?P<STRING>'(?:[^']|'')*'(?!'))
+      | (?P<NUMBER>-?[0-9]+(?:\.[0-9]+)?)
+      | (?P<WORD>[^\W\d]\w*)
+      | (?P<OP><>|<=|>=|[=<>,.*();])
+      | (?P<BAD>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, column = 1, 1
-    pos = 0
-    length = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal pos, line, column
-        for _ in range(count):
-            if source[pos] == "\n":
-                line += 1
-                column = 1
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(source):
+        kind, text, start = match.lastgroup, match.group(), match.start()
+        column = start - line_start + 1
+        if kind == "WORD":
+            word = text.upper()
+            if word in KEYWORDS:
+                tokens.append(Token("KW", word, line, column))
             else:
-                column += 1
-            pos += 1
-
-    while pos < length:
-        ch = source[pos]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "-" and source.startswith("--", pos):
-            while pos < length and source[pos] != "\n":
-                advance(1)
-            continue
-        start_line, start_column = line, column
-        if ch == "'":
-            advance(1)
-            chunks: list[str] = []
-            while True:
-                if pos >= length:
-                    raise _error("unterminated text literal", start_line, start_column)
-                if source[pos] == "'":
-                    if source.startswith("''", pos):
-                        chunks.append("'")
-                        advance(2)
-                        continue
-                    advance(1)
-                    break
-                chunks.append(source[pos])
-                advance(1)
-            tokens.append(Token("STRING", "".join(chunks), start_line, start_column))
-            continue
-        if ch.isdigit() or (ch == "-" and pos + 1 < length and source[pos + 1].isdigit()):
-            end = pos + 1
-            while end < length and source[end].isdigit():
-                end += 1
-            if end < length and source[end] == "." and end + 1 < length and source[end + 1].isdigit():
-                end += 1
-                while end < length and source[end].isdigit():
-                    end += 1
-            text = source[pos:end]
-            advance(end - pos)
-            tokens.append(Token("NUMBER", text, start_line, start_column))
-            continue
-        if ch.isalpha() or ch == "_":
-            end = pos + 1
-            while end < length and (source[end].isalnum() or source[end] == "_"):
-                end += 1
-            word = source[pos:end]
-            advance(end - pos)
-            if word.upper() in KEYWORDS:
-                tokens.append(Token("KW", word.upper(), start_line, start_column))
-            else:
-                tokens.append(Token("IDENT", word, start_line, start_column))
-            continue
-        for op_text in ("<>", "<=", ">=", "=", "<", ">", ",", ".", "*", "(", ")", ";"):
-            if source.startswith(op_text, pos):
-                advance(len(op_text))
-                tokens.append(Token("OP", op_text, start_line, start_column))
-                break
-        else:
-            raise _error(f"unexpected character {ch!r}", start_line, start_column)
-    tokens.append(Token("EOF", "", line, column))
+                tokens.append(Token("IDENT", text, line, column))
+        elif kind == "STRING":
+            tokens.append(Token("STRING", text[1:-1].replace("''", "'"), line, column))
+        elif kind == "BAD":
+            message = "unterminated text literal" if text == "'" else f"unexpected character {text!r}"
+            raise _error(message, line, column)
+        elif kind != "SKIP":
+            tokens.append(Token(kind, text, line, column))
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            line_start = start + text.rindex("\n") + 1
+    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -158,6 +137,9 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # tree levels above the node being parsed
+        self.peak = 0  # deepest level reached since the innermost chain began
+        self.parens = 0  # parentheses open
 
     @property
     def current(self) -> Token:
@@ -197,6 +179,37 @@ class _Parser:
             )
         return token
 
+    def check_depth(self, token: Token, level: int) -> None:
+        """Refuse, at `token`, nesting past MAX_DEPTH before the parser recurses."""
+        if level > MAX_DEPTH:
+            raise _error(f"query nests deeper than the limit of {MAX_DEPTH}", token.line, token.column)
+
+    def nested(self, token: Token, parse: Callable[..., T], *args) -> T:
+        """Run parse(*args) one tree level deeper."""
+        self.depth += 1
+        self.peak = max(self.peak, self.depth)
+        self.check_depth(token, self.peak)
+        node = parse(*args)
+        self.depth -= 1
+        return node
+
+    def chain(self, keyword: str, first: Callable[[], T], link: Callable[[T], T]) -> T:
+        """Parse `first (keyword link)*` into a left-deep tree. Each link puts
+        everything parsed so far in the chain one level deeper."""
+        outer_peak, self.peak = self.peak, self.depth
+        node = first()
+        while self.at_keyword(keyword):
+            self.peak += 1
+            node = self.nested(self.advance(), link, node)
+        self.peak = max(outer_peak, self.peak)
+        return node
+
+    def literal(self, token: Token, make: Callable[[str], Value]) -> Literal:
+        try:
+            return Literal(make(token.text))
+        except ValueError as exc:
+            raise _error(str(exc), token.line, token.column) from None
+
     def unexpected(self, expected: tuple[str, ...]) -> QuerySyntaxError:
         token = self.current
         shown = token.text if token.type != "EOF" else "end of input"
@@ -207,24 +220,14 @@ class _Parser:
     def parse_query(self) -> Query:
         block = self.parse_block()
         if self.at_keyword("UNION"):
-            self.advance()
-            return Union(block, self.parse_query())
+            return Union(block, self.nested(self.advance(), self.parse_query))
         return block
 
     def parse_block(self) -> Query:
         self.expect_keyword("SELECT")
         items = self.parse_items()
         self.expect_keyword("FROM")
-        node: Query = Scan(self.parse_qualified_name())
-        while self.at_keyword("JOIN"):
-            self.advance()
-            right = Scan(self.parse_qualified_name())
-            self.expect_keyword("ON")
-            pairs = [self.parse_join_pair()]
-            while self.at_keyword("AND"):
-                self.advance()
-                pairs.append(self.parse_join_pair())
-            node = Join(node, right, pairs)
+        node = self.chain("JOIN", lambda: Scan(self.parse_qualified_name()), self.parse_join)
         if self.at_keyword("WHERE"):
             self.advance()
             node = Select(node, self.parse_predicate())
@@ -260,6 +263,15 @@ class _Parser:
         relation = self.expect_identifier().text
         return QualifiedName(namespace, relation)
 
+    def parse_join(self, left: Query) -> Join:
+        right = Scan(self.parse_qualified_name())
+        self.expect_keyword("ON")
+        pairs = [self.parse_join_pair()]
+        while self.at_keyword("AND"):
+            self.advance()
+            pairs.append(self.parse_join_pair())
+        return Join(left, right, pairs)
+
     def parse_join_pair(self) -> tuple[str, str]:
         left = self.expect_identifier().text
         self.expect_op("=")
@@ -269,26 +281,19 @@ class _Parser:
     # --- predicates ---------------------------------------------------------
 
     def parse_predicate(self) -> Predicate:
-        node = self.parse_and()
-        while self.at_keyword("OR"):
-            self.advance()
-            node = LogicalOr(node, self.parse_and())
-        return node
+        return self.chain("OR", self.parse_and, lambda left: LogicalOr(left, self.parse_and()))
 
     def parse_and(self) -> Predicate:
-        node = self.parse_unary()
-        while self.at_keyword("AND"):
-            self.advance()
-            node = LogicalAnd(node, self.parse_unary())
-        return node
+        return self.chain("AND", self.parse_unary, lambda left: LogicalAnd(left, self.parse_unary()))
 
     def parse_unary(self) -> Predicate:
         if self.at_keyword("NOT"):
-            self.advance()
-            return LogicalNot(self.parse_unary())
+            return LogicalNot(self.nested(self.advance(), self.parse_unary))
         if self.at_op("("):
-            self.advance()
+            self.parens += 1
+            self.check_depth(self.advance(), self.parens)
             inner = self.parse_predicate()
+            self.parens -= 1
             self.expect_op(")")
             return inner
         left = self.parse_expr()
@@ -306,8 +311,8 @@ class _Parser:
         if token.type == "NUMBER":
             self.advance()
             if "." in token.text:
-                return Literal(Value.decimal(token.text))
-            return Literal(Value.integer(int(token.text)))
+                return self.literal(token, Value.decimal)
+            return self.literal(token, lambda text: Value.integer(int(text)))
         if token.type == "STRING":
             self.advance()
             return Literal(Value.text(token.text))
@@ -327,15 +332,12 @@ class _Parser:
                 if text_token.type != "STRING":
                     raise self.unexpected(("text literal",))
                 self.advance()
-                try:
-                    return Literal(Value.timestamp(text_token.text))
-                except ValueError as exc:
-                    raise _error(str(exc), text_token.line, text_token.column) from None
+                return self.literal(text_token, Value.timestamp)
             raise self.unexpected(("expression",))
         if token.type == "IDENT":
             name_token = self.expect_identifier()
             if self.at_op("("):
-                return self.parse_call(name_token)
+                return self.nested(self.current, self.parse_call, name_token)
             return AttrRef(name_token.text)
         raise self.unexpected(("expression",))
 

@@ -179,9 +179,12 @@ class ProtocolServer:
                         line = raw_line.decode("utf-8", errors="replace").strip()
                         if not line:
                             continue
+                        # json.loads raises JSONDecodeError, ValueError for an
+                        # integer past the int-string limit, or RecursionError
+                        # for deep nesting.
                         try:
                             request = json.loads(line)
-                        except json.JSONDecodeError as exc:
+                        except (ValueError, RecursionError) as exc:
                             response = error_to_obj(ProtocolError(f"bad JSON: {exc}"))
                         else:
                             try:
@@ -305,7 +308,7 @@ class ProtocolClient:
                 may_resend = False
         try:
             response = json.loads(line.decode("utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"bad response line: {exc}") from None
         if isinstance(response, dict) and response.get("type") == "error":
             raise error_from_obj(response)

@@ -126,7 +126,7 @@ def load_topology(document, base_dir=".") -> MeshTopology:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise TopologyError(f"topology is not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise TopologyError("topology document must be a JSON object")

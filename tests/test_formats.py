@@ -77,6 +77,34 @@ class TestDelimitedLowLevel:
         with pytest.raises(ValueError):
             split_delimited('"abc\n')
 
+    @pytest.mark.parametrize(
+        "text,rows",
+        [
+            ('"ab"cd,e', [[("abcd", True), ("e", False)]]),
+            ('a\r\n"x\ry"\r\n', [[("a", False)], [("x\ry", True)]]),
+            ("\n", [[("", False)]]),
+            ("a,", [[("a", False), ("", False)]]),
+            ("", []),
+        ],
+    )
+    def test_split_cases(self, text, rows):
+        assert split_delimited(text) == rows
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('a,b"c', "stray quote inside unquoted field at offset 3"),
+            ('"a"b"', "stray quote inside unquoted field at offset 4"),
+            ("a\rb", "bare carriage return at offset 1"),
+            ('"a""b', "unterminated quoted field"),
+            ('a,"b', "unterminated quoted field"),
+        ],
+    )
+    def test_split_errors(self, text, message):
+        with pytest.raises(ValueError) as err:
+            split_delimited(text)
+        assert str(err.value) == message
+
 
 class TestCsv:
     def test_header_round_trip(self):
@@ -161,6 +189,18 @@ class TestJsonl:
     def test_nested_values_rejected(self):
         with pytest.raises(ValueError):
             parse_jsonl('{"x":[1,2]}\n', "r")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param("[" * 200_000, id="deep-nesting"),
+            pytest.param('{"x":' + "1" * 5000 + "}", id="5000-digit-integer"),
+        ],
+    )
+    def test_undecodable_line_is_a_value_error_naming_the_line(self, line):
+        with pytest.raises(ValueError) as err:
+            parse_jsonl('{"x":1}\n' + line + "\n", "r")
+        assert str(err.value).startswith("line 2: ")
 
     def test_csv_to_jsonl_round_trip(self):
         table = Table(MIXED, ROWS)

@@ -10,11 +10,17 @@ import threading
 import pytest
 
 from mmw.adapters import MemoryAdapter
-from mmw.errors import AccessDeniedError, UnavailableError
+from mmw.errors import AccessDeniedError, ProtocolError, UnavailableError
 from mmw.mask import Mask
 from mmw.mediator import Mediator
 from mmw.relational import Attribute, Kind, RelationSchema, Value
-from mmw.runtime.protocol import MAX_REQUEST_LINE, ProtocolServer, TcpBinding, handle_request
+from mmw.runtime.protocol import (
+    MAX_REQUEST_LINE,
+    ProtocolClient,
+    ProtocolServer,
+    TcpBinding,
+    handle_request,
+)
 from mmw.query.parse import parse_query
 from mmw.relational import bag_equal
 from mmw.wrapper import Wrapper, WrapperConfig
@@ -138,6 +144,33 @@ class TestConformance:
         lines = raw_roundtrip(server, b"this is not json", {"type": "get_schema"})
         first, second = (json.loads(line) for line in lines)
         assert first["type"] == "error" and first["code"] == "protocol"
+        assert second["type"] == "schema"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(b"[" * 200_000, id="deep-nesting"),
+            pytest.param(b'{"type":"epoch","n":' + b"1" * 5000 + b"}", id="5000-digit-integer"),
+        ],
+    )
+    def test_undecodable_json_keeps_connection(self, endpoint, line):
+        _, server = endpoint
+        lines = raw_roundtrip(server, line, {"type": "get_schema"})
+        first, second = (json.loads(line) for line in lines)
+        assert first["type"] == "error" and first["code"] == "protocol"
+        assert second["type"] == "schema"
+
+    def test_out_of_range_literal_is_syntax_error(self, endpoint):
+        _, server = endpoint
+        query = "SELECT * FROM ns.nums WHERE a = 99999999999999999999"
+        lines = raw_roundtrip(
+            server,
+            {"type": "exec_query", "query": query, "format": "table"},
+            {"type": "get_schema"},
+        )
+        first, second = (json.loads(line) for line in lines)
+        assert first["code"] == "syntax"
+        assert "line 1, column 33" in first["message"]
         assert second["type"] == "schema"
 
     def test_over_long_line_is_refused_and_closes_connection(self, endpoint):
@@ -278,6 +311,28 @@ class HangUpServer(socketserver.ThreadingTCPServer):
         self.server_close()
         self._thread.join(timeout=5)
         assert not self._thread.is_alive()
+
+
+class TestClient:
+    def test_undecodable_response_is_protocol_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer():
+                connection, _ = listener.accept()
+                with connection:
+                    connection.makefile("rb").readline()
+                    connection.sendall(b"[" * 200_000 + b"\n")
+
+            thread = threading.Thread(target=answer, daemon=True)
+            thread.start()
+            client = ProtocolClient("127.0.0.1", listener.getsockname()[1], timeout=5)
+            try:
+                with pytest.raises(ProtocolError):
+                    client.request({"type": "epoch"})
+            finally:
+                client.close()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
 
 
 class TestReconnect:

@@ -23,9 +23,11 @@ from mmw.query.ast import (
     Select,
     Union,
 )
-from mmw.query.parse import parse_query, parse_view_statements
+from mmw.query.evaluate import evaluate
+from mmw.query.infer import infer_schema
+from mmw.query.parse import MAX_DEPTH, parse_query, parse_view_statements, tokenize
 from mmw.query.render import RenderError, normalize, render_query
-from mmw.relational import Value
+from mmw.relational import Attribute, Kind, RelationSchema, Table, Value
 from support import make_environment, random_query
 
 
@@ -115,6 +117,145 @@ class TestParse:
         predicate = tree.child.predicate
         assert isinstance(predicate, LogicalOr)
         assert isinstance(predicate.right, LogicalAnd)
+
+
+class TestTokenize:
+    @pytest.mark.parametrize(
+        "text,tokens",
+        [
+            (
+                "a -- c\r\n  = -1.5 1. 'it''s'\n",
+                [
+                    ("IDENT", "a", 1, 1),
+                    ("OP", "=", 2, 3),
+                    ("NUMBER", "-1.5", 2, 5),
+                    ("NUMBER", "1", 2, 10),
+                    ("OP", ".", 2, 11),
+                    ("STRING", "it's", 2, 13),
+                    ("EOF", "", 3, 1),
+                ],
+            ),
+            (
+                "select Foo_1 aS",
+                [("KW", "SELECT", 1, 1), ("IDENT", "Foo_1", 1, 8), ("KW", "AS", 1, 14), ("EOF", "", 1, 16)],
+            ),
+            (
+                "<><=>=<>=,;*()",
+                [
+                    ("OP", "<>", 1, 1),
+                    ("OP", "<=", 1, 3),
+                    ("OP", ">=", 1, 5),
+                    ("OP", "<>", 1, 7),
+                    ("OP", "=", 1, 9),
+                    ("OP", ",", 1, 10),
+                    ("OP", ";", 1, 11),
+                    ("OP", "*", 1, 12),
+                    ("OP", "(", 1, 13),
+                    ("OP", ")", 1, 14),
+                    ("EOF", "", 1, 15),
+                ],
+            ),
+            (
+                "'a\nb''' x\t'' 3a",
+                [
+                    ("STRING", "a\nb'", 1, 1),
+                    ("IDENT", "x", 2, 6),
+                    ("STRING", "", 2, 8),
+                    ("NUMBER", "3", 2, 11),
+                    ("IDENT", "a", 2, 12),
+                    ("EOF", "", 2, 13),
+                ],
+            ),
+            ("", [("EOF", "", 1, 1)]),
+            ("--only a comment", [("EOF", "", 1, 17)]),
+        ],
+    )
+    def test_tokens_and_positions(self, text, tokens):
+        assert [(t.type, t.text, t.line, t.column) for t in tokenize(text)] == tokens
+
+    @pytest.mark.parametrize(
+        "text,message,line,column",
+        [
+            # An unterminated literal must not end early at a '' pair.
+            ("SELECT * FROM w.r WHERE a = 'x''y", "unterminated text literal", 1, 29),
+            ("a\n  '''", "unterminated text literal", 2, 3),
+            ("a ! b", "unexpected character '!'", 1, 3),
+            ("a -b", "unexpected character '-'", 1, 3),
+            ("a\x0bb", "unexpected character '\\x0b'", 1, 2),
+        ],
+    )
+    def test_lexical_errors(self, text, message, line, column):
+        with pytest.raises(QuerySyntaxError) as err:
+            tokenize(text)
+        assert (err.value.message, err.value.line, err.value.column) == (
+            f"{message} at line {line}, column {column}",
+            line,
+            column,
+        )
+
+    @pytest.mark.parametrize("numeral", ["²", "٣"])
+    def test_non_ascii_numerals_are_syntax_errors(self, numeral):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(f"SELECT * FROM w.r WHERE a = {numeral}")
+        assert (err.value.line, err.value.column) == (1, 29)
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["99999999999999999999", "-9223372036854775809", pytest.param("9" * 5000, id="5000_digits")],
+    )
+    def test_out_of_range_numbers_are_syntax_errors(self, literal):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(f"SELECT * FROM w.r WHERE a = {literal}")
+        assert (err.value.line, err.value.column) == (1, 29)
+
+    def test_int64_bounds_parse(self):
+        tree = parse_query("SELECT * FROM w.r WHERE a = -9223372036854775808")
+        assert tree.child.predicate.right == Literal(Value.integer(-(2**63)))
+
+
+R = RelationSchema("r", [Attribute("a", Kind.INTEGER)])
+WHERE = "SELECT * FROM w.r WHERE "
+NESTING_SHAPES = {
+    "parentheses": lambda n: WHERE + "(" * n + "a = 1" + ")" * n,
+    "not": lambda n: WHERE + "NOT " * n + "a = 1",
+    "union": lambda n: " UNION ".join(["SELECT * FROM w.r"] * (n + 1)),
+    "and_chain": lambda n: WHERE + " AND ".join(["a = 1"] * (n + 1)),
+    "hash_calls": lambda n: "SELECT " + "hash(" * n + "a" + ")" * n + " AS h FROM w.r",
+    # The rendered form of a deep tree: a parenthesis and a level per step.
+    "not_parentheses": lambda n: WHERE + "NOT (" * n + "a = 1" + ")" * n,
+    "or_parentheses": lambda n: WHERE + "(a = 1 OR " * n + "a = 1" + ")" * n,
+    "join_chain": lambda n: "SELECT * FROM w.r" + " JOIN w.r ON a = a" * n,
+}
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
+    @pytest.mark.parametrize("count", [MAX_DEPTH + 1, 5000])
+    def test_past_the_limit_is_a_syntax_error(self, shape, count):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(NESTING_SHAPES[shape](count))
+        assert f"limit of {MAX_DEPTH}" in err.value.message
+
+    @pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
+    def test_at_the_limit_every_tree_walk_works(self, shape):
+        tree = parse_query(NESTING_SHAPES[shape](MAX_DEPTH))
+        text = render_query(tree)
+        assert parse_query(text) == tree
+        infer_schema(tree, {qn("w.r"): R})
+        if shape != "join_chain":  # joining w.r to itself repeats attribute a
+            table = Table(R, [(Value.integer(1),), (Value.integer(2),)])
+            assert evaluate(tree, {qn("w.r"): table}).rows
+
+    def test_error_points_at_the_first_step_past_the_limit(self):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(NESTING_SHAPES["not"](5000))
+        assert (err.value.line, err.value.column) == (1, len(WHERE) + 4 * MAX_DEPTH + 1)
+
+    def test_a_deep_first_operand_counts_toward_its_chain(self):
+        inner = "(" + " AND ".join(["a = 1"] * 40) + ")"
+        assert parse_query(WHERE + inner + " AND a = 1" * (MAX_DEPTH - 39))
+        with pytest.raises(QuerySyntaxError):
+            parse_query(WHERE + inner + " AND a = 1" * (MAX_DEPTH - 38))
 
 
 class TestViewStatements:

@@ -90,6 +90,19 @@ class TestLoad:
         with pytest.raises(TopologyError):
             load_topology(doc([component], []))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("[" * 200_000, id="deep-nesting"),
+            pytest.param("{", id="truncated"),
+            pytest.param(b"\xff", id="not-utf8"),
+        ],
+    )
+    def test_undecodable_document(self, text):
+        with pytest.raises(TopologyError) as err:
+            load_topology(text)
+        assert "not valid JSON" in err.value.message
+
     def test_unknown_policy_flag(self):
         with pytest.raises(TopologyError):
             load_topology(doc([], [], policies={"mystery": True}))

@@ -282,6 +282,12 @@ class TestWrapperContract:
         [
             (DelimitedDirAdapter, "people.csv", "id:integer,name:text\n1,ada\n2\n"),
             (DocLinesAdapter, "people.jsonl", '{"id":1,"name":"ada"}\n{"id":2,\n'),
+            pytest.param(
+                DocLinesAdapter,
+                "people.jsonl",
+                '{"id":1,"name":"ada"}\n' + "[" * 200_000 + "\n",
+                id="DocLinesAdapter-deep-nesting",
+            ),
         ],
     )
     def test_malformed_data_row_is_config_error_naming_the_file(
