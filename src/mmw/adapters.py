@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
-from mmw.errors import ConfigError, UnavailableError
+from mmw.errors import ConfigError, UnavailableError, UnknownRelationError
 from mmw.formats import iter_csv_rows, parse_jsonl
 from mmw.relational import RelationSchema, Row, Table, conform, is_identifier
 
@@ -33,7 +33,8 @@ class SourceAdapter(ABC):
 
     @abstractmethod
     def load(self, relation: str) -> Table:
-        """One consistent snapshot of every row of a relation."""
+        """One consistent snapshot of every row of a relation; the one place
+        that raises UnknownRelationError for a relation the source lacks."""
 
     @abstractmethod
     def fingerprint(self) -> object:
@@ -62,7 +63,7 @@ class MemoryAdapter(SourceAdapter):
     def _schema(self, relation: str) -> RelationSchema:
         schema = self._schemas.get(relation)
         if schema is None:
-            raise ConfigError(f"memory adapter has no relation {relation!r}")
+            raise UnknownRelationError(f"memory adapter has no relation {relation!r}")
         return schema
 
     def _conforming(self, relation: str, rows: Iterable[Row]) -> list[Row]:
@@ -137,7 +138,7 @@ class _FileDirAdapter(SourceAdapter):
         for file in self._files():
             if file.stem == relation:
                 return file
-        raise ConfigError(f"source has no relation {relation!r}")
+        raise UnknownRelationError(f"source has no relation {relation!r}")
 
     def _parse(self, file: Path, take: Callable[[RelationSchema, Iterable[Row]], T]) -> T:
         """Decode one file and hand its schema and rows to `take`; a decoding
@@ -158,11 +159,13 @@ class _FileDirAdapter(SourceAdapter):
         return self._parse(self._file_for(relation), Table)
 
     def fingerprint(self) -> object:
+        # The inode number catches a rewrite through a temporary file and
+        # os.replace that keeps the size and the modification time.
         try:
             entries = []
             for file in self._files():
                 stat = file.stat()
-                entries.append((file.name, stat.st_size, stat.st_mtime_ns))
+                entries.append((file.name, stat.st_size, stat.st_mtime_ns, stat.st_ino))
             return tuple(entries)
         except OSError as exc:
             raise UnavailableError(f"source unavailable: {exc}") from None

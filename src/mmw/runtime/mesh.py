@@ -217,7 +217,7 @@ class Mesh:
         else:
             raise ConfigError(f"unknown component kind {descriptor.kind!r}")
 
-        component.set_access_checker(self._make_access_checker(descriptor))
+        component.set_access_checker(self._make_access_checker(descriptor, component.namespace))
         if self.log_dir is not None:
             component.set_log_path(self.log_dir / f"{descriptor.id}.jsonl")
         if isinstance(component, Mask):
@@ -229,14 +229,15 @@ class Mesh:
             self.servers[descriptor.id] = server
             self.endpoints[descriptor.id] = (server.host, server.port)
 
-    def _make_access_checker(self, descriptor: ComponentDescriptor):
+    def _make_access_checker(self, descriptor: ComponentDescriptor, product: str):
+        """ACL check for the component built from `descriptor`; `product` is
+        the namespace it serves, a mask's being its upstream's."""
         internal = {
             consumer for consumer, producer in self.topology.edges if producer == descriptor.id
         }
         internal.add(descriptor.id)
         acl = self.topology.acl
         domain = descriptor.domain
-        product = self._product_name(descriptor)
 
         def checker(principal: str):
             if principal in internal:
@@ -245,16 +246,6 @@ class Mesh:
             return allowed, rule.render() if rule else None
 
         return checker
-
-    def _product_name(self, descriptor: ComponentDescriptor) -> str:
-        if descriptor.kind == "wrapper":
-            return descriptor.config.get("namespace", descriptor.id)
-        if descriptor.kind == "mediator":
-            return descriptor.config.get("product", descriptor.id)
-        upstream_id = descriptor.config.get("upstream")
-        if upstream_id:
-            return self._product_name(self.topology.component(upstream_id))
-        return descriptor.id
 
     # -- runtime surface --------------------------------------------------------------
 

@@ -103,6 +103,15 @@ def table_from_response(obj: dict, name: str = "result") -> Table:
     return Table(schema, rows)
 
 
+def _text_field(request: dict, field: str, default: Optional[str] = None) -> str:
+    """A request field that must be text; a missing one (without a default)
+    or one of another JSON type is a protocol error."""
+    value = request.get(field, default)
+    if not isinstance(value, str):
+        raise ProtocolError(f"{request['type']} needs a text {field!r} field")
+    return value
+
+
 def handle_request(component, request: dict) -> dict:
     """Dispatch one decoded request against a component; returns the response
     object (errors are raised, the server serializes them)."""
@@ -117,11 +126,10 @@ def handle_request(component, request: dict) -> dict:
             "schema": product_to_obj(component.get_schema()),
         }
     if request_type == "exec_query":
-        if "query" not in request:
-            raise ProtocolError("exec_query needs a 'query' field")
-        q = parse_query(request["query"])
-        principal = request.get("principal", "")
-        format_tag = request.get("format", "table")
+        query_text = _text_field(request, "query")
+        principal = _text_field(request, "principal", "")
+        format_tag = _text_field(request, "format", "table")
+        q = parse_query(query_text)
         if format_tag == "table":
             return table_response(component.execute(q, principal))
         if format_tag in FORMATS:
@@ -140,9 +148,7 @@ def handle_request(component, request: dict) -> dict:
             "counters": component.stats(),
         }
     if request_type == "lineage":
-        if "relation" not in request:
-            raise ProtocolError("lineage needs a 'relation' field")
-        node = component.lineage(request["relation"])
+        node = component.lineage(_text_field(request, "relation"))
         return {"type": "lineage", "root": node.to_obj()}
     if request_type == "epoch":
         return {"type": "epoch", "epoch": component.epoch()}

@@ -3,8 +3,10 @@
 A wrapper answers schema and query requests for exactly one source and is a
 standalone quantum: it configures and serves with no other component
 present. Each execute loads every relation the query scans once, as one
-consistent snapshot, and evaluates the query over it with selections pushed
-below joins.
+consistent snapshot, type-checks the query against the schemas of that
+snapshot and evaluates it over the same rows with selections pushed below
+joins. The adapter's load decides whether a relation exists; the query path
+never lists the whole source.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from mmw.adapters import SourceAdapter
 from mmw.component import ComponentBase, LineageNode
 from mmw.errors import ConfigError, UnknownRelationError
-from mmw.relational import ProductSchema, RelationSchema, Table, is_identifier
-from mmw.query.ast import QualifiedName, Query, namespaces, scan_names
+from mmw.relational import ProductSchema, Table, is_identifier
+from mmw.query.ast import Query, namespaces, scan_names
 from mmw.query.evaluate import evaluate
 from mmw.query.infer import infer_schema
 from mmw.planner import push_down_selects
@@ -59,12 +61,6 @@ class Wrapper(ComponentBase):
             {"description": f"source {self.adapter.kind} via {self.component_id}"},
         )
 
-    def environment(self) -> dict[QualifiedName, RelationSchema]:
-        return {
-            QualifiedName(self.namespace, schema.name): schema
-            for schema in self.adapter.relations()
-        }
-
     # -- data --------------------------------------------------------------
 
     def execute(self, q: Query, principal: str = "") -> Table:
@@ -75,18 +71,13 @@ class Wrapper(ComponentBase):
                     f"foreign namespace {sorted(foreign)} (wrapper serves {self.namespace!r})",
                     origin=self.component_id,
                 )
-            env = self.environment()
+            db = {name: self.adapter.load(name.relation) for name in dict.fromkeys(scan_names(q))}
+            env = {name: table.schema for name, table in db.items()}
             infer_schema(q, env)
-            rewritten = push_down_selects(q, env)
-            db = self._load_snapshot(rewritten)
-            result = evaluate(rewritten, db, self.config.salt)
+            result = evaluate(push_down_selects(q, env), db, self.config.salt)
             return result, len(result.rows), False
 
         return self._serve_request(q, principal, work)
-
-    def _load_snapshot(self, q: Query) -> dict[QualifiedName, Table]:
-        """Load every relation q scans, once however often it is scanned."""
-        return {name: self.adapter.load(name.relation) for name in dict.fromkeys(scan_names(q))}
 
     # -- change signal --------------------------------------------------------
 

@@ -156,6 +156,26 @@ class TestMeshServing:
             with pytest.raises(AccessDeniedError):
                 mesh.execute("y_med", "SELECT * FROM registry.safe", principal="stranger")
 
+    @pytest.mark.parametrize("mediator_endpoint", ["in_process", "tcp 127.0.0.1:0"])
+    def test_mask_acl_names_its_upstream_product(self, mediator_endpoint):
+        # y_med publishes product "registry"; the mask over it serves that
+        # product, so a rule must name "registry", not the component id.
+        from mmw.errors import AccessDeniedError
+
+        def mesh_with_rule(product):
+            document = two_domain_doc()
+            document["components"][1]["endpoint"] = mediator_endpoint
+            document["acl"] = [["analyst", "y", product, True]]
+            return Mesh(load_topology(document))
+
+        query = "SELECT * FROM registry.safe"
+        with mesh_with_rule("registry") as mesh:
+            assert len(mesh.execute("y_mask", query, principal="analyst").rows) == 2
+        with mesh_with_rule("y_med") as mesh:
+            with pytest.raises(AccessDeniedError) as err:
+                mesh.execute("y_mask", query, principal="analyst")
+            assert err.value.origin == "y_mask"
+
     def test_internal_edges_bypass_acl(self):
         # x_med (an accepted consumer) can fetch from y_med even though the
         # ACL has no rule for it; external principals still need rules.

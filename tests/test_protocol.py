@@ -105,16 +105,26 @@ class TestConformance:
             ),
             ({"type": "mystery"}, "protocol"),
             ({"no_type": 1}, "protocol"),
+            ({"type": "exec_query"}, "protocol"),
+            ({"type": "exec_query", "query": 123}, "protocol"),
+            ({"type": "exec_query", "query": None}, "protocol"),
+            ({"type": "exec_query", "query": "SELECT * FROM ns.nums", "principal": 7}, "protocol"),
+            ({"type": "exec_query", "query": "SELECT * FROM ns.nums", "format": ["csv"]}, "protocol"),
+            ({"type": "lineage"}, "protocol"),
+            ({"type": "lineage", "relation": ["nums"]}, "protocol"),
+            ({"type": "lineage", "relation": {"name": "nums"}}, "protocol"),
         ],
     )
-    def test_error_codes(self, endpoint, request_obj, code):
+    def test_error_codes(self, endpoint, request_obj, code, caplog):
         _, server = endpoint
-        (line,) = raw_roundtrip(server, request_obj)
-        obj = json.loads(line)
+        lines = raw_roundtrip(server, request_obj, {"type": "get_schema"})
+        obj, after = (json.loads(line) for line in lines)
         assert obj["type"] == "error"
         assert obj["code"] == code
         assert obj["origin"] == "w_nums"
         assert obj["message"]
+        assert after["type"] == "schema"  # the connection stays open
+        assert not [record for record in caplog.records if record.exc_info]
 
     def test_access_denied_code(self):
         component = wrapper_component()

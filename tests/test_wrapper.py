@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import os
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter, MemoryAdapter
-from mmw.errors import ConfigError, UnavailableError, UnknownRelationError
+from mmw.adapters import (
+    DelimitedDirAdapter,
+    DocLinesAdapter,
+    MemoryAdapter,
+    SourceAdapter,
+    _FileDirAdapter,
+)
+from mmw.errors import ConfigError, TypeCheckError, UnavailableError, UnknownRelationError
 from mmw.formats import render_csv, render_jsonl
+from mmw.mediator import Mediator
+from mmw.query.ast import QualifiedName
 from mmw.query.parse import parse_query
-from mmw.relational import Attribute, Kind, ProductSchema, RelationSchema, Value, bag_equal
+from mmw.relational import Attribute, Kind, ProductSchema, RelationSchema, Table, Value, bag_equal
 from mmw.query.evaluate import evaluate
+from mmw.runtime.protocol import ProtocolClient, ProtocolServer
 from mmw.wrapper import Wrapper, WrapperConfig
 from support import make_environment, random_database, random_query
 
@@ -38,6 +49,14 @@ def people_rows():
 def memory_wrapper(component_id="w_mem", namespace="ops"):
     adapter = MemoryAdapter([PEOPLE], {"people": people_rows()})
     return Wrapper(WrapperConfig(component_id, namespace, adapter))
+
+
+def published_environment(wrapper):
+    """The wrapper's relations by qualified name, as its schema publishes them."""
+    return {
+        QualifiedName(wrapper.namespace, schema.name): schema
+        for schema in wrapper.get_schema().relations
+    }
 
 
 def wrapper_over(kind, tables, directory):
@@ -123,7 +142,7 @@ class TestMemoryWrapper:
     def test_execute_matches_reference_evaluator(self):
         wrapper = memory_wrapper()
         q = parse_query("SELECT name, hash(name) AS nh FROM ops.people WHERE age >= 40")
-        snapshot = {k: wrapper.adapter.load(k.relation) for k in wrapper.environment()}
+        snapshot = {k: wrapper.adapter.load(k.relation) for k in published_environment(wrapper)}
         assert bag_equal(wrapper.execute(q), evaluate(q, snapshot, wrapper.config.salt))
 
 
@@ -187,6 +206,29 @@ class TestDelimitedDirWrapper:
         target.write_text("id:integer\n1\n2\n", encoding="utf-8")
         assert wrapper.epoch() > first
 
+    def test_atomic_rewrite_keeping_size_and_mtime_bumps_epoch(self, tmp_path):
+        # A rewrite through a temporary file and os.replace that keeps the
+        # size and the modification time changes only the inode number.
+        target = tmp_path / "people.csv"
+        target.write_text("id:integer\n1\n", encoding="utf-8")
+        wrapper = Wrapper(WrapperConfig("w_csv", "files", DelimitedDirAdapter(tmp_path)))
+        mediator = Mediator(
+            "m_files", "mirror", {"files": wrapper},
+            ["CREATE VIEW people AS SELECT * FROM files.people"],
+        )
+        q = parse_query("SELECT * FROM mirror.people")
+        assert mediator.execute(q).rows == ((Value.integer(1),),)
+        first = wrapper.epoch()
+        before = target.stat()
+        staged = tmp_path / "people.csv.tmp"
+        staged.write_text("id:integer\n2\n", encoding="utf-8")
+        os.utime(staged, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(staged, target)
+        after = target.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert mediator.execute(q).rows == ((Value.integer(2),),)
+        assert wrapper.epoch() == first + 1
+
     def test_pushdown_equals_naive_scan_on_large_file(self, tmp_path):
         rng = random.Random(77)
         lines = ["id:integer,bucket:integer,payload:text"]
@@ -196,7 +238,7 @@ class TestDelimitedDirWrapper:
         wrapper = Wrapper(WrapperConfig("w_csv", "files", DelimitedDirAdapter(tmp_path)))
         q = parse_query("SELECT id FROM files.big WHERE bucket = 3")
         pushed = wrapper.execute(q)
-        snapshot = {k: wrapper.adapter.load(k.relation) for k in wrapper.environment()}
+        snapshot = {k: wrapper.adapter.load(k.relation) for k in published_environment(wrapper)}
         naive = evaluate(q, snapshot)
         assert bag_equal(pushed, naive)
         assert len(pushed.rows) > 0
@@ -271,7 +313,7 @@ class TestWrapperContract:
         wrapper = wrapper_over(kind, list(db.values()), tmp_path)
         for qname, table in db.items():
             assert wrapper.adapter.load(qname.relation).row_bag() == table.row_bag()
-        env = wrapper.environment()
+        env = published_environment(wrapper)
         for _ in range(100):
             q = random_query(rng, env, allow_union=True)
             snapshot = {k: wrapper.adapter.load(k.relation) for k in env}
@@ -336,3 +378,131 @@ class TestWrapperContract:
         wrapper.stop()
         with pytest.raises(UnavailableError):
             wrapper.execute(parse_query("SELECT * FROM ops.people"))
+
+
+PETS = RelationSchema(
+    "pets", [Attribute("pet", Kind.TEXT), Attribute("owner", Kind.INTEGER)], key=("pet",)
+)
+KINDS = ["memory", "delimited_dir", "doc_lines"]
+
+
+def people_and_pets(kind, directory):
+    pets = Table(PETS, [(Value.text("rex"), Value.integer(1)), (Value.text("tom"), Value.integer(3))])
+    return wrapper_over(kind, [Table(PEOPLE, people_rows()), pets], directory)
+
+
+@pytest.fixture()
+def source_reads(monkeypatch):
+    """Counts, on every adapter class, the relations() calls and the
+    relations read from the source: a file decoded or a memory relation
+    loaded. A call counts once it has returned."""
+    counts = Counter()
+
+    def spy(cls, method, key):
+        real = getattr(cls, method)
+
+        def counted(adapter, *args):
+            result = real(adapter, *args)
+            counts[key(*args)] += 1
+            return result
+
+        monkeypatch.setattr(cls, method, counted)
+
+    for cls in (MemoryAdapter, _FileDirAdapter):
+        spy(cls, "relations", lambda: "relations()")
+    spy(MemoryAdapter, "load", lambda relation: relation)
+    spy(_FileDirAdapter, "_parse", lambda file, take: file.stem)
+    return counts
+
+
+class TestOneReadPerScan:
+    @pytest.mark.parametrize("hosting", ["in_process", "tcp"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_missing_relation_is_unknown_relation_without_a_read(
+        self, kind, hosting, tmp_path, source_reads
+    ):
+        wrapper = people_and_pets(kind, tmp_path)
+        text = "SELECT * FROM ops.ghost"
+        with pytest.raises(UnknownRelationError) as err:
+            if hosting == "in_process":
+                wrapper.execute(parse_query(text))
+            else:
+                server = ProtocolServer(wrapper, "127.0.0.1", 0)
+                client = ProtocolClient(server.host, server.port)
+                try:
+                    client.request({"type": "exec_query", "query": text})
+                finally:
+                    client.close()
+                    server.close()
+        assert err.value.origin == wrapper.component_id
+        assert "'ghost'" in err.value.message
+        assert source_reads == Counter()
+        assert [entry.outcome for entry in wrapper.access_log] == ["error"]
+
+    @pytest.mark.parametrize(
+        "text,reads",
+        [
+            ("SELECT name FROM ops.people WHERE id = 2", {"people": 1}),
+            (
+                "SELECT name FROM ops.people JOIN ops.pets ON id = owner WHERE pet = 'rex'",
+                {"people": 1, "pets": 1},
+            ),
+            (
+                "SELECT name FROM ops.people JOIN ops.people ON id = id AND name = name"
+                " AND age = age WHERE id > 1 UNION SELECT name FROM ops.people",
+                {"people": 1},
+            ),
+        ],
+        ids=["scan", "join", "self-join-and-union"],
+    )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_execute_reads_each_scanned_relation_once(
+        self, kind, text, reads, tmp_path, source_reads
+    ):
+        wrapper = people_and_pets(kind, tmp_path)
+        snapshot = {
+            QualifiedName("ops", name): wrapper.adapter.load(name) for name in ("people", "pets")
+        }
+        q = parse_query(text)
+        source_reads.clear()
+        result = wrapper.execute(q)
+        assert source_reads == Counter(reads)
+        assert bag_equal(result, evaluate(q, snapshot))
+
+
+class HeaderRewrittenAdapter(SourceAdapter):
+    """A source whose header was rewritten between two reads: relations()
+    still reports the old schema, load() returns the new file."""
+
+    kind = "rewritten"
+    BEFORE = RelationSchema("t", [Attribute("id", Kind.INTEGER), Attribute("name", Kind.TEXT)])
+    AFTER = RelationSchema("t", [Attribute("id", Kind.TEXT), Attribute("label", Kind.TEXT)])
+
+    def relations(self):
+        return [self.BEFORE]
+
+    def load(self, relation):
+        rows = [(Value.text("7"), Value.text("new")), (Value.text("x"), Value.text("old"))]
+        return Table(self.AFTER, rows)
+
+    def fingerprint(self):
+        return 0
+
+
+class TestSnapshotConsistency:
+    def wrapper(self):
+        return Wrapper(WrapperConfig("w_rewritten", "ops", HeaderRewrittenAdapter()))
+
+    def test_answer_is_checked_against_and_computed_from_the_loaded_rows(self):
+        result = self.wrapper().execute(parse_query("SELECT label FROM ops.t WHERE id = '7'"))
+        assert result.schema.attribute_names == ("label",)
+        assert result.rows == ((Value.text("new"),),)
+
+    @pytest.mark.parametrize(
+        "text", ["SELECT name FROM ops.t", "SELECT * FROM ops.t WHERE id = 7"]
+    )
+    def test_query_typed_only_by_the_stale_schema_is_a_type_error(self, text):
+        wrapper = self.wrapper()
+        with pytest.raises(TypeCheckError) as err:
+            wrapper.execute(parse_query(text))
+        assert err.value.origin == "w_rewritten"
