@@ -160,12 +160,16 @@ class _FileDirAdapter(SourceAdapter):
 
     def fingerprint(self) -> object:
         # The inode number catches a rewrite through a temporary file and
-        # os.replace that keeps the size and the modification time.
+        # os.replace that keeps the size and the modification time. The
+        # change time catches a rewrite in place that puts the old
+        # modification time back: os.utime can set mtime but not ctime.
         try:
             entries = []
             for file in self._files():
                 stat = file.stat()
-                entries.append((file.name, stat.st_size, stat.st_mtime_ns, stat.st_ino))
+                entries.append(
+                    (file.name, stat.st_size, stat.st_mtime_ns, stat.st_ino, stat.st_ctime_ns)
+                )
             return tuple(entries)
         except OSError as exc:
             raise UnavailableError(f"source unavailable: {exc}") from None

@@ -4,9 +4,12 @@ Exit codes: 0 success, 1 governance violation or access denial, 2 usage or
 syntax problems (unreadable config, malformed query), 3 runtime failure.
 
 `up` runs a mesh in the foreground until interrupted (or --run-seconds
-elapses) and records its pid; `down` stops a mesh started that way. Every
-read subcommand also works with `--ephemeral`, which brings the topology up
-around the single call, so CI needs no daemon management.
+elapses) and records its pid; `down` stops a mesh started that way. A read
+subcommand reaches its component over the component's TCP endpoint, or with
+`--ephemeral` in a mesh brought up around the single call, so CI needs no
+daemon management. An in-process component and a TCP binding answer the
+same calls, so each subcommand has one path and prints the same output
+either way.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ import signal
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from mmw.errors import AccessDeniedError, ConfigError, MeshError
 from mmw.formats import render_table
-from mmw.mask import Rendering
+from mmw.query.parse import parse_query
 from mmw.runtime.mesh import Mesh
-from mmw.runtime.protocol import TcpBinding, table_from_response
+from mmw.runtime.protocol import TcpBinding
 from mmw.runtime.topology import TopologyError, load_topology_file, validate_topology
 from mmw.demo import DEFAULT_SEED, run_scenario
 
@@ -59,21 +63,26 @@ def _load(config_path: str):
     return load_topology_file(Path(config_path))
 
 
-def _print_output(result, format_tag: str) -> None:
-    if isinstance(result, Rendering):
-        sys.stdout.write(result.text)
-    else:
-        sys.stdout.write(render_table(result, format_tag))
-    sys.stdout.flush()
-
-
-def _tcp_binding(topology, component_id: str) -> TcpBinding:
-    descriptor = topology.component(component_id)
+@contextmanager
+def _open_component(args):
+    """The component named by --component: the running one in a mesh brought
+    up around the call with --ephemeral, else a binding to its TCP endpoint.
+    The mesh goes down, or the binding closes, on exit."""
+    topology = _load(args.config)
+    if args.ephemeral:
+        with Mesh(topology, log_dir=args.log_dir) as mesh:
+            yield mesh.component(args.component)
+        return
+    descriptor = topology.component(args.component)
     if descriptor.endpoint.mode != "tcp":
         raise ConfigError(
-            f"component {component_id!r} has no tcp endpoint; use --ephemeral"
+            f"component {args.component!r} has no tcp endpoint; use --ephemeral"
         )
-    return TcpBinding(descriptor.endpoint.host, descriptor.endpoint.port)
+    binding = TcpBinding(descriptor.endpoint.host, descriptor.endpoint.port)
+    try:
+        yield binding
+    finally:
+        binding.close()
 
 
 # --- subcommands --------------------------------------------------------------------
@@ -139,95 +148,46 @@ def cmd_down(args) -> int:
     return 0
 
 
-def _with_mesh(args, action):
-    """Run `action(mesh)` against an ephemeral mesh, or `action(None)` if the
-    caller handles remote access itself."""
-    topology = _load(args.config)
-    if args.ephemeral:
-        with Mesh(topology, log_dir=args.log_dir) as mesh:
-            return action(topology, mesh)
-    return action(topology, None)
-
-
 def cmd_query(args) -> int:
-    def action(topology, mesh):
-        if mesh is not None:
-            result = mesh.serve(args.component, args.query, args.format, args.principal)
-            _print_output(result, args.format)
-            return 0
-        binding = _tcp_binding(topology, args.component)
-        try:
-            if binding.kind == "mask":
-                response = binding.serve_text(args.query, args.format, args.principal)
-                sys.stdout.write(response["data"])
-                sys.stdout.flush()
-                return 0
-            response = binding.serve_text(args.query, "table", args.principal)
-            _print_output(table_from_response(response), args.format)
-            return 0
-        finally:
-            binding.close()
-
-    return _with_mesh(args, action)
+    with _open_component(args) as component:
+        q = parse_query(args.query)
+        if component.kind == "mask":
+            text = component.serve(q, args.format, args.principal).text
+        else:
+            text = render_table(component.execute(q, args.principal), args.format)
+    sys.stdout.write(text)
+    sys.stdout.flush()
+    return 0
 
 
 def cmd_catalog(args) -> int:
-    def action(topology, mesh):
-        if mesh is None:
-            raise ConfigError("catalog needs --ephemeral (or query components directly)")
-        entries = mesh.catalog()
-        print(json.dumps(entries, indent=2))
-        return 0
-
-    return _with_mesh(args, action)
+    topology = _load(args.config)
+    if not args.ephemeral:
+        raise ConfigError("catalog needs --ephemeral (or query components directly)")
+    with Mesh(topology, log_dir=args.log_dir) as mesh:
+        print(json.dumps(mesh.catalog(), indent=2))
+    return 0
 
 
 def cmd_lineage(args) -> int:
-    def action(topology, mesh):
-        if mesh is not None:
-            node = mesh.lineage(args.component, args.relation)
-        else:
-            binding = _tcp_binding(topology, args.component)
-            try:
-                node = binding.lineage(args.relation)
-            finally:
-                binding.close()
-        print(json.dumps(node.to_obj(), indent=2))
-        return 0
-
-    return _with_mesh(args, action)
+    with _open_component(args) as component:
+        node = component.lineage(args.relation)
+    print(json.dumps(node.to_obj(), indent=2))
+    return 0
 
 
 def cmd_stats(args) -> int:
-    def action(topology, mesh):
-        if mesh is not None:
-            counters = mesh.stats(args.component)
-        else:
-            binding = _tcp_binding(topology, args.component)
-            try:
-                counters = binding.stats()
-            finally:
-                binding.close()
-        print(json.dumps({"component": args.component, "counters": counters}, indent=2))
-        return 0
-
-    return _with_mesh(args, action)
+    with _open_component(args) as component:
+        counters = component.stats()
+    print(json.dumps({"component": args.component, "counters": counters}, indent=2))
+    return 0
 
 
 def cmd_materialize(args) -> int:
-    def action(topology, mesh):
-        if mesh is not None:
-            report = mesh.materialize(args.component)
-        else:
-            binding = _tcp_binding(topology, args.component)
-            try:
-                report = binding.materialize()
-            finally:
-                binding.close()
-        print(json.dumps(report, indent=2))
-        return 0
-
-    return _with_mesh(args, action)
+    with _open_component(args) as component:
+        report = component.materialize()
+    print(json.dumps(report, indent=2))
+    return 0
 
 
 def cmd_demo(args) -> int:

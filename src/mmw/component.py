@@ -1,5 +1,6 @@
 """Shared component machinery: the request path, counters, access logging,
-lineage nodes.
+lineage nodes, and the answer a wrapper or mediator gives to the requests
+only a mask serves.
 
 Every data request that passes the liveness check (and, at a mask, the mode
 check) produces exactly one access-log entry, whether it is served, denied
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Optional
 
-from mmw.errors import AccessDeniedError, UnavailableError
+from mmw.errors import AccessDeniedError, ProtocolError, UnavailableError
 from mmw.query.ast import Query
 from mmw.query.render import RenderError, render_query
 
@@ -124,6 +125,9 @@ class ComponentBase:
     def set_log_path(self, path) -> None:
         self._log_path = path
 
+    def start(self) -> None:
+        """Begin background work once wired; only a mask has any."""
+
     def stop(self) -> None:
         self._stopped = True
 
@@ -193,6 +197,18 @@ class ComponentBase:
             raise
         self._record(principal, logged, rows, cache_hit, "ok")
         return result
+
+    # -- mask-only requests -------------------------------------------------------
+
+    def serve(self, q: Query, format: str, principal: str = ""):
+        """Render q in a text format; only a mask does."""
+        raise ProtocolError(
+            f"format {format!r} requires a mask endpoint", origin=self.component_id
+        )
+
+    def materialize(self) -> dict:
+        """Persist the upstream product; only a materializing mask does."""
+        raise ProtocolError("materialize requires a mask endpoint", origin=self.component_id)
 
     # -- public monitoring surface ----------------------------------------------
 

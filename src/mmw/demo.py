@@ -284,7 +284,7 @@ def run_three_domain_demo(out: TextIO, seed: int = DEFAULT_SEED, workspace=None)
             )
             report.check("catalog lists 3 products", len(catalog) == 3)
 
-            lineage = mesh.lineage("x_product", "branch_roster")
+            lineage = mesh.component("x_product").lineage("branch_roster")
             reached = [
                 node.component
                 for node in lineage.walk()
@@ -530,7 +530,7 @@ def run_local_storage_demo(out: TextIO, seed: int = DEFAULT_SEED, workspace=None
                 unchanged == first_bytes,
             )
 
-            refresh = mesh.materialize("d_store_mask")
+            refresh = mesh.component("d_store_mask").materialize()
             report.line(
                 f"re-materialized: epoch {refresh['target_epoch']}, "
                 f"{refresh['rows_total']} rows"
@@ -544,7 +544,7 @@ def run_local_storage_demo(out: TextIO, seed: int = DEFAULT_SEED, workspace=None
                 bag_equal(refreshed, new_staged) and len(refreshed.rows) == len(staged.rows) + 1,
             )
 
-            lineage = mesh.lineage("d_product", "readings")
+            lineage = mesh.component("d_product").lineage("readings")
             through_storage = any(
                 node.component == "d_storage" and node.kind == "wrapper"
                 for node in lineage.walk()

@@ -1,8 +1,8 @@
 """Error taxonomy shared by all components and the wire protocol.
 
 Every error that can cross a component boundary carries one of the
-protocol error codes; configuration-time errors never travel and keep a
-separate code.
+protocol error codes. Configuration errors keep a separate code; one met
+while serving travels as `unavailable`.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ class ProtocolError(MeshError):
 
 
 class ConfigError(MeshError):
-    """Invalid component or topology configuration. Never serialized."""
+    """Invalid component or topology configuration. One raised while serving,
+    such as a malformed source file, travels as `unavailable`."""
 
     code = "config"
 

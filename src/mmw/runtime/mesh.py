@@ -13,7 +13,7 @@ from pathlib import Path
 
 from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter, MemoryAdapter
 from mmw.codec import relation_from_obj, value_from_wire
-from mmw.errors import ConfigError, MeshError, UnknownRelationError
+from mmw.errors import ConfigError, MeshError, ProtocolError, UnknownRelationError
 from mmw.mask import Mask
 from mmw.mediator import Mediator
 from mmw.query.parse import parse_query
@@ -49,25 +49,30 @@ def _startup_order(topology: MeshTopology) -> list[ComponentDescriptor]:
     return order
 
 
-def _build_adapter(config: dict, base_dir: Path):
+def _build_adapter(component_id: str, config: dict, base_dir: Path):
     kind = config.get("kind")
     if kind == "memory":
         schemas = []
         rows: dict[str, list] = {}
         for raw in config.get("relations", ()):
-            schema = relation_from_obj(raw)
-            schemas.append(schema)
-            kinds = [attr.data_type for attr in schema.attributes]
-            decoded = []
-            for cells in raw.get("rows", ()):
-                if len(cells) != len(kinds):
-                    raise ConfigError(
-                        f"memory relation {schema.name!r}: row arity {len(cells)} "
-                        f"does not match schema arity {len(kinds)}"
+            name = raw.get("name") if isinstance(raw, dict) else None
+            where = f"component {component_id!r}, memory relation {name!r}"
+            try:
+                schema = relation_from_obj(raw)
+                kinds = [attr.data_type for attr in schema.attributes]
+                decoded = []
+                for cells in raw.get("rows", ()):
+                    if len(cells) != len(kinds):
+                        raise ConfigError(
+                            f"{where}: row arity {len(cells)} "
+                            f"does not match schema arity {len(kinds)}"
+                        )
+                    decoded.append(
+                        tuple(value_from_wire(k, cell) for k, cell in zip(kinds, cells))
                     )
-                decoded.append(
-                    tuple(value_from_wire(k, cell) for k, cell in zip(kinds, cells))
-                )
+            except ProtocolError as exc:  # the codec's bad relation object or cell
+                raise ConfigError(f"{where}: {exc.message}") from None
+            schemas.append(schema)
             rows[schema.name] = decoded
         return MemoryAdapter(schemas, rows)
     if kind == "delimited_dir":
@@ -155,7 +160,7 @@ class Mesh:
         server = self.servers.pop(component_id, None)
         if server is not None:
             server.close()
-        self._component(component_id).stop()
+        self.component(component_id).stop()
 
     # -- construction ------------------------------------------------------------
 
@@ -172,7 +177,7 @@ class Mesh:
         base_dir = self.topology.base_dir
         config = descriptor.config
         if descriptor.kind == "wrapper":
-            adapter = _build_adapter(config.get("adapter", {}), base_dir)
+            adapter = _build_adapter(descriptor.id, config.get("adapter", {}), base_dir)
             component = Wrapper(
                 WrapperConfig(
                     descriptor.id,
@@ -220,8 +225,7 @@ class Mesh:
         component.set_access_checker(self._make_access_checker(descriptor, component.namespace))
         if self.log_dir is not None:
             component.set_log_path(self.log_dir / f"{descriptor.id}.jsonl")
-        if isinstance(component, Mask):
-            component.start()
+        component.start()
         self.components[descriptor.id] = component
         self._order.append(descriptor.id)
         if descriptor.endpoint.mode == "tcp":
@@ -249,7 +253,8 @@ class Mesh:
 
     # -- runtime surface --------------------------------------------------------------
 
-    def _component(self, component_id: str):
+    def component(self, component_id: str):
+        """The running component with this id, in-process."""
         component = self.components.get(component_id)
         if component is None:
             raise UnknownRelationError(f"unknown component {component_id!r}")
@@ -267,7 +272,7 @@ class Mesh:
                 "endpoint": descriptor.endpoint.render(),
             }
             try:
-                product = self._component(descriptor.id).get_schema()
+                product = self.component(descriptor.id).get_schema()
                 entry.update(
                     {
                         "product": product.product,
@@ -291,26 +296,11 @@ class Mesh:
         entries.sort(key=lambda e: (e["domain"], e["product"], e["version"]))
         return entries
 
-    def stats(self, component_id: str) -> dict:
-        return self._component(component_id).stats()
-
-    def lineage(self, component_id: str, relation: str):
-        return self._component(component_id).lineage(relation)
-
     def execute(self, component_id: str, query_text: str, principal: str = "") -> Table:
-        return self._component(component_id).execute(parse_query(query_text), principal)
+        return self.component(component_id).execute(parse_query(query_text), principal)
 
     def serve(self, component_id: str, query_text: str, format_tag: str, principal: str = ""):
-        component = self._component(component_id)
-        if isinstance(component, Mask) and format_tag != "table":
-            return component.serve(parse_query(query_text), format_tag, principal)
-        return component.execute(parse_query(query_text), principal)
-
-    def materialize(self, component_id: str) -> dict:
-        component = self._component(component_id)
-        if not isinstance(component, Mask):
-            raise ConfigError(f"{component_id!r} is not a mask")
-        return component.materialize()
+        return self.component(component_id).serve(parse_query(query_text), format_tag, principal)
 
     def __enter__(self) -> "Mesh":
         return self.up()

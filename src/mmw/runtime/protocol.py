@@ -33,7 +33,7 @@ from mmw.errors import (
     UnavailableError,
     UnknownRelationError,
 )
-from mmw.mask import FORMATS, Mask
+from mmw.mask import FORMATS, Rendering
 from mmw.query.parse import parse_query
 from mmw.query.render import render_query
 from mmw.relational import RelationSchema, Table
@@ -57,7 +57,9 @@ _CODE_CLASSES = {
 
 def error_to_obj(exc: Exception) -> dict:
     if isinstance(exc, MeshError):
-        code = exc.code if exc.code in WIRE_CODES else "protocol"
+        # A code that never travels (a ConfigError: say, a malformed source
+        # file met while serving) is the server's fault, not the request's.
+        code = exc.code if exc.code in WIRE_CODES else "unavailable"
         return {
             "type": "error",
             "code": code,
@@ -133,11 +135,6 @@ def handle_request(component, request: dict) -> dict:
         if format_tag == "table":
             return table_response(component.execute(q, principal))
         if format_tag in FORMATS:
-            if not isinstance(component, Mask):
-                raise ProtocolError(
-                    f"format {format_tag!r} requires a mask endpoint",
-                    origin=component.component_id,
-                )
             rendering = component.serve(q, format_tag, principal)
             return {"type": "rendering", "format": rendering.format, "data": rendering.text}
         raise ProtocolError(f"unknown format {format_tag!r}")
@@ -153,8 +150,6 @@ def handle_request(component, request: dict) -> dict:
     if request_type == "epoch":
         return {"type": "epoch", "epoch": component.epoch()}
     if request_type == "materialize":
-        if not isinstance(component, Mask):
-            raise ProtocolError("materialize requires a mask endpoint")
         return {"type": "report", "report": component.materialize()}
     raise ProtocolError(f"unknown request type {request_type!r}")
 
@@ -358,15 +353,16 @@ class TcpBinding:
     def stats(self) -> dict:
         return self._client.request({"type": "stats"})["counters"]
 
-    def serve_text(self, query_text: str, format_tag: str, principal: str = "") -> dict:
-        return self._client.request(
+    def serve(self, q, format: str, principal: str = "") -> Rendering:
+        response = self._client.request(
             {
                 "type": "exec_query",
-                "query": query_text,
+                "query": render_query(q),
                 "principal": principal,
-                "format": format_tag,
+                "format": format,
             }
         )
+        return Rendering(response["format"], response["data"].encode("utf-8"))
 
     def materialize(self) -> dict:
         return self._client.request({"type": "materialize"})["report"]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from mmw.errors import ConfigError
+from mmw.errors import ConfigError, UnknownRelationError
 from mmw.relational import is_identifier
 
 
@@ -111,7 +111,7 @@ class MeshTopology:
         for descriptor in self.components:
             if descriptor.id == component_id:
                 return descriptor
-        raise KeyError(component_id)
+        raise UnknownRelationError(f"unknown component {component_id!r}")
 
     def producers_of(self, consumer_id: str) -> list[str]:
         return [producer for consumer, producer in self.edges if consumer == consumer_id]

@@ -527,7 +527,7 @@ def test_capability_governance(tmp_path):
 def test_capability_lineage(tmp_path):
     document = _mini_mesh_doc(tmp_path)
     with Mesh(load_topology(document, tmp_path)) as mesh:
-        node = mesh.lineage("med", "joined")
+        node = mesh.component("med").lineage("joined")
         wrapped = {child.component for child in node.children}
         assert wrapped == {"w_files", "w_docs"}
 
@@ -535,14 +535,14 @@ def test_capability_lineage(tmp_path):
 def test_capability_monitoring(tmp_path):
     document = _mini_mesh_doc(tmp_path)
     with Mesh(load_topology(document, tmp_path)) as mesh:
-        before = mesh.stats("med")
+        before = mesh.component("med").stats()
         assert set(before) == {
             "queries_served", "rows_returned", "cache_hits", "cache_misses", "errors",
         }
         assert all(value == 0 for value in before.values())
         for _ in range(3):
             mesh.execute("med", "SELECT * FROM facts.joined", "analyst")
-        after = mesh.stats("med")
+        after = mesh.component("med").stats()
         assert after["queries_served"] == 3
         assert all(after[name] >= before[name] for name in before)
 
@@ -560,7 +560,7 @@ def test_capability_caching(tmp_path):
     with Mesh(load_topology(document, tmp_path)) as mesh:
         mesh.execute("med", "SELECT * FROM facts.joined", "analyst")
         mesh.execute("med", "SELECT * FROM facts.joined", "analyst")
-        assert mesh.stats("med")["cache_hits"] == 1
+        assert mesh.component("med").stats()["cache_hits"] == 1
 
 
 @pytest.mark.skip(

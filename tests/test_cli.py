@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from mmw.cli import main
 from mmw.demo import build_three_domain_workspace
+from mmw.runtime.mesh import Mesh
+from mmw.runtime.topology import load_topology_file
 
 # Golden hash values for salt "pepper": computed with the independent FNV-1a
 # oracle before the stack existed.
@@ -279,8 +283,130 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
+def _parity_doc(tcp: bool) -> dict:
+    """small_doc plus a materializing mask; with tcp, every mediator and
+    mask gets an endpoint at a free port."""
+    document = small_doc()
+    document["components"].append(
+        {
+            "id": "store_mask",
+            "kind": "mask",
+            "domain": "y",
+            "role": "materializing_mask",
+            "config": {"upstream": "y_med", "mode": "materializing", "target": "store"},
+        }
+    )
+    document["edges"].append(["store_mask", "y_med"])
+    if tcp:
+        for component in document["components"]:
+            if component["kind"] != "wrapper":
+                component["endpoint"] = f"tcp 127.0.0.1:{_free_port()}"
+    return document
+
+
+@pytest.fixture(params=["ephemeral", "tcp"])
+def run_cli(request, tmp_path, capsys):
+    """Runs one read subcommand against the parity mesh and returns (exit
+    code, stdout, decoded stderr): with --ephemeral, or over TCP against the
+    same mesh hosted in this process."""
+    tcp = request.param == "tcp"
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(_parity_doc(tcp)), encoding="utf-8")
+    mesh = Mesh(load_topology_file(path)).up() if tcp else None
+    mode = [] if tcp else ["--ephemeral"]
+
+    def run(subcommand, *argv):
+        code = main([subcommand, "--config", str(path), *mode, *argv])
+        captured = capsys.readouterr()
+        return code, captured.out, json.loads(captured.err) if captured.err else None
+
+    yield run
+    if mesh is not None:
+        mesh.down()
+
+
+def _error(code, message, origin=""):
+    return {"type": "error", "code": code, "message": message, "origin": origin}
+
+
+class TestTransportParity:
+    """Each read subcommand prints the same output and exits with the same
+    code whether it brings the mesh up itself or reaches it over TCP."""
+
+    QUERY = ("--query", "SELECT * FROM registry.names", "--principal", "analyst")
+
+    def test_query_mask_csv(self, run_cli):
+        assert run_cli("query", "--component", "y_mask", *self.QUERY, "--format", "csv") == (
+            0, f"id:integer,name_h:text\n1,{H_ADA}\n2,{H_GRACE}\n", None
+        )
+
+    def test_query_mediator_jsonl(self, run_cli):
+        assert run_cli("query", "--component", "y_med", *self.QUERY, "--format", "jsonl") == (
+            0, f'{{"id":1,"name_h":"{H_ADA}"}}\n{{"id":2,"name_h":"{H_GRACE}"}}\n', None
+        )
+
+    def test_malformed_query(self, run_cli):
+        message = "unexpected 'FROM' at line 1, column 8 (expected expression)"
+        assert run_cli(
+            "query", "--component", "y_med", "--query", "SELECT FROM registry.names"
+        ) == (2, "", _error("syntax", message))
+
+    def test_lineage(self, run_cli):
+        code, out, err = run_cli("lineage", "--component", "y_med", "--relation", "names")
+        assert (code, err) == (0, None)
+        assert json.loads(out) == {
+            "component": "y_med",
+            "kind": "mediator",
+            "relation": "names",
+            "children": [
+                {
+                    "component": "y_ops",
+                    "kind": "wrapper",
+                    "relation": "people",
+                    "via_view": "names",
+                    "source": "memory:memory",
+                }
+            ],
+        }
+
+    def test_stats(self, run_cli):
+        code, out, err = run_cli("stats", "--component", "y_med")
+        assert (code, err) == (0, None)
+        report = json.loads(out)
+        assert report["component"] == "y_med"
+        assert set(report["counters"]) == {
+            "queries_served", "rows_returned", "cache_hits", "cache_misses", "errors"
+        }
+
+    def test_materialize_mask(self, run_cli, tmp_path):
+        code, out, err = run_cli("materialize", "--component", "store_mask")
+        assert (code, err) == (0, None)
+        # Bringing the mesh up materialized once already.
+        assert json.loads(out) == {
+            "relations": {"names": 2},
+            "rows_total": 2,
+            "target_epoch": 2,
+            "snapshot": str(tmp_path / "store" / "snapshots" / "000002"),
+        }
+
+    def test_materialize_mediator(self, run_cli):
+        assert run_cli("materialize", "--component", "y_med") == (
+            3, "", _error("protocol", "materialize requires a mask endpoint", "y_med")
+        )
+
+    def test_unknown_component(self, run_cli):
+        assert run_cli("query", "--component", "nope", *self.QUERY) == (
+            3, "", _error("unknown_relation", "unknown component 'nope'")
+        )
+
+
 class TestUpDown:
     def test_foreground_mesh_serves_tcp_then_stops(self, tmp_path):
+        # The child interpreters import mmw from the source tree.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
         port = _free_port()
         config = tmp_path / "mesh.json"
         config.write_text(json.dumps(small_doc(tcp_port=port)), encoding="utf-8")
@@ -293,6 +419,7 @@ class TestUpDown:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            env=env,
         )
         try:
             deadline = time.time() + 20
@@ -319,6 +446,7 @@ class TestUpDown:
                 capture_output=True,
                 text=True,
                 timeout=30,
+                env=env,
             )
             assert query.returncode == 0, query.stderr
             assert query.stdout == f"id:integer,name_h:text\n1,{H_ADA}\n2,{H_GRACE}\n"
@@ -331,6 +459,7 @@ class TestUpDown:
                 capture_output=True,
                 text=True,
                 timeout=30,
+                env=env,
             )
             assert down.returncode == 0, down.stderr
             assert process.wait(timeout=20) == 0

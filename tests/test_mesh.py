@@ -97,6 +97,26 @@ class TestMeshLifecycle:
             mesh.up()
         assert not mesh.running and not mesh.components
 
+    @pytest.mark.parametrize(
+        "relation_obj, detail",
+        [
+            pytest.param(
+                people_relation_obj([["x", "ada", "111-11"]]), "bad cell for integer", id="bad-cell"
+            ),
+            pytest.param({"name": "people", "rows": []}, "bad relation object", id="no-attributes"),
+            pytest.param(people_relation_obj([["1", "ada"]]), "row arity 2", id="short-row"),
+        ],
+    )
+    def test_bad_memory_relation_is_config_error_naming_it(self, relation_obj, detail):
+        document = two_domain_doc()
+        document["components"][0]["config"]["adapter"]["relations"] = [relation_obj]
+        mesh = Mesh(load_topology(document))
+        with pytest.raises(ConfigError) as caught:
+            mesh.up()
+        message = caught.value.message
+        assert "'y_ops'" in message and "'people'" in message and detail in message
+        assert not mesh.running and not mesh.components
+
     def test_startup_is_producers_first(self):
         with Mesh(load_topology(two_domain_doc())) as mesh:
             order = mesh._order
@@ -187,7 +207,7 @@ class TestMeshServing:
         with Mesh(load_topology(two_domain_doc())) as mesh:
             for _ in range(3):
                 mesh.execute("y_med", "SELECT * FROM registry.safe", principal="analyst")
-            stats = mesh.stats("y_med")
+            stats = mesh.component("y_med").stats()
             assert stats["queries_served"] == 3
             assert stats["cache_hits"] == 2
             assert stats["cache_misses"] == 1
@@ -202,7 +222,7 @@ class TestMeshServing:
         with Mesh(load_topology(two_domain_doc())) as mesh:
             with pytest.raises(AccessDeniedError):
                 mesh.execute("y_med", "SELECT * FROM registry.safe", principal="stranger")
-            stats = mesh.stats("y_med")
+            stats = mesh.component("y_med").stats()
             assert stats["errors"] == 1
             assert stats["rows_returned"] == 0
             assert stats["queries_served"] == 0
@@ -225,7 +245,7 @@ class TestMeshServing:
 
     def test_lineage_crosses_components(self):
         with Mesh(load_topology(two_domain_doc())) as mesh:
-            node = mesh.lineage("x_med", "names")
+            node = mesh.component("x_med").lineage("names")
             assert node.component == "x_med"
             mid = node.children[0]
             assert mid.component == "y_med"
@@ -242,7 +262,7 @@ class TestFaultInjection:
             assert err.value.origin in ("y_ops", "y_med")
             # The schema of the dead wrapper's mediator is still served
             # (derived at configure time), and unrelated components answer.
-            assert mesh.stats("y_mask") is not None
+            assert mesh.component("y_mask").stats() is not None
             catalog = mesh.catalog()
             assert all(entry["status"] == "ok" for entry in catalog)
 
@@ -287,7 +307,7 @@ class TestTcpMesh:
         with Mesh(load_topology(two_domain_doc(tcp_wrapper=True))) as mesh:
             mesh.execute("y_med", "SELECT * FROM registry.safe", principal="analyst")
             mesh.execute("y_med", "SELECT * FROM registry.safe", principal="analyst")
-            assert mesh.stats("y_med")["cache_hits"] == 1
+            assert mesh.component("y_med").stats()["cache_hits"] == 1
             wrapper = mesh.components["y_ops"]
             wrapper.adapter.insert(
                 "people", (Value.integer(3), Value.text("alan"), Value.text("333"))

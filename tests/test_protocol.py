@@ -2,26 +2,43 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import socket
 import socketserver
 import threading
 
 import pytest
 
-from mmw.adapters import MemoryAdapter
-from mmw.errors import AccessDeniedError, ProtocolError, UnavailableError
+import mmw
+from mmw.adapters import DelimitedDirAdapter, MemoryAdapter
+from mmw.errors import (
+    AccessDeniedError,
+    ConfigError,
+    MeshError,
+    ProtocolError,
+    QuerySyntaxError,
+    TypeCheckError,
+    UnavailableError,
+    UnknownRelationError,
+    ViewCycleError,
+)
 from mmw.mask import Mask
 from mmw.mediator import Mediator
 from mmw.relational import Attribute, Kind, RelationSchema, Value
 from mmw.runtime.protocol import (
     MAX_REQUEST_LINE,
+    WIRE_CODES,
     ProtocolClient,
     ProtocolServer,
     TcpBinding,
+    error_to_obj,
     handle_request,
 )
 from mmw.query.parse import parse_query
+from mmw.query.render import RenderError
+from mmw.runtime.topology import TopologyError
 from mmw.relational import bag_equal
 from mmw.wrapper import Wrapper, WrapperConfig
 
@@ -208,6 +225,66 @@ class TestConformance:
         )
         obj = json.loads(line)
         assert "line 1" in obj["message"]
+
+
+    def test_malformed_source_file_is_unavailable(self, tmp_path):
+        # The request was fine; the source is not.
+        (tmp_path / "people.csv").write_text("id:integer,name:text\n1,ada\n2\n", encoding="utf-8")
+        wrapper = Wrapper(WrapperConfig("w_bad", "files", DelimitedDirAdapter(tmp_path)))
+        server = ProtocolServer(wrapper, "127.0.0.1", 0)
+        try:
+            lines = raw_roundtrip(
+                server,
+                {"type": "exec_query", "query": "SELECT * FROM files.people", "format": "table"},
+                {"type": "epoch"},
+            )
+        finally:
+            server.close()
+        error, after = (json.loads(line) for line in lines)
+        assert error["code"] == "unavailable"
+        assert error["origin"] == "w_bad"
+        assert "people.csv" in error["message"]
+        assert after["type"] == "epoch"
+
+
+# One instance of every MeshError class in the package, with its wire code.
+WIRE_CODE_OF = [
+    (MeshError("m"), "protocol"),
+    (ProtocolError("m"), "protocol"),
+    (QuerySyntaxError("m", line=1, column=1), "syntax"),
+    (TypeCheckError("m"), "type"),
+    (RenderError("m"), "type"),
+    (UnknownRelationError("m"), "unknown_relation"),
+    (AccessDeniedError("m"), "access_denied"),
+    (UnavailableError("m"), "unavailable"),
+    (ConfigError("m"), "unavailable"),
+    (TopologyError("m"), "unavailable"),
+    (ViewCycleError(["v", "v"]), "unavailable"),
+]
+
+
+def _package_error_classes() -> set[type]:
+    for module in pkgutil.walk_packages(mmw.__path__, "mmw."):
+        importlib.import_module(module.name)
+    found, pending = set(), [MeshError]
+    while pending:
+        cls = pending.pop()
+        if cls.__module__.startswith("mmw."):
+            found.add(cls)
+        pending.extend(cls.__subclasses__())
+    return found
+
+
+class TestErrorEncoding:
+    def test_table_covers_every_error_class(self):
+        assert {type(exc) for exc, _ in WIRE_CODE_OF} == _package_error_classes()
+
+    @pytest.mark.parametrize(
+        "exc,code", WIRE_CODE_OF, ids=[type(exc).__name__ for exc, _ in WIRE_CODE_OF]
+    )
+    def test_encodes_to_wire_code(self, exc, code):
+        assert code in WIRE_CODES
+        assert error_to_obj(exc)["code"] == code
 
 
 class TestMaskOverWire:

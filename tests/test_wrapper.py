@@ -229,6 +229,36 @@ class TestDelimitedDirWrapper:
         assert mediator.execute(q).rows == ((Value.integer(2),),)
         assert wrapper.epoch() == first + 1
 
+    def test_in_place_rewrite_restoring_mtime_bumps_epoch(self, tmp_path):
+        # Writing over the file in place and restoring its times keeps the
+        # size, the modification time and the inode; only the change time
+        # moves, and only once the clock has ticked since the last change.
+        target = tmp_path / "people.csv"
+        target.write_text("id:integer\n1\n", encoding="utf-8")
+        wrapper = Wrapper(WrapperConfig("w_csv", "files", DelimitedDirAdapter(tmp_path)))
+        mediator = Mediator(
+            "m_files", "mirror", {"files": wrapper},
+            ["CREATE VIEW people AS SELECT * FROM files.people"],
+        )
+        q = parse_query("SELECT * FROM mirror.people")
+        assert mediator.execute(q).rows == ((Value.integer(1),),)
+        first = wrapper.epoch()
+        before = target.stat()
+        deadline = time.monotonic() + 5
+        while True:
+            with open(target, "r+", encoding="utf-8") as handle:
+                handle.write("id:integer\n2\n")
+            os.utime(target, ns=(before.st_atime_ns, before.st_mtime_ns))
+            after = target.stat()
+            if after.st_ctime_ns != before.st_ctime_ns:
+                break
+            assert time.monotonic() < deadline, "the change time never moved"
+        assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+            before.st_size, before.st_mtime_ns, before.st_ino
+        )
+        assert mediator.execute(q).rows == ((Value.integer(2),),)
+        assert wrapper.epoch() == first + 1
+
     def test_pushdown_equals_naive_scan_on_large_file(self, tmp_path):
         rng = random.Random(77)
         lines = ["id:integer,bucket:integer,payload:text"]
