@@ -40,7 +40,8 @@ from mmw.query.ast import (
     predicate_attrs,
 )
 from mmw.query.infer import Environment, infer_schema
-from mmw.query.evaluate import evaluate
+# Bound as `evaluate`: meshbench/tracing.py patches the module's `evaluate`.
+from mmw.query.execute import execute as evaluate
 from mmw.views import ViewDeclaration, unfold
 
 

@@ -1,4 +1,5 @@
-"""SQL-like query surface: algebra tree, parser, renderer, inference, evaluator."""
+"""SQL-like query surface: algebra tree, parser, renderer, inference, the
+reference evaluator and the executor that production runs (`query.execute`)."""
 
 from mmw.query.ast import (
     AttrRef,

@@ -20,8 +20,7 @@ tabs, line breaks and '--' line comments separate tokens. View files hold
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from mmw.errors import QuerySyntaxError
 from mmw.relational import Value, is_identifier
@@ -80,8 +79,7 @@ MAX_DEPTH = 64
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # KW, IDENT, NUMBER, STRING, OP, EOF
     text: str
     line: int

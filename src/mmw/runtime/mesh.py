@@ -61,7 +61,14 @@ def _build_adapter(component_id: str, config: dict, base_dir: Path):
                 schema = relation_from_obj(raw)
                 kinds = [attr.data_type for attr in schema.attributes]
                 decoded = []
-                for cells in raw.get("rows", ()):
+                raw_rows = raw.get("rows", [])
+                if not isinstance(raw_rows, list):
+                    raise ConfigError(f"{where}: rows must be a list, got {type(raw_rows).__name__}")
+                for cells in raw_rows:
+                    if not isinstance(cells, list):
+                        raise ConfigError(
+                            f"{where}: row must be a list of cells, got {type(cells).__name__}"
+                        )
                     if len(cells) != len(kinds):
                         raise ConfigError(
                             f"{where}: row arity {len(cells)} "

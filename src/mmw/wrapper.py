@@ -18,7 +18,8 @@ from mmw.component import ComponentBase, LineageNode
 from mmw.errors import ConfigError, UnknownRelationError
 from mmw.relational import ProductSchema, Table, is_identifier
 from mmw.query.ast import Query, namespaces, scan_names
-from mmw.query.evaluate import evaluate
+# Bound as `evaluate`: meshbench/tracing.py patches the module's `evaluate`.
+from mmw.query.execute import execute as evaluate
 from mmw.query.infer import infer_schema
 from mmw.planner import push_down_selects
 

@@ -105,6 +105,12 @@ class TestMeshLifecycle:
             ),
             pytest.param({"name": "people", "rows": []}, "bad relation object", id="no-attributes"),
             pytest.param(people_relation_obj([["1", "ada"]]), "row arity 2", id="short-row"),
+            pytest.param(people_relation_obj([5]), "row must be a list of cells, got int", id="int-row"),
+            pytest.param(
+                people_relation_obj(["1ab"]), "row must be a list of cells, got str", id="text-row"
+            ),
+            pytest.param(people_relation_obj(5), "rows must be a list, got int", id="int-rows"),
+            pytest.param(people_relation_obj("1ab"), "rows must be a list, got str", id="text-rows"),
         ],
     )
     def test_bad_memory_relation_is_config_error_naming_it(self, relation_obj, detail):
