@@ -23,7 +23,7 @@ from mmw.errors import (
 )
 from mmw.mask import Mask, Rendering
 from mmw.mediator import Mediator
-from mmw.planner import ExecutionPlan, FetchStep, Placement, execute_plan, plan
+from mmw.planner import ExecutionPlan, FetchStep, execute_plan, plan
 from mmw.query import evaluate, infer_schema, parse_query, render_query
 from mmw.query.ast import QualifiedName, Query
 from mmw.relational import (
@@ -64,7 +64,6 @@ __all__ = [
     "MeshTopology",
     "MemoryAdapter",
     "Ordering",
-    "Placement",
     "ProductSchema",
     "ProtocolError",
     "QualifiedName",

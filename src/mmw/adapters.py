@@ -17,7 +17,7 @@ from typing import Callable, Iterable, TypeVar
 
 from mmw.errors import ConfigError, UnavailableError, UnknownRelationError
 from mmw.formats import iter_csv_rows, parse_jsonl
-from mmw.relational import RelationSchema, Row, Table, conform, is_identifier
+from mmw.relational import RelationSchema, Row, Table, conform, is_identifier, relation_violations
 
 T = TypeVar("T")
 
@@ -54,6 +54,10 @@ class MemoryAdapter(SourceAdapter):
         self._schemas = {schema.name: schema for schema in listed}
         if len(self._schemas) != len(listed):
             raise ConfigError("duplicate relation names in memory adapter")
+        for schema in listed:
+            violations = relation_violations(schema)
+            if violations:
+                raise ConfigError(f"memory relation {schema.name!r}: {violations[0]}")
         self._rows: dict[str, list[Row]] = {name: [] for name in self._schemas}
         self._generation = 0
         self._lock = threading.Lock()

@@ -3,7 +3,7 @@ protocol, topology configs and the memory adapter."""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from mmw.errors import ProtocolError
 from mmw.relational import (
@@ -11,6 +11,7 @@ from mmw.relational import (
     Kind,
     ProductSchema,
     RelationSchema,
+    Row,
     Value,
     canonical_text,
     kind_from_name,
@@ -95,3 +96,20 @@ def value_from_wire(kind: Kind, cell) -> Value:
         return value_from_text(kind, cell)
     except ValueError as exc:
         raise ProtocolError(f"bad cell for {kind}: {exc}") from None
+
+
+def rows_from_wire(kinds: Sequence[Kind], raw_rows) -> list[Row]:
+    """Decode a JSON row list, one list of cells per row, into rows of the
+    given cell kinds."""
+    if not isinstance(raw_rows, list):
+        raise ProtocolError(f"rows must be a list, got {type(raw_rows).__name__}")
+    rows = []
+    for cells in raw_rows:
+        if not isinstance(cells, list):
+            raise ProtocolError(f"row must be a list of cells, got {type(cells).__name__}")
+        if len(cells) != len(kinds):
+            raise ProtocolError(
+                f"row arity {len(cells)} does not match schema arity {len(kinds)}"
+            )
+        rows.append(tuple(value_from_wire(kind, cell) for kind, cell in zip(kinds, cells)))
+    return rows

@@ -30,6 +30,7 @@ from mmw.relational import (
     canonical_text,
     is_identifier,
     kind_from_name,
+    relation_violations,
     value_from_text,
 )
 
@@ -108,7 +109,11 @@ def schema_from_header(name: str, cells: list[Cell]) -> RelationSchema:
             raise ValueError(f"malformed header cell {text!r}")
         attr_name, type_name, nullable = match.groups()
         attrs.append(Attribute(attr_name, kind_from_name(type_name), nullable=bool(nullable)))
-    return RelationSchema(name, attrs)
+    schema = RelationSchema(name, attrs)
+    violations = relation_violations(schema)
+    if violations:
+        raise ValueError(f"header: {violations[0]}")
+    return schema
 
 
 # --- delimited table io ------------------------------------------------------------

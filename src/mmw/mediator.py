@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence, Union as TypingUnion
 
 from mmw.component import ComponentBase, LineageNode
 from mmw.errors import ConfigError, UnavailableError, UnknownRelationError
-from mmw.planner import Placement, plan, execute_plan
+from mmw.planner import plan, execute_plan
 from mmw.query.ast import QualifiedName, Query, rewrite_namespaces, scan_names
 from mmw.query.infer import infer_schema
 from mmw.relational import ProductSchema, RelationSchema, Table, is_identifier
@@ -106,7 +106,6 @@ class Mediator(ComponentBase):
         self._product_env = {
             QualifiedName(self.product, relation.name): relation for relation in product.relations
         }
-        self._placement = Placement(self.downstream)
         self._generation += 1
         with self._cache_lock:
             self._cache.clear()
@@ -160,10 +159,10 @@ class Mediator(ComponentBase):
                 self._count_cache(True)
                 return cached, len(cached.rows), True
         self._count_cache(False)
-        exec_plan = plan(q, self.views, self._placement, self._base_env)
+        exec_plan = plan(q, self.views, self.downstream.keys(), self._base_env)
 
         def fetch(step):
-            binding = self._placement.binding(step.namespace)
+            binding = self.downstream[step.namespace]
             remote_namespace = getattr(binding, "namespace", step.namespace)
             translated = rewrite_namespaces(
                 step.query, {step.namespace: remote_namespace}

@@ -1,12 +1,11 @@
 """Cross-component execution planning.
 
-A plan fetches maximal single-namespace fragments of the unfolded query from
-their owning components and evaluates the cross-namespace residual locally.
-Fetch queries are re-expressed in the textual grammar (selects merged,
-projections composed, unions distributed over joins) so they can travel over
-the wire; fragments that cannot be expressed, or that apply the salted hash
-(which must run under the planning component's own salt), fall back to
-finer-grained fetches.
+A plan makes one fetch per relation, carrying the selections, projections
+and renames that sit directly over it to the owning component; joins, unions
+and `hash()` (which must run under the planning component's own salt) run
+in the residual, which is evaluated locally. Fetch queries are re-expressed
+in the textual grammar (selects merged, projections composed) so they can
+travel over the wire.
 
 Selections are sunk below joins first (predicate pushdown) so single-side
 filters end up inside the owning component's fetch. Pushdown is best-effort
@@ -16,9 +15,9 @@ and correctness-checked, never cost-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Mapping, Sequence
 
-from mmw.errors import ConfigError, TypeCheckError
+from mmw.errors import ConfigError, TypeCheckError, UnknownRelationError
 from mmw.relational import Table
 from mmw.query.ast import (
     AttrRef,
@@ -43,26 +42,6 @@ from mmw.query.infer import Environment, infer_schema
 # Bound as `evaluate`: meshbench/tracing.py patches the module's `evaluate`.
 from mmw.query.execute import execute as evaluate
 from mmw.views import ViewDeclaration, unfold
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Downstream namespace (component alias) -> opaque component binding."""
-
-    bindings: tuple[tuple[str, object], ...]
-
-    def __init__(self, bindings: Mapping[str, object]):
-        object.__setattr__(self, "bindings", tuple(sorted(bindings.items())))
-
-    @property
-    def namespaces(self) -> frozenset[str]:
-        return frozenset(ns for ns, _ in self.bindings)
-
-    def binding(self, namespace: str):
-        for ns, bound in self.bindings:
-            if ns == namespace:
-                return bound
-        raise ConfigError(f"namespace {namespace!r} has no binding")
 
 
 @dataclass(frozen=True)
@@ -155,158 +134,39 @@ def _apply_conjuncts(node: Query, conjuncts: list[Predicate], env: Environment) 
 
 
 class Unflattenable(Exception):
-    """The fragment has no equivalent single SELECT block list."""
+    """The fragment is not one relation under selections, projections and
+    renames, so it has no equivalent single SELECT block."""
 
 
-@dataclass
-class _Block:
-    """One grammar block under construction.
-
-    `items` express the block's outputs over *surviving* source attributes
-    (never over attributes a join step has dropped); `joins` hold the
-    left-deep JOIN chain after the base scan.
-    """
-
-    base: Scan
-    joins: list[tuple[Scan, list[tuple[str, str]]]]
-    predicate: Predicate | None
-    items: list[ProjectItem]
-
-    def item_map(self) -> dict[str, Expr]:
-        return {item.name: item.expr for item in self.items}
-
-
-def _flatten(node: Query, env: Environment) -> list[_Block]:
+def _flatten(node: Query, env: Environment) -> tuple[Scan, Predicate | None, list[ProjectItem]]:
+    """The scan, the merged predicate over its attributes, and the output
+    items expressed over its attributes."""
     if isinstance(node, Scan):
-        schema = infer_schema(node, env)
-        items = [ProjectItem(AttrRef(name), name) for name in schema.attribute_names]
-        return [_Block(node, [], None, items)]
-    if isinstance(node, Project):
-        blocks = _flatten(node.child, env)
-        if node.items is None:
-            return blocks
-        for block in blocks:
-            mapping = block.item_map()
-            block.items = [
-                ProjectItem(substitute(item.expr, mapping), item.name) for item in node.items
-            ]
-        return blocks
+        schema = env.get(node.name)
+        if schema is None:
+            raise UnknownRelationError(f"$: unknown relation {node.name}")
+        return node, None, [ProjectItem(AttrRef(name), name) for name in schema.attribute_names]
+    if isinstance(node, (Join, Union)):
+        raise Unflattenable(f"a fetch scans one relation, not a {type(node).__name__}")
+    scan, predicate, items = _flatten(node.child, env)
+    mapping = {item.name: item.expr for item in items}
     if isinstance(node, Select):
-        blocks = _flatten(node.child, env)
-        for block in blocks:
-            mapped = substitute(node.predicate, block.item_map())
-            block.predicate = (
-                mapped if block.predicate is None else LogicalAnd(block.predicate, mapped)
-            )
-        return blocks
-    if isinstance(node, Rename):
-        blocks = _flatten(node.child, env)
-        mapping = node.mapping_dict
-        for block in blocks:
-            block.items = [
-                ProjectItem(item.expr, mapping.get(item.name, item.name)) for item in block.items
-            ]
-        return blocks
-    if isinstance(node, Union):
-        return _flatten(node.left, env) + _flatten(node.right, env)
-    if isinstance(node, Join):
-        combined: list[_Block] = []
-        for left_block in _flatten(node.left, env):
-            for right_block in _flatten(node.right, env):
-                combined.append(_combine_join(left_block, right_block, node.pairs, env))
-        return combined
-    raise TypeError(f"unknown query node {type(node).__name__}")
-
-
-def _combine_join(
-    left: _Block,
-    right: _Block,
-    pairs: Iterable[tuple[str, str]],
-    env: Environment,
-) -> _Block:
-    """Merge two blocks joined on output-name pairs into one block.
-
-    Join pairs must bottom out in plain source attributes on both sides;
-    computed join keys (hash etc.) cannot appear in an ON clause. Right
-    source attributes dropped by a join step are substituted by their left
-    counterparts everywhere downstream; the values agree on surviving rows.
-    """
-    left_map, right_map = left.item_map(), right.item_map()
-    right_steps = [right.base] + [scan for scan, _ in right.joins]
-    substitution: dict[str, Expr] = {}
-    dropped_outputs: set[str] = set()
-    step_pairs: list[list[tuple[str, str]]] = [[] for _ in right_steps]
-    for pair_left, pair_right in pairs:
-        left_expr = left_map.get(pair_left)
-        right_expr = right_map.get(pair_right)
-        if not isinstance(left_expr, AttrRef) or not isinstance(right_expr, AttrRef):
-            raise Unflattenable("join key is a computed expression")
-        dropped_outputs.add(pair_right)
-        substitution[right_expr.name] = left_expr
-        for step_index, scan in enumerate(right_steps):
-            if right_expr.name in _scan_attr_names(scan, env):
-                step_pairs[step_index].append((left_expr.name, right_expr.name))
-                break
-        else:
-            raise Unflattenable(f"join key {right_expr.name!r} not found in right fragment")
-    if not step_pairs[0]:
-        # The right fragment's base scan would join without an ON pair, and
-        # the grammar cannot express a cross join.
-        raise Unflattenable("right fragment base scan has no join pair")
-
-    joins = list(left.joins)
-    joins.append((right.base, step_pairs[0]))
-    for step_index in range(1, len(right_steps)):
-        scan = right_steps[step_index]
-        original = right.joins[step_index - 1][1]
-        rewritten = [(_subst_attr(l, substitution), r) for l, r in original]
-        joins.append((scan, rewritten + step_pairs[step_index]))
-
-    items = list(left.items)
-    for item in right.items:
-        if item.name in dropped_outputs:
-            continue
-        items.append(ProjectItem(substitute(item.expr, substitution), item.name))
-    predicate = left.predicate
-    if right.predicate is not None:
-        mapped = substitute(right.predicate, substitution)
+        mapped = substitute(node.predicate, mapping)
         predicate = mapped if predicate is None else LogicalAnd(predicate, mapped)
-    return _Block(left.base, joins, predicate, items)
-
-
-def _subst_attr(name: str, substitution: Mapping[str, Expr]) -> str:
-    replaced = substitution.get(name)
-    if replaced is None:
-        return name
-    if not isinstance(replaced, AttrRef):
-        raise Unflattenable("join key substituted by a computed expression")
-    return replaced.name
-
-
-def _scan_attr_names(scan: Scan, env: Environment) -> set[str]:
-    schema = env.get(scan.name)
-    if schema is None:
-        raise Unflattenable(f"unknown relation {scan.name}")
-    return set(schema.attribute_names)
-
-
-def _block_query(block: _Block) -> Query:
-    node: Query = block.base
-    for scan, pairs in block.joins:
-        if not pairs:
-            raise Unflattenable("join step without ON pairs")
-        node = Join(node, scan, pairs)
-    if block.predicate is not None:
-        node = Select(node, block.predicate)
-    return Project(node, block.items)
+    elif isinstance(node, Project) and node.items is not None:
+        items = [ProjectItem(substitute(item.expr, mapping), item.name) for item in node.items]
+    elif isinstance(node, Rename):
+        renamed = node.mapping_dict
+        items = [ProjectItem(item.expr, renamed.get(item.name, item.name)) for item in items]
+    return scan, predicate, items
 
 
 def flatten_query(q: Query, env: Environment) -> Query:
-    """Rewrite q into the grammar-expressible shape, or raise Unflattenable."""
-    blocks = _flatten(q, env)
-    flat: Query = _block_query(blocks[-1])
-    for block in reversed(blocks[:-1]):
-        flat = Union(_block_query(block), flat)
+    """Rewrite a chain of selections, projections and renames over one scan
+    into one grammar block `SELECT items FROM ns.rel WHERE pred`, or raise
+    Unflattenable."""
+    scan, predicate, items = _flatten(q, env)
+    flat = Project(scan if predicate is None else Select(scan, predicate), items)
     try:
         original = infer_schema(q, env)
         rewritten = infer_schema(flat, env)
@@ -323,8 +183,8 @@ def flatten_query(q: Query, env: Environment) -> Query:
 # --- fetch/residual splitting ----------------------------------------------------
 
 
-def _intermediate_namespace(env: Environment, placement: Placement) -> str:
-    taken = {qname.namespace for qname in env} | placement.namespaces
+def _intermediate_namespace(env: Environment, bound: AbstractSet[str]) -> str:
+    taken = {qname.namespace for qname in env} | bound
     candidate = "fetched"
     serial = 0
     while candidate in taken:
@@ -336,21 +196,22 @@ def _intermediate_namespace(env: Environment, placement: Placement) -> str:
 def plan(
     q: Query,
     views: Sequence[ViewDeclaration],
-    placement: Placement,
+    bound: AbstractSet[str],
     env: Environment,
     push_predicates: bool = True,
 ) -> ExecutionPlan:
-    """Plan q (posed over views and/or base relations) for distributed execution.
+    """Plan q (posed over views and/or base relations) for distributed execution
+    over the downstream aliases in `bound`.
 
     `push_predicates=False` skips predicate pushdown; the differential tests
     compare both forms.
     """
     unfolded = unfold(q, views)
     for namespace in sorted(namespaces(unfolded)):
-        if namespace not in placement.namespaces:
+        if namespace not in bound:
             raise ConfigError(f"namespace {namespace!r} has no binding")
     sunk = push_down_selects(unfolded, env) if push_predicates else unfolded
-    inter_ns = _intermediate_namespace(env, placement)
+    inter_ns = _intermediate_namespace(env, bound)
     steps: list[FetchStep] = []
 
     def split(node: Query) -> Query:
@@ -365,8 +226,8 @@ def plan(
                 steps.append(FetchStep(next(iter(node_namespaces)), flat, intermediate))
                 return Scan(intermediate)
         if isinstance(node, Scan):
-            # Single-relation scans always flatten; reaching here means the
-            # namespace itself was unplannable, which the check above rejects.
+            # A scan flattens unless its schema is malformed, as with a
+            # repeated attribute name.
             raise ConfigError(f"cannot push scan of {node.name}")
         return map_children(node, split)
 

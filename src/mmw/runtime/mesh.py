@@ -12,7 +12,7 @@ import logging
 from pathlib import Path
 
 from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter, MemoryAdapter
-from mmw.codec import relation_from_obj, value_from_wire
+from mmw.codec import relation_from_obj, rows_from_wire
 from mmw.errors import ConfigError, MeshError, ProtocolError, UnknownRelationError
 from mmw.mask import Mask
 from mmw.mediator import Mediator
@@ -56,32 +56,19 @@ def _build_adapter(component_id: str, config: dict, base_dir: Path):
         rows: dict[str, list] = {}
         for raw in config.get("relations", ()):
             name = raw.get("name") if isinstance(raw, dict) else None
-            where = f"component {component_id!r}, memory relation {name!r}"
             try:
                 schema = relation_from_obj(raw)
                 kinds = [attr.data_type for attr in schema.attributes]
-                decoded = []
-                raw_rows = raw.get("rows", [])
-                if not isinstance(raw_rows, list):
-                    raise ConfigError(f"{where}: rows must be a list, got {type(raw_rows).__name__}")
-                for cells in raw_rows:
-                    if not isinstance(cells, list):
-                        raise ConfigError(
-                            f"{where}: row must be a list of cells, got {type(cells).__name__}"
-                        )
-                    if len(cells) != len(kinds):
-                        raise ConfigError(
-                            f"{where}: row arity {len(cells)} "
-                            f"does not match schema arity {len(kinds)}"
-                        )
-                    decoded.append(
-                        tuple(value_from_wire(k, cell) for k, cell in zip(kinds, cells))
-                    )
-            except ProtocolError as exc:  # the codec's bad relation object or cell
-                raise ConfigError(f"{where}: {exc.message}") from None
+                rows[schema.name] = rows_from_wire(kinds, raw.get("rows", []))
+            except ProtocolError as exc:  # the codec's bad relation object, row or cell
+                raise ConfigError(
+                    f"component {component_id!r}, memory relation {name!r}: {exc.message}"
+                ) from None
             schemas.append(schema)
-            rows[schema.name] = decoded
-        return MemoryAdapter(schemas, rows)
+        try:
+            return MemoryAdapter(schemas, rows)
+        except ConfigError as exc:
+            raise ConfigError(f"component {component_id!r}, {exc.message}") from None
     if kind == "delimited_dir":
         return DelimitedDirAdapter(base_dir / config["location"])
     if kind == "doc_lines":

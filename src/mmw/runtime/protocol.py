@@ -21,7 +21,7 @@ from mmw.codec import (
     attribute_to_obj,
     product_from_obj,
     product_to_obj,
-    value_from_wire,
+    rows_from_wire,
     value_to_wire,
 )
 from mmw.component import LineageNode
@@ -94,15 +94,12 @@ def table_response(table: Table) -> dict:
 
 
 def table_from_response(obj: dict, name: str = "result") -> Table:
-    attrs = [attribute_from_obj(raw) for raw in obj.get("schema", ())]
-    schema = RelationSchema(name, attrs)
-    kinds = [attr.data_type for attr in attrs]
-    rows = []
-    for raw in obj.get("rows", ()):
-        if len(raw) != len(kinds):
-            raise ProtocolError(f"row arity {len(raw)} does not match schema")
-        rows.append(tuple(value_from_wire(kind, cell) for kind, cell in zip(kinds, raw)))
-    return Table(schema, rows)
+    raw_schema = obj.get("schema", [])
+    if not isinstance(raw_schema, list):
+        raise ProtocolError(f"schema must be a list, got {type(raw_schema).__name__}")
+    attrs = [attribute_from_obj(raw) for raw in raw_schema]
+    rows = rows_from_wire([attr.data_type for attr in attrs], obj.get("rows", []))
+    return Table(RelationSchema(name, attrs), rows)
 
 
 def _text_field(request: dict, field: str, default: Optional[str] = None) -> str:

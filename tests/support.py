@@ -11,7 +11,7 @@ import string
 from datetime import datetime, timezone
 from decimal import Decimal
 
-from mmw.planner import Placement, execute_plan, plan
+from mmw.planner import execute_plan, plan
 from mmw.query.evaluate import evaluate
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value
 from mmw.query.ast import (
@@ -35,10 +35,10 @@ from mmw.query.ast import (
 )
 
 def plan_and_evaluate(
-    q, views, placement: Placement, env, db, salt: str = "", push_predicates: bool = True
+    q, views, bound: set[str], env, db, salt: str = "", push_predicates: bool = True
 ) -> Table:
     """Plan, then serve fetches straight from `db`; the planner's oracle."""
-    exec_plan = plan(q, views, placement, env, push_predicates)
+    exec_plan = plan(q, views, bound, env, push_predicates)
     return execute_plan(exec_plan, lambda step: evaluate(step.query, db), salt)
 
 

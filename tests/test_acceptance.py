@@ -21,7 +21,6 @@ from mmw.errors import ConfigError
 from mmw.formats import parse_csv, parse_jsonl, render_csv, render_jsonl
 from mmw.mask import Mask
 from mmw.mediator import Mediator
-from mmw.planner import Placement
 from mmw.query.ast import QualifiedName
 from mmw.query.evaluate import evaluate
 from mmw.query.parse import parse_query
@@ -123,10 +122,10 @@ def test_acceptance_2_pushdown_plan_equivalence():
     cases = 0
     while cases < 300:
         names, env, db, views, q = _generate_case(rng)
-        placement = Placement({ns: object() for ns in names})
-        pushed = plan_and_evaluate(q, views, placement, env, db, salt="s")
+        bound = set(names)
+        pushed = plan_and_evaluate(q, views, bound, env, db, salt="s")
         unpushed = plan_and_evaluate(
-            q, views, placement, env, db, salt="s", push_predicates=False
+            q, views, bound, env, db, salt="s", push_predicates=False
         )
         assert bag_equal(pushed, unpushed), f"case {cases}"
         cases += 1
@@ -137,7 +136,7 @@ def test_acceptance_2_pushdown_plan_equivalence():
     schema_s = RelationSchema("s", [Attribute("j", Kind.INTEGER), Attribute("w", Kind.INTEGER)])
     qn_r, qn_s = QualifiedName("w1", "r"), QualifiedName("w2", "s")
     env = {qn_r: schema_r, qn_s: schema_s}
-    placement = Placement({"w1": object(), "w2": object()})
+    bound = {"w1", "w2"}
     domain = [(Value.integer(a), Value.integer(b)) for a in (0, 1) for b in (0, 1)]
 
     def row_bags(max_rows):
@@ -163,9 +162,9 @@ def test_acceptance_2_pushdown_plan_equivalence():
         db = {qn_r: Table(schema_r, rows_r), qn_s: Table(schema_s, rows_s)}
         for q in queries:
             oracle = evaluate(q, db)
-            assert bag_equal(plan_and_evaluate(q, [], placement, env, db), oracle)
+            assert bag_equal(plan_and_evaluate(q, [], bound, env, db), oracle)
             assert bag_equal(
-                plan_and_evaluate(q, [], placement, env, db, push_predicates=False), oracle
+                plan_and_evaluate(q, [], bound, env, db, push_predicates=False), oracle
             )
         checked += 1
     report(
@@ -585,9 +584,9 @@ def test_capability_locality():
             "s", [Attribute("j", Kind.INTEGER), Attribute("b", Kind.TEXT)]
         ),
     }
-    placement = Placement({"w1": object(), "w2": object()})
+    bound = {"w1", "w2"}
     q = parse_query("SELECT * FROM w1.r JOIN w2.s ON k = j WHERE a = 'x'")
-    exec_plan = plan(q, [], placement, env)
+    exec_plan = plan(q, [], bound, env)
     by_namespace = {step.namespace: render_query(step.query) for step in exec_plan.fetches}
     assert "WHERE" in by_namespace["w1"]
     assert "WHERE" not in render_query(exec_plan.residual)

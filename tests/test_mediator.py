@@ -13,7 +13,7 @@ from mmw.mediator import Mediator
 from mmw.query.ast import AttrRef, CompareOp, Comparison, Literal, QualifiedName, Rename, Scan, Select
 from mmw.query.evaluate import evaluate, fnv1a_hex
 from mmw.query.parse import parse_query
-from mmw.relational import Attribute, Kind, RelationSchema, Value, bag_equal
+from mmw.relational import Attribute, Kind, RelationSchema, Table, Value, bag_equal
 from mmw.views import ViewDeclaration, unfold
 from mmw.wrapper import Wrapper, WrapperConfig
 
@@ -124,6 +124,34 @@ class TestExecute:
             fnv1a_hex(b"pepper111-11"),
             fnv1a_hex(b"pepper222-22"),
         }
+
+    def test_view_joining_two_relations_of_one_wrapper_fetches_each(self):
+        people = people_wrapper().adapter.load("people").rows
+        orders = orders_wrapper().adapter.load("orders").rows
+        wrapper = Wrapper(
+            WrapperConfig(
+                "w_shop",
+                "shop",
+                MemoryAdapter([PEOPLE, ORDERS], {"people": people, "orders": orders}),
+            )
+        )
+        view = ViewDeclaration(
+            "prod",
+            "spend",
+            parse_query(
+                "SELECT name, total FROM s.people JOIN s.orders ON id = person WHERE total > 6.00"
+            ),
+        )
+        mediator = Mediator("m1", "prod", {"s": wrapper}, [view])
+        q = parse_query("SELECT * FROM prod.spend")
+        result = mediator.execute(q)
+        assert len(result.rows) == 2
+        assert wrapper.stats()["queries_served"] == 2  # one fetch per relation
+        db = {
+            QualifiedName("s", "people"): Table(PEOPLE, people),
+            QualifiedName("s", "orders"): Table(ORDERS, orders),
+        }
+        assert bag_equal(result, evaluate(unfold(q, [view]), db))
 
     def test_type_error_against_product_schema(self):
         mediator = Mediator(

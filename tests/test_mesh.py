@@ -111,6 +111,11 @@ class TestMeshLifecycle:
             ),
             pytest.param(people_relation_obj(5), "rows must be a list, got int", id="int-rows"),
             pytest.param(people_relation_obj("1ab"), "rows must be a list, got str", id="text-rows"),
+            pytest.param(
+                {**people_relation_obj([]), "attributes": people_relation_obj([])["attributes"] * 2},
+                "duplicate attribute name 'id'",
+                id="repeated-attribute",
+            ),
         ],
     )
     def test_bad_memory_relation_is_config_error_naming_it(self, relation_obj, detail):

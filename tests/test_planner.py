@@ -7,9 +7,9 @@ from itertools import product
 
 import pytest
 
-from mmw.errors import ConfigError
+from mmw.errors import ConfigError, UnknownRelationError
 from mmw.planner import (
-    Placement,
+    Unflattenable,
     execute_plan,
     flatten_query,
     plan,
@@ -19,8 +19,11 @@ from mmw.query.ast import (
     Join,
     QualifiedName,
     Scan,
+    Union,
+    children,
     contains_hash_call,
     namespaces,
+    scan_names,
 )
 from mmw.query.evaluate import evaluate
 from mmw.query.parse import parse_query
@@ -39,7 +42,7 @@ ENV = {
         "s", [Attribute("j", Kind.INTEGER), Attribute("b", Kind.TEXT)]
     ),
 }
-PLACEMENT = Placement({"w1": object(), "w2": object()})
+BOUND = {"w1", "w2"}
 
 
 def table(qname, *rows):
@@ -60,14 +63,14 @@ def small_db():
 class TestPlanShapes:
     def test_single_namespace_is_one_fetch(self):
         q = parse_query("SELECT a FROM w1.r WHERE k = 1")
-        exec_plan = plan(q, [], PLACEMENT, ENV)
+        exec_plan = plan(q, [], BOUND, ENV)
         assert len(exec_plan.fetches) == 1
         assert exec_plan.fetches[0].namespace == "w1"
         assert isinstance(exec_plan.residual, Scan)
 
     def test_cross_namespace_join_pushes_single_side_predicate(self):
         q = parse_query("SELECT * FROM w1.r JOIN w2.s ON k = j WHERE a = 'x'")
-        exec_plan = plan(q, [], PLACEMENT, ENV)
+        exec_plan = plan(q, [], BOUND, ENV)
         assert len(exec_plan.fetches) == 2
         by_namespace = {step.namespace: step.query for step in exec_plan.fetches}
         assert "WHERE" in render_query(by_namespace["w1"])
@@ -79,7 +82,7 @@ class TestPlanShapes:
             "z", "combined", parse_query("SELECT * FROM w1.r JOIN w2.s ON k = j")
         )
         q = parse_query("SELECT * FROM z.combined")
-        exec_plan = plan(q, [decl], PLACEMENT, ENV)
+        exec_plan = plan(q, [decl], BOUND, ENV)
         assert sorted(step.namespace for step in exec_plan.fetches) == ["w1", "w2"]
 
         def find_join(node):
@@ -95,12 +98,13 @@ class TestPlanShapes:
     def test_fetch_queries_are_renderable_and_single_namespace(self):
         rng = random.Random(1212)
         env = make_environment(rng, namespaces=("w1", "w2", "w3"))
-        placement = Placement({ns: object() for ns in ("w1", "w2", "w3")})
+        bound = {"w1", "w2", "w3"}
         for _ in range(150):
             q = random_query(rng, env)
-            exec_plan = plan(q, [], placement, env)
+            exec_plan = plan(q, [], bound, env)
             for step in exec_plan.fetches:
                 assert namespaces(step.query) == {step.namespace}
+                assert len(list(scan_names(step.query))) == 1
                 text = render_query(step.query)  # grammar-shaped by construction
                 assert parse_query(text) == step.query
                 assert not contains_hash_call(step.query)
@@ -108,13 +112,19 @@ class TestPlanShapes:
     def test_missing_binding_is_an_error(self):
         q = parse_query("SELECT * FROM w9.r")
         with pytest.raises(ConfigError) as err:
-            plan(q, [], PLACEMENT, {QualifiedName("w9", "r"): ENV[W1_R]})
+            plan(q, [], BOUND, {QualifiedName("w9", "r"): ENV[W1_R]})
         assert "w9" in str(err.value)
+
+    def test_unknown_relation_in_a_bound_namespace_is_unknown_relation(self):
+        q = parse_query("SELECT * FROM w1.zz")
+        with pytest.raises(UnknownRelationError) as err:
+            plan(q, [], BOUND, ENV)
+        assert "w1.zz" in str(err.value)
 
     def test_hash_projection_stays_in_residual(self):
         decl = ViewDeclaration("m", "v", parse_query("SELECT hash(a) AS ah, k FROM w1.r"))
         q = parse_query("SELECT * FROM m.v")
-        exec_plan = plan(q, [decl], PLACEMENT, ENV)
+        exec_plan = plan(q, [decl], BOUND, ENV)
         for step in exec_plan.fetches:
             assert not contains_hash_call(step.query)
         assert contains_hash_call(exec_plan.residual)
@@ -123,7 +133,7 @@ class TestPlanShapes:
         decl = ViewDeclaration("m", "v", parse_query("SELECT hash(a) AS ah FROM w1.r"))
         q = parse_query("SELECT * FROM m.v")
         db = small_db()
-        exec_plan = plan(q, [decl], PLACEMENT, ENV)
+        exec_plan = plan(q, [decl], BOUND, ENV)
         # Fetches run under a *different* salt, as a foreign component would.
         result = execute_plan(
             exec_plan, lambda step: evaluate(step.query, db, salt="wrapper_salt"), salt="mediator"
@@ -146,12 +156,12 @@ class TestPushdownRewrite:
     def test_pushed_vs_unpushed_plans_agree(self):
         rng = random.Random(1414)
         env = make_environment(rng, namespaces=("w1", "w2"))
-        placement = Placement({"w1": object(), "w2": object()})
+        bound = {"w1", "w2"}
         for _ in range(120):
             q = random_query(rng, env)
             db = random_database(rng, env)
-            pushed = plan_and_evaluate(q, [], placement, env, db, push_predicates=True)
-            unpushed = plan_and_evaluate(q, [], placement, env, db, push_predicates=False)
+            pushed = plan_and_evaluate(q, [], bound, env, db, push_predicates=True)
+            unpushed = plan_and_evaluate(q, [], bound, env, db, push_predicates=False)
             assert bag_equal(pushed, unpushed)
 
 
@@ -162,7 +172,7 @@ class TestPlanSoundness:
             count = rng.randint(1, 3)
             names = ("w1", "w2", "w3")[:count]
             env = make_environment(rng, namespaces=names)
-            placement = Placement({ns: object() for ns in names})
+            bound = set(names)
             views = [
                 ViewDeclaration("m", f"v{i}", random_block(rng, env, max_joins=1))
                 for i in range(rng.randint(0, 3))
@@ -175,7 +185,7 @@ class TestPlanSoundness:
                 query_env = dict(env)
             q = random_query(rng, query_env)
             db = random_database(rng, env)
-            got = plan_and_evaluate(q, views, placement, env, db, salt="s")
+            got = plan_and_evaluate(q, views, bound, env, db, salt="s")
             oracle = evaluate(unfold(q, views), db, salt="s")
             assert bag_equal(got, oracle), f"case {case}: {render_query(q)}"
 
@@ -189,7 +199,7 @@ class TestPlanSoundness:
             "s", [Attribute("j", Kind.INTEGER), Attribute("w", Kind.INTEGER)]
         )
         env = {W1_R: schema_r, W2_S: schema_s}
-        placement = Placement({"w1": object(), "w2": object()})
+        bound = {"w1", "w2"}
         domain = [
             (Value.integer(a), Value.integer(b)) for a in (0, 1) for b in (0, 1)
         ]
@@ -219,8 +229,8 @@ class TestPlanSoundness:
             db = {W1_R: Table(schema_r, rows_r), W2_S: Table(schema_s, rows_s)}
             for q in queries:
                 oracle = evaluate(q, db)
-                pushed = plan_and_evaluate(q, [], placement, env, db)
-                unpushed = plan_and_evaluate(q, [], placement, env, db, push_predicates=False)
+                pushed = plan_and_evaluate(q, [], bound, env, db)
+                unpushed = plan_and_evaluate(q, [], bound, env, db, push_predicates=False)
                 assert bag_equal(pushed, oracle)
                 assert bag_equal(unpushed, oracle)
             checked += 1
@@ -235,7 +245,7 @@ class TestPlanSoundnessExhaustive:
             QualifiedName(f"w{i}", "r"): RelationSchema("r", [Attribute(f"a{i}", Kind.INTEGER)])
             for i in (1, 2, 3)
         }
-        placement = Placement({f"w{i}": object() for i in (1, 2, 3)})
+        bound = {"w1", "w2", "w3"}
 
         def bags(max_rows=4):
             built = []
@@ -267,14 +277,15 @@ class TestPlanSoundnessExhaustive:
                     }
                     for q in queries:
                         oracle = evaluate(unfold(q, []), db)
-                        got = plan_and_evaluate(q, [], placement, schemas, db)
+                        got = plan_and_evaluate(q, [], bound, schemas, db)
                         assert bag_equal(got, oracle)
 
 
 class TestFlatten:
     def test_join_chain_merging_with_multi_scan_fragments(self):
-        # Joining a view whose body itself joins two relations exercises the
-        # right-fragment chain merge (with dropped-key substitution).
+        # Joining a view whose body itself joins two relations of the same
+        # wrapper: each relation is its own fetch and both joins run in the
+        # residual.
         env = {
             QualifiedName("w1", "r0"): RelationSchema(
                 "r0", [Attribute("a0", Kind.INTEGER), Attribute("t0", Kind.TEXT)]
@@ -286,7 +297,7 @@ class TestFlatten:
                 "r2", [Attribute("a2", Kind.INTEGER), Attribute("t2", Kind.TEXT)]
             ),
         }
-        placement = Placement({"w1": object()})
+        bound = {"w1"}
         views = [
             ViewDeclaration(
                 "m", "pair", parse_query("SELECT * FROM w1.r0 JOIN w1.r1 ON a0 = a1")
@@ -305,9 +316,11 @@ class TestFlatten:
             return Table(schema, rows)
 
         db = {qn: tbl(qn) for qn in env}
-        exec_plan = plan(q, views, placement, env)
-        # Single namespace, all plain join keys: everything fuses into one fetch.
-        assert len(exec_plan.fetches) == 1
+        exec_plan = plan(q, views, bound, env)
+        assert len(exec_plan.fetches) == 3
+        texts = sorted(render_query(step.query) for step in exec_plan.fetches)
+        for text, relation in zip(texts, ("r0", "r1", "r2")):
+            assert text.startswith("SELECT ") and text.endswith(f" FROM w1.{relation}")
         got = execute_plan(exec_plan, lambda step: evaluate(step.query, db))
         oracle = evaluate(unfold(q, views), db)
         assert bag_equal(got, oracle)
@@ -321,7 +334,7 @@ class TestFlatten:
         )
         q = parse_query("SELECT k, j FROM m.hashed JOIN m.codes ON ah = bh")
         db = small_db()
-        exec_plan = plan(q, [decl, other], PLACEMENT, ENV)
+        exec_plan = plan(q, [decl, other], BOUND, ENV)
         for step in exec_plan.fetches:
             assert not contains_hash_call(step.query)
         got = execute_plan(exec_plan, lambda step: evaluate(step.query, db), salt="s")
@@ -332,7 +345,7 @@ class TestFlatten:
         decl = ViewDeclaration("m", "v", parse_query("SELECT k AS k2, a AS a2 FROM w1.r"))
         q = parse_query("SELECT * FROM m.v JOIN w1.r ON k2 = k")
         db = small_db()
-        exec_plan = plan(q, [decl], PLACEMENT, ENV)
+        exec_plan = plan(q, [decl], BOUND, ENV)
         got = execute_plan(exec_plan, lambda step: evaluate(step.query, db))
         oracle = evaluate(unfold(q, [decl]), db)
         assert bag_equal(got, oracle)
@@ -340,17 +353,23 @@ class TestFlatten:
     def test_flatten_preserves_semantics_on_random_trees(self):
         rng = random.Random(1616)
         env = make_environment(rng, namespaces=("w1",), relations_per_namespace=3)
-        from mmw.planner import Unflattenable
 
-        flattened = 0
+        def has_join_or_union(node):
+            return isinstance(node, (Join, Union)) or any(map(has_join_or_union, children(node)))
+
+        flattened = refused = 0
         for _ in range(200):
             q = random_query(rng, env)
             db = random_database(rng, env)
-            try:
-                flat = flatten_query(q, env)
-            except Unflattenable:
+            if has_join_or_union(q):
+                with pytest.raises(Unflattenable):
+                    flatten_query(q, env)
+                refused += 1
                 continue
+            if contains_hash_call(q):
+                continue
+            flat = flatten_query(q, env)
             flattened += 1
             assert bag_equal(evaluate(q, db, "s"), evaluate(flat, db, "s"))
             render_query(flat)  # must be grammar-shaped
-        assert flattened > 150  # the generator rarely produces unflattenable trees
+        assert flattened > 40 and refused > 100

@@ -35,6 +35,7 @@ from mmw.runtime.protocol import (
     TcpBinding,
     error_to_obj,
     handle_request,
+    table_from_response,
 )
 from mmw.query.parse import parse_query
 from mmw.query.render import RenderError
@@ -285,6 +286,37 @@ class TestErrorEncoding:
     def test_encodes_to_wire_code(self, exc, code):
         assert code in WIRE_CODES
         assert error_to_obj(exc)["code"] == code
+
+
+class TestTableResponse:
+    TEXT_COLUMN = [{"name": "t", "type": "text"}]
+    THREE_COLUMNS = [{"name": n, "type": "integer"} for n in ("a", "b", "c")]
+
+    @pytest.mark.parametrize(
+        "response, detail",
+        [
+            pytest.param({"schema": TEXT_COLUMN, "rows": [5]}, "row must be a list of cells, got int", id="int-row"),
+            pytest.param({"schema": TEXT_COLUMN, "rows": ["x"]}, "row must be a list of cells, got str", id="text-row"),
+            pytest.param({"schema": TEXT_COLUMN, "rows": 5}, "rows must be a list, got int", id="int-rows"),
+            pytest.param({"schema": TEXT_COLUMN, "rows": "x"}, "rows must be a list, got str", id="text-rows"),
+            pytest.param(
+                {"schema": THREE_COLUMNS, "rows": [["1", "2"]]},
+                "row arity 2 does not match schema arity 3",
+                id="short-row",
+            ),
+            pytest.param({"schema": 5, "rows": []}, "schema must be a list, got int", id="int-schema"),
+            pytest.param({"schema": [5], "rows": []}, "bad attribute object", id="int-attribute"),
+        ],
+    )
+    def test_malformed_table_is_protocol_error(self, response, detail):
+        with pytest.raises(ProtocolError) as caught:
+            table_from_response(response)
+        assert detail in caught.value.message
+
+    def test_well_formed_table_decodes(self):
+        table = table_from_response({"schema": self.TEXT_COLUMN, "rows": [["x"], [None]]})
+        assert table.schema.attribute_names == ("t",)
+        assert table.rows == ((Value.text("x"),), (Value.null(),))
 
 
 class TestMaskOverWire:

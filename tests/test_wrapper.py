@@ -196,6 +196,18 @@ class TestDelimitedDirWrapper:
         with pytest.raises(ConfigError):
             adapter.relations()
 
+    def test_repeated_header_attribute_is_config_error_naming_file(self, tmp_path):
+        (tmp_path / "t.csv").write_text("id:integer,id:text\n1,a\n", encoding="utf-8")
+        wrapper = Wrapper(WrapperConfig("w_csv", "n", DelimitedDirAdapter(tmp_path)))
+        for attempt in (
+            wrapper.get_schema,
+            lambda: wrapper.execute(parse_query("SELECT id FROM n.t")),
+        ):
+            with pytest.raises(ConfigError) as err:
+                attempt()
+            assert "t.csv" in err.value.message
+            assert "duplicate attribute name 'id'" in err.value.message
+
     def test_file_epoch_bumps_on_touch(self, tmp_path):
         target = tmp_path / "people.csv"
         target.write_text("id:integer\n1\n", encoding="utf-8")
