@@ -6,11 +6,16 @@ tabular files, semi-structured documents) behind one snapshot interface.
 Adapters read one consistent snapshot per call and report a fingerprint the
 wrapper turns into its change epoch. Database-backed adapters can slot in
 behind the same interface later.
+
+A file adapter reads the file's text on every load but decodes it again only
+when that text differs from the last file the adapter decoded; the reuse is
+keyed on the text itself, so it never serves rows the file no longer holds.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -20,6 +25,11 @@ from mmw.formats import iter_csv_rows, parse_jsonl
 from mmw.relational import RelationSchema, Row, Table, conform, is_identifier, relation_violations
 
 T = TypeVar("T")
+
+# A file whose change time lies within this window of now may still be
+# rewritten within the same timestamp tick, unseen by its stat; 2 s covers
+# the coarsest timestamps in use (FAT's).
+RACY_WINDOW_NS = 2_000_000_000
 
 
 class SourceAdapter(ABC):
@@ -117,6 +127,8 @@ class _FileDirAdapter(SourceAdapter):
         self.path = Path(path)
         if not self.path.is_dir():
             raise ConfigError(f"source directory {self.path} is not readable")
+        # (file name, text, Table) of the last file load decoded.
+        self._last: tuple[str, str, Table] | None = None
 
     @abstractmethod
     def _decode(self, name: str, text: str) -> tuple[RelationSchema, Iterable[Row]]:
@@ -144,36 +156,65 @@ class _FileDirAdapter(SourceAdapter):
                 return file
         raise UnknownRelationError(f"source has no relation {relation!r}")
 
-    def _parse(self, file: Path, take: Callable[[RelationSchema, Iterable[Row]], T]) -> T:
-        """Decode one file and hand its schema and rows to `take`; a decoding
-        error becomes a ConfigError naming the file."""
+    def _read(self, file: Path) -> str:
+        # read_text translates newlines, so a lone \r reads as \n.
         try:
-            text = file.read_text(encoding="utf-8")
+            return file.read_text(encoding="utf-8")
         except OSError as exc:
             raise UnavailableError(f"source unavailable: {exc}") from None
+
+    def _parse(
+        self, file: Path, text: str, take: Callable[[RelationSchema, Iterable[Row]], T]
+    ) -> T:
+        """Decode one file's text and hand its schema and rows to `take`; a
+        decoding error becomes a ConfigError naming the file."""
         try:
             return take(*self._decode(file.stem, text))
         except ValueError as exc:
             raise ConfigError(f"{file.name}: {exc}") from None
 
     def relations(self) -> list[RelationSchema]:
-        return [self._parse(file, lambda schema, rows: schema) for file in self._files()]
+        return [
+            self._parse(file, self._read(file), lambda schema, rows: schema)
+            for file in self._files()
+        ]
 
     def load(self, relation: str) -> Table:
-        return self._parse(self._file_for(relation), Table)
+        # The decode is a pure function of the file's stem and text, and a
+        # Table is immutable, so equal text may share the decoded Table.
+        # One slot, read into a local and replaced by one assignment, keeps
+        # concurrent loads safe and memory at one decoded file.
+        file = self._file_for(relation)
+        text = self._read(file)
+        last = self._last
+        if last is not None and last[0] == file.name and last[1] == text:
+            return last[2]
+        table = self._parse(file, text, Table)
+        self._last = (file.name, text, table)
+        return table
 
     def fingerprint(self) -> object:
         # The inode number catches a rewrite through a temporary file and
         # os.replace that keeps the size and the modification time. The
         # change time catches a rewrite in place that puts the old
         # modification time back: os.utime can set mtime but not ctime.
+        # A rewrite in place that keeps the size within one ctime tick of
+        # the change before it keeps the whole stat, so a file changed
+        # within RACY_WINDOW_NS of now also contributes its exact bytes.
+        # When the file leaves the window its entry drops the bytes and the
+        # fingerprint moves once more: one extra cache miss, never a stale
+        # answer.
         try:
+            now = time.time_ns()
             entries = []
             for file in self._files():
                 stat = file.stat()
-                entries.append(
-                    (file.name, stat.st_size, stat.st_mtime_ns, stat.st_ino, stat.st_ctime_ns)
+                entry = (
+                    file.name, stat.st_size, stat.st_mtime_ns, stat.st_ino, stat.st_ctime_ns
                 )
+                if now - stat.st_ctime_ns < RACY_WINDOW_NS:
+                    entry += (file.read_bytes(),)
+                entries.append(entry)
             return tuple(entries)
         except OSError as exc:
             raise UnavailableError(f"source unavailable: {exc}") from None

@@ -17,6 +17,8 @@ from typing import Iterable, Optional, Union
 
 IDENTIFIER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 TIMESTAMP_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})Z\Z")
+_INTEGER_TEXT = re.compile(r"-?[0-9]+\Z")
+_DECIMAL_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -71,7 +73,7 @@ def _decimal_text(dec: Decimal) -> str:
     return format(dec, "f")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """A typed scalar. Construct through the kind-named factories."""
 
@@ -166,11 +168,11 @@ def value_from_text(kind: Kind, text: str) -> Value:
             return Value.boolean(False)
         raise ValueError(f"not a boolean rendering: {text!r}")
     if kind is Kind.INTEGER:
-        if not re.match(r"-?[0-9]+\Z", text):
+        if not _INTEGER_TEXT.match(text):
             raise ValueError(f"not an integer rendering: {text!r}")
         return Value.integer(int(text))
     if kind is Kind.DECIMAL:
-        if not re.match(r"-?[0-9]+(\.[0-9]+)?\Z", text):
+        if not _DECIMAL_TEXT.match(text):
             raise ValueError(f"not a decimal rendering: {text!r}")
         return Value.decimal(text)
     if kind is Kind.TEXT:

@@ -95,10 +95,11 @@ class Wrapper(ComponentBase):
 
     def lineage(self, relation: str) -> LineageNode:
         self._check_alive()
-        if relation not in {schema.name for schema in self.adapter.relations()}:
-            raise UnknownRelationError(
-                f"unknown relation {relation!r}", origin=self.component_id
-            )
+        try:
+            self.adapter.load(relation)
+        except UnknownRelationError as exc:
+            exc.origin = self.component_id
+            raise
         return LineageNode(
             self.component_id,
             "wrapper",

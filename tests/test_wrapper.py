@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import os
 import random
+import sys
+import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import mmw.adapters
 from mmw.adapters import (
+    RACY_WINDOW_NS,
     DelimitedDirAdapter,
     DocLinesAdapter,
     MemoryAdapter,
@@ -25,7 +30,7 @@ from mmw.relational import Attribute, Kind, ProductSchema, RelationSchema, Table
 from mmw.query.evaluate import evaluate
 from mmw.runtime.protocol import ProtocolClient, ProtocolServer
 from mmw.wrapper import Wrapper, WrapperConfig
-from support import make_environment, random_database, random_query
+from support import make_environment, random_attribute, random_database, random_query, random_row
 
 PEOPLE = RelationSchema(
     "people",
@@ -59,6 +64,12 @@ def published_environment(wrapper):
     }
 
 
+FILE_KINDS = {
+    "delimited_dir": (DelimitedDirAdapter, ".csv", render_csv),
+    "doc_lines": (DocLinesAdapter, ".jsonl", render_jsonl),
+}
+
+
 def wrapper_over(kind, tables, directory):
     """A wrapper serving `tables` from an adapter of `kind`; the file kinds
     get one .csv or .jsonl file per table in `directory`."""
@@ -67,10 +78,7 @@ def wrapper_over(kind, tables, directory):
             [table.schema for table in tables], {table.schema.name: table.rows for table in tables}
         )
     else:
-        adapter_class, suffix, render = {
-            "delimited_dir": (DelimitedDirAdapter, ".csv", render_csv),
-            "doc_lines": (DocLinesAdapter, ".jsonl", render_jsonl),
-        }[kind]
+        adapter_class, suffix, render = FILE_KINDS[kind]
         for table in tables:
             (directory / f"{table.schema.name}{suffix}").write_text(render(table), encoding="utf-8")
         adapter = adapter_class(directory)
@@ -436,7 +444,7 @@ def people_and_pets(kind, directory):
 @pytest.fixture()
 def source_reads(monkeypatch):
     """Counts, on every adapter class, the relations() calls and the
-    relations read from the source: a file decoded or a memory relation
+    relations read from the source: a file's text read or a memory relation
     loaded. A call counts once it has returned."""
     counts = Counter()
 
@@ -453,7 +461,7 @@ def source_reads(monkeypatch):
     for cls in (MemoryAdapter, _FileDirAdapter):
         spy(cls, "relations", lambda: "relations()")
     spy(MemoryAdapter, "load", lambda relation: relation)
-    spy(_FileDirAdapter, "_parse", lambda file, take: file.stem)
+    spy(_FileDirAdapter, "_read", lambda file: file.stem)
     return counts
 
 
@@ -510,6 +518,246 @@ class TestOneReadPerScan:
         result = wrapper.execute(q)
         assert source_reads == Counter(reads)
         assert bag_equal(result, evaluate(q, snapshot))
+
+
+@pytest.fixture()
+def decodes(monkeypatch):
+    """Counts, by relation name, the calls of the decoders the file adapters
+    look up in mmw.adapters."""
+    counts = Counter()
+
+    def spy(name, relation_of):
+        real = getattr(mmw.adapters, name)
+
+        def counted(*args):
+            counts[relation_of(*args)] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mmw.adapters, name, counted)
+
+    spy("iter_csv_rows", lambda name, text: name)
+    spy("parse_jsonl", lambda text, name: name)
+    return counts
+
+
+def rewrite_in_place(file: Path, text: str) -> None:
+    with open(file, "r+", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.truncate()
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+class TestDecodeOncePerContent:
+    def test_unchanged_file_is_decoded_once(self, kind, tmp_path, decodes):
+        wrapper = people_and_pets(kind, tmp_path)
+        first = wrapper.adapter.load("people")
+        assert wrapper.adapter.load("people") is first
+        assert decodes == Counter({"people": 1})
+
+    def test_same_size_rewrite_in_place_decodes_again(self, kind, tmp_path, decodes):
+        wrapper = people_and_pets(kind, tmp_path)
+        file = tmp_path / f"people{FILE_KINDS[kind][1]}"
+        first = wrapper.adapter.load("people")
+        text = file.read_text(encoding="utf-8")
+        changed = text.replace("grace", "gracf")
+        assert len(changed) == len(text)
+        rewrite_in_place(file, changed)
+        second = wrapper.adapter.load("people")
+        assert decodes == Counter({"people": 2})
+        assert second != first
+        assert Value.text("gracf") in {row[1] for row in second.rows}
+
+    def test_only_the_last_decoded_file_is_kept(self, kind, tmp_path, decodes):
+        wrapper = people_and_pets(kind, tmp_path)
+        for relation in ("people", "pets", "people"):
+            wrapper.adapter.load(relation)
+        assert decodes == Counter({"people": 2, "pets": 1})
+
+    def test_malformed_text_is_an_error_until_mended(self, kind, tmp_path):
+        wrapper = people_and_pets(kind, tmp_path)
+        adapter_class, suffix, render = FILE_KINDS[kind]
+        file = tmp_path / f"people{suffix}"
+        good = file.read_text(encoding="utf-8")
+        wrapper.adapter.load("people")
+        file.write_text(good + ("1,ada\n" if kind == "delimited_dir" else "{\n"), encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(ConfigError) as err:
+                wrapper.adapter.load("people")
+            assert str(err.value).startswith(f"people{suffix}: line ")
+        mended = Table(PEOPLE, people_rows()[:1])
+        file.write_text(render(mended), encoding="utf-8")
+        assert wrapper.adapter.load("people") == adapter_class(tmp_path).load("people")
+        assert wrapper.adapter.load("people").rows == mended.rows
+
+    def test_concurrent_loads_get_their_own_relation(self, kind, tmp_path):
+        wrapper = people_and_pets(kind, tmp_path)
+        expected = {name: wrapper.adapter.load(name) for name in ("people", "pets")}
+        wrong = []
+
+        def reader(order):
+            for _ in range(100):
+                for name in order:
+                    if wrapper.adapter.load(name) != expected[name]:
+                        wrong.append(name)
+
+        threads = [
+            threading.Thread(target=reader, args=(order,))
+            for order in (("people", "pets"), ("pets", "people"), ("people",), ("pets",))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+
+class TestRewritesAgainstFreshAdapter:
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    def test_answers_equal_the_oracle_over_a_fresh_adapter(self, kind, seed, tmp_path):
+        # Queries interleave with atomic, in-place, same-size and header
+        # rewrites; each answer must equal the reference evaluation of what
+        # a newly built adapter reads from the directory at that moment.
+        rng = random.Random(seed)
+        adapter_class, suffix, render = FILE_KINDS[kind]
+        schemas = [schema for schema in make_environment(rng, ("ops",), 3).values()]
+        serial = len(schemas)
+
+        def random_rows(schema):
+            # A doc_lines relation takes its columns from its records, and
+            # the key column holds 0..3 as in random_database.
+            return [
+                (Value.integer(rng.randint(0, 3)), *random_row(rng, schema)[1:])
+                for _ in range(rng.randint(1, 8))
+            ]
+
+        def write(table, how):
+            file = tmp_path / f"{table.schema.name}{suffix}"
+            if how == "atomic":
+                staged = tmp_path / f"{table.schema.name}.tmp"
+                staged.write_text(render(table), encoding="utf-8")
+                os.replace(staged, file)
+            else:
+                rewrite_in_place(file, render(table))
+
+        tables = {schema.name: Table(schema, random_rows(schema)) for schema in schemas}
+        for table in tables.values():
+            (tmp_path / f"{table.schema.name}{suffix}").write_text(render(table), encoding="utf-8")
+        wrapper = Wrapper(WrapperConfig(f"w_{kind}", "ops", adapter_class(tmp_path)))
+        moves = Counter()
+        for _ in range(120):
+            name = rng.choice(sorted(tables))
+            table = tables[name]
+            move = rng.choice(["query"] * 4 + ["atomic", "in_place", "same_size", "header"])
+            moves[move] += 1
+            if move in ("atomic", "in_place"):
+                tables[name] = Table(table.schema, random_rows(table.schema))
+                write(tables[name], move)
+            elif move == "same_size":
+                # Moving one key to another value in 0..3 keeps the size.
+                rows = [list(row) for row in table.rows]
+                row = rng.choice(rows)
+                row[0] = Value.integer((row[0].payload + rng.randint(1, 3)) % 4)
+                changed = Table(table.schema, rows)
+                assert len(render(changed)) == len(render(table))
+                tables[name] = changed
+                write(changed, "in_place")
+            elif move == "header":
+                attributes = [table.schema.attributes[0]] + [
+                    random_attribute(rng, f"c{serial}_{i}") for i in range(rng.randint(1, 3))
+                ]
+                serial += 1
+                schema = RelationSchema(name, attributes)
+                tables[name] = Table(schema, random_rows(schema))
+                write(tables[name], rng.choice(["atomic", "in_place"]))
+            else:
+                fresh = adapter_class(tmp_path)
+                env = {QualifiedName("ops", s.name): s for s in fresh.relations()}
+                q = random_query(rng, env, allow_union=True)
+                snapshot = {k: fresh.load(k.relation) for k in env}
+                assert wrapper.execute(q) == evaluate(q, snapshot, "")
+            assert wrapper.adapter.load(name) == adapter_class(tmp_path).load(name)
+        assert all(moves[move] for move in ("query", "atomic", "in_place", "same_size", "header"))
+
+
+class FrozenStat:
+    """Makes one file report the stat it had when this was made, whatever is
+    written to it later, and the adapter's clock read `now`."""
+
+    def __init__(self, monkeypatch, file: Path):
+        self.stat = file.stat()
+        self.now = self.stat.st_ctime_ns
+        real_stat = Path.stat
+
+        def stat(path, *args, **kwargs):
+            return self.stat if path == file else real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "stat", stat)
+        monkeypatch.setattr(mmw.adapters, "time", self)
+
+    def time_ns(self) -> int:
+        return self.now
+
+
+class TestRacyFingerprint:
+    """A rewrite in place that keeps the size within one ctime tick of the
+    change before it leaves the whole stat unchanged."""
+
+    def frozen(self, monkeypatch, tmp_path):
+        file = tmp_path / "people.csv"
+        file.write_text("id:integer\n1\n", encoding="utf-8")
+        clock = FrozenStat(monkeypatch, file)
+        return file, clock, Wrapper(WrapperConfig("w_csv", "files", DelimitedDirAdapter(tmp_path)))
+
+    def test_unchanged_stat_with_changed_bytes_in_the_window_moves_the_epoch(
+        self, monkeypatch, tmp_path
+    ):
+        file, clock, wrapper = self.frozen(monkeypatch, tmp_path)
+        clock.now += RACY_WINDOW_NS - 1
+        first = wrapper.epoch()
+        assert wrapper.epoch() == first
+        rewrite_in_place(file, "id:integer\n2\n")
+        assert wrapper.epoch() == first + 1
+        assert wrapper.epoch() == first + 1
+
+    def test_outside_the_window_the_stat_alone_decides(self, monkeypatch, tmp_path):
+        file, clock, wrapper = self.frozen(monkeypatch, tmp_path)
+        clock.now += RACY_WINDOW_NS
+        first = wrapper.epoch()
+        rewrite_in_place(file, "id:integer\n2\n")
+        assert wrapper.epoch() == first
+
+    def test_leaving_the_window_moves_the_epoch_once(self, monkeypatch, tmp_path):
+        _, clock, wrapper = self.frozen(monkeypatch, tmp_path)
+        first = wrapper.epoch()
+        clock.now += RACY_WINDOW_NS
+        assert wrapper.epoch() == first + 1
+        clock.now += RACY_WINDOW_NS
+        assert wrapper.epoch() == first + 1
+
+
+class TestLineage:
+    def test_a_malformed_sibling_file_does_not_matter(self, tmp_path):
+        (tmp_path / "good.csv").write_text("id:integer\n1\n", encoding="utf-8")
+        (tmp_path / "dup.csv").write_text("id:integer,id:text\n1,a\n", encoding="utf-8")
+        wrapper = Wrapper(WrapperConfig("w_csv", "n", DelimitedDirAdapter(tmp_path)))
+        assert wrapper.execute(parse_query("SELECT * FROM n.good")).rows == ((Value.integer(1),),)
+        node = wrapper.lineage("good")
+        assert (node.component, node.relation) == ("w_csv", "good")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unknown_relation_names_the_wrapper(self, kind, tmp_path):
+        wrapper = people_and_pets(kind, tmp_path)
+        with pytest.raises(UnknownRelationError) as err:
+            wrapper.lineage("ghost")
+        assert err.value.origin == wrapper.component_id
+        assert "'ghost'" in err.value.message
 
 
 class HeaderRewrittenAdapter(SourceAdapter):
