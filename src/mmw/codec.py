@@ -1,22 +1,45 @@
-"""JSON encodings for schemas and cell values shared by the wire
-protocol, topology configs and the memory adapter."""
+"""JSON encodings for schemas, and the one cell codec shared by the wire
+protocol, topology configs, the memory adapter and the file formats.
+
+The codec is compiled per schema: each column gets an encoder and a decoder
+closure for its kind, built once per table, so no cell dispatches on its
+kind. A closure handles inline only the well-formed
+canonical cell of its own kind. Anything else (null, a JSON boolean or
+number, a value of another kind, malformed or out-of-range text) goes to the
+reference in `relational` (`value_from_text`, `canonical_text`), so every
+result and every error is the reference's by construction. Apart from that
+reference, cell encoding and decoding branch on the kind only here.
+"""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import re
+from datetime import datetime
+from functools import partial
+from json.encoder import encode_basestring
+from typing import Callable, Optional, Sequence
 
 from mmw.errors import ProtocolError
 from mmw.relational import (
+    _DECIMAL_TEXT,
+    _INTEGER_TEXT,
+    INT64_MAX,
+    INT64_MIN,
+    NULL,
     Attribute,
     Kind,
     ProductSchema,
     RelationSchema,
     Row,
     Value,
+    _canonical_decimal,
     canonical_text,
     kind_from_name,
     value_from_text,
 )
+
+Decoder = Callable[[object], Value]
+Encoder = Callable[[Value], Optional[str]]
 
 
 def attribute_to_obj(attr: Attribute) -> dict:
@@ -80,22 +103,93 @@ def product_from_obj(obj: dict) -> ProductSchema:
         raise ProtocolError(f"bad product schema object: {exc}") from None
 
 
-def value_to_wire(value: Value) -> Optional[str]:
-    """Canonical rendering with explicit nulls."""
-    return None if value.is_null else canonical_text(value)
 
 
-def value_from_wire(kind: Kind, cell) -> Value:
+# --- cell decoders ----------------------------------------------------------------
+
+# TIMESTAMP_RE with every clock field in range, so that fromisoformat never
+# meets hour 24, which a Python release may read as the next midnight while
+# the reference rejects it.
+_CLOCK_STAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]Z\Z"
+)
+
+
+def _decoder(kind: Kind, fallback: Decoder) -> Decoder:
+    """Decoder of the canonical text of `kind`; any other cell goes to
+    `fallback`, which decodes or raises as the reference does."""
+    if kind is Kind.INTEGER:
+        def decode(cell):
+            if cell.__class__ is str and _INTEGER_TEXT.match(cell):
+                number = int(cell)
+                if INT64_MIN <= number <= INT64_MAX:
+                    return Value(kind, number)
+            return fallback(cell)
+        return decode
+    if kind is Kind.DECIMAL:
+        def decode(cell):
+            if cell.__class__ is str and _DECIMAL_TEXT.match(cell):
+                return Value(kind, _canonical_decimal(cell))
+            return fallback(cell)
+        return decode
+    if kind is Kind.TIMESTAMP:
+        def decode(cell):
+            if cell.__class__ is str and _CLOCK_STAMP.match(cell):
+                try:
+                    return Value(kind, datetime.fromisoformat(cell[:19] + "+00:00"))
+                except ValueError:  # a day the month lacks: the reference says which
+                    pass
+            return fallback(cell)
+        return decode
+    if kind is Kind.TEXT:
+        return lambda cell: Value(kind, cell) if cell.__class__ is str else fallback(cell)
+    return fallback
+
+
+def _wire_reference(kind: Kind, cell) -> Value:
+    """The reference decoding of any JSON cell: null, a boolean or number
+    read as its JSON text, text through `value_from_text`."""
     if cell is None:
-        return Value.null()
+        return NULL
     if isinstance(cell, bool):
         cell = "true" if cell else "false"
     elif isinstance(cell, (int, float)):
         cell = repr(cell)
+    elif not isinstance(cell, str):
+        raise ProtocolError(f"bad cell for {kind}: expected a scalar, got {type(cell).__name__}")
     try:
         return value_from_text(kind, cell)
     except ValueError as exc:
         raise ProtocolError(f"bad cell for {kind}: {exc}") from None
+
+
+def wire_decoder(kind: Kind) -> Decoder:
+    """Decoder of one JSON cell of a `kind` column; raises ProtocolError."""
+    return _decoder(kind, partial(_wire_reference, kind))
+
+
+def csv_decoder(attr: Attribute) -> Callable[[tuple[str, bool]], Value]:
+    """Decoder of one delimited-file cell, `(text, was_quoted)`, of column
+    `attr`: an unquoted empty field is null, or empty text in a non-nullable
+    text column; raises ValueError."""
+    kind = attr.data_type
+    decode = _decoder(kind, partial(value_from_text, kind))
+    if attr.nullable:
+        empty = NULL
+    elif kind is Kind.TEXT:
+        empty = Value.text("")
+    else:
+        empty = None
+
+    def decode_cell(cell):
+        text, quoted = cell
+        if text or quoted:
+            return decode(text)
+        if empty is None:
+            raise ValueError(f"empty field for non-nullable {attr.name!r}")
+        return empty
+
+    return decode_cell
 
 
 def rows_from_wire(kinds: Sequence[Kind], raw_rows) -> list[Row]:
@@ -103,13 +197,77 @@ def rows_from_wire(kinds: Sequence[Kind], raw_rows) -> list[Row]:
     given cell kinds."""
     if not isinstance(raw_rows, list):
         raise ProtocolError(f"rows must be a list, got {type(raw_rows).__name__}")
+    decoders = [wire_decoder(kind) for kind in kinds]
     rows = []
     for cells in raw_rows:
         if not isinstance(cells, list):
             raise ProtocolError(f"row must be a list of cells, got {type(cells).__name__}")
-        if len(cells) != len(kinds):
+        if len(cells) != len(decoders):
             raise ProtocolError(
-                f"row arity {len(cells)} does not match schema arity {len(kinds)}"
+                f"row arity {len(cells)} does not match schema arity {len(decoders)}"
             )
-        rows.append(tuple(value_from_wire(kind, cell) for kind, cell in zip(kinds, cells)))
+        rows.append(tuple([decode(cell) for decode, cell in zip(decoders, cells)]))
     return rows
+
+
+# --- cell encoders ----------------------------------------------------------------
+
+
+def _stamp(moment: datetime) -> str:
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
+        moment.year, moment.month, moment.day, moment.hour, moment.minute, moment.second
+    )
+
+
+def _reference_text(value: Value) -> Optional[str]:
+    return None if value.is_null else canonical_text(value)
+
+
+def wire_encoder(kind: Kind) -> Encoder:
+    """Encoder of a `kind` column's values as JSON cells: canonical text,
+    None for null. Also the text of a delimited-file cell."""
+    if kind is Kind.INTEGER:
+        return lambda v: str(v.payload) if v.kind is kind else _reference_text(v)
+    if kind is Kind.DECIMAL:
+        return lambda v: format(v.payload, "f") if v.kind is kind else _reference_text(v)
+    if kind is Kind.TEXT:
+        return lambda v: v.payload if v.kind is kind else _reference_text(v)
+    if kind is Kind.TIMESTAMP:
+        return lambda v: _stamp(v.payload) if v.kind is kind else _reference_text(v)
+    return _reference_text
+
+
+def jsonl_encoder(kind: Kind) -> Callable[[Value], str]:
+    """Encoder of a `kind` column's values as json-lines field tokens:
+    integers as JSON numbers, decimals as numbers with a forced '.', text
+    and timestamps as JSON strings."""
+    if kind is Kind.INTEGER:
+        return lambda v: str(v.payload) if v.kind is kind else _jsonl_token(v)
+    if kind is Kind.DECIMAL:
+        def encode(v):
+            if v.kind is kind:
+                text = format(v.payload, "f")
+                return text if "." in text else text + ".0"
+            return _jsonl_token(v)
+        return encode
+    if kind is Kind.TEXT:
+        return lambda v: encode_basestring(v.payload) if v.kind is kind else _jsonl_token(v)
+    if kind is Kind.TIMESTAMP:
+        return lambda v: '"' + _stamp(v.payload) + '"' if v.kind is kind else _jsonl_token(v)
+    return _jsonl_token
+
+
+def _jsonl_token(value: Value) -> str:
+    """The json-lines token of any value: null and booleans as JSON
+    literals, any other value through the encoder of its own kind."""
+    if value.is_null:
+        return "null"
+    if value.kind is Kind.BOOLEAN:
+        return canonical_text(value)
+    return jsonl_encoder(value.kind)(value)
+
+
+def rows_to_wire(kinds: Sequence[Kind], rows) -> list[list[Optional[str]]]:
+    """Encode rows of the given cell kinds as JSON row lists."""
+    encoders = [wire_encoder(kind) for kind in kinds]
+    return [[encode(v) for encode, v in zip(encoders, row)] for row in rows]

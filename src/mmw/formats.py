@@ -11,6 +11,10 @@ json-lines format: one flat JSON object per row, field order = schema
 order. Decimals are emitted as raw numeric tokens with a forced '.' so a
 reader can tell them from integers; numbers are parsed back with exact
 decimal semantics.
+
+Cells are encoded and decoded by the per-column closures of `mmw.codec`;
+this module owns only the text around them: splitting, quoting, headers,
+record syntax and json-lines schema inference.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import re
 from decimal import Decimal
 from typing import Iterable, Iterator, Optional
 
+from mmw.codec import csv_decoder, jsonl_encoder, rows_to_wire
 from mmw.relational import (
     Attribute,
     Kind,
@@ -31,7 +36,6 @@ from mmw.relational import (
     is_identifier,
     kind_from_name,
     relation_violations,
-    value_from_text,
 )
 
 Row = tuple[Value, ...]
@@ -75,8 +79,11 @@ def split_delimited(text: str) -> list[list[Cell]]:
         return rows
 
 
+_QUOTED_CHARS = re.compile(r'[,"\r\n]')
+
+
 def _join_cell(text: str, force_quote: bool) -> str:
-    if force_quote or any(ch in text for ch in ',"\n\r'):
+    if force_quote or _QUOTED_CHARS.search(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -119,33 +126,12 @@ def schema_from_header(name: str, cells: list[Cell]) -> RelationSchema:
 # --- delimited table io ------------------------------------------------------------
 
 
-def _cell_to_value(cell: Cell, attr: Attribute, position: str) -> Value:
-    text, quoted = cell
-    if not quoted and text == "":
-        if attr.nullable:
-            return Value.null()
-        if attr.data_type is Kind.TEXT:
-            return Value.text("")
-        raise ValueError(f"{position}: empty field for non-nullable {attr.name!r}")
-    try:
-        return value_from_text(attr.data_type, text)
-    except ValueError as exc:
-        raise ValueError(f"{position}: {exc}") from None
-
-
-def _value_to_cell(value: Value) -> Cell:
-    if value.is_null:
-        return ("", False)
-    text = canonical_text(value)
-    if value.kind is Kind.TEXT and text == "":
-        return ("", True)  # quoted empty = empty text, not null
-    return (text, False)
-
-
 def render_csv(table: Table) -> str:
+    kinds = [attr.data_type for attr in table.schema.attributes]
     rows: list[list[Cell]] = [header_cells(table.schema)]
-    for row in table.rows:
-        rows.append([_value_to_cell(value) for value in row])
+    for texts in rows_to_wire(kinds, table.rows):
+        # None (null) is the unquoted empty field; empty text is quoted.
+        rows.append([("", False) if text is None else (text, text == "") for text in texts])
     return join_delimited(rows)
 
 
@@ -158,15 +144,17 @@ def iter_csv_rows(name: str, text: str) -> tuple[RelationSchema, Iterator[Row]]:
     schema = schema_from_header(name, raw_rows[0])
 
     def generate() -> Iterator[Row]:
+        decoders = [csv_decoder(attr) for attr in schema.attributes]
         for line_number, raw in enumerate(raw_rows[1:], start=2):
-            if len(raw) != len(schema.attributes):
+            if len(raw) != len(decoders):
                 raise ValueError(
-                    f"line {line_number}: expected {len(schema.attributes)} fields, got {len(raw)}"
+                    f"line {line_number}: expected {len(decoders)} fields, got {len(raw)}"
                 )
-            yield tuple(
-                _cell_to_value(cell, attr, f"line {line_number}")
-                for cell, attr in zip(raw, schema.attributes)
-            )
+            try:
+                row = tuple([decode(cell) for decode, cell in zip(decoders, raw)])
+            except ValueError as exc:
+                raise ValueError(f"line {line_number}: {exc}") from None
+            yield row
 
     return schema, generate()
 
@@ -179,26 +167,13 @@ def parse_csv(text: str, name: str = "relation") -> Table:
 # --- json lines -------------------------------------------------------------------
 
 
-def _jsonl_encode(value: Value) -> str:
-    if value.is_null:
-        return "null"
-    if value.kind is Kind.BOOLEAN:
-        return "true" if value.payload else "false"
-    if value.kind is Kind.INTEGER:
-        return str(value.payload)
-    if value.kind is Kind.DECIMAL:
-        text = canonical_text(value)
-        return text if "." in text else text + ".0"
-    return json.dumps(canonical_text(value), ensure_ascii=False)
-
-
 def render_jsonl(table: Table) -> str:
-    names = [json.dumps(attr.name, ensure_ascii=False) for attr in table.schema.attributes]
+    attrs = table.schema.attributes
+    keys = [json.dumps(attr.name, ensure_ascii=False) + ":" for attr in attrs]
+    encoders = [jsonl_encoder(attr.data_type) for attr in attrs]
     lines = []
     for row in table.rows:
-        fields = ",".join(
-            f"{name}:{_jsonl_encode(value)}" for name, value in zip(names, row)
-        )
+        fields = ",".join([key + encode(v) for key, encode, v in zip(keys, encoders, row)])
         lines.append("{" + fields + "}")
     return "\n".join(lines) + "\n" if lines else ""
 

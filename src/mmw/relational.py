@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Iterable, Optional, Union
 
 IDENTIFIER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-TIMESTAMP_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})Z\Z")
+TIMESTAMP_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z\Z")
 _INTEGER_TEXT = re.compile(r"-?[0-9]+\Z")
 _DECIMAL_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?\Z")
 
@@ -152,7 +152,10 @@ def canonical_text(value: Value) -> str:
         return _decimal_text(value.payload)
     if value.kind is Kind.TEXT:
         return value.payload
-    return value.payload.strftime("%Y-%m-%dT%H:%M:%SZ")
+    # strftime's %Y leaves years before 1000 unpadded on glibc; TIMESTAMP_RE
+    # reads back four digits only.
+    moment = value.payload
+    return f"{moment.year:04d}" + moment.strftime("-%m-%dT%H:%M:%SZ")
 
 
 def value_from_text(kind: Kind, text: str) -> Value:

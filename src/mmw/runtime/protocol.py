@@ -22,7 +22,7 @@ from mmw.codec import (
     product_from_obj,
     product_to_obj,
     rows_from_wire,
-    value_to_wire,
+    rows_to_wire,
 )
 from mmw.component import LineageNode
 from mmw.errors import (
@@ -89,7 +89,7 @@ def table_response(table: Table) -> dict:
     return {
         "type": "table",
         "schema": [attribute_to_obj(attr) for attr in table.schema.attributes],
-        "rows": [[value_to_wire(v) for v in row] for row in table.rows],
+        "rows": rows_to_wire([attr.data_type for attr in table.schema.attributes], table.rows),
     }
 
 

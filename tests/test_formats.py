@@ -186,6 +186,12 @@ class TestJsonl:
         parsed = parse_jsonl('{"at":"2024-03-01T12:00:05Z"}\n', "r")
         assert parsed.schema.attribute("at").data_type is Kind.TIMESTAMP
 
+    def test_non_ascii_digits_stay_text(self):
+        line = '{"at":"２０２４-01-01T00:00:00Z"}\n'
+        parsed = parse_jsonl(line, "r")
+        assert parsed.schema.attribute("at").data_type is Kind.TEXT
+        assert render_jsonl(parsed) == line
+
     def test_nested_values_rejected(self):
         with pytest.raises(ValueError):
             parse_jsonl('{"x":[1,2]}\n', "r")

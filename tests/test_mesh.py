@@ -116,6 +116,15 @@ class TestMeshLifecycle:
                 "duplicate attribute name 'id'",
                 id="repeated-attribute",
             ),
+            *(
+                pytest.param(
+                    {"name": "people", "attributes": [{"name": "c", "type": kind}], "rows": [[cell]]},
+                    f"bad cell for {kind}: expected a scalar, got {type(cell).__name__}",
+                    id=f"{type(cell).__name__}-{kind}-cell",
+                )
+                for kind in ("integer", "decimal", "timestamp")
+                for cell in ([1], {"a": 1})
+            ),
         ],
     )
     def test_bad_memory_relation_is_config_error_naming_it(self, relation_obj, detail):

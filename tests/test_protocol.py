@@ -26,16 +26,18 @@ from mmw.errors import (
 )
 from mmw.mask import Mask
 from mmw.mediator import Mediator
-from mmw.relational import Attribute, Kind, RelationSchema, Value
+from mmw.relational import INT64_MAX, INT64_MIN, Attribute, Kind, RelationSchema, Table, Value
 from mmw.runtime.protocol import (
     MAX_REQUEST_LINE,
     WIRE_CODES,
     ProtocolClient,
     ProtocolServer,
     TcpBinding,
+    _encode_line,
     error_to_obj,
     handle_request,
     table_from_response,
+    table_response,
 )
 from mmw.query.parse import parse_query
 from mmw.query.render import RenderError
@@ -306,6 +308,15 @@ class TestTableResponse:
             ),
             pytest.param({"schema": 5, "rows": []}, "schema must be a list, got int", id="int-schema"),
             pytest.param({"schema": [5], "rows": []}, "bad attribute object", id="int-attribute"),
+            *(
+                pytest.param(
+                    {"schema": [{"name": "c", "type": kind}], "rows": [[cell]]},
+                    f"bad cell for {kind}: expected a scalar, got {type(cell).__name__}",
+                    id=f"{type(cell).__name__}-{kind}-cell",
+                )
+                for kind in ("integer", "decimal", "timestamp")
+                for cell in ([1], {"a": 1})
+            ),
         ],
     )
     def test_malformed_table_is_protocol_error(self, response, detail):
@@ -317,6 +328,42 @@ class TestTableResponse:
         table = table_from_response({"schema": self.TEXT_COLUMN, "rows": [["x"], [None]]})
         assert table.schema.attribute_names == ("t",)
         assert table.rows == ((Value.text("x"),), (Value.null(),))
+
+    def test_golden_wire_bytes(self):
+        """The wire bytes of one table of every kind are pinned: nulls, empty
+        text, decimals that normalize, int64 edges and a year before 1000."""
+        schema = RelationSchema(
+            "every",
+            [Attribute(name, kind, nullable=True) for name, kind in (
+                ("i", Kind.INTEGER), ("d", Kind.DECIMAL), ("t", Kind.TEXT),
+                ("b", Kind.BOOLEAN), ("ts", Kind.TIMESTAMP),
+            )],
+        )
+        null = Value.null()
+        table = Table(schema, [
+            (Value.integer(INT64_MAX), Value.decimal("1.500"), Value.text(""), Value.boolean(True),
+             Value.timestamp("0005-01-02T03:04:05Z")),
+            (Value.integer(INT64_MIN), Value.decimal("1E+2"), Value.text('say "hé",\n'),
+             Value.boolean(False), Value.timestamp("2024-12-31T23:59:59Z")),
+            (Value.integer(0), Value.decimal("-0.00"), null, null, null),
+            (null, null, null, null, null),
+        ])
+        expected = (
+            '{"type":"table","schema":['
+            '{"name":"i","type":"integer","nullable":true},'
+            '{"name":"d","type":"decimal","nullable":true},'
+            '{"name":"t","type":"text","nullable":true},'
+            '{"name":"b","type":"boolean","nullable":true},'
+            '{"name":"ts","type":"timestamp","nullable":true}],'
+            '"rows":['
+            '["9223372036854775807","1.5","","true","0005-01-02T03:04:05Z"],'
+            '["-9223372036854775808","100","say \\"hé\\",\\n","false","2024-12-31T23:59:59Z"],'
+            '["0","0",null,null,null],'
+            '[null,null,null,null,null]]}\n'
+        ).encode("utf-8")
+        line = _encode_line(table_response(table))
+        assert line == expected
+        assert table_from_response(json.loads(line), "every") == table
 
 
 class TestMaskOverWire:
