@@ -2,40 +2,34 @@
 protocol, topology configs, the memory adapter and the file formats.
 
 The codec is compiled per schema: each column gets an encoder and a decoder
-closure for its kind, built once per table, so no cell dispatches on its
-kind. A closure handles inline only the well-formed
-canonical cell of its own kind. Anything else (null, a JSON boolean or
-number, a value of another kind, malformed or out-of-range text) goes to the
-reference in `relational` (`value_from_text`, `canonical_text`), so every
-result and every error is the reference's by construction. Apart from that
-reference, cell encoding and decoding branch on the kind only here.
+closure built once per table, holding the reader and renderer of its kind
+from `relational.TEXT_READERS` and `TEXT_RENDERERS`, the one definition of
+the canonical text that `value_from_text` and `canonical_text` also use. So
+no cell dispatches on its kind, and every result and error is the
+reference's by construction. The codec adds only what each format puts
+around the canonical text: JSON null, boolean and number cells on the wire,
+null versus quoted empty in delimited files, json-lines literals and
+quoting, and values whose kind is not their column's.
 """
 
 from __future__ import annotations
 
-import re
-from datetime import datetime
-from functools import partial
 from json.encoder import encode_basestring
 from typing import Callable, Optional, Sequence
 
 from mmw.errors import ProtocolError
 from mmw.relational import (
-    _DECIMAL_TEXT,
-    _INTEGER_TEXT,
-    INT64_MAX,
-    INT64_MIN,
     NULL,
     Attribute,
     Kind,
     ProductSchema,
     RelationSchema,
     Row,
+    TEXT_READERS,
+    TEXT_RENDERERS,
     Value,
-    _canonical_decimal,
     canonical_text,
     kind_from_name,
-    value_from_text,
 )
 
 Decoder = Callable[[object], Value]
@@ -103,69 +97,34 @@ def product_from_obj(obj: dict) -> ProductSchema:
         raise ProtocolError(f"bad product schema object: {exc}") from None
 
 
-
-
 # --- cell decoders ----------------------------------------------------------------
 
-# TIMESTAMP_RE with every clock field in range, so that fromisoformat never
-# meets hour 24, which a Python release may read as the next midnight while
-# the reference rejects it.
-_CLOCK_STAMP = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]Z\Z"
-)
 
-
-def _decoder(kind: Kind, fallback: Decoder) -> Decoder:
-    """Decoder of the canonical text of `kind`; any other cell goes to
-    `fallback`, which decodes or raises as the reference does."""
-    if kind is Kind.INTEGER:
-        def decode(cell):
-            if cell.__class__ is str and _INTEGER_TEXT.match(cell):
-                number = int(cell)
-                if INT64_MIN <= number <= INT64_MAX:
-                    return Value(kind, number)
-            return fallback(cell)
-        return decode
-    if kind is Kind.DECIMAL:
-        def decode(cell):
-            if cell.__class__ is str and _DECIMAL_TEXT.match(cell):
-                return Value(kind, _canonical_decimal(cell))
-            return fallback(cell)
-        return decode
-    if kind is Kind.TIMESTAMP:
-        def decode(cell):
-            if cell.__class__ is str and _CLOCK_STAMP.match(cell):
-                try:
-                    return Value(kind, datetime.fromisoformat(cell[:19] + "+00:00"))
-                except ValueError:  # a day the month lacks: the reference says which
-                    pass
-            return fallback(cell)
-        return decode
-    if kind is Kind.TEXT:
-        return lambda cell: Value(kind, cell) if cell.__class__ is str else fallback(cell)
-    return fallback
-
-
-def _wire_reference(kind: Kind, cell) -> Value:
-    """The reference decoding of any JSON cell: null, a boolean or number
-    read as its JSON text, text through `value_from_text`."""
-    if cell is None:
-        return NULL
+def _scalar_text(kind: Kind, cell) -> str:
+    """The text a non-null JSON cell is read as: a boolean or number as its
+    JSON text; a list or object is refused."""
+    if isinstance(cell, str):
+        return cell
     if isinstance(cell, bool):
-        cell = "true" if cell else "false"
-    elif isinstance(cell, (int, float)):
-        cell = repr(cell)
-    elif not isinstance(cell, str):
-        raise ProtocolError(f"bad cell for {kind}: expected a scalar, got {type(cell).__name__}")
-    try:
-        return value_from_text(kind, cell)
-    except ValueError as exc:
-        raise ProtocolError(f"bad cell for {kind}: {exc}") from None
+        return "true" if cell else "false"
+    if isinstance(cell, (int, float)):
+        return repr(cell)
+    raise ProtocolError(f"bad cell for {kind}: expected a scalar, got {type(cell).__name__}")
 
 
 def wire_decoder(kind: Kind) -> Decoder:
     """Decoder of one JSON cell of a `kind` column; raises ProtocolError."""
-    return _decoder(kind, partial(_wire_reference, kind))
+    read = TEXT_READERS[kind]
+
+    def decode(cell):
+        if cell is None:
+            return NULL
+        try:
+            return read(cell if cell.__class__ is str else _scalar_text(kind, cell))
+        except ValueError as exc:
+            raise ProtocolError(f"bad cell for {kind}: {exc}") from None
+
+    return decode
 
 
 def csv_decoder(attr: Attribute) -> Callable[[tuple[str, bool]], Value]:
@@ -173,7 +132,7 @@ def csv_decoder(attr: Attribute) -> Callable[[tuple[str, bool]], Value]:
     `attr`: an unquoted empty field is null, or empty text in a non-nullable
     text column; raises ValueError."""
     kind = attr.data_type
-    decode = _decoder(kind, partial(value_from_text, kind))
+    read = TEXT_READERS[kind]
     if attr.nullable:
         empty = NULL
     elif kind is Kind.TEXT:
@@ -184,7 +143,7 @@ def csv_decoder(attr: Attribute) -> Callable[[tuple[str, bool]], Value]:
     def decode_cell(cell):
         text, quoted = cell
         if text or quoted:
-            return decode(text)
+            return read(text)
         if empty is None:
             raise ValueError(f"empty field for non-nullable {attr.name!r}")
         return empty
@@ -211,60 +170,48 @@ def rows_from_wire(kinds: Sequence[Kind], raw_rows) -> list[Row]:
 
 
 # --- cell encoders ----------------------------------------------------------------
+#
+# A column's encoder renders values of the column's kind with that kind's
+# renderer; a value of any other kind, null included, takes the path for
+# any value.
 
 
-def _stamp(moment: datetime) -> str:
-    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
-        moment.year, moment.month, moment.day, moment.hour, moment.minute, moment.second
-    )
-
-
-def _reference_text(value: Value) -> Optional[str]:
+def _wire_text(value: Value) -> Optional[str]:
     return None if value.is_null else canonical_text(value)
 
 
 def wire_encoder(kind: Kind) -> Encoder:
     """Encoder of a `kind` column's values as JSON cells: canonical text,
     None for null. Also the text of a delimited-file cell."""
-    if kind is Kind.INTEGER:
-        return lambda v: str(v.payload) if v.kind is kind else _reference_text(v)
-    if kind is Kind.DECIMAL:
-        return lambda v: format(v.payload, "f") if v.kind is kind else _reference_text(v)
-    if kind is Kind.TEXT:
-        return lambda v: v.payload if v.kind is kind else _reference_text(v)
-    if kind is Kind.TIMESTAMP:
-        return lambda v: _stamp(v.payload) if v.kind is kind else _reference_text(v)
-    return _reference_text
+    if kind is Kind.NULL:
+        return _wire_text
+    render = TEXT_RENDERERS[kind]
+    return lambda v: render(v.payload) if v.kind is kind else _wire_text(v)
 
 
 def jsonl_encoder(kind: Kind) -> Callable[[Value], str]:
     """Encoder of a `kind` column's values as json-lines field tokens:
-    integers as JSON numbers, decimals as numbers with a forced '.', text
-    and timestamps as JSON strings."""
-    if kind is Kind.INTEGER:
-        return lambda v: str(v.payload) if v.kind is kind else _jsonl_token(v)
+    booleans and integers as JSON literals, decimals as numbers with a
+    forced '.', text and timestamps as JSON strings, null as null."""
+    if kind is Kind.NULL:
+        return _jsonl_token
+    render = TEXT_RENDERERS[kind]
     if kind is Kind.DECIMAL:
-        def encode(v):
-            if v.kind is kind:
-                text = format(v.payload, "f")
-                return text if "." in text else text + ".0"
-            return _jsonl_token(v)
-        return encode
-    if kind is Kind.TEXT:
-        return lambda v: encode_basestring(v.payload) if v.kind is kind else _jsonl_token(v)
-    if kind is Kind.TIMESTAMP:
-        return lambda v: '"' + _stamp(v.payload) + '"' if v.kind is kind else _jsonl_token(v)
-    return _jsonl_token
+        def token(payload):
+            text = render(payload)
+            return text if "." in text else text + ".0"
+    elif kind is Kind.TEXT or kind is Kind.TIMESTAMP:
+        def token(payload):
+            return encode_basestring(render(payload))
+    else:
+        token = render
+    return lambda v: token(v.payload) if v.kind is kind else _jsonl_token(v)
 
 
 def _jsonl_token(value: Value) -> str:
-    """The json-lines token of any value: null and booleans as JSON
-    literals, any other value through the encoder of its own kind."""
-    if value.is_null:
-        return "null"
-    if value.kind is Kind.BOOLEAN:
-        return canonical_text(value)
-    return jsonl_encoder(value.kind)(value)
+    """The json-lines token of any value: null as null, any other value
+    through the encoder of its own kind."""
+    return "null" if value.is_null else jsonl_encoder(value.kind)(value)
 
 
 def rows_to_wire(kinds: Sequence[Kind], rows) -> list[list[Optional[str]]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 IDENTIFIER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 TIMESTAMP_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z\Z")
@@ -114,7 +114,7 @@ class Value:
             match = TIMESTAMP_RE.match(moment)
             if not match:
                 raise ValueError(f"not a timestamp: {moment!r}")
-            moment = datetime(*(int(part) for part in match.groups()), tzinfo=timezone.utc)
+            moment = datetime(*map(int, match.groups()), 0, timezone.utc)  # microsecond, tzinfo
         else:
             if moment.tzinfo is None:
                 raise ValueError("timestamp must be timezone-aware")
@@ -136,51 +136,74 @@ class Value:
 NULL = Value(Kind.NULL, None)
 
 
+def _timestamp_text(moment: datetime) -> str:
+    # Zero-padded by hand: strftime's %Y leaves years before 1000 unpadded on
+    # glibc, and TIMESTAMP_RE reads back four digits only.
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
+        moment.year, moment.month, moment.day, moment.hour, moment.minute, moment.second
+    )
+
+
+def _null_from_text(text: str) -> Value:
+    if text != "":
+        raise ValueError(f"null renders empty, got {text!r}")
+    return NULL
+
+
+def _boolean_from_text(text: str) -> Value:
+    if text == "true":
+        return Value.boolean(True)
+    if text == "false":
+        return Value.boolean(False)
+    raise ValueError(f"not a boolean rendering: {text!r}")
+
+
+def _integer_from_text(text: str) -> Value:
+    if not _INTEGER_TEXT.match(text):
+        raise ValueError(f"not an integer rendering: {text!r}")
+    return Value.integer(int(text))
+
+
+def _decimal_from_text(text: str) -> Value:
+    if not _DECIMAL_TEXT.match(text):
+        raise ValueError(f"not a decimal rendering: {text!r}")
+    return Value.decimal(text)
+
+
+# The canonical text format, one function per kind. `canonical_text` and
+# `value_from_text` dispatch through these tables; the cell codec picks a
+# column's function once per column. Renderers take the payload.
+TEXT_RENDERERS: dict[Kind, Callable[[object], str]] = {
+    Kind.NULL: lambda _: "",
+    Kind.BOOLEAN: lambda flag: "true" if flag else "false",
+    Kind.INTEGER: str,
+    Kind.DECIMAL: _decimal_text,
+    Kind.TEXT: lambda content: content,
+    Kind.TIMESTAMP: _timestamp_text,
+}
+
+TEXT_READERS: dict[Kind, Callable[[str], Value]] = {
+    Kind.NULL: _null_from_text,
+    Kind.BOOLEAN: _boolean_from_text,
+    Kind.INTEGER: _integer_from_text,
+    Kind.DECIMAL: _decimal_from_text,
+    Kind.TEXT: Value.text,
+    Kind.TIMESTAMP: Value.timestamp,
+}
+
+
 def canonical_text(value: Value) -> str:
     """Canonical rendering used by hashing, delimited files and the protocol.
 
     Null renders as the empty string; callers that must distinguish null
     from empty text carry the kind out of band.
     """
-    if value.kind is Kind.NULL:
-        return ""
-    if value.kind is Kind.BOOLEAN:
-        return "true" if value.payload else "false"
-    if value.kind is Kind.INTEGER:
-        return str(value.payload)
-    if value.kind is Kind.DECIMAL:
-        return _decimal_text(value.payload)
-    if value.kind is Kind.TEXT:
-        return value.payload
-    # strftime's %Y leaves years before 1000 unpadded on glibc; TIMESTAMP_RE
-    # reads back four digits only.
-    moment = value.payload
-    return f"{moment.year:04d}" + moment.strftime("-%m-%dT%H:%M:%SZ")
+    return TEXT_RENDERERS[value.kind](value.payload)
 
 
 def value_from_text(kind: Kind, text: str) -> Value:
     """Inverse of canonical_text for a known kind."""
-    if kind is Kind.NULL:
-        if text != "":
-            raise ValueError(f"null renders empty, got {text!r}")
-        return NULL
-    if kind is Kind.BOOLEAN:
-        if text == "true":
-            return Value.boolean(True)
-        if text == "false":
-            return Value.boolean(False)
-        raise ValueError(f"not a boolean rendering: {text!r}")
-    if kind is Kind.INTEGER:
-        if not _INTEGER_TEXT.match(text):
-            raise ValueError(f"not an integer rendering: {text!r}")
-        return Value.integer(int(text))
-    if kind is Kind.DECIMAL:
-        if not _DECIMAL_TEXT.match(text):
-            raise ValueError(f"not a decimal rendering: {text!r}")
-        return Value.decimal(text)
-    if kind is Kind.TEXT:
-        return Value.text(text)
-    return Value.timestamp(text)
+    return TEXT_READERS[kind](text)
 
 
 class Ordering(Enum):

@@ -249,6 +249,71 @@ class TestAgainstReference:
             assert outcome(encode, value) == outcome(reference_jsonl_token, value), (kind, value)
 
 
+# --- pinned outcomes -----------------------------------------------------------------
+#
+# The codec and the reference share the per-kind readers and renderers, so a
+# fault there shows in both; these outcomes are pinned instead.
+
+PINNED_WIRE_DECODES = [
+    (Kind.INTEGER, str(INT64_MAX), Value.integer(INT64_MAX)),
+    (Kind.INTEGER, str(INT64_MIN), Value.integer(INT64_MIN)),
+    (Kind.INTEGER, "-0", Value.integer(0)),
+    (Kind.INTEGER, 7, Value.integer(7)),
+    (Kind.INTEGER, str(INT64_MAX + 1), f"integer out of 64-bit range: {INT64_MAX + 1}"),
+    (Kind.INTEGER, str(INT64_MIN - 1), f"integer out of 64-bit range: {INT64_MIN - 1}"),
+    (Kind.INTEGER, "１２３", "not an integer rendering: '１２３'"),
+    (Kind.INTEGER, [1], "expected a scalar, got list"),
+    (Kind.DECIMAL, "1.50", Value.decimal("1.5")),
+    (Kind.DECIMAL, "-0.0", Value.decimal("0")),
+    (Kind.DECIMAL, "1E+2", "not a decimal rendering: '1E+2'"),
+    (Kind.DECIMAL, {"a": 1}, "expected a scalar, got dict"),
+    (Kind.TEXT, "", Value.text("")),
+    (Kind.TEXT, None, Value.null()),
+    (Kind.TIMESTAMP, "0005-01-01T00:00:00Z",
+     Value.timestamp(datetime(5, 1, 1, tzinfo=timezone.utc))),
+    (Kind.TIMESTAMP, "2024-01-01T24:00:00Z", "hour must be in 0..23"),
+    (Kind.TIMESTAMP, "2024-13-01T00:00:00Z", "month must be in 1..12"),
+    (Kind.TIMESTAMP, "２０２４-01-01T00:00:00Z", "not a timestamp: '２０２４-01-01T00:00:00Z'"),
+]
+
+PINNED_WIRE_ENCODES = [
+    (Kind.INTEGER, Value.decimal("1E+2"), "100"),
+    (Kind.TEXT, Value.integer(5), "5"),
+    (Kind.TEXT, Value.null(), None),
+    (Kind.DECIMAL, Value.text("x"), "x"),
+    (Kind.TIMESTAMP, Value.timestamp(datetime(999, 2, 3, 4, 5, 6, tzinfo=timezone.utc)),
+     "0999-02-03T04:05:06Z"),
+]
+
+PINNED_JSONL_TOKENS = [
+    (Kind.INTEGER, Value.decimal("100"), "100.0"),
+    (Kind.DECIMAL, Value.integer(3), "3"),
+    (Kind.TEXT, Value.integer(3), "3"),
+    (Kind.TEXT, Value.text('a"\n'), '"a\\"\\n"'),
+    (Kind.INTEGER, Value.text("7"), '"7"'),
+    (Kind.BOOLEAN, Value.null(), "null"),
+]
+
+
+class TestPinned:
+    @pytest.mark.parametrize("kind,cell,expected", PINNED_WIRE_DECODES)
+    def test_wire_decode(self, kind, cell, expected):
+        if isinstance(expected, Value):
+            assert exact(wire_decoder(kind)(cell)) == exact(expected)
+        else:
+            with pytest.raises(ProtocolError) as caught:
+                wire_decoder(kind)(cell)
+            assert str(caught.value) == f"bad cell for {kind}: {expected}"
+
+    @pytest.mark.parametrize("kind,value,expected", PINNED_WIRE_ENCODES)
+    def test_wire_encode(self, kind, value, expected):
+        assert wire_encoder(kind)(value) == expected
+
+    @pytest.mark.parametrize("kind,value,expected", PINNED_JSONL_TOKENS)
+    def test_jsonl_token(self, kind, value, expected):
+        assert jsonl_encoder(kind)(value) == expected
+
+
 # --- years before 1000 --------------------------------------------------------------
 
 EARLY_YEARS = (1, 5, 999, 1000, 9999)
