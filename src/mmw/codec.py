@@ -101,10 +101,8 @@ def product_from_obj(obj: dict) -> ProductSchema:
 
 
 def _scalar_text(kind: Kind, cell) -> str:
-    """The text a non-null JSON cell is read as: a boolean or number as its
-    JSON text; a list or object is refused."""
-    if isinstance(cell, str):
-        return cell
+    """The text a non-null, non-string JSON cell is read as: a boolean or
+    number as its JSON text; a list or object is refused."""
     if isinstance(cell, bool):
         return "true" if cell else "false"
     if isinstance(cell, (int, float)):
@@ -120,7 +118,7 @@ def wire_decoder(kind: Kind) -> Decoder:
         if cell is None:
             return NULL
         try:
-            return read(cell if cell.__class__ is str else _scalar_text(kind, cell))
+            return read(cell if isinstance(cell, str) else _scalar_text(kind, cell))
         except ValueError as exc:
             raise ProtocolError(f"bad cell for {kind}: {exc}") from None
 
