@@ -6,11 +6,18 @@ Every data request that passes the liveness check (and, at a mask, the mode
 check) produces exactly one access-log entry, whether it is served, denied
 or failed; a stopped component raises first and logs nothing. Entry
 timestamps are monotone per component.
+
+`epoch()` answers an opaque token that moves whenever what the component
+serves may have changed. A token is hashable and has a JSON form: a text
+leaf `<nonce>:<counter>`, or a tuple of tokens. The nonce is random per
+instance, so tokens never repeat across instances, not even for a component
+restarted on the same port.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from collections import deque
@@ -91,7 +98,7 @@ class LineageNode:
             yield from child.walk()
 
 
-def _query_text(q: Query) -> Optional[str]:
+def canonical_query_text(q: Query) -> Optional[str]:
     """Canonical text of q, or None when q has no textual form."""
     try:
         return render_query(q)
@@ -109,6 +116,7 @@ class ComponentBase:
 
     def __init__(self, component_id: str):
         self.component_id = component_id
+        self._nonce = os.urandom(8).hex()  # see the module docstring
         self._lock = threading.Lock()
         self._counters = {name: 0 for name in COUNTER_NAMES}
         self._access_log: deque[AccessLogEntry] = deque(maxlen=ACCESS_LOG_CAPACITY)
@@ -130,6 +138,10 @@ class ComponentBase:
 
     def stop(self) -> None:
         self._stopped = True
+
+    def _token(self, counter: int) -> str:
+        """This instance's epoch token at `counter`: `<nonce>:<counter>`."""
+        return f"{self._nonce}:{counter}"
 
     # -- request plumbing ---------------------------------------------------
 
@@ -184,7 +196,7 @@ class ComponentBase:
         denied or error and, when it arose here, stamped with this origin.
         """
         self._check_alive()
-        query_text = _query_text(q)
+        query_text = canonical_query_text(q)
         logged = "<unrenderable query>" if query_text is None else query_text
         try:
             self._authorize(principal)

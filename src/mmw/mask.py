@@ -137,9 +137,10 @@ class Mask(ComponentBase):
             return ProductSchema(self.component_id, 1, (), {"description": "unbound mask"})
         return self.upstream.get_schema()
 
-    def epoch(self) -> int:
+    def epoch(self):
+        """The upstream's token, passed through; an unbound mask's never moves."""
         self._check_alive()
-        return self.upstream.epoch() if self.upstream is not None else 0
+        return self.upstream.epoch() if self.upstream is not None else self._token(0)
 
     def lineage(self, relation: str) -> LineageNode:
         self._check_alive()

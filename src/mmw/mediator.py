@@ -2,11 +2,22 @@
 
 A mediator binds downstream components under local aliases, declares views
 over them, serves the derived product schema under its product name, and
-executes queries by unfolding, planning and fetching. Results are cached
-keyed by (canonical query text, freshness epoch), so a stale entry can never
-be served. The epoch is the sum of the downstream epochs plus the
-configuration generation; no part ever decreases, so a change to any
-downstream moves the sum and misses the cache.
+executes queries by unfolding, planning and fetching.
+
+The mediator's epoch token is its own nonce and configuration generation
+followed by the token of each downstream in sorted alias order. Tokens never
+repeat across instances, so a change to any downstream, a reconfiguration
+or a downstream restarted in place gives a token never seen before.
+
+Two LRU caches of at most `cache_capacity` entries each (0 turns both off)
+key their entries by tokens read from one `epoch()` call per request:
+- results, by (canonical query text, the mediator's token);
+- fetches, one slot per (alias, canonical text of the translated fetch
+  query) holding (that downstream's token, table). A fetch is served from
+  its slot only while the downstream's token equals the kept one; a
+  refetch replaces the slot.
+The token is read before the fetch it keys, so a change between the two
+costs one extra miss, never a stale answer. Errors are never cached.
 
 Downstream bindings are fetched once at configure time; schema changes
 require an explicit reconfiguration, which bumps the mediator's epoch.
@@ -19,7 +30,7 @@ import threading
 from collections import OrderedDict
 from typing import Mapping, Optional, Sequence, Union as TypingUnion
 
-from mmw.component import ComponentBase, LineageNode
+from mmw.component import ComponentBase, LineageNode, canonical_query_text
 from mmw.errors import ConfigError, UnavailableError, UnknownRelationError
 from mmw.planner import plan, execute_plan
 from mmw.query.ast import QualifiedName, Query, rewrite_namespaces, scan_names
@@ -60,10 +71,12 @@ class Mediator(ComponentBase):
         self.version = version
         self.metadata = dict(metadata or {})
         self.downstream = dict(downstream)
+        self._aliases = tuple(sorted(self.downstream))
         self.salt = salt
         self.deny_raw_identifying = deny_raw_identifying
         self.cache_capacity = cache_capacity
-        self._cache: OrderedDict[tuple[str, int], Table] = OrderedDict()
+        self._cache: OrderedDict[tuple[str, tuple], Table] = OrderedDict()
+        self._fetches: OrderedDict[tuple[str, str], tuple[object, Table]] = OrderedDict()
         self._cache_lock = threading.Lock()
         self._generation = 0
         self._configure(views)
@@ -109,6 +122,7 @@ class Mediator(ComponentBase):
         self._generation += 1
         with self._cache_lock:
             self._cache.clear()
+            self._fetches.clear()
 
     def reconfigure(
         self,
@@ -130,26 +144,30 @@ class Mediator(ComponentBase):
         self._check_alive()
         return self._product_schema
 
-    def epoch(self) -> int:
+    def epoch(self) -> tuple:
+        """(own token at the generation, downstream tokens in sorted alias order)."""
         self._check_alive()
-        downstream_epochs = []
-        for alias, binding in sorted(self.downstream.items()):
+        tokens = [self._token(self._generation)]
+        for alias in self._aliases:
+            binding = self.downstream[alias]
             try:
-                downstream_epochs.append(binding.epoch())
+                tokens.append(binding.epoch())
             except UnavailableError as exc:
                 raise UnavailableError(
                     f"downstream {alias!r} unavailable: {exc.message}",
                     origin=exc.origin or getattr(binding, "component_id", alias),
                 ) from None
-        return sum(downstream_epochs) + self._generation
+        return tuple(tokens)
 
     def execute(self, q: Query, principal: str = "") -> Table:
         return self._serve_request(q, principal, lambda text: self._answer(q, text))
 
     def _answer(self, q: Query, query_text: Optional[str]) -> tuple[Table, int, bool]:
         result_schema = infer_schema(q, self._product_env)
+        caching = self.cache_capacity > 0
+        token = self.epoch() if caching else None
         # A query with no textual form has no cache key, so it always misses.
-        key = None if query_text is None else (query_text, self.epoch())
+        key = (query_text, token) if caching and query_text is not None else None
         if key is not None:
             with self._cache_lock:
                 cached = self._cache.get(key)
@@ -161,25 +179,42 @@ class Mediator(ComponentBase):
         self._count_cache(False)
         exec_plan = plan(q, self.views, self.downstream.keys(), self._base_env)
 
+        downstream_tokens = dict(zip(self._aliases, token[1:])) if caching else {}
+
         def fetch(step):
-            binding = self.downstream[step.namespace]
-            remote_namespace = getattr(binding, "namespace", step.namespace)
-            translated = rewrite_namespaces(
-                step.query, {step.namespace: remote_namespace}
-            )
-            return binding.execute(translated, self.component_id)
+            alias = step.namespace
+            binding = self.downstream[alias]
+            remote_namespace = getattr(binding, "namespace", alias)
+            translated = rewrite_namespaces(step.query, {alias: remote_namespace})
+            fetch_text = canonical_query_text(translated) if caching else None
+            slot = None if fetch_text is None else (alias, fetch_text)
+            if slot is not None:
+                with self._cache_lock:
+                    kept = self._fetches.get(slot)
+                    if kept is not None and kept[0] == downstream_tokens[alias]:
+                        self._fetches.move_to_end(slot)
+                        return kept[1]
+            table = binding.execute(translated, self.component_id)
+            if slot is not None:
+                self._keep(self._fetches, slot, (downstream_tokens[alias], table))
+            return table
 
         result = execute_plan(exec_plan, fetch, self.salt)
         # Client-facing schema comes from inference against the product
         # environment, not from plan internals.
         result = Table(result_schema, result.rows)
-        if key is not None and self.cache_capacity > 0:
-            with self._cache_lock:
-                self._cache[key] = result
-                self._cache.move_to_end(key)
-                while len(self._cache) > self.cache_capacity:
-                    self._cache.popitem(last=False)
+        if key is not None:
+            self._keep(self._cache, key, result)
         return result, len(result.rows), False
+
+    def _keep(self, cache: OrderedDict, key, value) -> None:
+        """Store value as the most recent entry, evicting the least recent
+        beyond capacity."""
+        with self._cache_lock:
+            cache[key] = value
+            cache.move_to_end(key)
+            while len(cache) > self.cache_capacity:
+                cache.popitem(last=False)
 
     # -- lineage --------------------------------------------------------------------
 
@@ -211,5 +246,10 @@ class Mediator(ComponentBase):
     # -- cache introspection (monitoring only) ---------------------------------------
 
     def cache_info(self) -> dict[str, int]:
+        """Result entries and fetch slots held; each is bounded by capacity."""
         with self._cache_lock:
-            return {"entries": len(self._cache), "capacity": self.cache_capacity}
+            return {
+                "entries": len(self._cache),
+                "fetch_slots": len(self._fetches),
+                "capacity": self.cache_capacity,
+            }

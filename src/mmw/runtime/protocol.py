@@ -5,6 +5,11 @@ Requests: get_schema, exec_query (query text, principal, format), stats,
 lineage, plus two extensions the runtime itself needs: epoch (cache
 freshness) and materialize (remote refresh trigger). Every error response
 carries one of the fixed codes and the id of the originating component.
+
+An epoch response carries the component's token in its JSON form: a string,
+or a list of tokens nested at most `MAX_DEPTH` deep. `TcpBinding.epoch`
+turns it back into the same hashable value (lists become tuples) and
+refuses any other shape.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from mmw.errors import (
     UnknownRelationError,
 )
 from mmw.mask import FORMATS, Rendering
-from mmw.query.parse import parse_query
+from mmw.query.parse import MAX_DEPTH, parse_query
 from mmw.query.render import render_query
 from mmw.relational import RelationSchema, Table
 
@@ -102,6 +107,20 @@ def table_from_response(obj: dict, name: str = "result") -> Table:
     return Table(RelationSchema(name, attrs), rows)
 
 
+def token_from_wire(obj, depth: int = 0):
+    """The epoch token whose JSON form is obj: a string stays a string, a
+    list becomes a tuple. Anything else, or lists nested deeper than
+    MAX_DEPTH, is a protocol error."""
+    if isinstance(obj, str):
+        return obj
+    if isinstance(obj, list) and depth < MAX_DEPTH:
+        return tuple(token_from_wire(item, depth + 1) for item in obj)
+    raise ProtocolError(
+        f"epoch token must be a string or a list of tokens nested at most "
+        f"{MAX_DEPTH} deep, got {type(obj).__name__} at depth {depth}"
+    )
+
+
 def _text_field(request: dict, field: str, default: Optional[str] = None) -> str:
     """A request field that must be text; a missing one (without a default)
     or one of another JSON type is a protocol error."""
@@ -151,69 +170,81 @@ def handle_request(component, request: dict) -> dict:
     raise ProtocolError(f"unknown request type {request_type!r}")
 
 
+class _Handler(socketserver.StreamRequestHandler):
+    """Serves one connection of a `_Server`: one response line per request line."""
+
+    def handle(self) -> None:
+        server = self.server
+        component = server.component
+        with server.lock:
+            if server.closed:
+                return
+            server.connections.add(self.connection)
+        try:
+            for raw_line in iter(lambda: self.rfile.readline(MAX_REQUEST_LINE + 1), b""):
+                if len(raw_line) > MAX_REQUEST_LINE:
+                    error = ProtocolError(f"request line exceeds {MAX_REQUEST_LINE} bytes")
+                    self.wfile.write(_encode_line(error_to_obj(error)))
+                    return
+                line = raw_line.decode("utf-8", errors="replace").strip()
+                if not line:
+                    continue
+                # json.loads raises JSONDecodeError, ValueError for an
+                # integer past the int-string limit, or RecursionError
+                # for deep nesting.
+                try:
+                    request = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    response = error_to_obj(ProtocolError(f"bad JSON: {exc}"))
+                else:
+                    try:
+                        response = handle_request(component, request)
+                    except Exception as exc:  # serialized, connection stays up
+                        if not isinstance(exc, MeshError):
+                            logger.exception("request failed on %s", component.component_id)
+                        response = error_to_obj(exc)
+                        if not response.get("origin"):
+                            response["origin"] = component.component_id
+                self.wfile.write(_encode_line(response))
+                self.wfile.flush()
+        finally:
+            with server.lock:
+                server.connections.discard(self.connection)
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    """The listening socket of one endpoint with the component it serves and
+    the connections being served, so that close can end them too. Nothing
+    here refers back to the `ProtocolServer`, and the handler class is
+    shared, so a closed endpoint and its component are freed by reference
+    counting alone, without waiting for the cycle collector."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address, component):
+        self.component = component
+        self.lock = threading.Lock()
+        self.connections: set[socket.socket] = set()
+        self.closed = False
+        super().__init__(address, _Handler)
+
+
 class ProtocolServer:
     """Threaded TCP endpoint for one component."""
 
     def __init__(self, component, host: str, port: int):
         self.component = component
-        # Connections being served, so that close() can end them too.
-        self._connections: set[socket.socket] = set()
-        self._closed = False
-        self._lock = threading.Lock()
-        endpoint = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(handler) -> None:  # noqa: N805
-                with endpoint._lock:
-                    if endpoint._closed:
-                        return
-                    endpoint._connections.add(handler.connection)
-                try:
-                    for raw_line in iter(lambda: handler.rfile.readline(MAX_REQUEST_LINE + 1), b""):
-                        if len(raw_line) > MAX_REQUEST_LINE:
-                            error = ProtocolError(f"request line exceeds {MAX_REQUEST_LINE} bytes")
-                            handler.wfile.write(_encode_line(error_to_obj(error)))
-                            return
-                        line = raw_line.decode("utf-8", errors="replace").strip()
-                        if not line:
-                            continue
-                        # json.loads raises JSONDecodeError, ValueError for an
-                        # integer past the int-string limit, or RecursionError
-                        # for deep nesting.
-                        try:
-                            request = json.loads(line)
-                        except (ValueError, RecursionError) as exc:
-                            response = error_to_obj(ProtocolError(f"bad JSON: {exc}"))
-                        else:
-                            try:
-                                response = handle_request(component, request)
-                            except Exception as exc:  # serialized, connection stays up
-                                if not isinstance(exc, MeshError):
-                                    logger.exception(
-                                        "request failed on %s", component.component_id
-                                    )
-                                response = error_to_obj(exc)
-                                if not response.get("origin"):
-                                    response["origin"] = component.component_id
-                        handler.wfile.write(_encode_line(response))
-                        handler.wfile.flush()
-                finally:
-                    with endpoint._lock:
-                        endpoint._connections.discard(handler.connection)
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
         try:
-            self._server = Server((host, port), Handler)
+            self._server = _Server((host, port), component)
         except OSError as exc:
             raise UnavailableError(
                 f"cannot bind {host}:{port} for {component.component_id}: {exc}"
             ) from None
         self.host, self.port = self._server.server_address[:2]
         self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.05},
             name=f"endpoint-{component.component_id}",
             daemon=True,
         )
@@ -222,11 +253,12 @@ class ProtocolServer:
     def close(self) -> None:
         """Stop accepting, then end every connection still being served, so
         clients connected before the close get no further answers."""
-        self._server.shutdown()
-        self._server.server_close()
-        with self._lock:
-            self._closed = True
-            connections = list(self._connections)
+        server = self._server
+        server.shutdown()
+        server.server_close()
+        with server.lock:
+            server.closed = True
+            connections = list(server.connections)
         for connection in connections:
             try:
                 connection.shutdown(socket.SHUT_RDWR)
@@ -340,8 +372,9 @@ class TcpBinding:
         )
         return table_from_response(response)
 
-    def epoch(self) -> int:
-        return int(self._client.request({"type": "epoch"})["epoch"])
+    def epoch(self):
+        response = self._client.request({"type": "epoch"})
+        return token_from_wire(response.get("epoch") if isinstance(response, dict) else None)
 
     def lineage(self, relation: str) -> LineageNode:
         response = self._client.request({"type": "lineage", "relation": relation})

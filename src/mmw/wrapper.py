@@ -82,14 +82,16 @@ class Wrapper(ComponentBase):
 
     # -- change signal --------------------------------------------------------
 
-    def epoch(self) -> int:
+    def epoch(self) -> str:
+        """This wrapper's token; its counter moves once per observed change
+        of the adapter's fingerprint."""
         self._check_alive()
         current = self.adapter.fingerprint()
         with self._lock:
             if current != self._last_fingerprint:
                 self._last_fingerprint = current
                 self._epoch += 1
-            return self._epoch
+            return self._token(self._epoch)
 
     # -- lineage ------------------------------------------------------------------
 

@@ -42,6 +42,21 @@ def plan_and_evaluate(
     return execute_plan(exec_plan, lambda step: evaluate(step.query, db), salt)
 
 
+def epoch_steps(before, after) -> tuple[int, ...]:
+    """How far each counter of an epoch token moved from `before` to
+    `after`, leaf by leaf in token order. Both tokens must have the same
+    shape and the same nonce at every leaf: a token from another instance
+    fails here instead of passing for a move."""
+    if isinstance(before, str):
+        assert isinstance(after, str), (before, after)
+        old_nonce, old_counter = before.rsplit(":", 1)
+        new_nonce, new_counter = after.rsplit(":", 1)
+        assert new_nonce == old_nonce, f"{after!r} is from another instance than {before!r}"
+        return (int(new_counter) - int(old_counter),)
+    assert isinstance(after, tuple) and len(after) == len(before), (before, after)
+    return tuple(step for pair in zip(before, after) for step in epoch_steps(*pair))
+
+
 VALUE_KINDS = (Kind.BOOLEAN, Kind.INTEGER, Kind.DECIMAL, Kind.TEXT, Kind.TIMESTAMP)
 
 

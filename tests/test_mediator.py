@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
+import json
+import os
 import random
 import re
 
 import pytest
 
-from mmw.adapters import MemoryAdapter
+from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter, MemoryAdapter
 from mmw.errors import AccessDeniedError, ConfigError, UnavailableError, UnknownRelationError
 from mmw.mediator import Mediator
 from mmw.query.ast import AttrRef, CompareOp, Comparison, Literal, QualifiedName, Rename, Scan, Select
 from mmw.query.evaluate import evaluate, fnv1a_hex
 from mmw.query.parse import parse_query
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value, bag_equal
+from mmw.runtime.protocol import ProtocolServer, TcpBinding
 from mmw.views import ViewDeclaration, unfold
 from mmw.wrapper import Wrapper, WrapperConfig
+from support import epoch_steps
 
 PEOPLE = RelationSchema(
     "people",
@@ -287,6 +292,214 @@ class TestCache:
         assert hits > 0
 
 
+PAIRS = RelationSchema("pairs", [Attribute("id", Kind.INTEGER), Attribute("name", Kind.TEXT)])
+
+
+def pair(serial):
+    return (Value.integer(serial), Value.text(f"r{serial:05d}"))
+
+
+def write_sources(directory, csv_rows, doc_rows, in_place=False):
+    """pairs.csv (cid, cname) and pairs.jsonl (did, dname) under directory;
+    rewritten through a temporary file and os.replace, or in place."""
+    texts = {
+        "csv/pairs.csv": "cid:integer,cname:text\n"
+        + "".join(f"{cid},{cname}\n" for cid, cname in csv_rows),
+        "doc/pairs.jsonl": "".join(
+            json.dumps({"did": did, "dname": dname}) + "\n" for did, dname in doc_rows
+        ),
+    }
+    for name, text in texts.items():
+        target = directory / name
+        target.parent.mkdir(exist_ok=True)
+        if in_place and target.exists():
+            with open(target, "r+", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            staged = target.with_name(target.name + ".tmp")
+            staged.write_text(text, encoding="utf-8")
+            os.replace(staged, target)
+
+
+LOWER_VIEWS = [
+    "CREATE VIEW vm AS SELECT * FROM m.pairs",
+    "CREATE VIEW vc AS SELECT * FROM c.pairs",
+    "CREATE VIEW vd AS SELECT * FROM d.pairs",
+    "CREATE VIEW mc AS SELECT id, name, cname FROM m.pairs JOIN c.pairs ON id = cid",
+]
+UPPER_VIEWS = [
+    "CREATE VIEW um AS SELECT * FROM low.vm",
+    "CREATE VIEW uc AS SELECT * FROM low.vc",
+    "CREATE VIEW ud AS SELECT * FROM low.vd",
+    "CREATE VIEW umc AS SELECT * FROM low.mc",
+    "CREATE VIEW ucd AS SELECT cid, cname, dname FROM low.vc JOIN low.vd ON cid = did",
+]
+
+
+def nested_stack(stack, directory, rows, capacity, over_tcp):
+    """upper mediator -> lower mediator -> memory, delimited_dir and
+    doc_lines wrappers; every component below the upper one is reached over
+    TCP when over_tcp holds. Returns (upper, memory adapter, wrappers)."""
+
+    def reach(component):
+        if not over_tcp:
+            return component
+        server = ProtocolServer(component, "127.0.0.1", 0)
+        stack.callback(server.close)
+        binding = TcpBinding(server.host, server.port)
+        stack.callback(binding.close)
+        return binding
+
+    memory = MemoryAdapter([PAIRS], {"pairs": list(rows)})
+    wrappers = {
+        "m": Wrapper(WrapperConfig("w_mem", "mem", memory)),
+        "c": Wrapper(WrapperConfig("w_csv", "csv", DelimitedDirAdapter(directory / "csv"))),
+        "d": Wrapper(WrapperConfig("w_doc", "doc", DocLinesAdapter(directory / "doc"))),
+    }
+    lower = Mediator(
+        "m_lower",
+        "lower",
+        {alias: reach(wrapper) for alias, wrapper in wrappers.items()},
+        LOWER_VIEWS,
+        cache_capacity=capacity,
+    )
+    upper = Mediator("m_upper", "upper", {"low": reach(lower)}, UPPER_VIEWS, cache_capacity=capacity)
+    return upper, memory, wrappers
+
+
+def random_nested_query(rng):
+    k = rng.randint(0, 12)
+    name = f"r{rng.randint(0, 12):05d}"
+    return parse_query(
+        rng.choice(
+            [
+                "SELECT * FROM upper.um",
+                "SELECT * FROM upper.uc",
+                "SELECT * FROM upper.ud",
+                f"SELECT name FROM upper.um WHERE id < {k}",
+                f"SELECT dname FROM upper.ud WHERE did = {k} OR dname = '{name}'",
+                f"SELECT * FROM upper.umc WHERE id = {k} OR cname = '{name}'",
+                f"SELECT cid, dname FROM upper.ucd WHERE cid > {k} OR dname = '{name}'",
+            ]
+        )
+    )
+
+
+class TestFetchCache:
+    @pytest.mark.parametrize("over_tcp", [False, True], ids=["in_process", "tcp"])
+    def test_nested_transparency_over_every_adapter_kind(self, over_tcp, tmp_path):
+        # Two stacks over the same files and equal memory rows, one caching
+        # results and fetches at both mediators and one caching nothing,
+        # must answer alike under seeded queries, inserts, and atomic and
+        # same-size in-place rewrites.
+        rng = random.Random(4242 + over_tcp)
+        rows = {"m": [pair(i) for i in range(8)], "c": [(i, f"r{i:05d}") for i in range(8)]}
+        rows["d"] = list(rows["c"])
+        write_sources(tmp_path, rows["c"], rows["d"])
+        serial = 100
+        with contextlib.ExitStack() as stack:
+            cached, memory_a, wrappers_a = nested_stack(stack, tmp_path, rows["m"], 16, over_tcp)
+            uncached, memory_b, wrappers_b = nested_stack(stack, tmp_path, rows["m"], 0, over_tcp)
+            for _ in range(120):
+                action = rng.random()
+                if action < 0.1:
+                    memory_a.insert("pairs", pair(serial))
+                    memory_b.insert("pairs", pair(serial))
+                elif action < 0.2:
+                    rows[rng.choice("cd")].append((serial, f"r{serial:05d}"))
+                    write_sources(tmp_path, rows["c"], rows["d"])
+                elif action < 0.3:
+                    changed = rows[rng.choice("cd")]
+                    index = rng.randrange(len(changed))
+                    changed[index] = (changed[index][0], f"r{rng.randint(0, 99999):05d}")
+                    write_sources(tmp_path, rows["c"], rows["d"], in_place=True)
+                else:
+                    q = random_nested_query(rng)
+                    assert bag_equal(cached.execute(q), uncached.execute(q))
+                serial += 1
+            result_hits = cached.stats()["cache_hits"]
+            fetched_a = sum(w.stats()["queries_served"] for w in wrappers_a.values())
+            fetched_b = sum(w.stats()["queries_served"] for w in wrappers_b.values())
+        assert result_hits > 0
+        assert fetched_a < fetched_b
+
+    def test_residual_only_change_refetches_nothing(self):
+        a = Wrapper(WrapperConfig("w_a", "ns_a", MemoryAdapter([PAIRS], {"pairs": [pair(1), pair(2)]})))
+        c_rows = [(Value.integer(1), Value.text("x")), (Value.integer(2), Value.text("y"))]
+        tags = RelationSchema("tags", [Attribute("tid", Kind.INTEGER), Attribute("tag", Kind.TEXT)])
+        b = Wrapper(WrapperConfig("w_b", "ns_b", MemoryAdapter([tags], {"tags": c_rows})))
+        mediator = Mediator(
+            "m1",
+            "prod",
+            {"a": a, "b": b},
+            ["CREATE VIEW v AS SELECT id, name, tag FROM a.pairs JOIN b.tags ON id = tid"],
+        )
+        # The predicate names a column of each side, so it stays above the
+        # join and both fetches are full scans with the same text.
+        first = mediator.execute(parse_query("SELECT * FROM prod.v WHERE id = 1 OR tag = 'y'"))
+        second = mediator.execute(parse_query("SELECT * FROM prod.v WHERE id = 2 OR tag = 'q'"))
+        assert len(first.rows) == 2 and len(second.rows) == 1
+        def served():
+            return a.stats()["queries_served"], b.stats()["queries_served"]
+
+        assert served() == (1, 1)
+        assert mediator.stats()["cache_hits"] == 0
+        assert mediator.cache_info()["fetch_slots"] == 2
+        a.adapter.insert("pairs", pair(2))
+        third = mediator.execute(parse_query("SELECT * FROM prod.v WHERE id = 2 OR tag = 'q'"))
+        assert len(third.rows) == 2
+        assert served() == (2, 1)
+        assert mediator.cache_info()["fetch_slots"] == 2
+
+
+def memory_endpoint(row_value, port=0):
+    """A memory wrapper holding one row of `row_value`, behind TCP."""
+    adapter = MemoryAdapter([PAIRS], {"pairs": [pair(row_value)]})
+    wrapper = Wrapper(WrapperConfig("w_restart", "src", adapter))
+    return wrapper, ProtocolServer(wrapper, "127.0.0.1", port)
+
+
+class TestRestartedDownstream:
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("outer", ["in_process", "tcp"])
+    def test_restart_on_the_same_port_is_never_answered_from_a_cache(self, levels, outer):
+        # A wrapper restarted on the same port starts its counter again;
+        # with summed epochs every mediator above it saw its old key and
+        # answered the old row from its cache.
+        with contextlib.ExitStack() as stack:
+            wrapper, server = memory_endpoint(1)
+            stack.callback(lambda: server.close())  # whichever server runs at exit
+
+            def reach(host, port):
+                binding = TcpBinding(host, port)
+                stack.callback(binding.close)
+                return binding
+
+            binding = reach(server.host, server.port)
+            for level in range(levels):
+                mediator = Mediator(
+                    f"m{level}",
+                    f"p{level}",
+                    {"d": binding},
+                    [f"CREATE VIEW v AS SELECT * FROM d.{'pairs' if level == 0 else 'v'}"],
+                )
+                if level < levels - 1 or outer == "tcp":
+                    endpoint = ProtocolServer(mediator, "127.0.0.1", 0)
+                    stack.callback(endpoint.close)
+                    binding = reach(endpoint.host, endpoint.port)
+                else:
+                    binding = mediator
+            q = parse_query(f"SELECT * FROM p{levels - 1}.v")
+            assert binding.execute(q).rows == (pair(1),)
+            assert binding.execute(q).rows == (pair(1),)
+            port = server.port
+            server.close()
+            wrapper.stop()
+            wrapper, server = memory_endpoint(2, port)
+            assert binding.execute(q).rows == (pair(2),)
+            assert binding.execute(q).rows == (pair(2),)
+
+
 class TestEpoch:
     def test_stable_when_downstreams_stable(self):
         wrapper = people_wrapper()
@@ -300,7 +513,7 @@ class TestEpoch:
         wrapper.adapter.insert(
             "people", (Value.integer(9), Value.text("x"), Value.text("y"))
         )
-        assert mediator.epoch() > before
+        assert epoch_steps(before, mediator.epoch()) == (0, 1)
 
     def test_reconfigure_bumps_even_with_stable_downstreams(self):
         wrapper = people_wrapper()
@@ -309,7 +522,7 @@ class TestEpoch:
         )
         before = mediator.epoch()
         mediator.reconfigure(views=["CREATE VIEW v AS SELECT ssn FROM p.people"])
-        assert mediator.epoch() > before
+        assert epoch_steps(before, mediator.epoch()) == (1, 0)
 
     def test_random_mutation_schedule_keeps_epoch_monotone(self):
         rng = random.Random(717)
@@ -322,10 +535,14 @@ class TestEpoch:
                 wrapper.adapter.insert(
                     "people", (Value.integer(rng.randint(50, 10**6)), Value.text("x"), Value.text("s"))
                 )
+                expected = (0, 1)
             elif action < 0.5:
                 mediator.reconfigure()
+                expected = (1, 0)
+            else:
+                expected = (0, 0)
             current = mediator.epoch()
-            assert current >= previous
+            assert epoch_steps(previous, current) == expected
             previous = current
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import pkgutil
 import socket
 import socketserver
 import threading
+import time
+import weakref
 
 import pytest
 
@@ -38,8 +41,9 @@ from mmw.runtime.protocol import (
     handle_request,
     table_from_response,
     table_response,
+    token_from_wire,
 )
-from mmw.query.parse import parse_query
+from mmw.query.parse import MAX_DEPTH, parse_query
 from mmw.query.render import RenderError
 from mmw.runtime.topology import TopologyError
 from mmw.relational import bag_equal
@@ -440,11 +444,83 @@ class TestTcpBinding:
         server = ProtocolServer(component, "127.0.0.1", 0)
         binding = TcpBinding(server.host, server.port)
         try:
-            assert binding.epoch() == 1
+            assert binding.epoch() == component.epoch()
             server.close()
             with pytest.raises(UnavailableError):
                 binding.epoch()
         finally:
+            binding.close()
+
+
+class TestEndpointLifetime:
+    def test_closed_endpoint_frees_its_component_without_the_cycle_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            component = wrapper_component()
+            server = ProtocolServer(component, "127.0.0.1", 0)
+            assert raw_roundtrip(server, {"type": "stats"})[0].startswith('{"type":"stats"')
+            alive = weakref.ref(component)
+            server.close()
+            del component, server
+            # The handler thread of the finished connection may still be
+            # on its way out.
+            deadline = time.monotonic() + 5
+            while alive() is not None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
+class TestEpochToken:
+    @pytest.mark.parametrize(
+        "token",
+        [
+            pytest.param(7, id="int"),
+            pytest.param({"nonce": "ab", "counter": 1}, id="dict"),
+            pytest.param(None, id="null"),
+            pytest.param(json.loads("[" * 65 + '"ab:1"' + "]" * 65), id="deep-list"),
+        ],
+    )
+    def test_malformed_token_is_one_protocol_error_and_keeps_the_connection(self, token):
+        component = wrapper_component()
+        good = component.epoch()
+        tokens = [token, good]
+        component.epoch = lambda: tokens.pop(0)
+        server = HangUpServer(component, limit=3)
+        binding = TcpBinding(server.host, server.port)  # request 1: get_schema
+        try:
+            with pytest.raises(ProtocolError, match="epoch token"):
+                binding.epoch()
+            assert binding.epoch() == good
+            assert server.connections == 1
+        finally:
+            binding.close()
+            server.close()
+
+    def test_token_nested_to_the_limit_round_trips(self, endpoint):
+        component, server = endpoint
+        token = component.epoch()
+        for _ in range(MAX_DEPTH - 1):
+            token = (token,)
+        assert token_from_wire(json.loads(json.dumps(token))) == token
+
+    def test_mediator_token_crosses_the_wire_unchanged(self, endpoint):
+        wrapper, server = endpoint
+        binding = TcpBinding(server.host, server.port)
+        mediator = Mediator("m1", "prod", {"w": binding}, ["CREATE VIEW v AS SELECT * FROM w.nums"])
+        outer = ProtocolServer(mediator, "127.0.0.1", 0)
+        outer_binding = TcpBinding(outer.host, outer.port)
+        try:
+            token = outer_binding.epoch()
+            assert token == mediator.epoch()
+            assert token[1] == wrapper.epoch()
+            hash(token)
+        finally:
+            outer_binding.close()
+            outer.close()
             binding.close()
 
 
@@ -503,12 +579,14 @@ class TestClient:
 
 class TestReconnect:
     def test_request_after_server_hang_up_resends_on_new_connection(self):
-        server = HangUpServer(wrapper_component(), limit=2)
+        component = wrapper_component()
+        expected = component.epoch()
+        server = HangUpServer(component, limit=2)
         binding = TcpBinding(server.host, server.port)  # request 1: get_schema
         try:
-            assert binding.epoch() == 1  # request 2, then the server hangs up
-            assert binding.epoch() == 1  # sent again on a second connection
-            assert binding.epoch() == 1
+            assert binding.epoch() == expected  # request 2, then the server hangs up
+            assert binding.epoch() == expected  # sent again on a second connection
+            assert binding.epoch() == expected
             assert server.connections == 2
         finally:
             binding.close()
