@@ -481,7 +481,9 @@ class TestEpochToken:
             pytest.param(7, id="int"),
             pytest.param({"nonce": "ab", "counter": 1}, id="dict"),
             pytest.param(None, id="null"),
-            pytest.param(json.loads("[" * 65 + '"ab:1"' + "]" * 65), id="deep-list"),
+            pytest.param(
+                json.loads("[" * (MAX_DEPTH + 1) + '"ab:1"' + "]" * (MAX_DEPTH + 1)), id="deep-list"
+            ),
         ],
     )
     def test_malformed_token_is_one_protocol_error_and_keeps_the_connection(self, token):
@@ -500,10 +502,9 @@ class TestEpochToken:
             binding.close()
             server.close()
 
-    def test_token_nested_to_the_limit_round_trips(self, endpoint):
-        component, server = endpoint
-        token = component.epoch()
-        for _ in range(MAX_DEPTH - 1):
+    def test_token_nested_to_the_limit_round_trips(self):
+        token = wrapper_component().epoch()
+        for _ in range(MAX_DEPTH):
             token = (token,)
         assert token_from_wire(json.loads(json.dumps(token))) == token
 
