@@ -7,9 +7,9 @@ Adapters read one consistent snapshot per call and report a fingerprint the
 wrapper turns into its change epoch. Database-backed adapters can slot in
 behind the same interface later.
 
-A file adapter reads the file's text on every load but decodes it again only
-when that text differs from the last file the adapter decoded; the reuse is
-keyed on the text itself, so it never serves rows the file no longer holds.
+A file adapter keeps nothing between calls: every load reads and decodes the
+file's current text. Reuse of unchanged data belongs to the mediator, which
+keeps each fetch under its downstream's epoch token.
 """
 
 from __future__ import annotations
@@ -127,8 +127,6 @@ class _FileDirAdapter(SourceAdapter):
         self.path = Path(path)
         if not self.path.is_dir():
             raise ConfigError(f"source directory {self.path} is not readable")
-        # (file name, text, Table) of the last file load decoded.
-        self._last: tuple[str, str, Table] | None = None
 
     @abstractmethod
     def _decode(self, name: str, text: str) -> tuple[RelationSchema, Iterable[Row]]:
@@ -180,18 +178,8 @@ class _FileDirAdapter(SourceAdapter):
         ]
 
     def load(self, relation: str) -> Table:
-        # The decode is a pure function of the file's stem and text, and a
-        # Table is immutable, so equal text may share the decoded Table.
-        # One slot, read into a local and replaced by one assignment, keeps
-        # concurrent loads safe and memory at one decoded file.
         file = self._file_for(relation)
-        text = self._read(file)
-        last = self._last
-        if last is not None and last[0] == file.name and last[1] == text:
-            return last[2]
-        table = self._parse(file, text, Table)
-        self._last = (file.name, text, table)
-        return table
+        return self._parse(file, self._read(file), Table)
 
     def fingerprint(self) -> object:
         # The inode number catches a rewrite through a temporary file and

@@ -9,15 +9,16 @@ followed by the token of each downstream in sorted alias order. Tokens never
 repeat across instances, so a change to any downstream, a reconfiguration
 or a downstream restarted in place gives a token never seen before.
 
-Two LRU caches of at most `cache_capacity` entries each (0 turns both off)
-key their entries by tokens read from one `epoch()` call per request:
-- results, by (canonical query text, the mediator's token);
-- fetches, one slot per (alias, canonical text of the translated fetch
-  query) holding (that downstream's token, table). A fetch is served from
-  its slot only while the downstream's token equals the kept one; a
-  refetch replaces the slot.
-The token is read before the fetch it keys, so a change between the two
-costs one extra miss, never a stale answer. Errors are never cached.
+One LRU map of at most `cache_capacity` slots (0 turns it off) keeps
+results and fetches alike as (token, table), with tokens read from one
+`epoch()` call per request:
+- a result, under its canonical query text, holds the mediator's token;
+- a fetch, under (alias, canonical text of the translated fetch query),
+  holds that downstream's token.
+A slot is served only while its kept token equals the one just read; a
+miss replaces the slot in place. The token is read before the fetch it
+keys, so a change between the two costs one extra miss, never a stale
+answer. Errors are never kept.
 
 Downstream bindings are fetched once at configure time; schema changes
 require an explicit reconfiguration, which bumps the mediator's epoch.
@@ -70,13 +71,19 @@ class Mediator(ComponentBase):
         self.namespace = product  # views are exposed under the product name
         self.version = version
         self.metadata = dict(metadata or {})
+        if type(cache_capacity) is not int or cache_capacity < 0:
+            raise ConfigError(
+                f"cache_capacity must be a non-negative integer, not {cache_capacity!r}"
+            )
+        if not isinstance(salt, str):
+            raise ConfigError(f"salt must be text, not {salt!r}")
         self.downstream = dict(downstream)
         self._aliases = tuple(sorted(self.downstream))
         self.salt = salt
         self.deny_raw_identifying = deny_raw_identifying
         self.cache_capacity = cache_capacity
-        self._cache: OrderedDict[tuple[str, tuple], Table] = OrderedDict()
-        self._fetches: OrderedDict[tuple[str, str], tuple[object, Table]] = OrderedDict()
+        # query text, or (alias, fetch text) -> (token, Table)
+        self._cache: OrderedDict[object, tuple[object, Table]] = OrderedDict()
         self._cache_lock = threading.Lock()
         self._generation = 0
         self._configure(views)
@@ -122,7 +129,6 @@ class Mediator(ComponentBase):
         self._generation += 1
         with self._cache_lock:
             self._cache.clear()
-            self._fetches.clear()
 
     def reconfigure(
         self,
@@ -167,15 +173,11 @@ class Mediator(ComponentBase):
         caching = self.cache_capacity > 0
         token = self.epoch() if caching else None
         # A query with no textual form has no cache key, so it always misses.
-        key = (query_text, token) if caching and query_text is not None else None
-        if key is not None:
-            with self._cache_lock:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
-            if cached is not None:
-                self._count_cache(True)
-                return cached, len(cached.rows), True
+        key = query_text if caching else None
+        cached = self._kept(key, token)
+        if cached is not None:
+            self._count_cache(True)
+            return cached, len(cached.rows), True
         self._count_cache(False)
         exec_plan = plan(q, self.views, self.downstream.keys(), self._base_env)
 
@@ -188,33 +190,40 @@ class Mediator(ComponentBase):
             translated = rewrite_namespaces(step.query, {alias: remote_namespace})
             fetch_text = canonical_query_text(translated) if caching else None
             slot = None if fetch_text is None else (alias, fetch_text)
-            if slot is not None:
-                with self._cache_lock:
-                    kept = self._fetches.get(slot)
-                    if kept is not None and kept[0] == downstream_tokens[alias]:
-                        self._fetches.move_to_end(slot)
-                        return kept[1]
-            table = binding.execute(translated, self.component_id)
-            if slot is not None:
-                self._keep(self._fetches, slot, (downstream_tokens[alias], table))
+            downstream_token = downstream_tokens.get(alias)
+            table = self._kept(slot, downstream_token)
+            if table is None:
+                table = binding.execute(translated, self.component_id)
+                self._keep(slot, downstream_token, table)
             return table
 
         result = execute_plan(exec_plan, fetch, self.salt)
         # Client-facing schema comes from inference against the product
         # environment, not from plan internals.
         result = Table(result_schema, result.rows)
-        if key is not None:
-            self._keep(self._cache, key, result)
+        self._keep(key, token, result)
         return result, len(result.rows), False
 
-    def _keep(self, cache: OrderedDict, key, value) -> None:
-        """Store value as the most recent entry, evicting the least recent
-        beyond capacity."""
+    def _kept(self, key, token) -> Optional[Table]:
+        """The table kept under key while its token equals `token`, else None."""
+        if key is None:
+            return None
         with self._cache_lock:
-            cache[key] = value
-            cache.move_to_end(key)
-            while len(cache) > self.cache_capacity:
-                cache.popitem(last=False)
+            slot = self._cache.get(key)
+            if slot is None or slot[0] != token:
+                return None
+            self._cache.move_to_end(key)
+            return slot[1]
+
+    def _keep(self, key, token, table: Table) -> None:
+        """Replace key's slot as the most recent, evicting beyond capacity."""
+        if key is None:
+            return
+        with self._cache_lock:
+            self._cache[key] = (token, table)
+            self._cache.move_to_end(key)
+            while len(self._cache) > self.cache_capacity:
+                self._cache.popitem(last=False)
 
     # -- lineage --------------------------------------------------------------------
 
@@ -246,10 +255,11 @@ class Mediator(ComponentBase):
     # -- cache introspection (monitoring only) ---------------------------------------
 
     def cache_info(self) -> dict[str, int]:
-        """Result entries and fetch slots held; each is bounded by capacity."""
+        """Result entries and fetch slots held; both count toward capacity."""
         with self._cache_lock:
+            fetch_slots = sum(isinstance(key, tuple) for key in self._cache)
             return {
-                "entries": len(self._cache),
-                "fetch_slots": len(self._fetches),
+                "entries": len(self._cache) - fetch_slots,
+                "fetch_slots": fetch_slots,
                 "capacity": self.cache_capacity,
             }

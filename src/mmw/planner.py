@@ -253,11 +253,9 @@ def execute_plan(
     fetch: Callable[[FetchStep], Table],
     salt: str = "",
 ) -> Table:
-    """Run fetch steps in order, then the residual locally."""
+    """Run fetch steps in order, then the residual locally; the residual's
+    scans name each fetched table after its intermediate relation."""
     db: dict[QualifiedName, Table] = {}
     for step in exec_plan.fetches:
-        table = fetch(step)
-        db[step.intermediate] = Table(
-            table.schema.rename(step.intermediate.relation), table.rows
-        )
+        db[step.intermediate] = fetch(step)
     return evaluate(exec_plan.residual, db, salt)

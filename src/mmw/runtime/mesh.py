@@ -14,7 +14,7 @@ from pathlib import Path
 from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter, MemoryAdapter
 from mmw.codec import relation_from_obj, rows_from_wire
 from mmw.errors import ConfigError, MeshError, ProtocolError, UnknownRelationError
-from mmw.mask import Mask
+from mmw.mask import FORMATS, Mask
 from mmw.mediator import Mediator
 from mmw.query.parse import parse_query
 from mmw.relational import Table
@@ -208,7 +208,7 @@ class Mesh:
                 descriptor.id,
                 upstream,
                 mode=config.get("mode", "virtualizing"),
-                formats=tuple(config.get("formats", ("csv", "jsonl", "pretty"))),
+                formats=tuple(config.get("formats", FORMATS)),
                 target=(base_dir / config["target"]) if config.get("target") else None,
                 refresh=refresh,
                 refresh_interval=interval,

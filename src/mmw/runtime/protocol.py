@@ -361,16 +361,14 @@ class TcpBinding:
         obj = self._client.request({"type": "get_schema"})
         return product_from_obj(obj["schema"])
 
-    def execute(self, q, principal: str = "") -> Table:
-        response = self._client.request(
-            {
-                "type": "exec_query",
-                "query": render_query(q),
-                "principal": principal,
-                "format": "table",
-            }
+    def _exec_query(self, q, principal: str, format: str) -> dict:
+        query = render_query(q)
+        return self._client.request(
+            {"type": "exec_query", "query": query, "principal": principal, "format": format}
         )
-        return table_from_response(response)
+
+    def execute(self, q, principal: str = "") -> Table:
+        return table_from_response(self._exec_query(q, principal, "table"))
 
     def epoch(self):
         response = self._client.request({"type": "epoch"})
@@ -384,14 +382,7 @@ class TcpBinding:
         return self._client.request({"type": "stats"})["counters"]
 
     def serve(self, q, format: str, principal: str = "") -> Rendering:
-        response = self._client.request(
-            {
-                "type": "exec_query",
-                "query": render_query(q),
-                "principal": principal,
-                "format": format,
-            }
-        )
+        response = self._exec_query(q, principal, format)
         return Rendering(response["format"], response["data"].encode("utf-8"))
 
     def materialize(self) -> dict:

@@ -35,6 +35,8 @@ class WrapperConfig:
         for name in (self.component_id, self.namespace):
             if not is_identifier(name):
                 raise ConfigError(f"{name!r} is not a valid identifier")
+        if not isinstance(self.salt, str):
+            raise ConfigError(f"salt must be text, not {self.salt!r}")
 
 
 class Wrapper(ComponentBase):

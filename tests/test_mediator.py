@@ -232,6 +232,30 @@ class TestCache:
         assert stats["cache_misses"] == 3 and stats["cache_hits"] == 0
         assert mediator.cache_info()["entries"] == 1
 
+    def test_stale_result_is_replaced_in_place(self):
+        wrapper, mediator = self.make()
+        q = parse_query("SELECT * FROM prod.v")
+        mediator.execute(q)
+        wrapper.adapter.insert(
+            "people", (Value.integer(3), Value.text("alan"), Value.text("333-33"))
+        )
+        mediator.execute(q)
+        assert mediator.cache_info()["entries"] == 1
+
+    def test_results_and_fetches_share_the_capacity(self):
+        mediator = Mediator(
+            "m1",
+            "prod",
+            {"p": people_wrapper(), "s": orders_wrapper()},
+            ["CREATE VIEW v AS SELECT name, total FROM p.people JOIN s.orders ON id = person"],
+            cache_capacity=2,
+        )
+        q = parse_query("SELECT * FROM prod.v")
+        first = mediator.execute(q)
+        # The result is stored last, so it evicts the older fetch slot.
+        assert mediator.cache_info() == {"entries": 1, "fetch_slots": 1, "capacity": 2}
+        assert mediator.execute(q) is first
+
     def test_capacity_zero_disables_caching(self):
         wrapper, mediator = self.make(capacity=0)
         q = parse_query("SELECT * FROM prod.v")

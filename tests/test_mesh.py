@@ -137,6 +137,27 @@ class TestMeshLifecycle:
         assert "'y_ops'" in message and "'people'" in message and detail in message
         assert not mesh.running and not mesh.components
 
+    @pytest.mark.parametrize(
+        "component, key, value",
+        [
+            pytest.param(1, "cache_capacity", "64", id="text-capacity"),
+            pytest.param(1, "cache_capacity", -1, id="negative-capacity"),
+            pytest.param(1, "cache_capacity", True, id="bool-capacity"),
+            pytest.param(1, "salt", 5, id="number-mediator-salt"),
+            pytest.param(0, "salt", 5, id="number-wrapper-salt"),
+        ],
+    )
+    def test_bad_cache_or_salt_setting_is_config_error(self, component, key, value):
+        document = two_domain_doc()
+        config = document["components"][component]["config"]
+        config[key] = value
+        mesh = Mesh(load_topology(document))
+        with pytest.raises(ConfigError) as caught:
+            mesh.up()
+        assert f"{key} must be" in caught.value.message
+        assert repr(value) in caught.value.message
+        assert not mesh.running and not mesh.components
+
     def test_startup_is_producers_first(self):
         with Mesh(load_topology(two_domain_doc())) as mesh:
             order = mesh._order

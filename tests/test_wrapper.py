@@ -547,13 +547,7 @@ def rewrite_in_place(file: Path, text: str) -> None:
 
 
 @pytest.mark.parametrize("kind", FILE_KINDS)
-class TestDecodeOncePerContent:
-    def test_unchanged_file_is_decoded_once(self, kind, tmp_path, decodes):
-        wrapper = people_and_pets(kind, tmp_path)
-        first = wrapper.adapter.load("people")
-        assert wrapper.adapter.load("people") is first
-        assert decodes == Counter({"people": 1})
-
+class TestLoadReadsCurrentText:
     def test_same_size_rewrite_in_place_decodes_again(self, kind, tmp_path, decodes):
         wrapper = people_and_pets(kind, tmp_path)
         file = tmp_path / f"people{FILE_KINDS[kind][1]}"
@@ -566,12 +560,6 @@ class TestDecodeOncePerContent:
         assert decodes == Counter({"people": 2})
         assert second != first
         assert Value.text("gracf") in {row[1] for row in second.rows}
-
-    def test_only_the_last_decoded_file_is_kept(self, kind, tmp_path, decodes):
-        wrapper = people_and_pets(kind, tmp_path)
-        for relation in ("people", "pets", "people"):
-            wrapper.adapter.load(relation)
-        assert decodes == Counter({"people": 2, "pets": 1})
 
     def test_malformed_text_is_an_error_until_mended(self, kind, tmp_path):
         wrapper = people_and_pets(kind, tmp_path)
