@@ -26,6 +26,7 @@ from pathlib import Path
 
 from mmw.errors import AccessDeniedError, ConfigError, MeshError
 from mmw.formats import render_table
+from mmw.mask import FORMATS
 from mmw.query.parse import parse_query
 from mmw.runtime.mesh import Mesh
 from mmw.runtime.protocol import TcpBinding
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--format",
                 default="pretty",
-                choices=("csv", "jsonl", "pretty"),
+                choices=FORMATS,
                 help="output format (default pretty)",
             )
 

@@ -69,8 +69,6 @@ class Mediator(ComponentBase):
                 raise ConfigError(f"downstream alias {alias!r} is not a valid identifier")
         self.product = product
         self.namespace = product  # views are exposed under the product name
-        self.version = version
-        self.metadata = dict(metadata or {})
         if type(cache_capacity) is not int or cache_capacity < 0:
             raise ConfigError(
                 f"cache_capacity must be a non-negative integer, not {cache_capacity!r}"
@@ -86,11 +84,15 @@ class Mediator(ComponentBase):
         self._cache: OrderedDict[object, tuple[object, Table]] = OrderedDict()
         self._cache_lock = threading.Lock()
         self._generation = 0
-        self._configure(views)
+        self._configure(views, version, dict(metadata or {}))
 
     # -- configuration ---------------------------------------------------------
 
-    def _configure(self, views: Sequence[ViewInput]) -> None:
+    def _configure(
+        self, views: Sequence[ViewInput], version: int, metadata: dict[str, str]
+    ) -> None:
+        """Derive the product from views, version and metadata and install it
+        all together; on any error nothing changes."""
         declared: list[ViewDeclaration] = []
         for item in views:
             if isinstance(item, str):
@@ -110,7 +112,7 @@ class Mediator(ComponentBase):
                 ) from None
             for relation in downstream_product.relations:
                 env[QualifiedName(alias, relation.name)] = relation
-        product = derive_global_schema(declared, env, self.product, self.version, self.metadata)
+        product = derive_global_schema(declared, env, self.product, version, metadata)
         if self.deny_raw_identifying:
             for relation in product.relations:
                 for attr in relation.attributes:
@@ -120,6 +122,8 @@ class Mediator(ComponentBase):
                             f"{attr.name!r} raw; wrap it in hash() or redact()"
                         )
         self.views = tuple(declared)
+        self.version = version
+        self.metadata = metadata
         self._views_by_name = {view.name: view for view in declared}
         self._base_env = env
         self._product_schema = product
@@ -137,12 +141,12 @@ class Mediator(ComponentBase):
         metadata: Optional[Mapping[str, str]] = None,
     ) -> None:
         """Replace views/version/metadata; bumps the epoch even when nothing
-        downstream changed."""
-        if version is not None:
-            self.version = version
-        if metadata is not None:
-            self.metadata = dict(metadata)
-        self._configure(views if views is not None else self.views)
+        downstream changed. A failed reconfiguration changes nothing."""
+        self._configure(
+            self.views if views is None else views,
+            self.version if version is None else version,
+            self.metadata if metadata is None else dict(metadata),
+        )
 
     # -- serving ------------------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Cross-component execution planning.
 
-A plan makes one fetch per relation, carrying the selections, projections
-and renames that sit directly over it to the owning component; joins, unions
-and `hash()` (which must run under the planning component's own salt) run
-in the residual, which is evaluated locally. Fetch queries are re-expressed
+A plan makes one fetch per relation, carrying the selections and projections
+that sit directly over it to the owning component; joins, unions and `hash()`
+(which must run under the planning component's own salt) run in the
+residual, which is evaluated locally. Fetch queries are re-expressed
 in the textual grammar (selects merged, projections composed) so they can
 travel over the wire.
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Callable, Mapping, Sequence
 
 from mmw.errors import ConfigError, TypeCheckError, UnknownRelationError
-from mmw.relational import Table
+from mmw.relational import RelationSchema, Table
 from mmw.query.ast import (
     AttrRef,
     Expr,
@@ -29,7 +29,6 @@ from mmw.query.ast import (
     ProjectItem,
     QualifiedName,
     Query,
-    Rename,
     Scan,
     Select,
     Union,
@@ -123,9 +122,6 @@ def _apply_conjuncts(node: Query, conjuncts: list[Predicate], env: Environment) 
     if isinstance(node, Project) and node.items is not None:
         mapping = {item.name: item.expr for item in node.items}
         conjuncts = [substitute(conjunct, mapping) for conjunct in conjuncts]
-    elif isinstance(node, Rename):
-        inverse = {new: AttrRef(old) for old, new in node.mapping}
-        conjuncts = [substitute(conjunct, inverse) for conjunct in conjuncts]
     # Star projections and unions pass the conjuncts on unchanged.
     return map_children(node, lambda child: _apply_conjuncts(child, conjuncts, env))
 
@@ -134,8 +130,8 @@ def _apply_conjuncts(node: Query, conjuncts: list[Predicate], env: Environment) 
 
 
 class Unflattenable(Exception):
-    """The fragment is not one relation under selections, projections and
-    renames, so it has no equivalent single SELECT block."""
+    """The fragment is not one relation under selections and projections, so
+    it has no equivalent single SELECT block."""
 
 
 def _flatten(node: Query, env: Environment) -> tuple[Scan, Predicate | None, list[ProjectItem]]:
@@ -155,29 +151,31 @@ def _flatten(node: Query, env: Environment) -> tuple[Scan, Predicate | None, lis
         predicate = mapped if predicate is None else LogicalAnd(predicate, mapped)
     elif isinstance(node, Project) and node.items is not None:
         items = [ProjectItem(substitute(item.expr, mapping), item.name) for item in node.items]
-    elif isinstance(node, Rename):
-        renamed = node.mapping_dict
-        items = [ProjectItem(item.expr, renamed.get(item.name, item.name)) for item in items]
     return scan, predicate, items
 
 
-def flatten_query(q: Query, env: Environment) -> Query:
-    """Rewrite a chain of selections, projections and renames over one scan
-    into one grammar block `SELECT items FROM ns.rel WHERE pred`, or raise
-    Unflattenable."""
+def _same_shape(a: RelationSchema, b: RelationSchema) -> bool:
+    """Same attribute names with the same kinds, in the same order."""
+    return [(attr.name, attr.data_type) for attr in a.attributes] == [
+        (attr.name, attr.data_type) for attr in b.attributes
+    ]
+
+
+def flatten_query(q: Query, env: Environment) -> tuple[Query, RelationSchema]:
+    """Rewrite a chain of selections and projections over one scan into one
+    grammar block `SELECT items FROM ns.rel WHERE pred` and return it with its
+    schema, or raise Unflattenable."""
     scan, predicate, items = _flatten(q, env)
     flat = Project(scan if predicate is None else Select(scan, predicate), items)
     try:
         original = infer_schema(q, env)
-        rewritten = infer_schema(flat, env)
+        schema = infer_schema(flat, env)
     except TypeCheckError as exc:
         # e.g. colliding source attribute names once projections are hoisted
         raise Unflattenable(str(exc)) from None
-    if original.attribute_names != rewritten.attribute_names or [
-        a.data_type for a in original.attributes
-    ] != [a.data_type for a in rewritten.attributes]:
+    if not _same_shape(original, schema):
         raise Unflattenable("flattened fragment changes the output schema")
-    return flat
+    return flat, schema
 
 
 # --- fetch/residual splitting ----------------------------------------------------
@@ -213,17 +211,19 @@ def plan(
     sunk = push_down_selects(unfolded, env) if push_predicates else unfolded
     inter_ns = _intermediate_namespace(env, bound)
     steps: list[FetchStep] = []
+    residual_env: dict[QualifiedName, RelationSchema] = {}
 
     def split(node: Query) -> Query:
         node_namespaces = namespaces(node)
         if len(node_namespaces) == 1 and not contains_hash_call(node):
             try:
-                flat = flatten_query(node, env)
+                flat, schema = flatten_query(node, env)
             except Unflattenable:
-                flat = None
-            if flat is not None:
+                pass
+            else:
                 intermediate = QualifiedName(inter_ns, f"f{len(steps)}")
                 steps.append(FetchStep(next(iter(node_namespaces)), flat, intermediate))
+                residual_env[intermediate] = schema
                 return Scan(intermediate)
         if isinstance(node, Scan):
             # A scan flattens unless its schema is malformed, as with a
@@ -235,15 +235,7 @@ def plan(
 
     # Planner self-check: the residual must type out to the same shape as the
     # unfolded query.
-    residual_env = {
-        step.intermediate: infer_schema(step.query, env).rename(step.intermediate.relation)
-        for step in steps
-    }
-    expected = infer_schema(unfolded, env)
-    got = infer_schema(residual, residual_env)
-    if expected.attribute_names != got.attribute_names or [
-        a.data_type for a in expected.attributes
-    ] != [a.data_type for a in got.attributes]:
+    if not _same_shape(infer_schema(unfolded, env), infer_schema(residual, residual_env)):
         raise ConfigError("planner produced a plan with a different schema")
     return ExecutionPlan(tuple(steps), residual)
 

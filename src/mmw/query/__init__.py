@@ -17,7 +17,6 @@ from mmw.query.ast import (
     QualifiedName,
     Query,
     RedactCall,
-    Rename,
     Scan,
     Select,
     Union,
@@ -43,7 +42,6 @@ __all__ = [
     "QualifiedName",
     "Query",
     "RedactCall",
-    "Rename",
     "Scan",
     "Select",
     "Union",

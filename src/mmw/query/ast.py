@@ -130,22 +130,6 @@ class Project(Query):
 
 
 @dataclass(frozen=True)
-class Rename(Query):
-    child: Query
-    mapping: tuple[tuple[str, str], ...]
-
-    def __init__(self, child: Query, mapping):
-        object.__setattr__(self, "child", child)
-        if isinstance(mapping, dict):
-            mapping = tuple(sorted(mapping.items()))
-        object.__setattr__(self, "mapping", tuple(tuple(pair) for pair in mapping))
-
-    @property
-    def mapping_dict(self) -> dict[str, str]:
-        return dict(self.mapping)
-
-
-@dataclass(frozen=True)
 class Join(Query):
     """Inner equi-join; right join-key attributes are dropped from the output."""
 
@@ -171,7 +155,7 @@ def children(node) -> tuple:
     """The direct sub-trees of node in its own tree: child queries of a query
     node, operands of a predicate or an expression. A select's predicate and a
     projection's items belong to other trees and are not children."""
-    if isinstance(node, (Select, Project, Rename, LogicalNot)):
+    if isinstance(node, (Select, Project, LogicalNot)):
         return (node.child,)
     if isinstance(node, (Join, Union, Comparison, LogicalAnd, LogicalOr, ConcatCall)):
         return (node.left, node.right)
@@ -192,8 +176,6 @@ def map_children(node, fn):
         return Select(fn(node.child), node.predicate)
     if isinstance(node, Project):
         return Project(fn(node.child), node.items)
-    if isinstance(node, Rename):
-        return Rename(fn(node.child), node.mapping)
     if isinstance(node, Join):
         return Join(fn(node.left), fn(node.right), node.pairs)
     if isinstance(node, Comparison):
@@ -224,7 +206,7 @@ def namespaces(q: Query) -> set[str]:
 
 
 def rewrite_namespaces(q: Query, mapping: dict[str, str]) -> Query:
-    """Rename scan namespaces (e.g. consumer alias -> producer namespace)."""
+    """Replace scan namespaces (e.g. consumer alias -> producer namespace)."""
     if isinstance(q, Scan):
         target = mapping.get(q.name.namespace)
         return q if target is None else Scan(QualifiedName(target, q.name.relation))

@@ -32,7 +32,6 @@ from mmw.query.ast import (
     QualifiedName,
     Query,
     RedactCall,
-    Rename,
     Scan,
     Select,
     Union,
@@ -40,7 +39,6 @@ from mmw.query.ast import (
 from mmw.query.infer import (
     join_output_schema,
     project_output_schema,
-    rename_output_schema,
     union_output_schema,
 )
 
@@ -158,9 +156,6 @@ def evaluate(q: Query, db: Mapping[QualifiedName, Table], salt: str = "") -> Tab
             for row in child.rows
         ]
         return Table(schema, rows)
-    if isinstance(q, Rename):
-        child = evaluate(q.child, db, salt)
-        return Table(rename_output_schema(child.schema, q.mapping_dict), child.rows)
     if isinstance(q, Join):
         left = evaluate(q.left, db, salt)
         right = evaluate(q.right, db, salt)

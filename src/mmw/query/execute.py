@@ -47,7 +47,6 @@ from mmw.query.ast import (
     QualifiedName,
     Query,
     RedactCall,
-    Rename,
     Scan,
     Select,
     Union,
@@ -56,7 +55,6 @@ from mmw.query.evaluate import REDACTED, _TRUE_ORDERINGS, _index, hash_value
 from mmw.query.infer import (
     join_output_schema,
     project_output_schema,
-    rename_output_schema,
     union_output_schema,
 )
 
@@ -176,9 +174,6 @@ def execute(q: Query, db: Mapping[QualifiedName, Table], salt: str = "") -> Tabl
         index = _index(child)
         items = [_compile_expr(item.expr, index, salt) for item in q.items]
         return Table(schema, [tuple([item(row) for item in items]) for row in child.rows])
-    if isinstance(q, Rename):
-        child = execute(q.child, db, salt)
-        return Table(rename_output_schema(child.schema, q.mapping_dict), child.rows)
     if isinstance(q, Join):
         left = execute(q.left, db, salt)
         right = execute(q.right, db, salt)

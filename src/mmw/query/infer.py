@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from mmw.errors import TypeCheckError, UnknownRelationError
-from mmw.relational import Attribute, Kind, RelationSchema, is_identifier
+from mmw.relational import Attribute, Kind, RelationSchema
 from mmw.query.ast import (
     AttrRef,
     Comparison,
@@ -28,7 +28,6 @@ from mmw.query.ast import (
     QualifiedName,
     Query,
     RedactCall,
-    Rename,
     Scan,
     Select,
     Union,
@@ -113,25 +112,6 @@ def project_output_schema(
     return RelationSchema(child.name, attrs, key)
 
 
-def rename_output_schema(
-    child: RelationSchema, mapping: dict[str, str], path: str = "$"
-) -> RelationSchema:
-    child_names = set(child.attribute_names)
-    for old, new in mapping.items():
-        if old not in child_names:
-            raise TypeCheckError(f"{path}: unknown attribute {old!r} in rename")
-        if not is_identifier(new):
-            raise TypeCheckError(f"{path}: invalid attribute name {new!r}")
-    attrs = [attr.with_name(mapping.get(attr.name, attr.name)) for attr in child.attributes]
-    names = [attr.name for attr in attrs]
-    if len(set(names)) != len(names):
-        raise TypeCheckError(f"{path}: rename produces duplicate attribute names")
-    key = None
-    if child.key is not None:
-        key = tuple(mapping.get(k, k) for k in child.key)
-    return RelationSchema(child.name, attrs, key)
-
-
 def join_output_schema(
     left: RelationSchema,
     right: RelationSchema,
@@ -166,7 +146,8 @@ def join_output_schema(
     duplicates = sorted({name for name in names if names.count(name) > 1})
     if duplicates:
         raise TypeCheckError(
-            f"{path}: join output has duplicate attributes {duplicates}; disambiguate with a rename"
+            f"{path}: join output has duplicate attributes {duplicates}; "
+            "disambiguate with a view that renames them with AS"
         )
     return RelationSchema(left.name, attrs, None), dropped
 
@@ -215,9 +196,6 @@ def infer_schema(q: Query, env: Environment, path: str = "$") -> RelationSchema:
         if q.items is None:
             return child
         return project_output_schema(child, q.items, path)
-    if isinstance(q, Rename):
-        child = infer_schema(q.child, env, path + ".child")
-        return rename_output_schema(child, q.mapping_dict, path)
     if isinstance(q, Join):
         left = infer_schema(q.left, env, path + ".left")
         right = infer_schema(q.right, env, path + ".right")

@@ -4,7 +4,7 @@ The canonical form keys the result cache and travels on the wire, so it must
 be deterministic and reparse to the same tree. Trees are normalized first:
 stacked selections merge into one AND-predicate, a missing top projection
 becomes ``SELECT *``, and unions re-associate to the right. Trees that fall
-outside the textual grammar (renames, non-scan join operands, nested blocks)
+outside the textual grammar (non-scan join operands, nested blocks)
 cannot be rendered and raise ``RenderError``.
 """
 

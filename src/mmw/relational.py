@@ -390,14 +390,6 @@ def relation_violations(schema: RelationSchema, path: Optional[str] = None) -> l
     return found
 
 
-RESERVED_METADATA_KEYS = (
-    "description",
-    "owner",
-    "quality.freshness",
-    "quality.completeness",
-)
-
-
 def validate_product_schema(schema: ProductSchema) -> list[Violation]:
     """Every invariant violation, ordered lexicographically by path."""
     found: list[Violation] = []

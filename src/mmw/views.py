@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from mmw.errors import ConfigError, TypeCheckError, UnknownRelationError, ViewCycleError
-from mmw.relational import ProductSchema, RelationSchema
+from mmw.relational import ProductSchema, RelationSchema, validate_product_schema
 from mmw.query.ast import QualifiedName, Query, Scan, map_children, scan_names
 from mmw.query.infer import Environment, infer_schema
 from mmw.query.parse import parse_view_statements
@@ -130,7 +130,12 @@ def derive_global_schema(
     version: int,
     metadata: Mapping[str, str] | None = None,
 ) -> ProductSchema:
-    """One relation per view, typed through the unfolded body."""
+    """One relation per view, typed through the unfolded body; raises
+    ConfigError naming the first violation of the product schema invariants."""
     schemas = check_views(views, downstream)
     relations = [schemas[view.qualified] for view in views]
-    return ProductSchema(product, version, relations, dict(metadata or {}))
+    schema = ProductSchema(product, version, relations, dict(metadata or {}))
+    violations = validate_product_schema(schema)
+    if violations:
+        raise ConfigError(f"product {product!r}: {violations[0]}")
+    return schema

@@ -27,7 +27,6 @@ from mmw.query.ast import (
     QualifiedName,
     Query,
     RedactCall,
-    Rename,
     Scan,
     Select,
     Union,
@@ -61,7 +60,6 @@ SAMPLES = {
     Scan: SCAN_A,
     Select: Select(SCAN_A, COMPARISON),
     Project: Project(SCAN_A, [ProjectItem(HashCall(ATTR), "h")]),
-    Rename: Rename(SCAN_A, {"x": "y"}),
     Join: Join(SCAN_A, SCAN_B, [("x", "y")]),
     Union: Union(SCAN_A, SCAN_B),
 }
@@ -134,7 +132,7 @@ def test_walk_is_pre_order():
 def _scans_left_to_right(q):
     if isinstance(q, Scan):
         return [q.name]
-    if isinstance(q, (Select, Project, Rename)):
+    if isinstance(q, (Select, Project)):
         return _scans_left_to_right(q.child)
     return _scans_left_to_right(q.left) + _scans_left_to_right(q.right)
 

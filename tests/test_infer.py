@@ -12,7 +12,6 @@ from mmw.query.ast import (
     Project,
     ProjectItem,
     QualifiedName,
-    Rename,
     Scan,
     Union,
 )
@@ -106,20 +105,6 @@ class TestInfer:
                 parse_query("SELECT * FROM hr.people JOIN hr.people2 ON id = id"), env
             )
         assert "rename" in str(err.value)
-
-    def test_rename_resolves_collision(self):
-        env = dict(ENV)
-        env[QualifiedName("hr", "people2")] = PEOPLE.rename("people2")
-        tree = Join(
-            Scan(QualifiedName("hr", "people")),
-            Rename(
-                Scan(QualifiedName("hr", "people2")),
-                {"name": "name2", "ssn": "ssn2"},
-            ),
-            [("id", "id")],
-        )
-        schema = infer_schema(tree, env)
-        assert schema.attribute_names == ("id", "name", "ssn", "name2", "ssn2")
 
     def test_union_arity_mismatch_names_both(self):
         tree = Union(

@@ -11,9 +11,25 @@ import re
 import pytest
 
 from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter, MemoryAdapter
-from mmw.errors import AccessDeniedError, ConfigError, UnavailableError, UnknownRelationError
+from mmw.errors import (
+    AccessDeniedError,
+    ConfigError,
+    TypeCheckError,
+    UnavailableError,
+    UnknownRelationError,
+)
 from mmw.mediator import Mediator
-from mmw.query.ast import AttrRef, CompareOp, Comparison, Literal, QualifiedName, Rename, Scan, Select
+from mmw.query.ast import (
+    AttrRef,
+    CompareOp,
+    Comparison,
+    Literal,
+    Project,
+    ProjectItem,
+    QualifiedName,
+    Scan,
+    Select,
+)
 from mmw.query.evaluate import evaluate, fnv1a_hex
 from mmw.query.parse import parse_query
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value, bag_equal
@@ -100,6 +116,33 @@ class TestSchema:
         with pytest.raises(ConfigError):
             Mediator("m1", "p", {"p": people_wrapper()}, [])
 
+    def test_version_below_one_is_config_error(self):
+        with pytest.raises(ConfigError) as caught:
+            Mediator("m1", "prod", {"p": people_wrapper()}, [], version=0)
+        assert "version must be a positive integer, got 0" in caught.value.message
+
+    def test_failed_reconfigure_changes_nothing(self):
+        mediator = Mediator(
+            "m1",
+            "prod",
+            {"p": people_wrapper()},
+            ["CREATE VIEW v AS SELECT name FROM p.people"],
+            metadata={"owner": "me"},
+        )
+        before, product = mediator.epoch(), mediator.get_schema()
+        with pytest.raises(TypeCheckError):
+            mediator.reconfigure(
+                views=["CREATE VIEW v AS SELECT nope FROM p.people"],
+                version=2,
+                metadata={"owner": "you"},
+            )
+        assert (mediator.version, mediator.metadata) == (1, {"owner": "me"})
+        assert mediator.get_schema() is product
+        assert epoch_steps(before, mediator.epoch()) == (0, 0)
+        mediator.reconfigure(views=["CREATE VIEW v AS SELECT id FROM p.people"])
+        assert mediator.get_schema().version == 1
+        assert mediator.get_schema().metadata_map == {"owner": "me"}
+
 
 class TestExecute:
     def test_pass_through_view_returns_wrapper_rows(self):
@@ -157,6 +200,31 @@ class TestExecute:
             QualifiedName("s", "orders"): Table(ORDERS, orders),
         }
         assert bag_equal(result, evaluate(unfold(q, [view]), db))
+
+    def test_view_renaming_with_as_resolves_a_join_collision(self):
+        people = people_wrapper().adapter.load("people").rows
+        adapter = MemoryAdapter(
+            [PEOPLE, PEOPLE.rename("people2")], {"people": people, "people2": people}
+        )
+        wrapper = Wrapper(WrapperConfig("w_hr", "hr", adapter))
+        mediator = Mediator(
+            "m1",
+            "prod",
+            {"p": wrapper},
+            [
+                "CREATE VIEW p2 AS SELECT id, name AS name2 FROM p.people2",
+                "CREATE VIEW pairs AS SELECT * FROM p.people JOIN prod.p2 ON id = id",
+            ],
+        )
+        assert mediator.get_schema().relation("pairs").attribute_names == (
+            "id",
+            "name",
+            "ssn",
+            "name2",
+        )
+        result = mediator.execute(parse_query("SELECT * FROM prod.pairs"))
+        assert len(result.rows) == 2
+        assert set(result.rows) == {row + (row[1],) for row in people}
 
     def test_type_error_against_product_schema(self):
         mediator = Mediator(
@@ -265,18 +333,22 @@ class TestCache:
         assert mediator.cache_info()["entries"] == 0
 
     def test_unrenderable_queries_skip_the_cache(self):
-        # A rename has no textual form, so two different ones must not share
-        # a cache entry at one epoch.
+        # A block over a block has no textual form, so two different ones
+        # must not share a cache entry at one epoch.
         mediator = Mediator(
             "m1", "prod", {"p": people_wrapper()}, ["CREATE VIEW v AS SELECT id, name FROM p.people"]
         )
 
-        def where_id(n):
+        def nested(n, *names):
             equal = Comparison(AttrRef("id"), CompareOp.EQ, Literal(Value.integer(n)))
-            return Select(Scan(QualifiedName("prod", "v")), equal)
+            inner = Project(
+                Select(Scan(QualifiedName("prod", "v")), equal),
+                [ProjectItem(AttrRef(old), new) for old, new in zip(("id", "name"), names)],
+            )
+            return Project(inner, [ProjectItem(AttrRef(name), name) for name in names])
 
-        first = mediator.execute(Rename(where_id(1), {"id": "ident"}))
-        second = mediator.execute(Rename(where_id(2), {"name": "label"}))
+        first = mediator.execute(nested(1, "ident", "name"))
+        second = mediator.execute(nested(2, "id", "label"))
         assert first.schema.attribute_names == ("ident", "name")
         assert first.rows == ((Value.integer(1), Value.text("ada")),)
         assert second.schema.attribute_names == ("id", "label")

@@ -158,6 +158,15 @@ class TestMeshLifecycle:
         assert repr(value) in caught.value.message
         assert not mesh.running and not mesh.components
 
+    def test_non_text_metadata_value_is_config_error(self):
+        document = two_domain_doc()
+        document["components"][1]["config"]["metadata"] = {"owner": 5}
+        mesh = Mesh(load_topology(document))
+        with pytest.raises(ConfigError) as caught:
+            mesh.up()
+        assert "metadata value for 'owner' must be text" in caught.value.message
+        assert not mesh.running and not mesh.components
+
     def test_startup_is_producers_first(self):
         with Mesh(load_topology(two_domain_doc())) as mesh:
             order = mesh._order

@@ -1,10 +1,12 @@
-"""Every function, class and method defined in `src/mmw` is used somewhere.
+"""Every function, class, method and module-level name defined in `src/mmw`
+is used somewhere.
 
 The check parses every Python file under `src/`, `tests/` and `meshbench/`
 and counts a definition as used when its name appears as a variable, an
 attribute, an imported name or a string constant (an `__all__` entry, a name
 patched with `setattr`). A definition's references to itself, as in
-recursion, do not count. Dunder names are called by Python itself.
+recursion, do not count, nor does the target of a module-level assignment.
+Dunder names are called or read by Python itself.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ class _Scan(ast.NodeVisitor):
             super().generic_visit(node)
             self.enclosing.pop()
             return
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and not self.enclosing:
+            self._module_assignment(node)
+            return
         if isinstance(node, ast.Name):
             self._reference(node.id)
         elif isinstance(node, ast.Attribute):
@@ -51,6 +56,18 @@ class _Scan(ast.NodeVisitor):
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             self._reference(node.value)
         super().generic_visit(node)
+
+    def _module_assignment(self, node) -> None:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            for part in target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]:
+                if isinstance(part, ast.Name):
+                    self.definitions.append((part.id, part.lineno))
+                else:
+                    self.visit(part)
+        for child in (node.value, getattr(node, "annotation", None)):
+            if child is not None:
+                self.visit(child)
 
 
 def _scan(path: Path) -> _Scan:

@@ -368,8 +368,10 @@ class TestFlatten:
                 continue
             if contains_hash_call(q):
                 continue
-            flat = flatten_query(q, env)
+            flat, schema = flatten_query(q, env)
             flattened += 1
-            assert bag_equal(evaluate(q, db, "s"), evaluate(flat, db, "s"))
+            result = evaluate(flat, db, "s")
+            assert result.schema == schema
+            assert bag_equal(evaluate(q, db, "s"), result)
             render_query(flat)  # must be grammar-shaped
         assert flattened > 40 and refused > 100

@@ -317,11 +317,10 @@ class TestRender:
             merged = parse_query(render_query(stacked))
             assert bag_equal(evaluate(stacked, db), evaluate(merged, db))
 
-    def test_rename_has_no_textual_form(self):
-        from mmw.query.ast import Rename
-
+    def test_nested_block_has_no_textual_form(self):
+        inner = Project(Scan(qn("w.r")), [ProjectItem(AttrRef("a"), "b")])
         with pytest.raises(RenderError):
-            render_query(Rename(Scan(qn("w.r")), {"a": "b"}))
+            render_query(Project(inner, [ProjectItem(AttrRef("b"), "b")]))
 
     def test_decimal_literal_keeps_point(self):
         tree = parse_query("SELECT * FROM w.r WHERE a = 3.0")
