@@ -7,9 +7,12 @@ Adapters read one consistent snapshot per call and report a fingerprint the
 wrapper turns into its change epoch. Database-backed adapters can slot in
 behind the same interface later.
 
-A file adapter keeps nothing between calls: every load reads and decodes the
-file's current text. Reuse of unchanged data belongs to the mediator, which
-keeps each fetch under its downstream's epoch token.
+A file adapter keeps nothing between calls: every load reads the file's
+current text. A load may be handed the selection that sits on its relation;
+the delimited adapter then decodes only the cells the selection reads, and
+the other cells of the rows it keeps, and still validates every cell, so a
+malformed file fails whatever the selection. Reuse of unchanged data belongs
+to the mediator, which keeps each fetch under its downstream's epoch token.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Optional, TypeVar
 
 from mmw.errors import ConfigError, UnavailableError, UnknownRelationError
 from mmw.formats import iter_csv_rows, parse_jsonl
+from mmw.query.ast import Predicate
 from mmw.relational import RelationSchema, Row, Table, conform, is_identifier, relation_violations
 
 T = TypeVar("T")
@@ -42,9 +46,11 @@ class SourceAdapter(ABC):
         """Schemas of every relation the source currently offers."""
 
     @abstractmethod
-    def load(self, relation: str) -> Table:
-        """One consistent snapshot of every row of a relation; the one place
-        that raises UnknownRelationError for a relation the source lacks."""
+    def load(self, relation: str, where: Optional[Predicate] = None) -> Table:
+        """One consistent snapshot of the rows of a relation, in source order;
+        the one place that raises UnknownRelationError for a relation the
+        source lacks. It may omit rows for which `where` is not true, and
+        only those; it never omits a row without a `where`."""
 
     @abstractmethod
     def fingerprint(self) -> object:
@@ -106,7 +112,7 @@ class MemoryAdapter(SourceAdapter):
     def relations(self) -> list[RelationSchema]:
         return [self._schemas[name] for name in sorted(self._schemas)]
 
-    def load(self, relation: str) -> Table:
+    def load(self, relation: str, where: Optional[Predicate] = None) -> Table:
         schema = self._schema(relation)
         with self._lock:
             rows = list(self._rows[relation])
@@ -129,9 +135,12 @@ class _FileDirAdapter(SourceAdapter):
             raise ConfigError(f"source directory {self.path} is not readable")
 
     @abstractmethod
-    def _decode(self, name: str, text: str) -> tuple[RelationSchema, Iterable[Row]]:
-        """Schema and rows of one file; raises ValueError on malformed text,
-        also while the rows are iterated."""
+    def _decode(
+        self, name: str, text: str, where: Optional[Predicate]
+    ) -> tuple[RelationSchema, Iterable[Row]]:
+        """Schema and rows of one file, omitting at most rows for which
+        `where` is not true; raises ValueError on malformed text, also while
+        the rows are iterated."""
 
     def location(self) -> str:
         return str(self.path)
@@ -162,12 +171,16 @@ class _FileDirAdapter(SourceAdapter):
             raise UnavailableError(f"source unavailable: {exc}") from None
 
     def _parse(
-        self, file: Path, text: str, take: Callable[[RelationSchema, Iterable[Row]], T]
+        self,
+        file: Path,
+        text: str,
+        take: Callable[[RelationSchema, Iterable[Row]], T],
+        where: Optional[Predicate] = None,
     ) -> T:
         """Decode one file's text and hand its schema and rows to `take`; a
         decoding error becomes a ConfigError naming the file."""
         try:
-            return take(*self._decode(file.stem, text))
+            return take(*self._decode(file.stem, text, where))
         except ValueError as exc:
             raise ConfigError(f"{file.name}: {exc}") from None
 
@@ -177,9 +190,9 @@ class _FileDirAdapter(SourceAdapter):
             for file in self._files()
         ]
 
-    def load(self, relation: str) -> Table:
+    def load(self, relation: str, where: Optional[Predicate] = None) -> Table:
         file = self._file_for(relation)
-        return self._parse(file, self._read(file), Table)
+        return self._parse(file, self._read(file), Table, where)
 
     def fingerprint(self) -> object:
         # The inode number catches a rewrite through a temporary file and
@@ -203,7 +216,11 @@ class _FileDirAdapter(SourceAdapter):
                 if now - stat.st_ctime_ns < RACY_WINDOW_NS:
                     entry += (file.read_bytes(),)
                 entries.append(entry)
-            return tuple(entries)
+            # A list, not a tuple: CPython 3.11 puts each freed tuple of
+            # exactly 20 items on a free list it never takes from, so a
+            # source of 20 files left one there per probe until a full
+            # collection.
+            return entries
         except OSError as exc:
             raise UnavailableError(f"source unavailable: {exc}") from None
 
@@ -214,8 +231,10 @@ class DelimitedDirAdapter(_FileDirAdapter):
     kind = "delimited_dir"
     suffix = ".csv"
 
-    def _decode(self, name: str, text: str) -> tuple[RelationSchema, Iterable[Row]]:
-        return iter_csv_rows(name, text)
+    def _decode(
+        self, name: str, text: str, where: Optional[Predicate]
+    ) -> tuple[RelationSchema, Iterable[Row]]:
+        return iter_csv_rows(name, text, where)
 
 
 class DocLinesAdapter(_FileDirAdapter):
@@ -224,6 +243,8 @@ class DocLinesAdapter(_FileDirAdapter):
     kind = "doc_lines"
     suffix = ".jsonl"
 
-    def _decode(self, name: str, text: str) -> tuple[RelationSchema, Iterable[Row]]:
+    def _decode(
+        self, name: str, text: str, where: Optional[Predicate]
+    ) -> tuple[RelationSchema, Iterable[Row]]:
         table = parse_jsonl(text, name)
         return table.schema, table.rows

@@ -9,7 +9,9 @@ no cell dispatches on its kind, and every result and error is the
 reference's by construction. The codec adds only what each format puts
 around the canonical text: JSON null, boolean and number cells on the wire,
 null versus quoted empty in delimited files, json-lines literals and
-quoting, and values whose kind is not their column's.
+quoting, and values whose kind is not their column's. A delimited column
+also has a validate-only check built from `relational.TEXT_CHECKS`, for the
+cells a selective read does not decode.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from mmw.relational import (
     ProductSchema,
     RelationSchema,
     Row,
+    TEXT_CHECKS,
     TEXT_READERS,
     TEXT_RENDERERS,
     Value,
@@ -147,6 +150,24 @@ def csv_decoder(attr: Attribute) -> Callable[[tuple[str, bool]], Value]:
         return empty
 
     return decode_cell
+
+
+def csv_check(attr: Attribute) -> Optional[Callable[[tuple[str, bool]], bool]]:
+    """Validate-only twin of `csv_decoder(attr)`: True exactly when the
+    decoder would not raise; None for a text column, whose every cell decodes."""
+    kind = attr.data_type
+    if kind is Kind.TEXT:
+        return None
+    ok = TEXT_CHECKS[kind]
+    nullable = attr.nullable
+
+    def check_cell(cell):
+        text, quoted = cell
+        if text or quoted:
+            return ok(text)
+        return nullable
+
+    return check_cell
 
 
 def rows_from_wire(kinds: Sequence[Kind], raw_rows) -> list[Row]:

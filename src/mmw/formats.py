@@ -5,7 +5,16 @@ header row of `name:type` cells (a '?' suffix marks nullable attributes).
 An unquoted empty field is null; an empty quoted field is empty text. The
 stdlib csv module collapses exactly that distinction, so the splitter is
 this module's own: one regular expression that matches a cell and the
-separator after it.
+separator after it. A text with no '"' and no carriage return has neither
+quoted cells nor anything to refuse, so it is split on line breaks and
+commas by `str.split` instead; the regular expression stays the path for
+every other text and the oracle the quick split is tested against.
+
+A csv read given a selection predicate decodes only the predicate's columns
+of each row and the other cells of the rows it keeps; every cell it does not
+decode is still validated (`relational.TEXT_CHECKS`), and a refused cell or
+row sends the whole text through the full decode, so a malformed file fails
+with the same message either way.
 
 json-lines format: one flat JSON object per row, field order = schema
 order. Decimals are emitted as raw numeric tokens with a forced '.' so a
@@ -22,9 +31,14 @@ from __future__ import annotations
 import json
 import re
 from decimal import Decimal
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from mmw.codec import csv_decoder, jsonl_encoder, rows_to_wire
+from mmw.codec import csv_check, csv_decoder, jsonl_encoder, rows_to_wire
+from mmw.errors import TypeCheckError
+from mmw.query.ast import Predicate, contains_hash_call, predicate_attrs
+from mmw.query.execute import _compile_predicate
+from mmw.query.infer import check_predicate
 from mmw.relational import (
     Attribute,
     Kind,
@@ -54,6 +68,18 @@ _CELL_RE = re.compile(r'(?:"((?:[^"]|"")*)"(?!")([^,"\r\n]*)|([^,"\r\n]*))(,|\r?
 
 def split_delimited(text: str) -> list[list[Cell]]:
     """Parse delimited text into rows of (text, was_quoted) cells."""
+    if '"' in text or "\r" in text:
+        return regex_split_delimited(text)
+    lines = text.split("\n")
+    if lines[-1] == "":  # after a final line break there is no last row
+        lines.pop()
+    return [[(cell, False) for cell in line.split(",")] for line in lines]
+
+
+def regex_split_delimited(text: str) -> list[list[Cell]]:
+    """`split_delimited` by the cell regular expression alone: the path of
+    every text with a quote or a carriage return, and the oracle of the
+    quote-free split."""
     rows: list[list[Cell]] = []
     row: list[Cell] = []
     pos = 0
@@ -135,16 +161,22 @@ def render_csv(table: Table) -> str:
     return join_delimited(rows)
 
 
-def iter_csv_rows(name: str, text: str) -> tuple[RelationSchema, Iterator[Row]]:
+def iter_csv_rows(
+    name: str, text: str, where: Optional[Predicate] = None
+) -> tuple[RelationSchema, Iterator[Row]]:
     """Split the text and read the header now; decode each data row only as
-    the returned iterator reaches it, so reading the schema decodes none."""
+    the returned iterator reaches it, so reading the schema decodes none.
+
+    With `where`, rows for which it is not true may be left out, the others
+    keep their order. It is used only when it type-checks against the header
+    and holds no hash(), whose value depends on the reader's salt."""
     raw_rows = split_delimited(text)
     if not raw_rows:
         raise ValueError("missing header row")
     schema = schema_from_header(name, raw_rows[0])
+    decoders = [csv_decoder(attr) for attr in schema.attributes]
 
     def generate() -> Iterator[Row]:
-        decoders = [csv_decoder(attr) for attr in schema.attributes]
         for line_number, raw in enumerate(raw_rows[1:], start=2):
             if len(raw) != len(decoders):
                 raise ValueError(
@@ -156,7 +188,56 @@ def iter_csv_rows(name: str, text: str) -> tuple[RelationSchema, Iterator[Row]]:
                 raise ValueError(f"line {line_number}: {exc}") from None
             yield row
 
-    return schema, generate()
+    if where is None or contains_hash_call(where):
+        return schema, generate()
+    try:
+        check_predicate(where, schema)
+    except TypeCheckError:
+        return schema, generate()
+
+    def generate_selected() -> Iterator[Row]:
+        kept = _selected_rows(schema, decoders, raw_rows, where)
+        yield from generate() if kept is None else kept
+
+    return schema, generate_selected()
+
+
+def _selected_rows(
+    schema: RelationSchema, decoders: list, raw_rows: list[list[Cell]], where: Predicate
+) -> Optional[list[Row]]:
+    """The data rows for which `where` is true, in order, decoding only the
+    predicate's cells of every other row and checking the rest; None as soon
+    as any row or cell would fail to decode."""
+    attrs = schema.attributes
+    names = predicate_attrs(where)
+    test = _compile_predicate(where, {attr.name: p for p, attr in enumerate(attrs)}, "")
+    keys = [(p, decoders[p]) for p, attr in enumerate(attrs) if attr.name in names]
+    checks = [
+        (p, check)
+        for p, attr in enumerate(attrs)
+        if attr.name not in names and (check := csv_check(attr)) is not None
+    ]
+    width = len(attrs)
+    data = raw_rows[1:]
+    # One row buffer for every test: the predicate reads only the cells of
+    # its own columns, which each row overwrites.
+    probe: list = [None] * width
+    kept = []
+    try:
+        for raw in data:
+            if len(raw) != width:
+                return None
+            for p, decode in keys:
+                probe[p] = decode(raw[p])
+            if test(probe) is True:
+                kept.append(tuple([decode(cell) for decode, cell in zip(decoders, raw)]))
+    except ValueError:
+        return None
+    # Column by column; the kept rows decoded, so checking them again is moot.
+    for p, check in checks:
+        if not all(map(check, map(itemgetter(p), data))):
+            return None
+    return kept
 
 
 def parse_csv(text: str, name: str = "relation") -> Table:

@@ -22,6 +22,11 @@ answer. Errors are never kept.
 
 Downstream bindings are fetched once at configure time; schema changes
 require an explicit reconfiguration, which bumps the mediator's epoch.
+A configuration (views, environments, product schema, version, metadata and
+generation) is one frozen object installed by a single assignment, and each
+request reads it once, so a request never mixes two configurations. A
+reconfiguration leaves the cache alone: result slots hold the generation in
+their token, and fetch slots do not depend on the views.
 """
 
 from __future__ import annotations
@@ -40,6 +45,18 @@ from mmw.relational import ProductSchema, RelationSchema, Table, is_identifier
 from mmw.views import ViewDeclaration, derive_global_schema, parse_view_source, unfold
 
 ViewInput = TypingUnion[str, ViewDeclaration]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Configuration:
+    views: tuple[ViewDeclaration, ...]
+    views_by_name: Mapping[str, ViewDeclaration]
+    base_env: Mapping[QualifiedName, RelationSchema]
+    product_schema: ProductSchema
+    product_env: Mapping[QualifiedName, RelationSchema]
+    version: int
+    metadata: Mapping[str, str]
+    generation: int
 
 
 class Mediator(ComponentBase):
@@ -83,7 +100,8 @@ class Mediator(ComponentBase):
         # query text, or (alias, fetch text) -> (token, Table)
         self._cache: OrderedDict[object, tuple[object, Table]] = OrderedDict()
         self._cache_lock = threading.Lock()
-        self._generation = 0
+        self._configure_lock = threading.Lock()
+        self._config: Optional[_Configuration] = None
         self._configure(views, version, dict(metadata or {}))
 
     # -- configuration ---------------------------------------------------------
@@ -92,7 +110,8 @@ class Mediator(ComponentBase):
         self, views: Sequence[ViewInput], version: int, metadata: dict[str, str]
     ) -> None:
         """Derive the product from views, version and metadata and install it
-        all together; on any error nothing changes."""
+        all together; on any error nothing changes. The caller holds
+        `_configure_lock` or is the constructor."""
         declared: list[ViewDeclaration] = []
         for item in views:
             if isinstance(item, str):
@@ -121,18 +140,19 @@ class Mediator(ComponentBase):
                             f"view {relation.name!r} exposes identifying attribute "
                             f"{attr.name!r} raw; wrap it in hash() or redact()"
                         )
-        self.views = tuple(declared)
-        self.version = version
-        self.metadata = metadata
-        self._views_by_name = {view.name: view for view in declared}
-        self._base_env = env
-        self._product_schema = product
-        self._product_env = {
-            QualifiedName(self.product, relation.name): relation for relation in product.relations
-        }
-        self._generation += 1
-        with self._cache_lock:
-            self._cache.clear()
+        self._config = _Configuration(
+            views=tuple(declared),
+            views_by_name={view.name: view for view in declared},
+            base_env=env,
+            product_schema=product,
+            product_env={
+                QualifiedName(self.product, relation.name): relation
+                for relation in product.relations
+            },
+            version=version,
+            metadata=metadata,
+            generation=1 if self._config is None else self._config.generation + 1,
+        )
 
     def reconfigure(
         self,
@@ -142,22 +162,33 @@ class Mediator(ComponentBase):
     ) -> None:
         """Replace views/version/metadata; bumps the epoch even when nothing
         downstream changed. A failed reconfiguration changes nothing."""
-        self._configure(
-            self.views if views is None else views,
-            self.version if version is None else version,
-            self.metadata if metadata is None else dict(metadata),
-        )
+        with self._configure_lock:
+            config = self._config
+            self._configure(
+                config.views if views is None else views,
+                config.version if version is None else version,
+                config.metadata if metadata is None else dict(metadata),
+            )
+
+    @property
+    def version(self) -> int:
+        return self._config.version
+
+    @property
+    def metadata(self) -> Mapping[str, str]:
+        return self._config.metadata
 
     # -- serving ------------------------------------------------------------------
 
     def get_schema(self) -> ProductSchema:
         self._check_alive()
-        return self._product_schema
+        return self._config.product_schema
 
-    def epoch(self) -> tuple:
-        """(own token at the generation, downstream tokens in sorted alias order)."""
+    def epoch(self, config: Optional[_Configuration] = None) -> tuple:
+        """(own token at the generation of `config`, by default the installed
+        configuration, then downstream tokens in sorted alias order)."""
         self._check_alive()
-        tokens = [self._token(self._generation)]
+        tokens = [self._token((config or self._config).generation)]
         for alias in self._aliases:
             binding = self.downstream[alias]
             try:
@@ -173,9 +204,10 @@ class Mediator(ComponentBase):
         return self._serve_request(q, principal, lambda text: self._answer(q, text))
 
     def _answer(self, q: Query, query_text: Optional[str]) -> tuple[Table, int, bool]:
-        result_schema = infer_schema(q, self._product_env)
+        config = self._config
+        result_schema = infer_schema(q, config.product_env)
         caching = self.cache_capacity > 0
-        token = self.epoch() if caching else None
+        token = self.epoch(config) if caching else None
         # A query with no textual form has no cache key, so it always misses.
         key = query_text if caching else None
         cached = self._kept(key, token)
@@ -183,7 +215,7 @@ class Mediator(ComponentBase):
             self._count_cache(True)
             return cached, len(cached.rows), True
         self._count_cache(False)
-        exec_plan = plan(q, self.views, self.downstream.keys(), self._base_env)
+        exec_plan = plan(q, config.views, self.downstream.keys(), config.base_env)
 
         downstream_tokens = dict(zip(self._aliases, token[1:])) if caching else {}
 
@@ -233,14 +265,15 @@ class Mediator(ComponentBase):
 
     def lineage(self, relation: str) -> LineageNode:
         self._check_alive()
-        view = self._views_by_name.get(relation)
+        config = self._config
+        view = config.views_by_name.get(relation)
         if view is None:
             raise UnknownRelationError(
                 f"unknown relation {relation!r} (declared views: "
-                f"{sorted(self._views_by_name)})",
+                f"{sorted(config.views_by_name)})",
                 origin=self.component_id,
             )
-        unfolded = unfold(view.body, self.views)
+        unfolded = unfold(view.body, config.views)
         children: list[LineageNode] = []
         seen: set[QualifiedName] = set()
         for name in scan_names(unfolded):

@@ -191,6 +191,35 @@ def _intermediate_namespace(env: Environment, bound: AbstractSet[str]) -> str:
     return candidate
 
 
+# Module-level rather than a closure, for the reason views._expand is.
+def _split(
+    node: Query,
+    env: Environment,
+    inter_ns: str,
+    steps: list[FetchStep],
+    residual_env: dict[QualifiedName, RelationSchema],
+) -> Query:
+    """node with each maximal fragment that one component can answer made a
+    fetch: appended to `steps`, typed in `residual_env`, and scanned under
+    its intermediate name in the returned residual."""
+    node_namespaces = namespaces(node)
+    if len(node_namespaces) == 1 and not contains_hash_call(node):
+        try:
+            flat, schema = flatten_query(node, env)
+        except Unflattenable:
+            pass
+        else:
+            intermediate = QualifiedName(inter_ns, f"f{len(steps)}")
+            steps.append(FetchStep(next(iter(node_namespaces)), flat, intermediate))
+            residual_env[intermediate] = schema
+            return Scan(intermediate)
+    if isinstance(node, Scan):
+        # A scan flattens unless its schema is malformed, as with a
+        # repeated attribute name.
+        raise ConfigError(f"cannot push scan of {node.name}")
+    return map_children(node, lambda child: _split(child, env, inter_ns, steps, residual_env))
+
+
 def plan(
     q: Query,
     views: Sequence[ViewDeclaration],
@@ -209,29 +238,9 @@ def plan(
         if namespace not in bound:
             raise ConfigError(f"namespace {namespace!r} has no binding")
     sunk = push_down_selects(unfolded, env) if push_predicates else unfolded
-    inter_ns = _intermediate_namespace(env, bound)
     steps: list[FetchStep] = []
     residual_env: dict[QualifiedName, RelationSchema] = {}
-
-    def split(node: Query) -> Query:
-        node_namespaces = namespaces(node)
-        if len(node_namespaces) == 1 and not contains_hash_call(node):
-            try:
-                flat, schema = flatten_query(node, env)
-            except Unflattenable:
-                pass
-            else:
-                intermediate = QualifiedName(inter_ns, f"f{len(steps)}")
-                steps.append(FetchStep(next(iter(node_namespaces)), flat, intermediate))
-                residual_env[intermediate] = schema
-                return Scan(intermediate)
-        if isinstance(node, Scan):
-            # A scan flattens unless its schema is malformed, as with a
-            # repeated attribute name.
-            raise ConfigError(f"cannot push scan of {node.name}")
-        return map_children(node, split)
-
-    residual = split(sunk)
+    residual = _split(sunk, env, _intermediate_namespace(env, bound), steps, residual_env)
 
     # Planner self-check: the residual must type out to the same shape as the
     # unfolded query.

@@ -11,7 +11,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 from enum import Enum
 from typing import Callable, Iterable, Optional, Union
 
@@ -65,7 +65,11 @@ def _canonical_decimal(raw: Union[str, int, Decimal]) -> Decimal:
         raise ValueError(f"decimal must be finite: {raw!r}")
     if dec == 0:
         return Decimal(0)  # collapses -0
-    return dec.normalize()
+    try:
+        return dec.normalize()
+    except Overflow:
+        # A million-digit text rounds past the context's largest exponent.
+        raise ValueError("decimal out of range") from None
 
 
 def _decimal_text(dec: Decimal) -> str:
@@ -192,6 +196,41 @@ TEXT_READERS: dict[Kind, Callable[[str], Value]] = {
 }
 
 
+# Only valid moments match: years from 0001, days up to the 28th, and
+# in-range clock fields.
+_PLAIN_TIMESTAMP = re.compile(
+    r"(?!0000)[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])"
+    r"T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]Z\Z"
+)
+
+
+def _accepts(read: Callable[[str], Value], text: str) -> bool:
+    try:
+        read(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Validate-only twins of TEXT_READERS: TEXT_CHECKS[kind](text) is True exactly
+# when TEXT_READERS[kind](text) does not raise. Each settles the common texts
+# with a pattern and leaves the rest to the reader itself, so most checks
+# build no Value. A file adapter checks with them the cells it does not decode.
+TEXT_CHECKS: dict[Kind, Callable[[str], bool]] = {
+    Kind.NULL: lambda text: text == "",
+    Kind.BOOLEAN: lambda text: text == "true" or text == "false",
+    # Eighteen digits cannot leave the 64-bit range.
+    Kind.INTEGER: lambda text: _INTEGER_TEXT.match(text) is not None
+    and (len(text) < 19 or _accepts(_integer_from_text, text)),
+    # Too few digits to round past the context's largest exponent.
+    Kind.DECIMAL: lambda text: _DECIMAL_TEXT.match(text) is not None
+    and (len(text) < 999_999 or _accepts(_decimal_from_text, text)),
+    Kind.TEXT: lambda text: True,
+    Kind.TIMESTAMP: lambda text: _PLAIN_TIMESTAMP.match(text) is not None
+    or _accepts(Value.timestamp, text),
+}
+
+
 def canonical_text(value: Value) -> str:
     """Canonical rendering used by hashing, delimited files and the protocol.
 
@@ -264,7 +303,7 @@ class RelationSchema:
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
-        return tuple(attr.name for attr in self.attributes)
+        return tuple([attr.name for attr in self.attributes])
 
     def attribute(self, name: str) -> Attribute:
         for attr in self.attributes:
@@ -294,7 +333,9 @@ class ProductSchema:
         object.__setattr__(self, "version", version)
         object.__setattr__(self, "relations", tuple(relations))
         if isinstance(metadata, dict):
-            metadata = tuple(sorted(metadata.items()))
+            # Keyed by text so that a non-text key sorts, and is then refused
+            # by validate_product_schema rather than by the sort.
+            metadata = tuple(sorted(metadata.items(), key=lambda item: str(item[0])))
         object.__setattr__(self, "metadata", tuple(metadata))
 
     @property
@@ -309,7 +350,7 @@ class ProductSchema:
 
     @property
     def relation_names(self) -> tuple[str, ...]:
-        return tuple(rel.name for rel in self.relations)
+        return tuple([rel.name for rel in self.relations])
 
 
 Row = tuple[Value, ...]
@@ -324,7 +365,8 @@ class Table:
 
     def __init__(self, schema: RelationSchema, rows: Iterable[Row] = ()):
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
+        # Through a list, so the tuple is made at its final size.
+        object.__setattr__(self, "rows", tuple([tuple(row) for row in rows]))
 
     def row_bag(self) -> Counter:
         return Counter(_row_identity(row) for row in self.rows)
@@ -395,7 +437,7 @@ def validate_product_schema(schema: ProductSchema) -> list[Violation]:
     found: list[Violation] = []
     if not is_identifier(schema.product):
         found.append(Violation("", f"product name {schema.product!r} is not a valid identifier"))
-    if not (isinstance(schema.version, int) and schema.version >= 1):
+    if not (type(schema.version) is int and schema.version >= 1):
         found.append(Violation("", f"version must be a positive integer, got {schema.version!r}"))
     seen: set[str] = set()
     for rel in schema.relations:
@@ -406,6 +448,8 @@ def validate_product_schema(schema: ProductSchema) -> list[Violation]:
         found.extend(relation_violations(rel, rel_path))
     key_seen: set[str] = set()
     for meta_key, meta_value in schema.metadata:
+        if not isinstance(meta_key, str):
+            found.append(Violation("", f"metadata key {meta_key!r} must be text"))
         if meta_key in key_seen:
             found.append(Violation("", f"duplicate metadata key {meta_key!r}"))
         key_seen.add(meta_key)

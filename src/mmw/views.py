@@ -107,20 +107,26 @@ def _topological_order(
 def unfold(q: Query, views: Iterable[ViewDeclaration]) -> Query:
     """Replace every scan of a view by the view's body until only base
     relations remain. Idempotent; preserves the inferred schema."""
-    mapping = _view_map(views)
+    return _expand(q, _view_map(views), ())
 
-    def expand(node: Query, active: tuple[QualifiedName, ...]) -> Query:
-        if isinstance(node, Scan):
-            view = mapping.get(node.name)
-            if view is None:
-                return node
-            if node.name in active:
-                cycle = list(active[active.index(node.name):]) + [node.name]
-                raise ViewCycleError([str(name) for name in cycle])
-            return expand(view.body, active + (node.name,))
-        return map_children(node, lambda child: expand(child, active))
 
-    return expand(q, ())
+# Module-level rather than a closure: a recursive closure is a reference
+# cycle, which would keep every request's view map alive until the cyclic
+# collector runs.
+def _expand(
+    node: Query,
+    mapping: Mapping[QualifiedName, ViewDeclaration],
+    active: tuple[QualifiedName, ...],
+) -> Query:
+    if isinstance(node, Scan):
+        view = mapping.get(node.name)
+        if view is None:
+            return node
+        if node.name in active:
+            cycle = list(active[active.index(node.name):]) + [node.name]
+            raise ViewCycleError([str(name) for name in cycle])
+        return _expand(view.body, mapping, active + (node.name,))
+    return map_children(node, lambda child: _expand(child, mapping, active))
 
 
 def derive_global_schema(

@@ -5,19 +5,23 @@ standalone quantum: it configures and serves with no other component
 present. Each execute loads every relation the query scans once, as one
 consistent snapshot, type-checks the query against the schemas of that
 snapshot and evaluates it over the same rows with selections pushed below
-joins. The adapter's load decides whether a relation exists; the query path
-never lists the whole source.
+joins. A relation scanned once under a selection, the shape of every
+mediator fetch, is loaded with that selection's predicate, so a file adapter
+may skip decoding the rows it rules out; the query still applies the
+selection itself. The adapter's load decides whether a relation exists; the
+query path never lists the whole source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from mmw.adapters import SourceAdapter
 from mmw.component import ComponentBase, LineageNode
 from mmw.errors import ConfigError, UnknownRelationError
 from mmw.relational import ProductSchema, Table, is_identifier
-from mmw.query.ast import Query, namespaces, scan_names
+from mmw.query.ast import Predicate, QualifiedName, Query, Scan, Select, children, namespaces
 # Bound as `evaluate`: meshbench/tracing.py patches the module's `evaluate`.
 from mmw.query.execute import execute as evaluate
 from mmw.query.infer import infer_schema
@@ -37,6 +41,21 @@ class WrapperConfig:
                 raise ConfigError(f"{name!r} is not a valid identifier")
         if not isinstance(self.salt, str):
             raise ConfigError(f"salt must be text, not {self.salt!r}")
+
+
+def _scan_selections(q: Query) -> dict[QualifiedName, Optional[Predicate]]:
+    """Each relation q scans, in tree order, with the predicate of the
+    selection directly over its scan when q scans it exactly once."""
+    found: dict[QualifiedName, Optional[Predicate]] = {}
+    stack: list[tuple[Query, Optional[Predicate]]] = [(q, None)]
+    while stack:
+        node, predicate = stack.pop()
+        if isinstance(node, Scan):
+            found[node.name] = None if node.name in found else predicate
+            continue
+        over = node.predicate if isinstance(node, Select) else None
+        stack.extend((child, over) for child in reversed(children(node)))
+    return found
 
 
 class Wrapper(ComponentBase):
@@ -74,7 +93,10 @@ class Wrapper(ComponentBase):
                     f"foreign namespace {sorted(foreign)} (wrapper serves {self.namespace!r})",
                     origin=self.component_id,
                 )
-            db = {name: self.adapter.load(name.relation) for name in dict.fromkeys(scan_names(q))}
+            db = {
+                name: self.adapter.load(name.relation, where=where)
+                for name, where in _scan_selections(q).items()
+            }
             env = {name: table.schema for name, table in db.items()}
             infer_schema(q, env)
             result = evaluate(push_down_selects(q, env), db, self.config.salt)

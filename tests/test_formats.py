@@ -10,6 +10,7 @@ from mmw.formats import (
     join_delimited,
     parse_csv,
     parse_jsonl,
+    regex_split_delimited,
     render_csv,
     render_jsonl,
     render_pretty,
@@ -104,6 +105,42 @@ class TestDelimitedLowLevel:
         with pytest.raises(ValueError) as err:
             split_delimited(text)
         assert str(err.value) == message
+
+
+def _split_outcome(split, text):
+    try:
+        return split(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestQuoteFreeSplit:
+    """split_delimited splits a text with no quote and no carriage return by
+    str.split; the cell regex splitter is its oracle."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "\n", "\n\n", "a", "a\n", "a\n\n", "\na", "a\n\nb\n", ",", ",\n", ",,\n,",
+            "a,,b\n,c,\n", "é,\x0b\x0c\x1c\u2028,x\n",
+            # The fast path must not be taken on these.
+            'a"b\n', '"a,b"\n', '"\n', '"', 'a,"b', '"a""b', "a\r\nb\r\n", "a\rb", "\r",
+        ],
+    )
+    def test_matches_the_regex_splitter_on_edge_texts(self, text):
+        assert _split_outcome(split_delimited, text) == _split_outcome(regex_split_delimited, text)
+
+    def test_matches_the_regex_splitter_on_random_texts(self):
+        rng = random.Random(16)
+        alphabets = ["ab1,\n", "a,\n\n é", 'a,\n"', "a,\n\r", 'x,"\r\n']
+        for _ in range(3000):
+            alphabet = rng.choice(alphabets)
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14)))
+            if rng.random() < 0.5 and not text.endswith("\n"):
+                text += "\n"
+            assert _split_outcome(split_delimited, text) == _split_outcome(
+                regex_split_delimited, text
+            ), repr(text)
 
 
 class TestCsv:

@@ -7,9 +7,12 @@ import json
 import os
 import random
 import re
+import sys
+import threading
 
 import pytest
 
+import mmw.mediator
 from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter, MemoryAdapter
 from mmw.errors import (
     AccessDeniedError,
@@ -142,6 +145,95 @@ class TestSchema:
         mediator.reconfigure(views=["CREATE VIEW v AS SELECT id FROM p.people"])
         assert mediator.get_schema().version == 1
         assert mediator.get_schema().metadata_map == {"owner": "me"}
+
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            ({"version": True}, "version must be a positive integer, got True"),
+            ({"metadata": {5: "x"}}, "metadata key 5 must be text"),
+            ({"metadata": {5: "x", "a": "b"}}, "metadata key 5 must be text"),
+        ],
+    )
+    def test_boolean_version_and_non_text_metadata_key_are_config_errors(self, options, message):
+        with pytest.raises(ConfigError) as caught:
+            Mediator("m1", "prod", {}, [], **options)
+        assert caught.value.message == f"product 'prod': {message}"
+
+
+FLIP = RelationSchema("t", [Attribute("a", Kind.INTEGER), Attribute("b", Kind.TEXT)])
+FLIP_VIEWS = (["CREATE VIEW v AS SELECT a, b FROM src.t"], ["CREATE VIEW v AS SELECT b, a FROM src.t"])
+
+
+def flip_mediator(capacity):
+    rows = [(Value.integer(i), Value.text(f"r{i}")) for i in range(3)]
+    wrapper = Wrapper(WrapperConfig("w_src", "src", MemoryAdapter([FLIP], {"t": rows})))
+    mediator = Mediator("m1", "prod", {"src": wrapper}, FLIP_VIEWS[0], cache_capacity=capacity)
+    answers = {}
+    for views in FLIP_VIEWS:
+        mediator.reconfigure(views=views)
+        answer = mediator.execute(parse_query("SELECT * FROM prod.v"))
+        answers[answer.schema.attribute_names] = answer.rows
+    return mediator, answers
+
+
+def assert_answer_of_one_configuration(answer, answers):
+    """An answer is the one of the view set its schema says it came from."""
+    assert answers[answer.schema.attribute_names] == answer.rows
+
+
+class TestConfigurationSnapshot:
+    """A request reads the mediator's configuration once, so a
+    reconfiguration during the request never mixes two view sets."""
+
+    @pytest.mark.parametrize("capacity", [0, 64])
+    def test_reconfigure_within_a_request_answers_from_one_configuration(
+        self, capacity, monkeypatch
+    ):
+        mediator, answers = flip_mediator(capacity)
+        real = mmw.mediator.infer_schema
+        rng = random.Random(16)
+        flips = 0
+
+        def infer_then_maybe_flip(q, env):
+            nonlocal flips
+            schema = real(q, env)
+            if rng.random() < 0.5:
+                flips += 1
+                mediator.reconfigure(views=FLIP_VIEWS[flips % 2])
+            return schema
+
+        monkeypatch.setattr(mmw.mediator, "infer_schema", infer_then_maybe_flip)
+        for _ in range(60):
+            assert_answer_of_one_configuration(
+                mediator.execute(parse_query("SELECT * FROM prod.v")), answers
+            )
+        assert flips > 20
+
+    @pytest.mark.parametrize("capacity", [0, 64])
+    def test_concurrent_reconfigure_never_mixes_two_configurations(self, capacity):
+        mediator, answers = flip_mediator(capacity)
+        stop = threading.Event()
+
+        def flipper():
+            flip = 0
+            while not stop.is_set():
+                flip += 1
+                mediator.reconfigure(views=FLIP_VIEWS[flip % 2])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=flipper)
+        try:
+            thread.start()
+            for _ in range(400):
+                assert_answer_of_one_configuration(
+                    mediator.execute(parse_query("SELECT * FROM prod.v")), answers
+                )
+        finally:
+            stop.set()
+            sys.setswitchinterval(switch)
+            thread.join(timeout=30)
+        assert not thread.is_alive()
 
 
 class TestExecute:

@@ -13,6 +13,8 @@ from mmw.relational import (
     Ordering,
     ProductSchema,
     RelationSchema,
+    TEXT_CHECKS,
+    TEXT_READERS,
     Table,
     Value,
     canonical_text,
@@ -67,6 +69,68 @@ class TestCanonicalText:
     def test_timestamp_requires_whole_seconds(self):
         with pytest.raises(ValueError):
             Value.timestamp("2024-03-01T12:00:05.5Z")
+
+
+def _reads(kind: Kind, text: str) -> bool:
+    try:
+        TEXT_READERS[kind](text)
+    except ValueError:
+        return False
+    return True
+
+
+CHECK_EDGE_TEXTS = [
+    "", " ", "0", "-0", "+1", "00", "-", "1.", ".5", "1.50", "-0.0", "1e3", "1E+2", "NaN",
+    "Infinity", "١٢", "１", "12\n", "true", "false", "True", "null",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "999999999999999999", "1000000000000000000",
+    "-999999999999999999", "0000000000000000000001", "99999999999999999999",
+    "2024-02-29T00:00:00Z", "2023-02-29T00:00:00Z", "2024-02-30T12:00:00Z",
+    "2024-04-31T00:00:00Z", "2024-12-31T23:59:59Z", "2024-01-01T24:00:00Z",
+    "2024-01-01T23:60:00Z", "2024-01-01T23:59:60Z", "0000-01-01T00:00:00Z",
+    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "2024-00-10T00:00:00Z",
+    "2024-13-10T00:00:00Z", "2024-01-00T00:00:00Z", "2024-1-01T00:00:00Z",
+    "2024-01-01 00:00:00Z", "2024-01-01T00:00:00", "+2024-01-01T00:00:00Z",
+    "２024-01-01T00:00:00Z",
+]
+
+
+class TestTextChecks:
+    """TEXT_CHECKS[kind](text) is True exactly when TEXT_READERS[kind](text)
+    does not raise."""
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_agrees_with_the_reader_on_edge_texts(self, kind):
+        for text in CHECK_EDGE_TEXTS:
+            assert TEXT_CHECKS[kind](text) is _reads(kind, text), (kind, text)
+
+    def test_a_decimal_too_long_to_normalize_is_refused(self):
+        text = "9" * 1_000_001
+        assert not _reads(Kind.DECIMAL, text)
+        assert TEXT_CHECKS[Kind.DECIMAL](text) is False
+        assert TEXT_CHECKS[Kind.DECIMAL]("9" * 999_998) is True
+
+    def test_agrees_with_the_reader_on_random_texts(self):
+        rng = random.Random(16)
+        digits = "0123456789"
+        for _ in range(4000):
+            shape = rng.random()
+            if shape < 0.3:
+                text = rng.choice(["", "-", "+"]) + "".join(
+                    rng.choice(digits) for _ in range(rng.randint(0, 21))
+                )
+                if rng.random() < 0.3:
+                    text += "." + "".join(rng.choice(digits) for _ in range(rng.randint(0, 3)))
+            elif shape < 0.8:
+                fields = [rng.randint(0, 2100), rng.randint(0, 13), rng.randint(0, 32),
+                          rng.randint(0, 25), rng.randint(0, 61), rng.randint(0, 61)]
+                text = "%04d-%02d-%02dT%02d:%02d:%02dZ" % tuple(fields)
+                if rng.random() < 0.1:
+                    text = text.replace("-", rng.choice(["/", "-0", ""]), 1)
+            else:
+                text = "".join(rng.choice("tfrueals01-.TZ:١") for _ in range(rng.randint(0, 6)))
+            for kind in Kind:
+                assert TEXT_CHECKS[kind](text) is _reads(kind, text), (kind, text)
 
 
 class TestCompareValues:
@@ -184,6 +248,20 @@ class TestValidateProductSchema:
         rel = RelationSchema("orders", [Attribute("n", Kind.TEXT)], key=("id",))
         violations = validate_product_schema(ProductSchema("p", 1, [rel]))
         assert [v.path for v in violations] == ["orders.id"]
+
+    @pytest.mark.parametrize(
+        "version,metadata,message",
+        [
+            (True, {}, "version must be a positive integer, got True"),
+            (1, {5: "x"}, "metadata key 5 must be text"),
+            (1, {5: "x", "a": "b"}, "metadata key 5 must be text"),
+        ],
+    )
+    def test_boolean_version_and_non_text_metadata_keys_are_violations(
+        self, version, metadata, message
+    ):
+        violations = validate_product_schema(ProductSchema("p", version, [], metadata))
+        assert [str(v) for v in violations] == [message]
 
     def test_version_must_be_positive(self):
         assert validate_product_schema(ProductSchema("p", 0))[0].path == ""

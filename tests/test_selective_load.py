@@ -1,0 +1,252 @@
+"""Selective decoding of delimited files against the full decode.
+
+A `delimited_dir` load handed a selection predicate may decode only the
+predicate's columns of the rows it leaves out. These seeded differential
+tests hold it to its oracle, a full decode followed by `execute`: the same
+rows in the same order, or the same error message. The files carry planted
+malformed cells and ragged rows in matching and non-matching rows,
+nullable empties, quoted and quote-free texts; the predicates include
+ill-typed ones and salted `hash()` comparisons, and the wrapper-level test
+adds self-joins and unions.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from mmw.adapters import DelimitedDirAdapter
+from mmw.codec import rows_to_wire
+from mmw.errors import ConfigError, MeshError, TypeCheckError
+from mmw.formats import header_cells, join_delimited
+from mmw.query.ast import (
+    AttrRef,
+    CompareOp,
+    Comparison,
+    HashCall,
+    Join,
+    Literal,
+    LogicalAnd,
+    LogicalNot,
+    Project,
+    ProjectItem,
+    QualifiedName,
+    Scan,
+    Select,
+    Union,
+    scan_names,
+)
+from mmw.query.evaluate import evaluate, hash_value
+from mmw.query.execute import execute
+from mmw.query.infer import infer_schema
+from mmw.relational import Attribute, Kind, RelationSchema, Value
+from mmw.wrapper import Wrapper, WrapperConfig
+from support import random_predicate, random_value
+
+SALT = "pepper"
+
+# Cells every reader of the kind refuses, one draw per planted fault.
+MALFORMED = {
+    Kind.BOOLEAN: ["True", "1", "yes"],
+    Kind.INTEGER: ["1.5", "+1", "x", "9223372036854775808", "١"],
+    Kind.DECIMAL: ["1e3", ".5", "NaN", "1,"],
+    Kind.TIMESTAMP: ["2024-02-30T00:00:00Z", "2024-01-01T24:00:00Z", "2024-01-01"],
+}
+
+
+def random_file(rng: random.Random, name: str, quote_free: bool):
+    """Schema and csv text of a small random relation, with faults planted
+    in about one file in three."""
+    kinds = [Kind.BOOLEAN, Kind.INTEGER, Kind.DECIMAL, Kind.TEXT, Kind.TIMESTAMP]
+    attrs = [Attribute("k", Kind.INTEGER, nullable=rng.random() < 0.3)]
+    for position in range(rng.randint(1, 4)):
+        attrs.append(Attribute(f"c{position}", rng.choice(kinds), nullable=rng.random() < 0.4))
+    schema = RelationSchema(name, attrs)
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        row = []
+        for attr in attrs:
+            if attr.name == "k":
+                row.append(Value.null() if attr.nullable and rng.random() < 0.2
+                           else Value.integer(rng.randint(0, 5)))
+            elif attr.data_type is Kind.TEXT and quote_free:
+                text = "".join(rng.choice("abc xyz") for _ in range(rng.randint(0, 4)))
+                row.append(Value.null() if attr.nullable and rng.random() < 0.2 else Value.text(text))
+            else:
+                row.append(random_value(rng, attr.data_type, attr.nullable))
+        rows.append(tuple(row))
+    cells = [
+        [("", False) if text is None else (text, text == "") for text in texts]
+        for texts in rows_to_wire([attr.data_type for attr in attrs], rows)
+    ]
+    if cells and rng.random() < 0.35:
+        for _ in range(rng.randint(1, 2)):
+            line = rng.choice(cells)
+            fault = rng.random()
+            if fault < 0.2:
+                line.append(("1", False))  # ragged: one cell too many
+            elif fault < 0.3 and len(line) > 1:
+                line.pop()  # ragged: one cell short
+            else:
+                position = rng.randrange(len(attrs))
+                kind = attrs[position].data_type
+                if kind is Kind.TEXT or rng.random() < 0.2:
+                    # An empty field: null where nullable, refused otherwise
+                    # (except as empty text).
+                    line[position] = ("", False)
+                else:
+                    line[position] = (rng.choice(MALFORMED[kind]), False)
+    return schema, join_delimited([header_cells(schema)] + cells)
+
+
+def random_where(rng: random.Random, schema: RelationSchema):
+    """A selection over schema: well-typed mostly, sometimes ill-typed or a
+    salted hash comparison."""
+    shape = rng.random()
+    if shape < 0.1:
+        return Comparison(AttrRef("k"), CompareOp.EQ, Literal(Value.text("1")))
+    if shape < 0.15:
+        return Comparison(AttrRef("ghost"), CompareOp.EQ, Literal(Value.integer(1)))
+    if shape < 0.3:
+        # The literal is the salted hash of a key, so some rows match under
+        # the wrapper's salt and none under another.
+        target = hash_value(Value.integer(rng.randint(0, 5)), SALT).payload
+        hashed = Comparison(HashCall(AttrRef("k")), CompareOp.EQ, Literal(Value.text(target)))
+        return hashed if rng.random() < 0.5 else LogicalAnd(random_predicate(rng, schema), hashed)
+    predicate = random_predicate(rng, schema)
+    return LogicalNot(predicate) if rng.random() < 0.1 else predicate
+
+
+def outcome(thunk):
+    """The result of thunk, or its error as text. Executing a predicate on
+    an attribute the file lacks raises KeyError on the first row."""
+    try:
+        return thunk()
+    except MeshError as exc:
+        return f"{type(exc).__name__}: {exc.message}"
+    except KeyError as exc:
+        return f"KeyError: {exc}"
+
+
+def write_files(tmp_path, texts):
+    for old in tmp_path.glob("*.csv"):
+        old.unlink()
+    for name, text in texts.items():
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+
+
+class TestSelectiveLoad:
+    def test_selected_then_executed_equals_full_decode_then_executed(self, tmp_path):
+        rng = random.Random(16)
+        adapter = DelimitedDirAdapter(tmp_path)
+        name = QualifiedName("ns", "t")
+        used = 0
+        for case in range(400):
+            schema, text = random_file(rng, "t", quote_free=case % 2 == 0)
+            write_files(tmp_path, {"t": text})
+            for _ in range(3):
+                where = random_where(rng, schema)
+                query = Select(Scan(name), where)
+
+                def full():
+                    return execute(query, {name: adapter.load("t")}, SALT)
+
+                def selective():
+                    return execute(query, {name: adapter.load("t", where=where)}, SALT)
+
+                expected, got = outcome(full), outcome(selective)
+                if isinstance(expected, str):
+                    assert got == expected, text
+                    continue
+                assert (got.schema, got.rows) == (expected.schema, expected.rows), (text, where)
+                # The load keeps row order and omits only rows the test rules out.
+                everything = adapter.load("t").rows
+                kept = adapter.load("t", where=where).rows
+                positions = iter(range(len(everything)))
+                assert all(any(everything[p] == row for p in positions) for row in kept)
+                used += len(kept) < len(everything)
+        assert used > 100  # the selective path did leave rows out
+
+    def test_ill_typed_or_hashed_predicate_is_not_used(self, tmp_path):
+        (tmp_path / "t.csv").write_text("k:integer,c:text\n1,a\n2,b\n", encoding="utf-8")
+        adapter = DelimitedDirAdapter(tmp_path)
+        everything = adapter.load("t").rows
+        for where in [
+            Comparison(AttrRef("k"), CompareOp.EQ, Literal(Value.text("1"))),
+            Comparison(AttrRef("ghost"), CompareOp.EQ, Literal(Value.integer(1))),
+            Comparison(HashCall(AttrRef("c")), CompareOp.EQ, Literal(Value.text("0"))),
+        ]:
+            assert adapter.load("t", where=where).rows == everything
+
+    def test_malformed_cell_in_a_skipped_row_fails_as_the_full_decode(self, tmp_path):
+        (tmp_path / "t.csv").write_text(
+            "k:integer,at:timestamp\n1,2024-01-01T00:00:00Z\n2,2024-02-30T00:00:00Z\n",
+            encoding="utf-8",
+        )
+        adapter = DelimitedDirAdapter(tmp_path)
+        where = Comparison(AttrRef("k"), CompareOp.EQ, Literal(Value.integer(1)))
+        with pytest.raises(ConfigError) as full:
+            adapter.load("t")
+        with pytest.raises(ConfigError) as selective:
+            adapter.load("t", where=where)
+        assert selective.value.message == full.value.message
+        assert full.value.message.startswith("t.csv: line 3:")
+
+
+def random_wrapper_query(rng, schemas):
+    """A fetch-shaped selection, a self-join or a union over the files."""
+    name = rng.choice(sorted(schemas))
+    qname = QualifiedName("ns", name)
+    schema = schemas[name]
+    shape = rng.random()
+    if shape < 0.5:
+        items = [ProjectItem(AttrRef(attr.name), attr.name) for attr in schema.attributes]
+        rng.shuffle(items)
+        return Project(Select(Scan(qname), random_where(rng, schema)), items[: rng.randint(1, len(items))])
+    if shape < 0.75:
+        pairs = [(attr.name, attr.name) for attr in schema.attributes]
+        return Select(Join(Scan(qname), Scan(qname), pairs), random_where(rng, schema))
+    left = Select(Scan(qname), random_where(rng, schema))
+    right = Select(Scan(qname), random_where(rng, schema))
+    if rng.random() < 0.5:
+        other = QualifiedName("ns", rng.choice(sorted(schemas)))
+        if schemas[other.relation].attributes == schema.attributes:
+            right = Select(Scan(other), random_where(rng, schema))
+    return Union(left, right)
+
+
+class TestWrapperSelectiveLoad:
+    def test_wrapper_answers_as_the_oracle_over_a_full_decode(self, tmp_path):
+        rng = random.Random(61)
+        wrapper = Wrapper(WrapperConfig("w", "ns", DelimitedDirAdapter(tmp_path), salt=SALT))
+        oracle_adapter = DelimitedDirAdapter(tmp_path)
+        for case in range(150):
+            schemas, texts = {}, {}
+            for name in ("a", "b"):
+                schemas[name], texts[name] = random_file(rng, name, quote_free=rng.random() < 0.5)
+            write_files(tmp_path, texts)
+            for _ in range(4):
+                q = random_wrapper_query(rng, schemas)
+
+                def oracle():
+                    db = {qn: oracle_adapter.load(qn.relation) for qn in dict.fromkeys(scan_names(q))}
+                    infer_schema(q, {qn: table.schema for qn, table in db.items()})
+                    return evaluate(q, db, SALT)
+
+                expected, got = outcome(oracle), outcome(lambda: wrapper.execute(q))
+                if isinstance(expected, str):
+                    assert got == expected, (texts, q)
+                else:
+                    assert not isinstance(got, str), (got, texts, q)
+                    assert got.schema == expected.schema
+                    assert sorted(map(repr, got.rows)) == sorted(map(repr, expected.rows)), (texts, q)
+
+    def test_type_error_in_the_pushed_predicate_is_the_wrappers_type_error(self, tmp_path):
+        (tmp_path / "t.csv").write_text("k:integer\n1\n", encoding="utf-8")
+        wrapper = Wrapper(WrapperConfig("w", "ns", DelimitedDirAdapter(tmp_path)))
+        q = Select(Scan(QualifiedName("ns", "t")),
+                   Comparison(AttrRef("k"), CompareOp.EQ, Literal(Value.text("1"))))
+        with pytest.raises(TypeCheckError):
+            wrapper.execute(q)
+

@@ -451,8 +451,8 @@ def source_reads(monkeypatch):
     def spy(cls, method, key):
         real = getattr(cls, method)
 
-        def counted(adapter, *args):
-            result = real(adapter, *args)
+        def counted(adapter, *args, **kwargs):
+            result = real(adapter, *args, **kwargs)
             counts[key(*args)] += 1
             return result
 
@@ -535,7 +535,7 @@ def decodes(monkeypatch):
 
         monkeypatch.setattr(mmw.adapters, name, counted)
 
-    spy("iter_csv_rows", lambda name, text: name)
+    spy("iter_csv_rows", lambda name, text, where=None: name)
     spy("parse_jsonl", lambda text, name: name)
     return counts
 
@@ -759,7 +759,7 @@ class HeaderRewrittenAdapter(SourceAdapter):
     def relations(self):
         return [self.BEFORE]
 
-    def load(self, relation):
+    def load(self, relation, where=None):
         rows = [(Value.text("7"), Value.text("new")), (Value.text("x"), Value.text("old"))]
         return Table(self.AFTER, rows)
 
