@@ -23,7 +23,7 @@ from mmw.errors import (
 )
 from mmw.mask import Mask, Rendering
 from mmw.mediator import Mediator
-from mmw.planner import ExecutionPlan, FetchStep, execute_plan, plan
+from mmw.planner import ExecutionPlan, FetchStep, JoinStep, execute_plan, plan
 from mmw.query import evaluate, infer_schema, parse_query, render_query
 from mmw.query.ast import QualifiedName, Query
 from mmw.relational import (
@@ -55,6 +55,7 @@ __all__ = [
     "DocLinesAdapter",
     "ExecutionPlan",
     "FetchStep",
+    "JoinStep",
     "Kind",
     "LineageNode",
     "Mask",

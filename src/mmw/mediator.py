@@ -9,36 +9,46 @@ followed by the token of each downstream in sorted alias order. Tokens never
 repeat across instances, so a change to any downstream, a reconfiguration
 or a downstream restarted in place gives a token never seen before.
 
-One LRU map of at most `cache_capacity` slots (0 turns it off) keeps
-results and fetches alike as (token, table), with tokens read from one
-`epoch()` call per request:
-- a result, under its canonical query text, holds the mediator's token;
-- a fetch, under (alias, canonical text of the translated fetch query),
-  holds that downstream's token.
+One LRU map of at most `cache_capacity` slots (0 turns it off) keeps four
+kinds of slot, each as (token, value) under a key tagged with its kind;
+tokens come from one `epoch()` call per request:
+- a result: key ("result", canonical query text), token the mediator's
+  token, value the answer;
+- a plan: key ("plan", the query with its literals lifted into typed
+  placeholders), token the configuration generation, value the plan of the
+  lifted query, into which each request binds its own literals;
+- a fetch: key ("fetch", alias, canonical text of the translated fetch
+  query), token that downstream's token, value the fetched table;
+- a join: key ("join", the plan's join step, the fetch keys of its inputs),
+  token the tuple of those fetches' downstream tokens, value the joined
+  table.
 A slot is served only while its kept token equals the one just read; a
 miss replaces the slot in place. The token is read before the fetch it
 keys, so a change between the two costs one extra miss, never a stale
-answer. Errors are never kept.
+answer. Errors are never kept. So a result miss re-plans nothing while
+the configuration stands, and re-joins nothing while its inputs' sources
+stand: it binds its literals and runs the residual selection.
 
 Downstream bindings are fetched once at configure time; schema changes
 require an explicit reconfiguration, which bumps the mediator's epoch.
 A configuration (views, environments, product schema, version, metadata and
 generation) is one frozen object installed by a single assignment, and each
 request reads it once, so a request never mixes two configurations. A
-reconfiguration leaves the cache alone: result slots hold the generation in
-their token, and fetch slots do not depend on the views.
+reconfiguration leaves the cache alone: result and plan slots hold the
+generation in their token, and fetch and join slots do not depend on the
+views.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Mapping, Optional, Sequence, Union as TypingUnion
 
 from mmw.component import ComponentBase, LineageNode, canonical_query_text
-from mmw.errors import ConfigError, UnavailableError, UnknownRelationError
-from mmw.planner import plan, execute_plan
+from mmw.errors import ConfigError, MeshError, UnavailableError, UnknownRelationError
+from mmw.planner import ExecutionPlan, bind_literals, execute_plan, lift_literals, plan
 from mmw.query.ast import QualifiedName, Query, rewrite_namespaces, scan_names
 from mmw.query.infer import infer_schema
 from mmw.relational import ProductSchema, RelationSchema, Table, is_identifier
@@ -97,8 +107,9 @@ class Mediator(ComponentBase):
         self.salt = salt
         self.deny_raw_identifying = deny_raw_identifying
         self.cache_capacity = cache_capacity
-        # query text, or (alias, fetch text) -> (token, Table)
-        self._cache: OrderedDict[object, tuple[object, Table]] = OrderedDict()
+        # (kind, ...) -> (token, value); see the module docstring
+        self._cache: OrderedDict[tuple, tuple[object, object]] = OrderedDict()
+        self._slot_hits = {"plan": 0, "join": 0}
         self._cache_lock = threading.Lock()
         self._configure_lock = threading.Lock()
         self._config: Optional[_Configuration] = None
@@ -208,16 +219,17 @@ class Mediator(ComponentBase):
         result_schema = infer_schema(q, config.product_env)
         caching = self.cache_capacity > 0
         token = self.epoch(config) if caching else None
-        # A query with no textual form has no cache key, so it always misses.
-        key = query_text if caching else None
+        # A query with no textual form has no result key, so it always misses.
+        key = ("result", query_text) if caching and query_text is not None else None
         cached = self._kept(key, token)
         if cached is not None:
             self._count_cache(True)
             return cached, len(cached.rows), True
         self._count_cache(False)
-        exec_plan = plan(q, config.views, self.downstream.keys(), config.base_env)
+        exec_plan = self._plan(q, config, caching)
 
         downstream_tokens = dict(zip(self._aliases, token[1:])) if caching else {}
+        fetch_keys: dict[QualifiedName, Optional[tuple]] = {}
 
         def fetch(step):
             alias = step.namespace
@@ -225,7 +237,8 @@ class Mediator(ComponentBase):
             remote_namespace = getattr(binding, "namespace", alias)
             translated = rewrite_namespaces(step.query, {alias: remote_namespace})
             fetch_text = canonical_query_text(translated) if caching else None
-            slot = None if fetch_text is None else (alias, fetch_text)
+            slot = None if fetch_text is None else ("fetch", alias, fetch_text)
+            fetch_keys[step.intermediate] = slot
             downstream_token = downstream_tokens.get(alias)
             table = self._kept(slot, downstream_token)
             if table is None:
@@ -233,15 +246,46 @@ class Mediator(ComponentBase):
                 self._keep(slot, downstream_token, table)
             return table
 
-        result = execute_plan(exec_plan, fetch, self.salt)
+        def join(step, compute):
+            inputs = tuple(fetch_keys[name] for name in scan_names(step.query))
+            if None in inputs:
+                return compute()
+            slot = ("join", step.query, inputs)
+            join_token = tuple(downstream_tokens[fetch_key[1]] for fetch_key in inputs)
+            table = self._kept(slot, join_token)
+            if table is None:
+                table = compute()
+                self._keep(slot, join_token, table)
+            return table
+
+        result = execute_plan(exec_plan, fetch, self.salt, join)
         # Client-facing schema comes from inference against the product
         # environment, not from plan internals.
         result = Table(result_schema, result.rows)
         self._keep(key, token, result)
         return result, len(result.rows), False
 
-    def _kept(self, key, token) -> Optional[Table]:
-        """The table kept under key while its token equals `token`, else None."""
+    def _plan(self, q: Query, config: _Configuration, caching: bool) -> ExecutionPlan:
+        """The plan of q: bound from the plan slot of q's shape, planned
+        into it on a miss, or planned afresh when caching is off."""
+        views, bound, env = config.views, self.downstream.keys(), config.base_env
+        if not caching:
+            return plan(q, views, bound, env)
+        lifted, values = lift_literals(q)
+        key = ("plan", lifted)
+        prepared = self._kept(key, config.generation)
+        if prepared is None:
+            try:
+                prepared = plan(lifted, views, bound, env)
+            except MeshError:
+                # Planning reads no literal value, so this fails again; the
+                # real query gives the error its own text.
+                return plan(q, views, bound, env)
+            self._keep(key, config.generation, prepared)
+        return bind_literals(prepared, values)
+
+    def _kept(self, key, token):
+        """The value kept under key while its token equals `token`, else None."""
         if key is None:
             return None
         with self._cache_lock:
@@ -249,14 +293,16 @@ class Mediator(ComponentBase):
             if slot is None or slot[0] != token:
                 return None
             self._cache.move_to_end(key)
+            if key[0] in self._slot_hits:
+                self._slot_hits[key[0]] += 1
             return slot[1]
 
-    def _keep(self, key, token, table: Table) -> None:
+    def _keep(self, key, token, value) -> None:
         """Replace key's slot as the most recent, evicting beyond capacity."""
         if key is None:
             return
         with self._cache_lock:
-            self._cache[key] = (token, table)
+            self._cache[key] = (token, value)
             self._cache.move_to_end(key)
             while len(self._cache) > self.cache_capacity:
                 self._cache.popitem(last=False)
@@ -292,11 +338,16 @@ class Mediator(ComponentBase):
     # -- cache introspection (monitoring only) ---------------------------------------
 
     def cache_info(self) -> dict[str, int]:
-        """Result entries and fetch slots held; both count toward capacity."""
+        """Slots held by kind (`entries` counts results), all counting toward
+        capacity, and the hits on plan and join slots so far."""
         with self._cache_lock:
-            fetch_slots = sum(isinstance(key, tuple) for key in self._cache)
+            held = Counter(key[0] for key in self._cache)
             return {
-                "entries": len(self._cache) - fetch_slots,
-                "fetch_slots": fetch_slots,
+                "entries": held["result"],
+                "fetch_slots": held["fetch"],
+                "plan_slots": held["plan"],
+                "join_slots": held["join"],
                 "capacity": self.cache_capacity,
+                "plan_hits": self._slot_hits["plan"],
+                "join_hits": self._slot_hits["join"],
             }

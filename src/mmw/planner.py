@@ -7,9 +7,22 @@ residual, which is evaluated locally. Fetch queries are re-expressed
 in the textual grammar (selects merged, projections composed) so they can
 travel over the wire.
 
+A join or union whose inputs are all fetches becomes a join step: it is
+evaluated over the fetched tables into its own intermediate relation, which
+the residual then scans. Its table depends only on those fetches, never on
+the selections above it, so a caller may keep it for as long as it keeps
+them (`execute_plan`'s `join`). A projection that only repeats the one
+below it (a query's select list over a view of the same columns) is
+dropped.
+
 Selections are sunk below joins first (predicate pushdown) so single-side
 filters end up inside the owning component's fetch. Pushdown is best-effort
 and correctness-checked, never cost-based.
+
+Planning reads the kind of a literal, never its value, so a caller may plan
+a query once per shape: `lift_literals` replaces each literal by a
+placeholder of the same kind, and `bind_literals` puts the values back into
+the plan of the lifted query.
 """
 
 from __future__ import annotations
@@ -18,11 +31,12 @@ from dataclasses import dataclass
 from typing import AbstractSet, Callable, Mapping, Sequence
 
 from mmw.errors import ConfigError, TypeCheckError, UnknownRelationError
-from mmw.relational import RelationSchema, Table
+from mmw.relational import RelationSchema, Table, Value
 from mmw.query.ast import (
     AttrRef,
     Expr,
     Join,
+    Literal,
     LogicalAnd,
     Predicate,
     Project,
@@ -32,10 +46,12 @@ from mmw.query.ast import (
     Scan,
     Select,
     Union,
+    children,
     contains_hash_call,
     map_children,
     namespaces,
     predicate_attrs,
+    scan_names,
 )
 from mmw.query.infer import Environment, infer_schema
 # Bound as `evaluate`: meshbench/tracing.py patches the module's `evaluate`.
@@ -51,9 +67,71 @@ class FetchStep:
 
 
 @dataclass(frozen=True)
+class JoinStep:
+    query: Query  # a Join or Union of two fetch scans
+    intermediate: QualifiedName
+
+
+@dataclass(frozen=True)
 class ExecutionPlan:
     fetches: tuple[FetchStep, ...]
+    joins: tuple[JoinStep, ...]
     residual: Query
+
+
+# --- literal placeholders ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Placeholder:
+    """The payload of a lifted literal: the position of its value."""
+
+    index: int
+
+
+def _map_literals(node, fn):
+    """node with fn applied to every literal of its tree, including those of
+    selection predicates and projection items."""
+    if isinstance(node, Literal):
+        return fn(node)
+    if isinstance(node, Select):
+        return Select(_map_literals(node.child, fn), _map_literals(node.predicate, fn))
+    if isinstance(node, Project) and node.items is not None:
+        items = [ProjectItem(_map_literals(item.expr, fn), item.name) for item in node.items]
+        return Project(_map_literals(node.child, fn), items)
+    return map_children(node, lambda child: _map_literals(child, fn))
+
+
+def lift_literals(q: Query) -> tuple[Query, tuple[Value, ...]]:
+    """q with each literal replaced by a placeholder of the same kind, and
+    the literal values in placeholder order."""
+    values: list[Value] = []
+
+    def lift(literal: Literal) -> Literal:
+        values.append(literal.value)
+        return Literal(Value(literal.value.kind, Placeholder(len(values) - 1)))
+
+    return _map_literals(q, lift), tuple(values)
+
+
+def bind_literals(exec_plan: ExecutionPlan, values: tuple[Value, ...]) -> ExecutionPlan:
+    """The plan of a lifted query with its placeholders bound to `values`;
+    literals that came from view bodies are left as they are."""
+    if not values:
+        return exec_plan
+
+    def bind(literal: Literal) -> Literal:
+        payload = literal.value.payload
+        return Literal(values[payload.index]) if isinstance(payload, Placeholder) else literal
+
+    return ExecutionPlan(
+        tuple(
+            FetchStep(step.namespace, _map_literals(step.query, bind), step.intermediate)
+            for step in exec_plan.fetches
+        ),
+        exec_plan.joins,
+        _map_literals(exec_plan.residual, bind),
+    )
 
 
 # --- substitution and conjuncts -----------------------------------------------
@@ -197,11 +275,13 @@ def _split(
     env: Environment,
     inter_ns: str,
     steps: list[FetchStep],
+    joins: list[JoinStep],
     residual_env: dict[QualifiedName, RelationSchema],
 ) -> Query:
     """node with each maximal fragment that one component can answer made a
-    fetch: appended to `steps`, typed in `residual_env`, and scanned under
-    its intermediate name in the returned residual."""
+    fetch, appended to `steps` and typed in `residual_env`, and each join or
+    union of two fetches made a join step, appended to `joins`; the returned
+    residual scans each under its intermediate name."""
     node_namespaces = namespaces(node)
     if len(node_namespaces) == 1 and not contains_hash_call(node):
         try:
@@ -217,7 +297,32 @@ def _split(
         # A scan flattens unless its schema is malformed, as with a
         # repeated attribute name.
         raise ConfigError(f"cannot push scan of {node.name}")
-    return map_children(node, lambda child: _split(child, env, inter_ns, steps, residual_env))
+    split = map_children(
+        node, lambda child: _split(child, env, inter_ns, steps, joins, residual_env)
+    )
+    fetched = {step.intermediate for step in steps}
+    if isinstance(split, (Join, Union)) and all(
+        isinstance(child, Scan) and child.name in fetched for child in children(split)
+    ):
+        intermediate = QualifiedName(inter_ns, f"j{len(joins)}")
+        joins.append(JoinStep(split, intermediate))
+        return Scan(intermediate)
+    return split
+
+
+def _drop_repeated_projects(q: Query) -> Query:
+    """q without each projection whose items only name, in order, the
+    outputs of the projection directly below it."""
+    q = map_children(q, _drop_repeated_projects)
+    if (
+        isinstance(q, Project)
+        and isinstance(q.child, Project)
+        and q.items is not None
+        and q.child.items is not None
+        and q.items == tuple(ProjectItem(AttrRef(item.name), item.name) for item in q.child.items)
+    ):
+        return q.child
+    return q
 
 
 def plan(
@@ -239,24 +344,43 @@ def plan(
             raise ConfigError(f"namespace {namespace!r} has no binding")
     sunk = push_down_selects(unfolded, env) if push_predicates else unfolded
     steps: list[FetchStep] = []
+    joins: list[JoinStep] = []
     residual_env: dict[QualifiedName, RelationSchema] = {}
-    residual = _split(sunk, env, _intermediate_namespace(env, bound), steps, residual_env)
+    residual = _split(
+        _drop_repeated_projects(sunk),
+        env,
+        _intermediate_namespace(env, bound),
+        steps,
+        joins,
+        residual_env,
+    )
 
     # Planner self-check: the residual must type out to the same shape as the
-    # unfolded query.
-    if not _same_shape(infer_schema(unfolded, env), infer_schema(residual, residual_env)):
+    # unfolded query. The unfolded query is typed first, so an ill-typed one
+    # fails with the path of its own offending node.
+    expected = infer_schema(unfolded, env)
+    for step in joins:
+        residual_env[step.intermediate] = infer_schema(step.query, residual_env)
+    if not _same_shape(expected, infer_schema(residual, residual_env)):
         raise ConfigError("planner produced a plan with a different schema")
-    return ExecutionPlan(tuple(steps), residual)
+    return ExecutionPlan(tuple(steps), tuple(joins), residual)
 
 
 def execute_plan(
     exec_plan: ExecutionPlan,
     fetch: Callable[[FetchStep], Table],
     salt: str = "",
+    join: Callable[[JoinStep, Callable[[], Table]], Table] = lambda step, compute: compute(),
 ) -> Table:
-    """Run fetch steps in order, then the residual locally; the residual's
-    scans name each fetched table after its intermediate relation."""
+    """Run fetch steps in order, then join steps, then the residual locally;
+    the residual's scans name each table after its intermediate relation.
+    `join(step, compute)` gives a join step's table, where `compute()`
+    evaluates it over the fetched tables."""
     db: dict[QualifiedName, Table] = {}
     for step in exec_plan.fetches:
         db[step.intermediate] = fetch(step)
+    for step in exec_plan.joins:
+        # Each fetch is scanned once, here or in the residual.
+        inputs = {name: db.pop(name) for name in scan_names(step.query)}
+        db[step.intermediate] = join(step, lambda: evaluate(step.query, inputs))
     return evaluate(exec_plan.residual, db, salt)

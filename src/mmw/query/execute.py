@@ -16,7 +16,11 @@ that this module is checked against, and it differs from it in two ways only:
   Efficient Query Plans for Modern Hardware", VLDB 2011, with closures in
   place of generated code), instead of dispatching on the node class for
   every row. Like `evaluate`, a closure evaluates every operand of a
-  connective, so a row fails where the oracle's row fails.
+  connective, so a row fails where the oracle's row fails. A comparison of
+  an attribute with a literal checks the cell's kind against the literal's
+  and then applies the Python operator to the two payloads, which is what
+  `compare_values` decides within one kind: a null cell, a null literal or
+  another kind is unknown.
 
 `tests/test_execute.py` holds it to the oracle: a seeded differential test
 over random queries (unions, chained joins, nullable columns, salted hashes)
@@ -26,6 +30,7 @@ mixed kinds and duplicate keys, and a scaling check keeps the join linear.
 
 from __future__ import annotations
 
+import operator
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
@@ -33,6 +38,7 @@ from mmw.errors import UnknownRelationError
 from mmw.relational import Kind, Ordering, Row, Table, Value, compare_values
 from mmw.query.ast import (
     AttrRef,
+    CompareOp,
     Comparison,
     ConcatCall,
     Expr,
@@ -90,9 +96,52 @@ def _compile_expr(expr: Expr, index: Mapping[str, int], salt: str) -> RowFn:
     raise TypeError(f"unknown expression {type(expr).__name__}")
 
 
+# Within one kind payloads are totally ordered, so each operator's orderings
+# in _TRUE_ORDERINGS are exactly where its Python operator holds.
+_PAYLOAD_TESTS = {
+    CompareOp.EQ: operator.eq,
+    CompareOp.NE: operator.ne,
+    CompareOp.LT: operator.lt,
+    CompareOp.LE: operator.le,
+    CompareOp.GT: operator.gt,
+    CompareOp.GE: operator.ge,
+}
+# `literal op attr` is `attr mirrored-op literal`.
+_MIRRORED = {
+    CompareOp.EQ: CompareOp.EQ,
+    CompareOp.NE: CompareOp.NE,
+    CompareOp.LT: CompareOp.GT,
+    CompareOp.LE: CompareOp.GE,
+    CompareOp.GT: CompareOp.LT,
+    CompareOp.GE: CompareOp.LE,
+}
+
+
+def _compile_literal_comparison(position: int, op: CompareOp, literal: Value) -> RowTest:
+    """`attr op literal` for the attribute at `position`."""
+    kind, payload = literal.kind, literal.payload
+    if kind is Kind.NULL:
+        return lambda row: None
+    test = _PAYLOAD_TESTS[op]
+
+    def compare(row: Row) -> Optional[bool]:
+        cell = row[position]
+        # A null cell has kind NULL, so this also makes null unknown.
+        if cell.kind is not kind:
+            return None
+        return test(cell.payload, payload)
+
+    return compare
+
+
 def _compile_predicate(predicate: Predicate, index: Mapping[str, int], salt: str) -> RowTest:
     """A closure giving True, False, or None for unknown (Kleene logic)."""
     if isinstance(predicate, Comparison):
+        attr, op, literal = predicate.left, predicate.op, predicate.right
+        if isinstance(attr, Literal):
+            attr, op, literal = literal, _MIRRORED[op], attr
+        if isinstance(attr, AttrRef) and isinstance(literal, Literal) and attr.name in index:
+            return _compile_literal_comparison(index[attr.name], op, literal.value)
         left = _compile_expr(predicate.left, index, salt)
         right = _compile_expr(predicate.right, index, salt)
         true_orderings = _TRUE_ORDERINGS[predicate.op]

@@ -13,10 +13,12 @@ import threading
 import pytest
 
 import mmw.mediator
+import mmw.planner
 from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter, MemoryAdapter
 from mmw.errors import (
     AccessDeniedError,
     ConfigError,
+    MeshError,
     TypeCheckError,
     UnavailableError,
     UnknownRelationError,
@@ -34,10 +36,12 @@ from mmw.query.ast import (
     Select,
 )
 from mmw.query.evaluate import evaluate, fnv1a_hex
+from mmw.query.infer import infer_schema
 from mmw.query.parse import parse_query
+from mmw.query.render import render_query
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value, bag_equal
 from mmw.runtime.protocol import ProtocolServer, TcpBinding
-from mmw.views import ViewDeclaration, unfold
+from mmw.views import ViewDeclaration, check_views, parse_view_source, unfold
 from mmw.wrapper import Wrapper, WrapperConfig
 from support import epoch_steps
 
@@ -412,8 +416,17 @@ class TestCache:
         )
         q = parse_query("SELECT * FROM prod.v")
         first = mediator.execute(q)
-        # The result is stored last, so it evicts the older fetch slot.
-        assert mediator.cache_info() == {"entries": 1, "fetch_slots": 1, "capacity": 2}
+        # Slots are stored plan, fetch, fetch, join, result, each evicting
+        # the oldest beyond capacity, so the join and the result remain.
+        assert mediator.cache_info() == {
+            "entries": 1,
+            "fetch_slots": 0,
+            "plan_slots": 0,
+            "join_slots": 1,
+            "capacity": 2,
+            "plan_hits": 0,
+            "join_hits": 0,
+        }
         assert mediator.execute(q) is first
 
     def test_capacity_zero_disables_caching(self):
@@ -638,6 +651,242 @@ class TestFetchCache:
         assert len(third.rows) == 2
         assert served() == (2, 1)
         assert mediator.cache_info()["fetch_slots"] == 2
+
+
+MEMBERS = RelationSchema(
+    "members", [Attribute("id", Kind.INTEGER), Attribute("name", Kind.TEXT, nullable=True)]
+)
+
+
+def member(serial):
+    name = Value.null() if serial % 5 == 0 else Value.text(f"r{serial:05d}")
+    return (Value.integer(serial), name)
+
+
+def write_orders_and_tags(directory, orders, tags):
+    """c/orders.csv (oid, pid, total) and d/tags.jsonl (tid, tag), each
+    rewritten through a temporary file and os.replace."""
+    texts = {
+        "c/orders.csv": "oid:integer,pid:integer,total:decimal\n"
+        + "".join(f"{oid},{pid},{total}\n" for oid, pid, total in orders),
+        "d/tags.jsonl": "".join(json.dumps({"tid": tid, "tag": tag}) + "\n" for tid, tag in tags),
+    }
+    for name, text in texts.items():
+        target = directory / name
+        target.parent.mkdir(exist_ok=True)
+        staged = target.with_name(target.name + ".tmp")
+        staged.write_text(text, encoding="utf-8")
+        os.replace(staged, target)
+
+
+def differential_views(threshold):
+    return [
+        "CREATE VIEW pj AS SELECT oid, total, name FROM c.orders JOIN m.members ON pid = id",
+        f"CREATE VIEW big AS SELECT oid, pid, total FROM c.orders WHERE total > {threshold}",
+        "CREATE VIEW labels AS SELECT id AS k, name AS label FROM m.members "
+        "UNION SELECT tid AS k, tag AS label FROM d.tags",
+    ]
+
+
+# Fixed shapes; each {} takes a literal, mostly of the kind its attribute
+# has and now and then of another kind or null.
+DIFFERENTIAL_SHAPES = [
+    ("SELECT * FROM prod.pj WHERE oid = {} OR name = {}", "integer", "text"),
+    ("SELECT oid, name FROM prod.pj WHERE total > {}", "decimal"),
+    ("SELECT * FROM prod.big WHERE oid = {}", "integer"),
+    ("SELECT oid, total FROM prod.big WHERE oid >= {} AND oid < {}", "integer", "integer"),
+    ("SELECT * FROM prod.labels WHERE k < {} OR label = {}", "integer", "text"),
+    ("SELECT label FROM prod.labels WHERE {} <= k", "integer"),
+]
+
+
+def random_literal(rng, kind):
+    if rng.random() < 0.15:
+        kind = rng.choice(["integer", "decimal", "text", "boolean", "null"])
+    n = rng.randint(0, 14)
+    return {
+        "integer": str(n),
+        "decimal": f"{n // 3}.5",
+        "text": f"'r{n:05d}'",
+        "boolean": rng.choice(["TRUE", "FALSE"]),
+        "null": "NULL",
+    }[kind]
+
+
+def outcome(run):
+    """(schema, sorted rows) of run(), or (error class, message)."""
+    try:
+        table = run()
+    except MeshError as exc:
+        return type(exc), exc.message
+    schema = [(attr.name, attr.data_type) for attr in table.schema.attributes]
+    return schema, sorted(table.row_bag().items(), key=repr)
+
+
+class TestPlanAndJoinSlots:
+    """Plan slots (one per query shape) and join slots (one per join of
+    fetches) against the reference evaluator."""
+
+    @pytest.mark.parametrize("capacity", [0, 4, 64])
+    @pytest.mark.parametrize("over_tcp", [False, True], ids=["in_process", "tcp"])
+    def test_answers_equal_the_oracle_under_changes(self, over_tcp, capacity, tmp_path):
+        # Seeded reads of fixed shapes with random literals, between memory
+        # inserts, atomic csv and jsonl rewrites and one reconfiguration that
+        # changes a literal inside a view body. Capacity 4 holds fewer slots
+        # than one join read fills, so slots are evicted all the time.
+        rng = random.Random(1717 + capacity + over_tcp)
+        members = [member(i) for i in range(1, 9)]
+        orders = [(i, rng.randint(1, 10), f"{rng.randint(0, 9)}.5") for i in range(1, 11)]
+        tags = [(i, f"r{rng.randint(0, 14):05d}") for i in range(1, 7)]
+        write_orders_and_tags(tmp_path, orders, tags)
+        memory = MemoryAdapter([MEMBERS], {"members": list(members)})
+        threshold = "2.5"
+        with contextlib.ExitStack() as stack:
+
+            def reach(component):
+                if not over_tcp:
+                    return component
+                server = ProtocolServer(component, "127.0.0.1", 0)
+                stack.callback(server.close)
+                binding = TcpBinding(server.host, server.port)
+                stack.callback(binding.close)
+                return binding
+
+            wrappers = {
+                "m": Wrapper(WrapperConfig("w_mem", "mem", memory)),
+                "c": Wrapper(WrapperConfig("w_csv", "csv", DelimitedDirAdapter(tmp_path / "c"))),
+                "d": Wrapper(WrapperConfig("w_doc", "doc", DocLinesAdapter(tmp_path / "d"))),
+            }
+            mediator = Mediator(
+                "m_diff",
+                "prod",
+                {alias: reach(wrapper) for alias, wrapper in wrappers.items()},
+                differential_views(threshold),
+                cache_capacity=capacity,
+            )
+            served = reach(mediator)
+            reconfigure_at = rng.randint(60, 120)
+            answers = errors = 0
+            for step in range(180):
+                action = rng.random()
+                if step == reconfigure_at:
+                    threshold = "4.5"
+                    mediator.reconfigure(views=differential_views(threshold))
+                elif action < 0.08:
+                    members.append(member(len(members) + 1))
+                    memory.insert("members", members[-1])
+                elif action < 0.16:
+                    if rng.random() < 0.5:
+                        orders.append((len(orders) + 1, rng.randint(1, 12), f"{rng.randint(0, 9)}.5"))
+                    else:
+                        tags.append((len(tags) + 1, f"r{rng.randint(0, 14):05d}"))
+                    write_orders_and_tags(tmp_path, orders, tags)
+                else:
+                    text, *kinds = rng.choice(DIFFERENTIAL_SHAPES)
+                    q = parse_query(text.format(*(random_literal(rng, kind) for kind in kinds)))
+                    views = parse_view_source(";".join(differential_views(threshold)), "prod")
+                    snapshot = {
+                        QualifiedName("m", "members"): memory.load("members"),
+                        QualifiedName("c", "orders"): DelimitedDirAdapter(tmp_path / "c").load("orders"),
+                        QualifiedName("d", "tags"): DocLinesAdapter(tmp_path / "d").load("tags"),
+                    }
+                    base_env = {name: table.schema for name, table in snapshot.items()}
+
+                    def oracle():
+                        infer_schema(q, check_views(views, base_env))
+                        return evaluate(unfold(q, views), snapshot)
+
+                    expected = outcome(oracle)
+                    assert outcome(lambda: served.execute(q)) == expected, render_query(q)
+                    if isinstance(expected[0], list):
+                        answers += 1
+                    else:
+                        errors += 1
+            info = mediator.cache_info()
+        assert answers > 60 and errors > 5, (answers, errors)
+        slots = ("entries", "plan_slots", "fetch_slots", "join_slots")
+        assert sum(info[kind] for kind in slots) <= capacity
+        if capacity == 64:
+            assert info["plan_hits"] > 20 and info["join_hits"] > 5, info
+
+    def _join_mediator(self, capacity):
+        return Mediator(
+            "m1",
+            "prod",
+            {"p": people_wrapper(), "s": orders_wrapper()},
+            ["CREATE VIEW v AS SELECT oid, total, name FROM p.people JOIN s.orders ON id = person"],
+            cache_capacity=capacity,
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT * FROM prod.v WHERE oid = 'x' OR name = 'ada'",
+            "SELECT * FROM prod.v WHERE oid = NULL OR name = 'ada'",
+            "SELECT * FROM prod.v WHERE oid = 10 OR name = NULL",
+            "SELECT * FROM prod.v WHERE oid = 1.5 OR name = 'ada'",
+        ],
+    )
+    def test_a_literal_of_another_kind_gets_its_own_plan_slot(self, text):
+        # The warm mediator holds the plan slot of the integer/text shape;
+        # the same shape with another kind or a null literal must answer,
+        # or fail, as a mediator without a cache does.
+        warm, cold = self._join_mediator(64), self._join_mediator(0)
+        typical = parse_query("SELECT * FROM prod.v WHERE oid = 10 OR name = 'ada'")
+        assert outcome(lambda: warm.execute(typical)) == outcome(lambda: cold.execute(typical))
+        plans = warm.cache_info()["plan_slots"]
+        q = parse_query(text)
+        expected = outcome(lambda: cold.execute(q))
+        assert outcome(lambda: warm.execute(q)) == expected
+        if isinstance(expected[0], list):  # answered, so it was planned
+            assert warm.cache_info()["plan_slots"] == plans + 1
+            assert warm.cache_info()["plan_hits"] == 0
+
+    def test_unplannable_query_fails_alike_cold_and_warm(self, monkeypatch):
+        q = parse_query("SELECT * FROM nowhere.v WHERE oid = 1")
+        warm, cold = self._join_mediator(64), self._join_mediator(0)
+        warm.execute(parse_query("SELECT * FROM prod.v WHERE oid = 10 OR name = 'ada'"))
+        expected = outcome(lambda: cold.execute(q))
+        assert expected[0] is UnknownRelationError
+        assert outcome(lambda: warm.execute(q)) == expected
+        # A failure in the planner itself: the lifted query fails, and the
+        # error raised is the one of planning the real query, never kept.
+        real = mmw.mediator.plan
+
+        def failing_plan(query, *args):
+            real(query, *args)
+            raise ConfigError(f"cannot plan {render_query(query)}")
+
+        monkeypatch.setattr(mmw.mediator, "plan", failing_plan)
+        for mediator in (warm, cold):
+            for literal in (10, 11):
+                other = parse_query(f"SELECT * FROM prod.v WHERE oid = {literal}")
+                assert outcome(lambda: mediator.execute(other)) == (
+                    ConfigError,
+                    f"cannot plan {render_query(other)}",
+                )
+        assert warm.cache_info()["plan_slots"] == 1  # the one planned before
+
+    def test_a_new_literal_replans_and_rejoins_nothing(self, monkeypatch):
+        mediator = self._join_mediator(64)
+        calls = {"plan": 0, "evaluate": 0}
+        for module, name in ((mmw.mediator, "plan"), (mmw.planner, "evaluate")):
+            real = getattr(module, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        for oid in range(10, 14):
+            got = mediator.execute(parse_query(f"SELECT * FROM prod.v WHERE oid = {oid} OR name = 'x'"))
+            assert len(got.rows) == (oid < 13)
+        # One plan and one join evaluation on the first read; every read
+        # evaluates its residual.
+        assert calls == {"plan": 1, "evaluate": 4 + 1}
+        info = mediator.cache_info()
+        assert (info["plan_hits"], info["join_hits"]) == (3, 3)
+        assert (info["plan_slots"], info["join_slots"], info["fetch_slots"]) == (1, 1, 2)
 
 
 def memory_endpoint(row_value, port=0):

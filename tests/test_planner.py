@@ -7,29 +7,36 @@ from itertools import product
 
 import pytest
 
-from mmw.errors import ConfigError, UnknownRelationError
+from mmw.errors import ConfigError, TypeCheckError, UnknownRelationError
 from mmw.planner import (
+    Placeholder,
     Unflattenable,
+    bind_literals,
     execute_plan,
     flatten_query,
+    lift_literals,
     plan,
     push_down_selects,
 )
 from mmw.query.ast import (
     Join,
+    Literal,
+    Project,
     QualifiedName,
     Scan,
+    Select,
     Union,
     children,
     contains_hash_call,
     namespaces,
     scan_names,
+    walk,
 )
 from mmw.query.evaluate import evaluate
 from mmw.query.parse import parse_query
 from mmw.query.render import render_query
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value, bag_equal
-from mmw.views import ViewDeclaration, unfold
+from mmw.views import ViewDeclaration, check_views, parse_view_source, unfold
 from support import make_environment, plan_and_evaluate, random_block, random_database, random_query
 
 W1_R = QualifiedName("w1", "r")
@@ -84,16 +91,11 @@ class TestPlanShapes:
         q = parse_query("SELECT * FROM z.combined")
         exec_plan = plan(q, [decl], BOUND, ENV)
         assert sorted(step.namespace for step in exec_plan.fetches) == ["w1", "w2"]
-
-        def find_join(node):
-            if isinstance(node, Join):
-                return node
-            for child_name in ("child",):
-                if hasattr(node, child_name):
-                    return find_join(getattr(node, child_name))
-            return None
-
-        assert find_join(exec_plan.residual) is not None
+        # The join of the two fetches is a join step, which the residual scans.
+        (step,) = exec_plan.joins
+        assert isinstance(step.query, Join)
+        assert scan_names(step.query) == [fetch.intermediate for fetch in exec_plan.fetches]
+        assert scan_names(exec_plan.residual) == [step.intermediate]
 
     def test_fetch_queries_are_renderable_and_single_namespace(self):
         rng = random.Random(1212)
@@ -375,3 +377,101 @@ class TestFlatten:
             assert bag_equal(evaluate(q, db, "s"), result)
             render_query(flat)  # must be grammar-shaped
         assert flattened > 40 and refused > 100
+
+
+class TestPlanShapeReuse:
+    def test_federated_view_read_keeps_one_projection_over_the_join_step(self):
+        # A select list over a view with the same columns repeats the view's
+        # projection; the residual keeps one of the two.
+        env = {
+            QualifiedName("sales", "orders"): RelationSchema(
+                "orders",
+                [
+                    Attribute("order_id", Kind.INTEGER),
+                    Attribute("customer_id", Kind.INTEGER),
+                    Attribute("amount", Kind.DECIMAL),
+                ],
+            ),
+            QualifiedName("crm", "customers"): RelationSchema(
+                "customers", [Attribute("customer_id", Kind.INTEGER), Attribute("name", Kind.TEXT)]
+            ),
+        }
+        views = parse_view_source(
+            "CREATE VIEW enriched AS SELECT order_id, amount, name "
+            "FROM sales.orders JOIN crm.customers ON customer_id = customer_id;",
+            "commerce",
+        )
+        q = parse_query(
+            "SELECT order_id, amount, name FROM commerce.enriched WHERE order_id = 3 OR name = 'ada'"
+        )
+        exec_plan = plan(q, views, {"sales", "crm"}, env)
+        residual = exec_plan.residual
+        assert sum(isinstance(node, Project) for node in walk(residual)) == 1
+        assert isinstance(residual, Project) and isinstance(residual.child, Select)
+        (step,) = exec_plan.joins
+        assert residual.child.child == Scan(step.intermediate)
+        orders, customers = env
+        db = {
+            orders: Table(
+                env[orders],
+                [
+                    (Value.integer(oid), Value.integer(cid), Value.decimal(oid))
+                    for oid, cid in ((1, 1), (2, 2), (3, 1), (4, 3))
+                ],
+            ),
+            customers: Table(
+                env[customers],
+                [(Value.integer(cid), Value.text(name)) for cid, name in ((1, "bo"), (2, "ada"))],
+            ),
+        }
+        got = execute_plan(exec_plan, lambda step: evaluate(step.query, db))
+        assert len(got.rows) == 2
+        assert got.rows == evaluate(unfold(q, views), db).rows
+
+    def test_binding_the_plan_of_the_lifted_query_gives_the_plan_of_the_query(self):
+        # Planning reads literal kinds only, so planning a query's shape once
+        # and binding its literals equals planning the query, view literals
+        # included.
+        rng = random.Random(1717)
+        lifted_any = 0
+        for case in range(200):
+            names = ("w1", "w2", "w3")[: rng.randint(1, 3)]
+            env = make_environment(rng, namespaces=names)
+            views = [
+                ViewDeclaration("m", f"v{i}", random_block(rng, env, max_joins=1))
+                for i in range(rng.randint(0, 3))
+            ]
+            try:
+                view_env = check_views(views, env)
+            except (TypeCheckError, UnknownRelationError):
+                continue
+            q = random_query(rng, view_env if view_env and rng.random() < 0.7 else env)
+            lifted, values = lift_literals(q)
+            lifted_any += bool(values)
+            assert all(
+                isinstance(node.value.payload, Placeholder)
+                for node in _literals(lifted)
+            )
+            try:
+                expected = plan(q, views, set(names), env)
+            except (ConfigError, TypeCheckError, UnknownRelationError) as exc:
+                with pytest.raises(type(exc)) as caught:
+                    plan(lifted, views, set(names), env)
+                assert caught.value.message == exc.message
+                continue
+            assert bind_literals(plan(lifted, views, set(names), env), values) == expected, case
+        assert lifted_any > 100
+
+
+def _literals(node):
+    """Every literal of node's tree, predicates and projection items included."""
+    found = []
+    for current in walk(node):
+        if isinstance(current, Literal):
+            found.append(current)
+        elif isinstance(current, Select):
+            found.extend(_literals(current.predicate))
+        elif isinstance(current, Project):
+            for item in current.items or ():
+                found.extend(_literals(item.expr))
+    return found

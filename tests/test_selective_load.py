@@ -168,6 +168,39 @@ class TestSelectiveLoad:
                 used += len(kept) < len(everything)
         assert used > 100  # the selective path did leave rows out
 
+    def test_literal_comparisons_on_every_op_and_kind(self, tmp_path):
+        # Every operator with the literal on either side, over a column of
+        # each kind with null cells, and the null literal; the selective
+        # load tests each row with the same compiled comparisons as execute.
+        rng = random.Random(17)
+        kinds = [Kind.BOOLEAN, Kind.INTEGER, Kind.DECIMAL, Kind.TEXT, Kind.TIMESTAMP]
+        attrs = [Attribute(f"c{position}", kind, nullable=True) for position, kind in enumerate(kinds)]
+        schema = RelationSchema("t", attrs)
+        rows = [tuple(random_value(rng, kind, nullable=True) for kind in kinds) for _ in range(30)]
+        cells = [
+            [("", False) if text is None else (text, text == "") for text in texts]
+            for texts in rows_to_wire(kinds, rows)
+        ]
+        write_files(tmp_path, {"t": join_delimited([header_cells(schema)] + cells)})
+        adapter = DelimitedDirAdapter(tmp_path)
+        name = QualifiedName("ns", "t")
+        everything = adapter.load("t")
+        left_out = 0
+        for attr, kind in zip(attrs, kinds):
+            for literal in [rows[rng.randrange(len(rows))][kinds.index(kind)], Value.null()]:
+                for op in CompareOp:
+                    for where in (
+                        Comparison(AttrRef(attr.name), op, Literal(literal)),
+                        Comparison(Literal(literal), op, AttrRef(attr.name)),
+                    ):
+                        query = Select(Scan(name), where)
+                        selected = adapter.load("t", where=where)
+                        expected = evaluate(query, {name: everything})
+                        got = execute(query, {name: selected})
+                        assert (got.schema, got.rows) == (expected.schema, expected.rows), where
+                        left_out += len(everything.rows) - len(selected.rows)
+        assert left_out > 500
+
     def test_ill_typed_or_hashed_predicate_is_not_used(self, tmp_path):
         (tmp_path / "t.csv").write_text("k:integer,c:text\n1,a\n2,b\n", encoding="utf-8")
         adapter = DelimitedDirAdapter(tmp_path)
