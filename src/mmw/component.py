@@ -7,6 +7,13 @@ check) produces exactly one access-log entry, whether it is served, denied
 or failed; a stopped component raises first and logs nothing. Entry
 timestamps are monotone per component.
 
+A data request (`execute`, `serve`) may come with `query_text`, the
+canonical text of its query (`render_query(q)`), which the request path then
+logs, keys caches by and sends on instead of rendering q again. An endpoint
+passes the text its query memo keeps with the parsed query (see
+`mmw.runtime.protocol`); for an in-process caller, which passes none, the
+first component renders q and passes the text on.
+
 `epoch()` answers an opaque token that moves whenever what the component
 serves may have changed. A token is hashable and has a JSON form: a text
 leaf `<nonce>:<counter>`, or a tuple of tokens. The nonce is random per
@@ -188,15 +195,17 @@ class ComponentBase:
         with self._lock:
             self._counters["cache_hits" if hit else "cache_misses"] += 1
 
-    def _serve_request(self, q: Query, principal: str, work):
+    def _serve_request(self, q: Query, principal: str, work, query_text: Optional[str] = None):
         """Check liveness, authorize, run `work(query_text)` and log once.
 
-        `work` gets the canonical text of q (None when q has none) and
-        returns (result, row_count, cache_hit). A failure is logged as
-        denied or error and, when it arose here, stamped with this origin.
+        `work` gets the canonical text of q (None when q has none), rendered
+        here unless the caller gave it, and returns (result, row_count,
+        cache_hit). A failure is logged as denied or error and, when it
+        arose here, stamped with this origin.
         """
         self._check_alive()
-        query_text = canonical_query_text(q)
+        if query_text is None:
+            query_text = canonical_query_text(q)
         logged = "<unrenderable query>" if query_text is None else query_text
         try:
             self._authorize(principal)
@@ -212,7 +221,7 @@ class ComponentBase:
 
     # -- mask-only requests -------------------------------------------------------
 
-    def serve(self, q: Query, format: str, principal: str = ""):
+    def serve(self, q: Query, format: str, principal: str = "", query_text: Optional[str] = None):
         """Render q in a text format; only a mask does."""
         raise ProtocolError(
             f"format {format!r} requires a mask endpoint", origin=self.component_id

@@ -16,7 +16,10 @@ tokens come from one `epoch()` call per request:
   token, value the answer;
 - a plan: key ("plan", the query with its literals lifted into typed
   placeholders), token the configuration generation, value the plan of the
-  lifted query, into which each request binds its own literals;
+  lifted query, into which each request binds its own literals, with the
+  translated query and fetch key of each fetch that holds no placeholder,
+  so a request re-translates and re-renders only the fetches its own
+  literals reach;
 - a fetch: key ("fetch", alias, canonical text of the translated fetch
   query), token that downstream's token, value the fetched table;
 - a join: key ("join", the plan's join step, the fetch keys of its inputs),
@@ -48,7 +51,14 @@ from typing import Mapping, Optional, Sequence, Union as TypingUnion
 
 from mmw.component import ComponentBase, LineageNode, canonical_query_text
 from mmw.errors import ConfigError, MeshError, UnavailableError, UnknownRelationError
-from mmw.planner import ExecutionPlan, bind_literals, execute_plan, lift_literals, plan
+from mmw.planner import (
+    ExecutionPlan,
+    FetchStep,
+    bind_literals,
+    execute_plan,
+    lift_literals,
+    plan,
+)
 from mmw.query.ast import QualifiedName, Query, rewrite_namespaces, scan_names
 from mmw.query.infer import infer_schema
 from mmw.relational import ProductSchema, RelationSchema, Table, is_identifier
@@ -211,8 +221,8 @@ class Mediator(ComponentBase):
                 ) from None
         return tuple(tokens)
 
-    def execute(self, q: Query, principal: str = "") -> Table:
-        return self._serve_request(q, principal, lambda text: self._answer(q, text))
+    def execute(self, q: Query, principal: str = "", query_text: Optional[str] = None) -> Table:
+        return self._serve_request(q, principal, lambda text: self._answer(q, text), query_text)
 
     def _answer(self, q: Query, query_text: Optional[str]) -> tuple[Table, int, bool]:
         config = self._config
@@ -226,23 +236,21 @@ class Mediator(ComponentBase):
             self._count_cache(True)
             return cached, len(cached.rows), True
         self._count_cache(False)
-        exec_plan = self._plan(q, config, caching)
+        exec_plan, fixed_fetches = self._plan(q, config, caching)
 
         downstream_tokens = dict(zip(self._aliases, token[1:])) if caching else {}
         fetch_keys: dict[QualifiedName, Optional[tuple]] = {}
 
         def fetch(step):
             alias = step.namespace
-            binding = self.downstream[alias]
-            remote_namespace = getattr(binding, "namespace", alias)
-            translated = rewrite_namespaces(step.query, {alias: remote_namespace})
-            fetch_text = canonical_query_text(translated) if caching else None
-            slot = None if fetch_text is None else ("fetch", alias, fetch_text)
+            fixed = fixed_fetches.get(step.intermediate)
+            translated, slot = fixed or self._translate(step, caching)
             fetch_keys[step.intermediate] = slot
             downstream_token = downstream_tokens.get(alias)
             table = self._kept(slot, downstream_token)
             if table is None:
-                table = binding.execute(translated, self.component_id)
+                fetch_text = None if slot is None else slot[2]
+                table = self.downstream[alias].execute(translated, self.component_id, fetch_text)
                 self._keep(slot, downstream_token, table)
             return table
 
@@ -265,24 +273,43 @@ class Mediator(ComponentBase):
         self._keep(key, token, result)
         return result, len(result.rows), False
 
-    def _plan(self, q: Query, config: _Configuration, caching: bool) -> ExecutionPlan:
+    def _translate(self, step: FetchStep, caching: bool) -> tuple[Query, Optional[tuple]]:
+        """The query of a fetch step in its downstream's own namespace, and
+        its fetch key (None when caching is off or the query has no text)."""
+        alias = step.namespace
+        remote_namespace = getattr(self.downstream[alias], "namespace", alias)
+        translated = rewrite_namespaces(step.query, {alias: remote_namespace})
+        fetch_text = canonical_query_text(translated) if caching else None
+        return translated, None if fetch_text is None else ("fetch", alias, fetch_text)
+
+    def _plan(
+        self, q: Query, config: _Configuration, caching: bool
+    ) -> tuple[ExecutionPlan, Mapping[QualifiedName, tuple[Query, Optional[tuple]]]]:
         """The plan of q: bound from the plan slot of q's shape, planned
-        into it on a miss, or planned afresh when caching is off."""
+        into it on a miss, or planned afresh when caching is off; with the
+        `_translate` of each fetch that holds no placeholder, by
+        intermediate name, as the slot keeps them."""
         views, bound, env = config.views, self.downstream.keys(), config.base_env
         if not caching:
-            return plan(q, views, bound, env)
+            return plan(q, views, bound, env), {}
         lifted, values = lift_literals(q)
         key = ("plan", lifted)
-        prepared = self._kept(key, config.generation)
-        if prepared is None:
+        kept = self._kept(key, config.generation)
+        if kept is None:
             try:
                 prepared = plan(lifted, views, bound, env)
             except MeshError:
                 # Planning reads no literal value, so this fails again; the
                 # real query gives the error its own text.
-                return plan(q, views, bound, env)
-            self._keep(key, config.generation, prepared)
-        return bind_literals(prepared, values)
+                return plan(q, views, bound, env), {}
+            kept = prepared, {
+                step.intermediate: self._translate(step, caching)
+                for step in prepared.fetches
+                if not step.holds_placeholder
+            }
+            self._keep(key, config.generation, kept)
+        prepared, fixed_fetches = kept
+        return bind_literals(prepared, values), fixed_fetches
 
     def _kept(self, key, token):
         """The value kept under key while its token equals `token`, else None."""

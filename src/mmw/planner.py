@@ -22,12 +22,15 @@ and correctness-checked, never cost-based.
 Planning reads the kind of a literal, never its value, so a caller may plan
 a query once per shape: `lift_literals` replaces each literal by a
 placeholder of the same kind, and `bind_literals` puts the values back into
-the plan of the lifted query.
+the plan of the lifted query. A fetch with no placeholder in its query is
+the same for every binding, so `bind_literals` hands it back as it is and a
+caller may keep what it derives from one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import AbstractSet, Callable, Mapping, Sequence
 
 from mmw.errors import ConfigError, TypeCheckError, UnknownRelationError
@@ -46,6 +49,7 @@ from mmw.query.ast import (
     Scan,
     Select,
     Union,
+    any_node,
     children,
     contains_hash_call,
     map_children,
@@ -64,6 +68,16 @@ class FetchStep:
     namespace: str
     query: Query  # grammar-shaped, references only `namespace`
     intermediate: QualifiedName
+
+    @cached_property
+    def holds_placeholder(self) -> bool:
+        """True if a literal of the query, predicates and projection items
+        included, is a placeholder; worked out once per step, as a kept plan
+        is bound many times."""
+        return any_node(
+            self.query,
+            lambda node: isinstance(node, Literal) and isinstance(node.value.payload, Placeholder),
+        )
 
 
 @dataclass(frozen=True)
@@ -116,7 +130,8 @@ def lift_literals(q: Query) -> tuple[Query, tuple[Value, ...]]:
 
 def bind_literals(exec_plan: ExecutionPlan, values: tuple[Value, ...]) -> ExecutionPlan:
     """The plan of a lifted query with its placeholders bound to `values`;
-    literals that came from view bodies are left as they are."""
+    literals that came from view bodies are left as they are, and so is
+    each fetch step whose query holds no placeholder."""
     if not values:
         return exec_plan
 
@@ -127,6 +142,8 @@ def bind_literals(exec_plan: ExecutionPlan, values: tuple[Value, ...]) -> Execut
     return ExecutionPlan(
         tuple(
             FetchStep(step.namespace, _map_literals(step.query, bind), step.intermediate)
+            if step.holds_placeholder
+            else step
             for step in exec_plan.fetches
         ),
         exec_plan.joins,

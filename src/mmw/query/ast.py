@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from mmw.relational import Value
 
@@ -217,15 +217,21 @@ def predicate_attrs(predicate: Predicate) -> set[str]:
     return {node.name for node in walk(predicate) if isinstance(node, AttrRef)}
 
 
-def contains_hash_call(node) -> bool:
-    """True if any expression in the subtree applies the salted hash."""
+def any_node(node, test: Callable[[object], bool]) -> bool:
+    """True if test holds for a node of node's tree or of the selection
+    predicates and projection items in it."""
     for current in walk(node):
-        if isinstance(current, HashCall):
+        if test(current):
             return True
-        if isinstance(current, Select) and contains_hash_call(current.predicate):
+        if isinstance(current, Select) and any_node(current.predicate, test):
             return True
         if isinstance(current, Project) and any(
-            contains_hash_call(item.expr) for item in current.items or ()
+            any_node(item.expr, test) for item in current.items or ()
         ):
             return True
     return False
+
+
+def contains_hash_call(node) -> bool:
+    """True if any expression in the subtree applies the salted hash."""
+    return any_node(node, lambda current: isinstance(current, HashCall))

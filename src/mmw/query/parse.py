@@ -106,28 +106,31 @@ _TOKEN_RE = re.compile(
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
+    multiline = "\n" in source  # else every token is on line 1
     line, line_start = 1, 0
     for match in _TOKEN_RE.finditer(source):
         kind, text, start = match.lastgroup, match.group(), match.start()
-        column = start - line_start + 1
-        if kind == "WORD":
-            word = text.upper()
-            if word in KEYWORDS:
-                tokens.append(Token("KW", word, line, column))
+        if kind != "SKIP":
+            column = start - line_start + 1
+            if kind == "WORD":
+                word = text.upper()
+                if word in KEYWORDS:
+                    append(Token("KW", word, line, column))
+                else:
+                    append(Token("IDENT", text, line, column))
+            elif kind == "STRING":
+                append(Token("STRING", text[1:-1].replace("''", "'"), line, column))
+            elif kind == "BAD":
+                if text == "'":
+                    raise _error("unterminated text literal", line, column)
+                raise _error(f"unexpected character {text!r}", line, column)
             else:
-                tokens.append(Token("IDENT", text, line, column))
-        elif kind == "STRING":
-            tokens.append(Token("STRING", text[1:-1].replace("''", "'"), line, column))
-        elif kind == "BAD":
-            message = "unterminated text literal" if text == "'" else f"unexpected character {text!r}"
-            raise _error(message, line, column)
-        elif kind != "SKIP":
-            tokens.append(Token(kind, text, line, column))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
+                append(Token(kind, text, line, column))
+        if multiline and "\n" in text:
+            line += text.count("\n")
             line_start = start + text.rindex("\n") + 1
-    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
+    append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -139,21 +142,22 @@ class _Parser:
         self.peak = 0  # deepest level reached since the innermost chain began
         self.parens = 0  # parentheses open
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    # The hot paths read self.tokens[self.pos] in place: a parse looks at
+    # the current token about a hundred times.
 
     def advance(self) -> Token:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.type != "EOF":
             self.pos += 1
         return token
 
-    def at_keyword(self, *words: str) -> bool:
-        return self.current.type == "KW" and self.current.text in words
+    def at_keyword(self, word: str) -> bool:
+        token = self.tokens[self.pos]
+        return token.type == "KW" and token.text == word
 
-    def at_op(self, *ops: str) -> bool:
-        return self.current.type == "OP" and self.current.text in ops
+    def at_op(self, op: str) -> bool:
+        token = self.tokens[self.pos]
+        return token.type == "OP" and token.text == op
 
     def expect_keyword(self, word: str) -> Token:
         if not self.at_keyword(word):
@@ -166,7 +170,7 @@ class _Parser:
         return self.advance()
 
     def expect_identifier(self) -> Token:
-        if self.current.type != "IDENT":
+        if self.tokens[self.pos].type != "IDENT":
             raise self.unexpected(("identifier",))
         token = self.advance()
         if not is_identifier(token.text):
@@ -209,7 +213,7 @@ class _Parser:
             raise _error(str(exc), token.line, token.column) from None
 
     def unexpected(self, expected: tuple[str, ...]) -> QuerySyntaxError:
-        token = self.current
+        token = self.tokens[self.pos]
         shown = token.text if token.type != "EOF" else "end of input"
         return _error(f"unexpected {shown!r}", token.line, token.column, expected)
 
@@ -242,7 +246,7 @@ class _Parser:
         return items
 
     def parse_item(self) -> ProjectItem:
-        token = self.current
+        token = self.tokens[self.pos]
         expr = self.parse_expr()
         if self.at_keyword("AS"):
             self.advance()
@@ -295,7 +299,7 @@ class _Parser:
             self.expect_op(")")
             return inner
         left = self.parse_expr()
-        token = self.current
+        token = self.tokens[self.pos]
         if token.type != "OP" or token.text not in _COMPARE_OPS:
             raise self.unexpected(tuple(sorted(_COMPARE_OPS)))
         self.advance()
@@ -305,7 +309,7 @@ class _Parser:
     # --- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.type == "NUMBER":
             self.advance()
             if "." in token.text:
@@ -326,7 +330,7 @@ class _Parser:
                 return Literal(Value.null())
             if token.text == "TIMESTAMP":
                 self.advance()
-                text_token = self.current
+                text_token = self.tokens[self.pos]
                 if text_token.type != "STRING":
                     raise self.unexpected(("text literal",))
                 self.advance()
@@ -335,7 +339,7 @@ class _Parser:
         if token.type == "IDENT":
             name_token = self.expect_identifier()
             if self.at_op("("):
-                return self.nested(self.current, self.parse_call, name_token)
+                return self.nested(self.tokens[self.pos], self.parse_call, name_token)
             return AttrRef(name_token.text)
         raise self.unexpected(("expression",))
 
@@ -371,8 +375,11 @@ class _Parser:
         self.expect_keyword("AS")
         return name, self.parse_query()
 
+    def at_end(self) -> bool:
+        return self.tokens[self.pos].type == "EOF"
+
     def expect_end(self) -> None:
-        if self.current.type != "EOF":
+        if not self.at_end():
             raise self.unexpected(("end of input",))
 
 
@@ -387,10 +394,10 @@ def parse_view_statements(text: str) -> list[tuple[str, Query]]:
     """Parse a view-declaration source: ';'-terminated CREATE VIEW statements."""
     parser = _Parser(tokenize(text))
     statements: list[tuple[str, Query]] = []
-    while parser.current.type != "EOF":
+    while not parser.at_end():
         statements.append(parser.parse_view_statement())
         if parser.at_op(";"):
             parser.advance()
-        elif parser.current.type != "EOF":
+        elif not parser.at_end():
             raise parser.unexpected(("';'",))
     return statements

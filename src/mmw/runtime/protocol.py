@@ -10,6 +10,15 @@ An epoch response carries the component's token in its JSON form: a string,
 or a list of tokens nested at most `MAX_DEPTH` deep. `TcpBinding.epoch`
 turns it back into the same hashable value (lists become tuples) and
 refuses any other shape.
+
+Each endpoint parses a query text once: its `QueryMemo` maps the text of an
+exec_query to the parsed query and that query's canonical text, which the
+component logs and keys its caches by and a `TcpBinding` sends on, so a warm
+request is neither parsed nor rendered again anywhere on its path. The memo
+keeps at most `QUERY_MEMO_ENTRIES` texts, least recently used first out, and
+only texts of at most `QUERY_MEMO_TEXT_CHARS` characters; a longer text is
+parsed on every request. A text that fails to parse is never kept. The memo
+lives and dies with its endpoint: `ProtocolServer.close` empties it.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import logging
 import socket
 import socketserver
 import threading
+from collections import OrderedDict
 from typing import Optional
 
 from mmw.codec import (
@@ -29,7 +39,7 @@ from mmw.codec import (
     rows_from_wire,
     rows_to_wire,
 )
-from mmw.component import LineageNode
+from mmw.component import LineageNode, canonical_query_text
 from mmw.errors import (
     AccessDeniedError,
     MeshError,
@@ -39,6 +49,7 @@ from mmw.errors import (
     UnknownRelationError,
 )
 from mmw.mask import FORMATS, Rendering
+from mmw.query.ast import Query
 from mmw.query.parse import MAX_DEPTH, parse_query
 from mmw.query.render import render_query
 from mmw.relational import RelationSchema, Table
@@ -48,6 +59,14 @@ logger = logging.getLogger(__name__)
 # Longest request line a server reads, newline included; a longer one gets one
 # protocol error and the connection is closed, so memory per client stays bounded.
 MAX_REQUEST_LINE = 1 << 20
+
+# Query texts one endpoint keeps parsed, and the longest text it keeps. A
+# product's clients send a handful of distinct texts. A parsed tree takes
+# about 30 bytes per character of its text (2.9 KB for a 104-character
+# query), so a full memo holds about 1 MB at most, where texts up to
+# MAX_REQUEST_LINE could pin tens of megabytes each.
+QUERY_MEMO_ENTRIES = 32
+QUERY_MEMO_TEXT_CHARS = 1024
 
 WIRE_CODES = ("syntax", "type", "unknown_relation", "access_denied", "unavailable", "protocol")
 
@@ -130,8 +149,50 @@ def _text_field(request: dict, field: str, default: Optional[str] = None) -> str
     return value
 
 
-def handle_request(component, request: dict) -> dict:
-    """Dispatch one decoded request against a component; returns the response
+class QueryMemo:
+    """A bounded LRU map from a query text to (parsed query, canonical text
+    or None when the query has none); see the module docstring. Query trees
+    are frozen, so every request of an endpoint may share one."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[str, tuple[Query, Optional[str]]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, text: str) -> bool:
+        return text in self._entries
+
+    def lookup(self, text: str) -> tuple[Query, Optional[str]]:
+        """The query of text and its canonical text, parsed on a miss; a
+        syntax error propagates and nothing is kept."""
+        # One dict read needs no lock; every change to the map holds it, so
+        # a hit and a miss each take it once.
+        entry = self._entries.get(text)
+        if entry is not None:
+            with self._lock:
+                if text in self._entries:  # not evicted since the read
+                    self._entries.move_to_end(text)
+            return entry
+        q = parse_query(text)
+        entry = (q, canonical_query_text(q))
+        if len(text) <= QUERY_MEMO_TEXT_CHARS:
+            with self._lock:
+                self._entries[text] = entry
+                self._entries.move_to_end(text)
+                if len(self._entries) > QUERY_MEMO_ENTRIES:
+                    self._entries.popitem(last=False)
+        return entry
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+def handle_request(component, request: dict, queries: QueryMemo) -> dict:
+    """Dispatch one decoded request against a component, looking an
+    exec_query text up in the endpoint's `queries`; returns the response
     object (errors are raised, the server serializes them)."""
     if not isinstance(request, dict) or "type" not in request:
         raise ProtocolError("request must be an object with a 'type' field")
@@ -147,11 +208,11 @@ def handle_request(component, request: dict) -> dict:
         query_text = _text_field(request, "query")
         principal = _text_field(request, "principal", "")
         format_tag = _text_field(request, "format", "table")
-        q = parse_query(query_text)
+        q, canonical = queries.lookup(query_text)
         if format_tag == "table":
-            return table_response(component.execute(q, principal))
+            return table_response(component.execute(q, principal, canonical))
         if format_tag in FORMATS:
-            rendering = component.serve(q, format_tag, principal)
+            rendering = component.serve(q, format_tag, principal, canonical)
             return {"type": "rendering", "format": rendering.format, "data": rendering.text}
         raise ProtocolError(f"unknown format {format_tag!r}")
     if request_type == "stats":
@@ -198,7 +259,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     response = error_to_obj(ProtocolError(f"bad JSON: {exc}"))
                 else:
                     try:
-                        response = handle_request(component, request)
+                        response = handle_request(component, request, server.queries)
                     except Exception as exc:  # serialized, connection stays up
                         if not isinstance(exc, MeshError):
                             logger.exception("request failed on %s", component.component_id)
@@ -213,8 +274,9 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class _Server(socketserver.ThreadingTCPServer):
-    """The listening socket of one endpoint with the component it serves and
-    the connections being served, so that close can end them too. Nothing
+    """The listening socket of one endpoint with the component it serves, its
+    query memo and the connections being served, so that close can end them
+    too. Nothing
     here refers back to the `ProtocolServer`, and the handler class is
     shared, so a closed endpoint and its component are freed by reference
     counting alone, without waiting for the cycle collector."""
@@ -224,6 +286,7 @@ class _Server(socketserver.ThreadingTCPServer):
 
     def __init__(self, address, component):
         self.component = component
+        self.queries = QueryMemo()
         self.lock = threading.Lock()
         self.connections: set[socket.socket] = set()
         self.closed = False
@@ -252,7 +315,8 @@ class ProtocolServer:
 
     def close(self) -> None:
         """Stop accepting, then end every connection still being served, so
-        clients connected before the close get no further answers."""
+        clients connected before the close get no further answers, and drop
+        the query memo."""
         server = self._server
         server.shutdown()
         server.server_close()
@@ -265,6 +329,7 @@ class ProtocolServer:
             except OSError:
                 pass  # the client hung up first
         self._thread.join(timeout=5)
+        server.queries.clear()
 
 
 class ProtocolClient:
@@ -361,14 +426,17 @@ class TcpBinding:
         obj = self._client.request({"type": "get_schema"})
         return product_from_obj(obj["schema"])
 
-    def _exec_query(self, q, principal: str, format: str) -> dict:
-        query = render_query(q)
+    def _exec_query(self, q, principal: str, format: str, query_text: Optional[str]) -> dict:
+        """Send q as `query_text`, its canonical text, rendering it when the
+        caller has none."""
+        if query_text is None:
+            query_text = render_query(q)
         return self._client.request(
-            {"type": "exec_query", "query": query, "principal": principal, "format": format}
+            {"type": "exec_query", "query": query_text, "principal": principal, "format": format}
         )
 
-    def execute(self, q, principal: str = "") -> Table:
-        return table_from_response(self._exec_query(q, principal, "table"))
+    def execute(self, q, principal: str = "", query_text: Optional[str] = None) -> Table:
+        return table_from_response(self._exec_query(q, principal, "table", query_text))
 
     def epoch(self):
         response = self._client.request({"type": "epoch"})
@@ -381,8 +449,10 @@ class TcpBinding:
     def stats(self) -> dict:
         return self._client.request({"type": "stats"})["counters"]
 
-    def serve(self, q, format: str, principal: str = "") -> Rendering:
-        response = self._exec_query(q, principal, format)
+    def serve(
+        self, q, format: str, principal: str = "", query_text: Optional[str] = None
+    ) -> Rendering:
+        response = self._exec_query(q, principal, format, query_text)
         return Rendering(response["format"], response["data"].encode("utf-8"))
 
     def materialize(self) -> dict:

@@ -85,7 +85,7 @@ class Wrapper(ComponentBase):
 
     # -- data --------------------------------------------------------------
 
-    def execute(self, q: Query, principal: str = "") -> Table:
+    def execute(self, q: Query, principal: str = "", query_text: Optional[str] = None) -> Table:
         def work(_query_text):
             foreign = namespaces(q) - {self.namespace}
             if foreign:
@@ -102,7 +102,7 @@ class Wrapper(ComponentBase):
             result = evaluate(push_down_selects(q, env), db, self.config.salt)
             return result, len(result.rows), False
 
-        return self._serve_request(q, principal, work)
+        return self._serve_request(q, principal, work, query_text)
 
     # -- change signal --------------------------------------------------------
 

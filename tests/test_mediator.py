@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+import mmw.component
 import mmw.mediator
 import mmw.planner
 from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter, MemoryAdapter
@@ -869,8 +870,12 @@ class TestPlanAndJoinSlots:
 
     def test_a_new_literal_replans_and_rejoins_nothing(self, monkeypatch):
         mediator = self._join_mediator(64)
-        calls = {"plan": 0, "evaluate": 0}
-        for module, name in ((mmw.mediator, "plan"), (mmw.planner, "evaluate")):
+        calls = {"plan": 0, "evaluate": 0, "render_query": 0}
+        for module, name in (
+            (mmw.mediator, "plan"),
+            (mmw.planner, "evaluate"),
+            (mmw.component, "render_query"),
+        ):
             real = getattr(module, name)
 
             def counted(*args, real=real, name=name):
@@ -882,8 +887,10 @@ class TestPlanAndJoinSlots:
             got = mediator.execute(parse_query(f"SELECT * FROM prod.v WHERE oid = {oid} OR name = 'x'"))
             assert len(got.rows) == (oid < 13)
         # One plan and one join evaluation on the first read; every read
-        # evaluates its residual.
-        assert calls == {"plan": 1, "evaluate": 4 + 1}
+        # evaluates its residual. Each read renders its own query; the two
+        # literal-free fetches are rendered once, into the plan slot, and
+        # their text goes on to the wrappers.
+        assert calls == {"plan": 1, "evaluate": 4 + 1, "render_query": 4 + 2}
         info = mediator.cache_info()
         assert (info["plan_hits"], info["join_hits"]) == (3, 3)
         assert (info["plan_slots"], info["join_slots"], info["fetch_slots"]) == (1, 1, 2)

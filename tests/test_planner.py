@@ -459,7 +459,17 @@ class TestPlanShapeReuse:
                     plan(lifted, views, set(names), env)
                 assert caught.value.message == exc.message
                 continue
-            assert bind_literals(plan(lifted, views, set(names), env), values) == expected, case
+            prepared = plan(lifted, views, set(names), env)
+            bound = bind_literals(prepared, values)
+            assert bound == expected, case
+            # A step without placeholders comes back as it is, so what a
+            # caller keeps of it holds for every binding.
+            for kept, step in zip(prepared.fetches, bound.fetches):
+                placeholders = any(
+                    isinstance(node.value.payload, Placeholder) for node in _literals(kept.query)
+                )
+                assert kept.holds_placeholder == placeholders, case
+                assert (step is kept) == (not (values and placeholders)), case
         assert lifted_any > 100
 
 

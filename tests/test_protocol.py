@@ -35,6 +35,7 @@ from mmw.runtime.protocol import (
     WIRE_CODES,
     ProtocolClient,
     ProtocolServer,
+    QueryMemo,
     TcpBinding,
     _encode_line,
     error_to_obj,
@@ -541,7 +542,7 @@ class HangUpServer(socketserver.ThreadingTCPServer):
                     line = handler.rfile.readline()
                     if not line:
                         return
-                    response = handle_request(component, json.loads(line))
+                    response = handle_request(component, json.loads(line), QueryMemo())
                     handler.wfile.write(json.dumps(response).encode() + b"\n")
 
         super().__init__(("127.0.0.1", 0), Handler)

@@ -168,6 +168,30 @@ class TestTokenize:
             ),
             ("", [("EOF", "", 1, 1)]),
             ("--only a comment", [("EOF", "", 1, 17)]),
+            (
+                "SELECT a\n  FROM\tw.r\n\nWHERE a = 'x'",
+                [
+                    ("KW", "SELECT", 1, 1),
+                    ("IDENT", "a", 1, 8),
+                    ("KW", "FROM", 2, 3),
+                    ("IDENT", "w", 2, 8),
+                    ("OP", ".", 2, 9),
+                    ("IDENT", "r", 2, 10),
+                    ("KW", "WHERE", 4, 1),
+                    ("IDENT", "a", 4, 7),
+                    ("OP", "=", 4, 9),
+                    ("STRING", "x", 4, 11),
+                    ("EOF", "", 4, 14),
+                ],
+            ),
+            (
+                "-- head 'not a literal'\na --tail -- x\r\n-- only\n\tb--c",
+                [("IDENT", "a", 2, 1), ("IDENT", "b", 4, 2), ("EOF", "", 4, 6)],
+            ),
+            (
+                "'--' -- 'x\n'a\nb' c",
+                [("STRING", "--", 1, 1), ("STRING", "a\nb", 2, 1), ("IDENT", "c", 3, 4), ("EOF", "", 3, 5)],
+            ),
         ],
     )
     def test_tokens_and_positions(self, text, tokens):
@@ -182,6 +206,11 @@ class TestTokenize:
             ("a ! b", "unexpected character '!'", 1, 3),
             ("a -b", "unexpected character '-'", 1, 3),
             ("a\x0bb", "unexpected character '\\x0b'", 1, 2),
+            ("SELECT a\nFROM w.r\n  WHERE a = @", "unexpected character '@'", 3, 13),
+            ("-- a comment ! here\n\t! b", "unexpected character '!'", 2, 2),
+            ("'spans\ntwo lines' ?", "unexpected character '?'", 2, 12),
+            ("a -- c\r\n\x00", "unexpected character '\\x00'", 2, 1),
+            ("\n\n'open", "unterminated text literal", 3, 1),
         ],
     )
     def test_lexical_errors(self, text, message, line, column):
