@@ -7,16 +7,21 @@ Adapters read one consistent snapshot per call and report a fingerprint the
 wrapper turns into its change epoch. Database-backed adapters can slot in
 behind the same interface later.
 
-A file adapter keeps nothing between calls: every load reads the file's
-current text. A load may be handed the selection that sits on its relation;
-the delimited adapter then decodes only the cells the selection reads, and
-the other cells of the rows it keeps, and still validates every cell, so a
-malformed file fails whatever the selection. Reuse of unchanged data belongs
-to the mediator, which keeps each fetch under its downstream's epoch token.
+A file adapter keeps nothing between calls: every call reads the files'
+current text, and lists them by name. `relations()` builds no value: it
+reads each delimited file's header and splits none of its data lines (a
+text with a quote or a carriage return excepted), and infers each json-lines
+schema in one value-free pass (`formats.jsonl_schema`). A load may be handed
+the selection that sits on its relation; both file adapters then decode only
+the cells the selection reads, and the other cells of the rows they keep,
+and still validate every cell, so a malformed file fails whatever the
+selection. Reuse of unchanged data belongs to the mediator, which keeps each
+fetch under its downstream's epoch token.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -24,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, TypeVar
 
 from mmw.errors import ConfigError, UnavailableError, UnknownRelationError
-from mmw.formats import iter_csv_rows, parse_jsonl
+from mmw.formats import iter_csv_rows, jsonl_schema, parse_jsonl
 from mmw.query.ast import Predicate
 from mmw.relational import RelationSchema, Row, Table, conform, is_identifier, relation_violations
 
@@ -135,64 +140,65 @@ class _FileDirAdapter(SourceAdapter):
             raise ConfigError(f"source directory {self.path} is not readable")
 
     @abstractmethod
-    def _decode(
-        self, name: str, text: str, where: Optional[Predicate]
-    ) -> tuple[RelationSchema, Iterable[Row]]:
-        """Schema and rows of one file, omitting at most rows for which
-        `where` is not true; raises ValueError on malformed text, also while
-        the rows are iterated."""
+    def _schema(self, name: str, text: str) -> RelationSchema:
+        """The schema of one file; raises ValueError on malformed text."""
+
+    @abstractmethod
+    def _table(self, name: str, text: str, where: Optional[Predicate]) -> Table:
+        """The rows of one file, omitting at most rows for which `where` is
+        not true; raises ValueError on malformed text."""
 
     def location(self) -> str:
         return str(self.path)
 
-    def _files(self) -> list[Path]:
+    def _files(self) -> list[str]:
+        """The sorted names whose `Path.suffix` is the adapter's suffix: a
+        name ending with it after at least one other character, so `.csv`
+        does not count and `a..csv` counts and is refused. Directories count
+        too; reading one fails."""
+        suffix = self.suffix
         try:
-            files = sorted(p for p in self.path.iterdir() if p.suffix == self.suffix)
+            names = sorted(
+                name for name in os.listdir(self.path)
+                if name.endswith(suffix) and len(name) > len(suffix)
+            )
         except OSError as exc:
             raise UnavailableError(f"source unavailable: {exc}") from None
-        for file in files:
-            if not is_identifier(file.stem):
-                raise ConfigError(
-                    f"file name {file.name!r} is not a valid relation identifier"
-                )
-        return files
+        for name in names:
+            if not is_identifier(name[: -len(suffix)]):
+                raise ConfigError(f"file name {name!r} is not a valid relation identifier")
+        return names
 
-    def _file_for(self, relation: str) -> Path:
-        for file in self._files():
-            if file.stem == relation:
-                return file
+    def _file_for(self, relation: str) -> str:
+        file = relation + self.suffix
+        if file in self._files():
+            return file
         raise UnknownRelationError(f"source has no relation {relation!r}")
 
-    def _read(self, file: Path) -> str:
-        # read_text translates newlines, so a lone \r reads as \n.
+    def _read(self, file: str) -> str:
+        # Text mode translates newlines, so a lone \r reads as \n.
         try:
-            return file.read_text(encoding="utf-8")
+            with open(os.path.join(self.path, file), encoding="utf-8") as handle:
+                return handle.read()
         except OSError as exc:
             raise UnavailableError(f"source unavailable: {exc}") from None
 
-    def _parse(
-        self,
-        file: Path,
-        text: str,
-        take: Callable[[RelationSchema, Iterable[Row]], T],
-        where: Optional[Predicate] = None,
-    ) -> T:
-        """Decode one file's text and hand its schema and rows to `take`; a
-        decoding error becomes a ConfigError naming the file."""
+    def _decoded(self, file: str, decode: Callable[[str, str], T]) -> T:
+        """`decode(relation, text)` of one file's text; a decoding error
+        becomes a ConfigError naming the file."""
+        text = self._read(file)
         try:
-            return take(*self._decode(file.stem, text, where))
+            return decode(file[: -len(self.suffix)], text)
         except ValueError as exc:
-            raise ConfigError(f"{file.name}: {exc}") from None
+            raise ConfigError(f"{file}: {exc}") from None
 
     def relations(self) -> list[RelationSchema]:
-        return [
-            self._parse(file, self._read(file), lambda schema, rows: schema)
-            for file in self._files()
-        ]
+        return [self._decoded(file, self._schema) for file in self._files()]
 
     def load(self, relation: str, where: Optional[Predicate] = None) -> Table:
-        file = self._file_for(relation)
-        return self._parse(file, self._read(file), Table, where)
+        return self._decoded(
+            self._file_for(relation), lambda name, text: self._table(name, text, where)
+        )
 
     def fingerprint(self) -> object:
         # The inode number catches a rewrite through a temporary file and
@@ -209,12 +215,12 @@ class _FileDirAdapter(SourceAdapter):
             now = time.time_ns()
             entries = []
             for file in self._files():
-                stat = file.stat()
-                entry = (
-                    file.name, stat.st_size, stat.st_mtime_ns, stat.st_ino, stat.st_ctime_ns
-                )
+                path = os.path.join(self.path, file)
+                stat = os.stat(path)
+                entry = (file, stat.st_size, stat.st_mtime_ns, stat.st_ino, stat.st_ctime_ns)
                 if now - stat.st_ctime_ns < RACY_WINDOW_NS:
-                    entry += (file.read_bytes(),)
+                    with open(path, "rb") as handle:
+                        entry += (handle.read(),)
                 entries.append(entry)
             # A list, not a tuple: CPython 3.11 puts each freed tuple of
             # exactly 20 items on a free list it never takes from, so a
@@ -231,10 +237,11 @@ class DelimitedDirAdapter(_FileDirAdapter):
     kind = "delimited_dir"
     suffix = ".csv"
 
-    def _decode(
-        self, name: str, text: str, where: Optional[Predicate]
-    ) -> tuple[RelationSchema, Iterable[Row]]:
-        return iter_csv_rows(name, text, where)
+    def _schema(self, name: str, text: str) -> RelationSchema:
+        return iter_csv_rows(name, text)[0]
+
+    def _table(self, name: str, text: str, where: Optional[Predicate]) -> Table:
+        return Table(*iter_csv_rows(name, text, where))
 
 
 class DocLinesAdapter(_FileDirAdapter):
@@ -243,8 +250,8 @@ class DocLinesAdapter(_FileDirAdapter):
     kind = "doc_lines"
     suffix = ".jsonl"
 
-    def _decode(
-        self, name: str, text: str, where: Optional[Predicate]
-    ) -> tuple[RelationSchema, Iterable[Row]]:
-        table = parse_jsonl(text, name)
-        return table.schema, table.rows
+    def _schema(self, name: str, text: str) -> RelationSchema:
+        return jsonl_schema(text, name)
+
+    def _table(self, name: str, text: str, where: Optional[Predicate]) -> Table:
+        return parse_jsonl(text, name, where)

@@ -8,7 +8,10 @@ this module's own: one regular expression that matches a cell and the
 separator after it. A text with no '"' and no carriage return has neither
 quoted cells nor anything to refuse, so it is split on line breaks and
 commas by `str.split` instead; the regular expression stays the path for
-every other text and the oracle the quick split is tested against.
+every other text and the oracle the quick split is tested against. Of a
+quote-free text a reader splits the header line at once and the data lines
+only when the rows are first asked for, so reading a schema splits no data
+line.
 
 A csv read given a selection predicate decodes only the predicate's columns
 of each row and the other cells of the rows it keeps; every cell it does not
@@ -19,7 +22,16 @@ with the same message either way.
 json-lines format: one flat JSON object per row, field order = schema
 order. Decimals are emitted as raw numeric tokens with a forced '.' so a
 reader can tell them from integers; numbers are parsed back with exact
-decimal semantics.
+decimal semantics. A reader decodes every line with `json` and infers each
+field's kind, nullability and widening from the decoded cells column by
+column, checking each cell as a value of its kind (int64 range, decimal
+exponent, calendar) without building one. It builds values only for the
+rows it returns; with a selection predicate it decodes only the predicate's
+cells of the other rows. A text this pass does not settle (a refused cell,
+an extreme decimal exponent, no fields at all) goes to
+`reference_parse_jsonl`, which builds every value as it infers and is the
+oracle of the quick pass, so a malformed file fails with the same message
+either way.
 
 Cells are encoded and decoded by the per-column closures of `mmw.codec`;
 this module owns only the text around them: splitting, quoting, headers,
@@ -31,8 +43,9 @@ from __future__ import annotations
 import json
 import re
 from decimal import Decimal
+from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from mmw.codec import csv_check, csv_decoder, jsonl_encoder, rows_to_wire
 from mmw.errors import TypeCheckError
@@ -40,11 +53,15 @@ from mmw.query.ast import Predicate, contains_hash_call, predicate_attrs
 from mmw.query.execute import _compile_predicate
 from mmw.query.infer import check_predicate
 from mmw.relational import (
+    INT64_MAX,
+    INT64_MIN,
+    NULL,
+    TEXT_CHECKS,
+    TIMESTAMP_RE,
     Attribute,
     Kind,
     RelationSchema,
     Table,
-    TIMESTAMP_RE,
     Value,
     canonical_text,
     is_identifier,
@@ -164,20 +181,42 @@ def render_csv(table: Table) -> str:
 def iter_csv_rows(
     name: str, text: str, where: Optional[Predicate] = None
 ) -> tuple[RelationSchema, Iterator[Row]]:
-    """Split the text and read the header now; decode each data row only as
-    the returned iterator reaches it, so reading the schema decodes none.
+    """Read the header now; split and decode the data rows only as the
+    returned iterator reaches them, so reading the schema splits no data
+    line of a quote-free text and decodes no cell. A text with a quote or a
+    carriage return is split whole first, so each of its refusals is raised
+    here, before any row.
 
     With `where`, rows for which it is not true may be left out, the others
     keep their order. It is used only when it type-checks against the header
     and holds no hash(), whose value depends on the reader's salt."""
-    raw_rows = split_delimited(text)
-    if not raw_rows:
+    if '"' in text or "\r" in text:
+        raw_rows = regex_split_delimited(text)
+        header = raw_rows[0] if raw_rows else None
+
+        def data() -> list[list[Cell]]:
+            return raw_rows[1:]
+    else:
+        end = text.find("\n")
+        line = text if end < 0 else text[:end]
+        header = [(cell, False) for cell in line.split(",")] if text else None
+
+        def data() -> list[list[Cell]]:
+            return split_delimited(text)[1:]
+
+    if header is None:
         raise ValueError("missing header row")
-    schema = schema_from_header(name, raw_rows[0])
-    decoders = [csv_decoder(attr) for attr in schema.attributes]
+    schema = schema_from_header(name, header)
+    selective = _selection_applies(where, schema)
 
     def generate() -> Iterator[Row]:
-        for line_number, raw in enumerate(raw_rows[1:], start=2):
+        raw_rows = data()
+        decoders = [csv_decoder(attr) for attr in schema.attributes]
+        kept = _selected_rows(schema, decoders, raw_rows, where) if selective else None
+        if kept is not None:
+            yield from kept
+            return
+        for line_number, raw in enumerate(raw_rows, start=2):
             if len(raw) != len(decoders):
                 raise ValueError(
                     f"line {line_number}: expected {len(decoders)} fields, got {len(raw)}"
@@ -188,22 +227,23 @@ def iter_csv_rows(
                 raise ValueError(f"line {line_number}: {exc}") from None
             yield row
 
+    return schema, generate()
+
+
+def _selection_applies(where: Optional[Predicate], schema: RelationSchema) -> bool:
+    """Whether a reader may leave out the rows for which `where` is not
+    true: it type-checks against the schema and holds no hash()."""
     if where is None or contains_hash_call(where):
-        return schema, generate()
+        return False
     try:
         check_predicate(where, schema)
     except TypeCheckError:
-        return schema, generate()
-
-    def generate_selected() -> Iterator[Row]:
-        kept = _selected_rows(schema, decoders, raw_rows, where)
-        yield from generate() if kept is None else kept
-
-    return schema, generate_selected()
+        return False
+    return True
 
 
 def _selected_rows(
-    schema: RelationSchema, decoders: list, raw_rows: list[list[Cell]], where: Predicate
+    schema: RelationSchema, decoders: list, data: list[list[Cell]], where: Predicate
 ) -> Optional[list[Row]]:
     """The data rows for which `where` is true, in order, decoding only the
     predicate's cells of every other row and checking the rest; None as soon
@@ -218,7 +258,6 @@ def _selected_rows(
         if attr.name not in names and (check := csv_check(attr)) is not None
     ]
     width = len(attrs)
-    data = raw_rows[1:]
     # One row buffer for every test: the predicate reads only the cells of
     # its own columns, which each row overwrites.
     probe: list = [None] * width
@@ -281,9 +320,11 @@ def _widen_to_text(value: Value) -> Value:
     return Value.text(canonical_text(value))
 
 
-def parse_jsonl(text: str, name: str = "relation") -> Table:
+def reference_parse_jsonl(text: str, name: str = "relation") -> Table:
     """Schema inference over records: union of fields; a kind conflict widens
-    the field to nullable text, a missing field makes it nullable."""
+    the field to nullable text, a missing field makes it nullable. Builds a
+    `Value` for every cell as it goes: the oracle of `parse_jsonl` and
+    `jsonl_schema`, and their path for a text they do not settle."""
     records: list[dict[str, Optional[Value]]] = []
     kinds: dict[str, Optional[Kind]] = {}
     saw_null: dict[str, bool] = {}
@@ -344,6 +385,153 @@ def parse_jsonl(text: str, name: str = "relation") -> Table:
                 row.append(value)
         rows.append(tuple(row))
     return Table(schema, rows)
+
+
+_JSONL_DECODER = json.JSONDecoder(parse_float=Decimal)
+_NONE_TYPE = type(None)
+_TIMESTAMP_CHECK = TEXT_CHECKS[Kind.TIMESTAMP]
+# A decimal whose adjusted exponent lies inside this bound normalizes without
+# overflow: the context's largest exponent is 999_999, and rounding to its
+# precision moves the exponent by one at most.
+_SAFE_EXPONENT = 999_000
+
+
+def _field_kinds(column: list) -> Optional[tuple[set[Kind], bool]]:
+    """The kinds of one field's cells and whether a cell is null or missing
+    (None), each cell checked as `_classify_scalar` would build it; None for
+    a cell it refuses or one not settled cheaply."""
+    types = set(map(type, column))
+    nullable = _NONE_TYPE in types
+    types.discard(_NONE_TYPE)
+    kinds: set[Kind] = set()
+    for cell_type in types:
+        if len(types) == 1 and not nullable:
+            cells = column
+        else:
+            cells = [cell for cell in column if type(cell) is cell_type]
+        if cell_type is bool:
+            kinds.add(Kind.BOOLEAN)
+        elif cell_type is int:
+            if min(cells) < INT64_MIN or max(cells) > INT64_MAX:
+                return None
+            kinds.add(Kind.INTEGER)
+        elif cell_type is Decimal:
+            exponents = list(map(Decimal.adjusted, cells))
+            if min(exponents) <= -_SAFE_EXPONENT or max(exponents) >= _SAFE_EXPONENT:
+                return None
+            kinds.add(Kind.DECIMAL)
+        elif cell_type is str:
+            stamps = list(filter(TIMESTAMP_RE.match, cells))
+            if not all(map(_TIMESTAMP_CHECK, stamps)):
+                return None
+            if stamps:
+                kinds.add(Kind.TIMESTAMP)
+            if len(stamps) < len(cells):
+                kinds.add(Kind.TEXT)
+        else:
+            return None
+    return kinds, nullable
+
+
+_JSONL_VALUES: dict[Kind, Callable[[object], Value]] = {
+    Kind.BOOLEAN: Value.boolean,
+    Kind.INTEGER: Value.integer,
+    Kind.DECIMAL: Value.decimal,
+    Kind.TEXT: Value.text,
+    Kind.TIMESTAMP: Value.timestamp,
+}
+
+
+def _widened_value(raw: object) -> Value:
+    return _widen_to_text(_classify_scalar(raw)[1])
+
+
+def _jsonl_decoder(kind: Kind, widened: bool) -> Callable[[object], Value]:
+    """Decoder of one field's decoded JSON cells, None for null or missing,
+    by the factories `reference_parse_jsonl` builds its values with."""
+    make = _widened_value if widened else _JSONL_VALUES[kind]
+    return lambda raw: NULL if raw is None else make(raw)
+
+
+def _scan_jsonl(text: str, name: str) -> Optional[tuple[RelationSchema, list[list], list]]:
+    """The schema of a json-lines text, each field's cells as JSON decoded
+    them (None for null or missing) and each field's decoder, by one pass
+    that builds no `Value`; None when a line or cell is one the reference
+    refuses or one this pass does not settle, and for a text without fields."""
+    decode = _JSONL_DECODER.decode
+    records = []
+    shapes: dict[tuple, None] = {}  # each record's field names, in order of first sight
+    for line in text.splitlines():
+        try:
+            record = decode(line)
+        except (ValueError, RecursionError, ArithmeticError):
+            # ArithmeticError: an exponent no Decimal holds, which the
+            # reference lets out, unless an earlier line fails first.
+            if line.strip():
+                return None
+            continue
+        if type(record) is not dict:
+            return None
+        records.append(record)
+        shapes[tuple(record)] = None
+    fields = dict.fromkeys(field for shape in shapes for field in shape)
+    if not fields or not all(map(is_identifier, fields)):
+        return None
+    attrs, columns, decoders = [], [], []
+    for field in fields:
+        column = list(map(dict.get, records, repeat(field)))
+        inferred = _field_kinds(column)
+        if inferred is None:
+            return None
+        kinds, nullable = inferred
+        widened = len(kinds) > 1
+        kind = kinds.pop() if len(kinds) == 1 else Kind.TEXT
+        attrs.append(Attribute(field, kind, nullable=nullable or widened))
+        columns.append(column)
+        decoders.append(_jsonl_decoder(kind, widened))
+    return RelationSchema(name, attrs), columns, decoders
+
+
+def jsonl_schema(text: str, name: str = "relation") -> RelationSchema:
+    """The schema `parse_jsonl` reads, by a pass that builds no `Value`."""
+    scanned = _scan_jsonl(text, name)
+    return reference_parse_jsonl(text, name).schema if scanned is None else scanned[0]
+
+
+def parse_jsonl(text: str, name: str = "relation", where: Optional[Predicate] = None) -> Table:
+    """The table `reference_parse_jsonl` reads, building values only for the
+    rows it returns. With `where`, used as `iter_csv_rows` uses it, only the
+    predicate's cells of the records it leaves out are decoded."""
+    scanned = _scan_jsonl(text, name)
+    if scanned is None:
+        return reference_parse_jsonl(text, name)
+    schema, columns, decoders = scanned
+    if _selection_applies(where, schema):
+        columns = _kept_cells(schema, columns, decoders, where)
+    return Table(schema, zip(*[list(map(d, column)) for d, column in zip(decoders, columns)]))
+
+
+def _kept_cells(
+    schema: RelationSchema, columns: list[list], decoders: list, where: Predicate
+) -> list[list]:
+    """The columns cut down to the records for which `where` is true,
+    decoding only the predicate's columns to test them."""
+    attrs = schema.attributes
+    names = predicate_attrs(where)
+    test = _compile_predicate(where, {attr.name: p for p, attr in enumerate(attrs)}, "")
+    keys = [
+        (p, list(map(decoders[p], columns[p])))
+        for p, attr in enumerate(attrs)
+        if attr.name in names
+    ]
+    probe: list = [None] * len(attrs)
+    kept = []
+    for record in range(len(columns[0])):
+        for p, values in keys:
+            probe[p] = values[record]
+        if test(probe) is True:
+            kept.append(record)
+    return [[column[record] for record in kept] for column in columns]
 
 
 # --- pretty ---------------------------------------------------------------------

@@ -115,10 +115,7 @@ class Value:
     @staticmethod
     def timestamp(moment: Union[str, datetime]) -> "Value":
         if isinstance(moment, str):
-            match = TIMESTAMP_RE.match(moment)
-            if not match:
-                raise ValueError(f"not a timestamp: {moment!r}")
-            moment = datetime(*map(int, match.groups()), 0, timezone.utc)  # microsecond, tzinfo
+            moment = _moment_from_text(moment)
         else:
             if moment.tzinfo is None:
                 raise ValueError("timestamp must be timezone-aware")
@@ -138,6 +135,13 @@ class Value:
 
 
 NULL = Value(Kind.NULL, None)
+
+
+def _moment_from_text(text: str) -> datetime:
+    match = TIMESTAMP_RE.match(text)
+    if not match:
+        raise ValueError(f"not a timestamp: {text!r}")
+    return datetime(*map(int, match.groups()), 0, timezone.utc)  # microsecond, tzinfo
 
 
 def _timestamp_text(moment: datetime) -> str:
@@ -204,7 +208,7 @@ _PLAIN_TIMESTAMP = re.compile(
 )
 
 
-def _accepts(read: Callable[[str], Value], text: str) -> bool:
+def _accepts(read: Callable[[str], object], text: str) -> bool:
     try:
         read(text)
     except ValueError:
@@ -215,7 +219,8 @@ def _accepts(read: Callable[[str], Value], text: str) -> bool:
 # Validate-only twins of TEXT_READERS: TEXT_CHECKS[kind](text) is True exactly
 # when TEXT_READERS[kind](text) does not raise. Each settles the common texts
 # with a pattern and leaves the rest to the reader itself, so most checks
-# build no Value. A file adapter checks with them the cells it does not decode.
+# build no Value, and a timestamp check none. A file adapter checks with them
+# the cells it does not decode.
 TEXT_CHECKS: dict[Kind, Callable[[str], bool]] = {
     Kind.NULL: lambda text: text == "",
     Kind.BOOLEAN: lambda text: text == "true" or text == "false",
@@ -227,7 +232,7 @@ TEXT_CHECKS: dict[Kind, Callable[[str], bool]] = {
     and (len(text) < 999_999 or _accepts(_decimal_from_text, text)),
     Kind.TEXT: lambda text: True,
     Kind.TIMESTAMP: lambda text: _PLAIN_TIMESTAMP.match(text) is not None
-    or _accepts(Value.timestamp, text),
+    or _accepts(_moment_from_text, text),
 }
 
 

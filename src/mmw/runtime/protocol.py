@@ -268,6 +268,10 @@ class _Handler(socketserver.StreamRequestHandler):
                             response["origin"] = component.component_id
                 self.wfile.write(_encode_line(response))
                 self.wfile.flush()
+        except OSError:
+            # The client hung up, or reset the connection, before reading
+            # its answer; the connection simply ends.
+            pass
         finally:
             with server.lock:
                 server.connections.discard(self.connection)

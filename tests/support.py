@@ -6,6 +6,7 @@ printed seed.
 
 from __future__ import annotations
 
+import json
 import random
 import string
 from datetime import datetime, timezone
@@ -97,6 +98,84 @@ def random_row(rng: random.Random, schema: RelationSchema) -> tuple[Value, ...]:
 
 def random_table(rng: random.Random, schema: RelationSchema, max_rows: int = 6) -> Table:
     return Table(schema, [random_row(rng, schema) for _ in range(rng.randint(0, max_rows))])
+
+
+# --- json-lines texts --------------------------------------------------------------
+
+JSONL_FIELDS = ("k", "name", "at", "amount", "flag", "note")
+
+# Whole lines every json-lines reader refuses, one draw per planted fault: bad
+# field names, non-objects, undecodable or nested values, integers out of the
+# 64-bit range, decimals whose exponent overflows or that no Decimal holds,
+# timestamps that are no moment, and a string the line splitting cuts.
+JSONL_FAULTS = (
+    '{"Bad":1}', '{"a-b":1}', '{"1x":2}', '{"":3}', "[1,2]", "3", '"x"', "null", '{"k":',
+    "{'k':1}", '{"k":1}}', '{"k":NaN}', '{"k":-Infinity}', '{"k":[1]}', '{"k":{"j":1}}',
+    '{"k":9223372036854775808}', '{"k":-9223372036854775809}', '{"k":' + "1" * 5000 + "}",
+    '{"k":1e1000000}', '{"k":9.99999999999999999999999999999e999999}',
+    '{"k":1e99999999999999999999}',
+    '{"at":"2023-02-29T00:00:00Z"}', '{"at":"2024-02-30T00:00:00Z"}',
+    '{"at":"2024-04-31T12:00:00Z"}', '{"at":"2024-01-01T24:00:00Z"}',
+    '{"at":"0000-01-01T00:00:00Z"}', '{"at":"2024-13-01T00:00:00Z"}',
+    # A raw line separator inside a string ends the line for str.splitlines.
+    '{"name":"a\u2028b"}',
+)
+
+
+def _jsonl_timestamp(rng: random.Random) -> str:
+    """A timestamp-shaped text, on the days 29 to 31 one time in ten, so
+    some name no moment (February 29 outside a leap year, April 31)."""
+    day = rng.randint(1, 28) if rng.random() < 0.9 else rng.choice((29, 30, 31))
+    year = rng.choice((1900, 2000, 2023, 2024, 1))
+    return f"{year:04d}-{rng.randint(1, 12):02d}-{day:02d}T{rng.randint(0, 23):02d}:00:{rng.randint(0, 59):02d}Z"
+
+
+def _jsonl_token(rng: random.Random, kind: Kind) -> str:
+    if rng.random() < 0.1:
+        return "null"
+    if kind is Kind.BOOLEAN:
+        return rng.choice(("true", "false"))
+    if kind is Kind.INTEGER:
+        if rng.random() < 0.05:
+            return str(rng.choice((2**63 - 1, -(2**63))))
+        return str(rng.randint(0, 5))
+    if kind is Kind.DECIMAL:
+        if rng.random() < 0.1:
+            # Exponent forms, huge exponents that still normalize, and -0.
+            return rng.choice(("1e5", "2.5E-3", "1e999999", "1.5e-1000000", "-0.0", "0e99999999"))
+        return f"{rng.randint(-500, 500) / 100:.2f}"
+    if kind is Kind.TIMESTAMP:
+        return '"' + _jsonl_timestamp(rng) + '"'
+    text = rng.choice(("a", "", "x y", "é", "１２", "2024-01-01", "true", "1", "q\"", "\\"))
+    return json.dumps(text, ensure_ascii=rng.random() < 0.5)
+
+
+def random_jsonl(rng: random.Random) -> str:
+    """A small random json-lines text: a few fields of one kind each, with
+    nulls, missing fields and now and then a cell of another kind; blank
+    lines, `\r\n` line ends, and a planted fault in about one text in five."""
+    fields = rng.sample(JSONL_FIELDS, rng.randint(1, 4))
+    if "k" not in fields:
+        fields[0] = "k"
+    kinds = {field: rng.choice(VALUE_KINDS) for field in fields}
+    kinds["k"] = Kind.INTEGER
+    lines = []
+    for _ in range(rng.randint(0, 10)):
+        tokens = []
+        for field in fields:
+            if rng.random() < 0.1:
+                continue  # a missing field
+            kind = kinds[field] if rng.random() < 0.93 else rng.choice(VALUE_KINDS)
+            tokens.append(f'"{field}":{_jsonl_token(rng, kind)}')
+        if rng.random() < 0.2:
+            rng.shuffle(tokens)
+        lines.append("{" + ",".join(tokens) + "}")
+        if rng.random() < 0.05:
+            lines.append(rng.choice(("", "  ", "\t")))
+    if rng.random() < 0.2:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(JSONL_FAULTS))
+    end = "\r\n" if rng.random() < 0.2 else "\n"
+    return end.join(lines) + (end if rng.random() < 0.9 else "")
 
 
 # --- grammar-shaped query generation -----------------------------------------

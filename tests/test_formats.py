@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+import mmw.formats
 from mmw.formats import (
     join_delimited,
+    jsonl_schema,
     parse_csv,
     parse_jsonl,
+    reference_parse_jsonl,
     regex_split_delimited,
     render_csv,
     render_jsonl,
@@ -17,7 +21,7 @@ from mmw.formats import (
     split_delimited,
 )
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value, bag_equal
-from support import random_row, random_schema
+from support import random_jsonl, random_row, random_schema
 
 MIXED = RelationSchema(
     "mixed",
@@ -250,6 +254,79 @@ class TestJsonl:
         via_csv = parse_csv(render_csv(table), "mixed")
         via_jsonl = parse_jsonl(render_jsonl(via_csv), "mixed")
         assert bag_equal(via_jsonl, table)
+
+
+def _exact(table: Table):
+    """Schema and rows in order, each payload with its own type and text."""
+    return table.schema, [[(v.kind, type(v.payload), str(v.payload)) for v in row] for row in table.rows]
+
+
+def _jsonl_outcome(read, text):
+    try:
+        return _exact(read(text))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestJsonlFastPath:
+    """parse_jsonl and jsonl_schema infer without building values, and fall
+    back to reference_parse_jsonl for what they do not settle; the
+    reference is their oracle in schema, rows and error."""
+
+    def test_matches_the_reference_on_random_texts(self, monkeypatch):
+        rng = random.Random(20)
+        settled = Counter()
+        scan = mmw.formats._scan_jsonl
+
+        def counted(text, name):
+            result = scan(text, name)
+            settled[result is not None] += 1
+            return result
+
+        monkeypatch.setattr(mmw.formats, "_scan_jsonl", counted)
+        outcomes = Counter()
+        for _ in range(1500):
+            text = random_jsonl(rng)
+            expected = _jsonl_outcome(lambda t: reference_parse_jsonl(t, "r"), text)
+            assert _jsonl_outcome(lambda t: parse_jsonl(t, "r"), text) == expected, text
+            try:
+                schema = jsonl_schema(text, "r")
+            except Exception as exc:
+                assert f"{type(exc).__name__}: {exc}" == expected, text
+            else:
+                assert schema == expected[0], text
+            outcomes["error" if isinstance(expected, str) else "table"] += 1
+        # Both outcomes, and most of the 3000 reads settled without the
+        # reference.
+        assert outcomes["error"] > 150 and outcomes["table"] > 1000
+        assert settled[True] > 1800
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"at":"2024-02-29T00:00:00Z"}\n{"at":"2024-01-31T23:59:59Z"}\n',
+            '{"at":"2023-02-29T00:00:00Z"}\n',
+            '{"x":1e999999}\n{"x":1.5}\n',
+            '{"x":1e1000000}\n',
+            '{"x":9223372036854775807}\n{"x":-9223372036854775808}\n',
+            '{"x":9223372036854775808}\n',
+            '{"x":1}\n{"x":true}\n{"x":2.50}\n{"x":"2024-03-01T12:00:05Z"}\n',
+            '{"x":null}\n{"y":1}\n',
+            '{}\n{}\n',
+            "",
+            "\n\n",
+            '{"x":1}\r\n\r\n{"x":2}\r\n',
+            '\ufeff{"x":1}\n',
+            '{"x":1,"x":"a"}\n',
+            '{"x":NaN}\n',
+            '{"X":1}\n',
+            '{"at":"2023-02-29T00:00:00Z"}\n{"k":1e99999999999999999999}\n',
+            '{"k":1e99999999999999999999}\n{"at":"2023-02-29T00:00:00Z"}\n',
+        ],
+    )
+    def test_matches_the_reference_on_edge_texts(self, text):
+        expected = _jsonl_outcome(lambda t: reference_parse_jsonl(t, "r"), text)
+        assert _jsonl_outcome(lambda t: parse_jsonl(t, "r"), text) == expected
 
 
 class TestPretty:

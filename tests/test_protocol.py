@@ -8,6 +8,7 @@ import json
 import pkgutil
 import socket
 import socketserver
+import struct
 import threading
 import time
 import weakref
@@ -223,6 +224,33 @@ class TestConformance:
             response = json.loads(reader.readline())
             assert response["type"] == "error" and response["code"] == "protocol"
             assert reader.readline() == b""
+        (line,) = raw_roundtrip(server, {"type": "get_schema"})
+        assert json.loads(line)["type"] == "schema"
+
+    def test_client_reset_before_reading_its_answers_ends_the_connection_quietly(
+        self, endpoint
+    ):
+        _, server = endpoint
+        listener = server._server
+        errors, finished = [], threading.Event()
+        shutdown_request = listener.shutdown_request
+
+        def finish(request):
+            shutdown_request(request)
+            finished.set()
+
+        # socketserver calls handle_error with any exception handle lets
+        # out, and shutdown_request once the connection's thread is done.
+        listener.handle_error = lambda request, address: errors.append(address)
+        listener.shutdown_request = finish
+        sock = socket.create_connection((server.host, server.port), timeout=5)
+        # Linger 0: close sends a reset, so the server's next write or read
+        # on this connection fails.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.sendall(b'{"type":"get_schema"}\n' * 50)
+        sock.close()
+        assert finished.wait(5)
+        assert errors == []
         (line,) = raw_roundtrip(server, {"type": "get_schema"})
         assert json.loads(line)["type"] == "schema"
 

@@ -1,7 +1,8 @@
-"""Selective decoding of delimited files against the full decode.
+"""Selective decoding of delimited and json-lines files against the full
+decode.
 
-A `delimited_dir` load handed a selection predicate may decode only the
-predicate's columns of the rows it leaves out. These seeded differential
+A `delimited_dir` or `doc_lines` load handed a selection predicate may
+decode only the predicate's columns of the rows it leaves out. These seeded differential
 tests hold it to its oracle, a full decode followed by `execute`: the same
 rows in the same order, or the same error message. The files carry planted
 malformed cells and ragged rows in matching and non-matching rows,
@@ -13,13 +14,16 @@ adds self-joins and unions.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from mmw.adapters import DelimitedDirAdapter
+import mmw.adapters
+import mmw.formats
+from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter
 from mmw.codec import rows_to_wire
 from mmw.errors import ConfigError, MeshError, TypeCheckError
-from mmw.formats import header_cells, join_delimited
+from mmw.formats import header_cells, join_delimited, reference_parse_jsonl
 from mmw.query.ast import (
     AttrRef,
     CompareOp,
@@ -42,7 +46,7 @@ from mmw.query.execute import execute
 from mmw.query.infer import infer_schema
 from mmw.relational import Attribute, Kind, RelationSchema, Value
 from mmw.wrapper import Wrapper, WrapperConfig
-from support import random_predicate, random_value
+from support import random_jsonl, random_predicate, random_value
 
 SALT = "pepper"
 
@@ -283,3 +287,152 @@ class TestWrapperSelectiveLoad:
         with pytest.raises(TypeCheckError):
             wrapper.execute(q)
 
+
+
+def jsonl_outcome(thunk):
+    """The result of thunk, or its error as text; a json-lines text can
+    also fail with an error that is not a MeshError."""
+    try:
+        return thunk()
+    except MeshError as exc:
+        return f"{type(exc).__name__}: {exc.message}"
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def reference_load(text: str):
+    """The reference decode of t.jsonl as the adapter reports it."""
+    try:
+        return reference_parse_jsonl(text, "t")
+    except ValueError as exc:
+        raise ConfigError(f"t.jsonl: {exc}") from None
+
+
+def jsonl_where(rng: random.Random, schema: RelationSchema):
+    """A selection over the fields of a json-lines text, or over the key
+    column when the text has none."""
+    if not schema.attributes:
+        schema = RelationSchema("t", [Attribute("k", Kind.INTEGER, nullable=True)])
+    return random_where(rng, schema)
+
+
+class TestJsonlSelectiveLoad:
+    """A `doc_lines` load handed a selection decodes only the predicate's
+    cells of the records it leaves out; reference_parse_jsonl followed by
+    `evaluate` is its oracle."""
+
+    def test_selected_then_evaluated_equals_the_reference_then_evaluated(self, tmp_path):
+        rng = random.Random(20)
+        adapter = DocLinesAdapter(tmp_path)
+        name = QualifiedName("ns", "t")
+        file = tmp_path / "t.jsonl"
+        used = errors = 0
+        for _ in range(600):
+            text = random_jsonl(rng)
+            file.write_bytes(text.encode("utf-8"))
+            read = file.read_text(encoding="utf-8")  # newlines as the adapter reads them
+            schema = jsonl_outcome(lambda: reference_parse_jsonl(read, "t").schema)
+            if isinstance(schema, str):
+                schema = RelationSchema("t", [])
+            for _ in range(3):
+                where = jsonl_where(rng, schema)
+                query = Select(Scan(name), where)
+                expected = jsonl_outcome(
+                    lambda: evaluate(query, {name: reference_load(read)}, SALT)
+                )
+                got = jsonl_outcome(
+                    lambda: evaluate(query, {name: adapter.load("t", where=where)}, SALT)
+                )
+                if isinstance(expected, str):
+                    assert got == expected, text
+                    errors += 1
+                    continue
+                assert (got.schema, got.rows) == (expected.schema, expected.rows), (text, where)
+                everything = reference_load(read).rows
+                kept = adapter.load("t", where=where).rows
+                positions = iter(range(len(everything)))
+                assert all(any(everything[p] == row for p in positions) for row in kept)
+                used += len(kept) < len(everything)
+        assert used > 300 and errors > 200
+
+    def test_ill_typed_or_hashed_predicate_is_not_used(self, tmp_path):
+        (tmp_path / "t.jsonl").write_text('{"k":1,"c":"a"}\n{"k":2,"c":"b"}\n', encoding="utf-8")
+        adapter = DocLinesAdapter(tmp_path)
+        everything = adapter.load("t").rows
+        assert len(everything) == 2
+        for where in [
+            Comparison(AttrRef("k"), CompareOp.EQ, Literal(Value.text("1"))),
+            Comparison(AttrRef("ghost"), CompareOp.EQ, Literal(Value.integer(1))),
+            Comparison(HashCall(AttrRef("c")), CompareOp.EQ, Literal(Value.text("0"))),
+        ]:
+            assert adapter.load("t", where=where).rows == everything
+
+    def test_malformed_cell_in_a_skipped_record_fails_as_the_full_decode(self, tmp_path):
+        (tmp_path / "t.jsonl").write_text(
+            '{"k":1,"at":"2024-01-01T00:00:00Z"}\n{"k":2,"at":"2024-02-30T00:00:00Z"}\n',
+            encoding="utf-8",
+        )
+        adapter = DocLinesAdapter(tmp_path)
+        where = Comparison(AttrRef("k"), CompareOp.EQ, Literal(Value.integer(1)))
+        with pytest.raises(ConfigError) as full:
+            adapter.load("t")
+        with pytest.raises(ConfigError) as selective:
+            adapter.load("t", where=where)
+        assert selective.value.message == full.value.message == (
+            "t.jsonl: day is out of range for month"
+        )
+
+    def test_load_with_where_calls_the_traced_reader_once_with_the_text_first(
+        self, tmp_path, monkeypatch
+    ):
+        # meshbench/tracing.py wraps mmw.adapters.parse_jsonl and counts the
+        # bytes of its first argument on every load.
+        text = '{"k":1,"c":"a"}\n{"k":2,"c":"b"}\n'
+        (tmp_path / "t.jsonl").write_text(text, encoding="utf-8")
+        calls = []
+        real = mmw.adapters.parse_jsonl
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mmw.adapters, "parse_jsonl", recorded)
+        wrapper = Wrapper(WrapperConfig("w", "ns", DocLinesAdapter(tmp_path)))
+        where = Comparison(AttrRef("k"), CompareOp.EQ, Literal(Value.integer(2)))
+        result = wrapper.execute(Select(Scan(QualifiedName("ns", "t")), where))
+        assert [row[1] for row in result.rows] == [Value.text("b")]
+        assert calls == [((text, "t", where), {})]
+
+
+class TestSchemaReadsDecodeNothing:
+    def test_relations_builds_no_value_and_splits_no_data_line(self, tmp_path, monkeypatch):
+        rng = random.Random(5)
+        for name in ("a", "b"):
+            _, text = random_file(rng, name, quote_free=True)
+            (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+            (tmp_path / f"{name}.jsonl").write_text(
+                '{"k":1,"at":"2024-02-29T00:00:00Z","d":1.50,"t":"x"}\n{"k":2,"flag":true}\n',
+                encoding="utf-8",
+            )
+        calls = Counter()
+
+        def spy(owner, attr):
+            real = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                calls[attr] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        spy(Value, "__init__")
+        for attr in ("split_delimited", "regex_split_delimited", "reference_parse_jsonl"):
+            spy(mmw.formats, attr)
+        adapters = [DelimitedDirAdapter(tmp_path), DocLinesAdapter(tmp_path)]
+        schemas = [adapter.relations() for adapter in adapters]
+        assert calls == Counter()
+        assert [[schema.name for schema in listed] for listed in schemas] == [["a", "b"]] * 2
+        # The spies see the loads' work.
+        for adapter in adapters:
+            adapter.load("a")
+        assert calls["__init__"] > 0 and calls["split_delimited"] == 1

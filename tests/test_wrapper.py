@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import shutil
 import sys
 import threading
 import time
@@ -26,7 +27,16 @@ from mmw.formats import render_csv, render_jsonl
 from mmw.mediator import Mediator
 from mmw.query.ast import QualifiedName
 from mmw.query.parse import parse_query
-from mmw.relational import Attribute, Kind, ProductSchema, RelationSchema, Table, Value, bag_equal
+from mmw.relational import (
+    Attribute,
+    Kind,
+    ProductSchema,
+    RelationSchema,
+    Table,
+    Value,
+    bag_equal,
+    is_identifier,
+)
 from mmw.query.evaluate import evaluate
 from mmw.runtime.protocol import ProtocolClient, ProtocolServer
 from mmw.wrapper import Wrapper, WrapperConfig
@@ -203,6 +213,42 @@ class TestDelimitedDirWrapper:
         adapter = DelimitedDirAdapter(tmp_path)
         with pytest.raises(ConfigError):
             adapter.relations()
+
+    def test_relation_files_follow_the_pathlib_suffix_rule(self, tmp_path):
+        # The file adapters list names as text; which names count, their
+        # order and the refused ones are those of Path.suffix and Path.stem.
+        rng = random.Random(20)
+        pieces = ["a", "b1", "_", ".", "csv", "jsonl", ".csv", ".jsonl", "A", "x.y", "-"]
+        for case in range(300):
+            directory = tmp_path / f"case{case}"
+            directory.mkdir()
+            for _ in range(rng.randint(0, 6)):
+                name = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 4)))
+                target = directory / name
+                if name in (".", "..") or target.exists():
+                    continue
+                if rng.random() < 0.2:
+                    target.mkdir()
+                else:
+                    target.write_text("", encoding="utf-8")
+            for adapter_class in (DelimitedDirAdapter, DocLinesAdapter):
+                adapter = adapter_class(directory)
+                files = sorted(p for p in directory.iterdir() if p.suffix == adapter.suffix)
+                refused = [p.name for p in files if not is_identifier(p.stem)]
+                if refused:
+                    with pytest.raises(ConfigError) as err:
+                        adapter._files()
+                    assert err.value.message == (
+                        f"file name {refused[0]!r} is not a valid relation identifier"
+                    )
+                else:
+                    assert adapter._files() == [p.name for p in files]
+        listing = tmp_path / "case0"
+        adapter = DelimitedDirAdapter(listing)
+        shutil.rmtree(listing)
+        with pytest.raises(UnavailableError) as err:
+            adapter._files()
+        assert err.value.message.startswith("source unavailable: [Errno 2]")
 
     def test_repeated_header_attribute_is_config_error_naming_file(self, tmp_path):
         (tmp_path / "t.csv").write_text("id:integer,id:text\n1,a\n", encoding="utf-8")
@@ -461,7 +507,7 @@ def source_reads(monkeypatch):
     for cls in (MemoryAdapter, _FileDirAdapter):
         spy(cls, "relations", lambda: "relations()")
     spy(MemoryAdapter, "load", lambda relation: relation)
-    spy(_FileDirAdapter, "_read", lambda file: file.stem)
+    spy(_FileDirAdapter, "_read", lambda file: file.rsplit(".", 1)[0])
     return counts
 
 
@@ -536,7 +582,7 @@ def decodes(monkeypatch):
         monkeypatch.setattr(mmw.adapters, name, counted)
 
     spy("iter_csv_rows", lambda name, text, where=None: name)
-    spy("parse_jsonl", lambda text, name: name)
+    spy("parse_jsonl", lambda text, name, where=None: name)
     return counts
 
 
@@ -681,12 +727,13 @@ class FrozenStat:
     def __init__(self, monkeypatch, file: Path):
         self.stat = file.stat()
         self.now = self.stat.st_ctime_ns
-        real_stat = Path.stat
+        real_stat = os.stat
 
         def stat(path, *args, **kwargs):
-            return self.stat if path == file else real_stat(path, *args, **kwargs)
+            same = os.fspath(path) == os.fspath(file)
+            return self.stat if same else real_stat(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "stat", stat)
+        monkeypatch.setattr(os, "stat", stat)
         monkeypatch.setattr(mmw.adapters, "time", self)
 
     def time_ns(self) -> int:
