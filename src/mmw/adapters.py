@@ -184,12 +184,11 @@ class _FileDirAdapter(SourceAdapter):
             raise UnavailableError(f"source unavailable: {exc}") from None
 
     def _decoded(self, file: str, decode: Callable[[str, str], T]) -> T:
-        """`decode(relation, text)` of one file's text; a decoding error
-        becomes a ConfigError naming the file."""
-        text = self._read(file)
+        """`decode(relation, text)` of one file's text; a file that is not
+        UTF-8, or that decode refuses, is a ConfigError naming the file."""
         try:
-            return decode(file[: -len(self.suffix)], text)
-        except ValueError as exc:
+            return decode(file[: -len(self.suffix)], self._read(file))
+        except ValueError as exc:  # UnicodeDecodeError is one
             raise ConfigError(f"{file}: {exc}") from None
 
     def relations(self) -> list[RelationSchema]:

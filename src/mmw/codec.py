@@ -38,6 +38,9 @@ from mmw.relational import (
 Decoder = Callable[[object], Value]
 Encoder = Callable[[Value], Optional[str]]
 
+# Line breaks of `str.splitlines` that JSON leaves raw; json-lines readers split on them.
+_LINE_SEPARATORS = str.maketrans({"\x85": "\\u0085", "\u2028": "\\u2028", "\u2029": "\\u2029"})
+
 
 def attribute_to_obj(attr: Attribute) -> dict:
     obj = {"name": attr.name, "type": attr.data_type.value, "nullable": attr.nullable}
@@ -211,7 +214,7 @@ def wire_encoder(kind: Kind) -> Encoder:
 def jsonl_encoder(kind: Kind) -> Callable[[Value], str]:
     """Encoder of a `kind` column's values as json-lines field tokens:
     booleans and integers as JSON literals, decimals as numbers with a
-    forced '.', text and timestamps as JSON strings, null as null."""
+    forced '.', text and timestamps as one-line JSON strings, null as null."""
     if kind is Kind.NULL:
         return _jsonl_token
     render = TEXT_RENDERERS[kind]
@@ -221,7 +224,7 @@ def jsonl_encoder(kind: Kind) -> Callable[[Value], str]:
             return text if "." in text else text + ".0"
     elif kind is Kind.TEXT or kind is Kind.TIMESTAMP:
         def token(payload):
-            return encode_basestring(render(payload))
+            return encode_basestring(render(payload)).translate(_LINE_SEPARATORS)
     else:
         token = render
     return lambda v: token(v.payload) if v.kind is kind else _jsonl_token(v)

@@ -7,12 +7,12 @@ check) produces exactly one access-log entry, whether it is served, denied
 or failed; a stopped component raises first and logs nothing. Entry
 timestamps are monotone per component.
 
-A data request (`execute`, `serve`) may come with `query_text`, the
-canonical text of its query (`render_query(q)`), which the request path then
-logs, keys caches by and sends on instead of rendering q again. An endpoint
-passes the text its query memo keeps with the parsed query (see
-`mmw.runtime.protocol`); for an in-process caller, which passes none, the
-first component renders q and passes the text on.
+A data request (`execute`, `serve`) takes the query tree alone. The request
+path logs, keys caches by and sends on the tree's canonical text,
+`canonical_query_text(q)`, which renders a tree once and keeps the text on
+it. Trees are frozen and shared: a parsed tree an endpoint's query memo
+keeps (see `mmw.runtime.protocol`) or a fetch a mediator's plan slot keeps
+is rendered once, however many requests and components it passes through.
 
 `epoch()` answers an opaque token that moves whenever what the component
 serves may have changed. A token is hashable and has a JSON form: a text
@@ -105,12 +105,21 @@ class LineageNode:
             yield from child.walk()
 
 
+_UNSET = object()
+
+
 def canonical_query_text(q: Query) -> Optional[str]:
-    """Canonical text of q, or None when q has no textual form."""
-    try:
-        return render_query(q)
-    except (RenderError, TypeError):
-        return None
+    """Canonical text of q, or None when q has no textual form: rendered
+    once and kept on the frozen tree, outside its fields, so `==`, `hash`
+    and `repr` are unchanged. Threads racing on one tree store the same text."""
+    text = getattr(q, "_canonical_text", _UNSET)
+    if text is _UNSET:
+        try:
+            text = render_query(q)
+        except (RenderError, TypeError):
+            text = None
+        object.__setattr__(q, "_canonical_text", text)  # past the frozen __setattr__
+    return text
 
 
 COUNTER_NAMES = ("queries_served", "rows_returned", "cache_hits", "cache_misses", "errors")
@@ -195,21 +204,17 @@ class ComponentBase:
         with self._lock:
             self._counters["cache_hits" if hit else "cache_misses"] += 1
 
-    def _serve_request(self, q: Query, principal: str, work, query_text: Optional[str] = None):
-        """Check liveness, authorize, run `work(query_text)` and log once.
+    def _serve_request(self, q: Query, principal: str, work):
+        """Check liveness, authorize, run `work()` and log once.
 
-        `work` gets the canonical text of q (None when q has none), rendered
-        here unless the caller gave it, and returns (result, row_count,
-        cache_hit). A failure is logged as denied or error and, when it
-        arose here, stamped with this origin.
+        `work` returns (result, row_count, cache_hit). A failure is logged as
+        denied or error and, when it arose here, stamped with this origin.
         """
         self._check_alive()
-        if query_text is None:
-            query_text = canonical_query_text(q)
-        logged = "<unrenderable query>" if query_text is None else query_text
+        logged = canonical_query_text(q) or "<unrenderable query>"
         try:
             self._authorize(principal)
-            result, rows, cache_hit = work(query_text)
+            result, rows, cache_hit = work()
         except Exception as exc:
             outcome = "denied" if isinstance(exc, AccessDeniedError) else "error"
             self._record(principal, logged, 0, False, outcome)
@@ -221,7 +226,7 @@ class ComponentBase:
 
     # -- mask-only requests -------------------------------------------------------
 
-    def serve(self, q: Query, format: str, principal: str = "", query_text: Optional[str] = None):
+    def serve(self, q: Query, format: str, principal: str = ""):
         """Render q in a text format; only a mask does."""
         raise ProtocolError(
             f"format {format!r} requires a mask endpoint", origin=self.component_id

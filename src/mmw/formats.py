@@ -337,6 +337,8 @@ def reference_parse_jsonl(text: str, name: str = "relation") -> Table:
             obj = json.loads(line, parse_float=Decimal)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"line {line_number}: {exc}") from None
+        except ArithmeticError:  # an exponent no Decimal holds
+            raise ValueError(f"line {line_number}: number out of range") from None
         if not isinstance(obj, dict):
             raise ValueError(f"line {line_number}: record is not an object")
         record: dict[str, Optional[Value]] = {}
@@ -465,8 +467,7 @@ def _scan_jsonl(text: str, name: str) -> Optional[tuple[RelationSchema, list[lis
         try:
             record = decode(line)
         except (ValueError, RecursionError, ArithmeticError):
-            # ArithmeticError: an exponent no Decimal holds, which the
-            # reference lets out, unless an earlier line fails first.
+            # ArithmeticError: an exponent no Decimal holds; the reference refuses it too.
             if line.strip():
                 return None
             continue

@@ -148,28 +148,24 @@ class Mask(ComponentBase):
             raise UnavailableError("mask has no upstream", origin=self.component_id)
         return self.upstream.lineage(relation)
 
-    def execute(self, q, principal: str = "", query_text: Optional[str] = None) -> Table:
+    def execute(self, q, principal: str = "") -> Table:
         """Raw table pass-through (the wire protocol's format=table path)."""
-        return self._serve_upstream(q, principal, None, query_text)
+        return self._serve_upstream(q, principal, None)
 
     # -- virtualizing ---------------------------------------------------------------
 
-    def serve(
-        self, q, format: str, principal: str = "", query_text: Optional[str] = None
-    ) -> Rendering:
-        return self._serve_upstream(q, principal, format, query_text)
+    def serve(self, q, format: str, principal: str = "") -> Rendering:
+        return self._serve_upstream(q, principal, format)
 
-    def _serve_upstream(
-        self, q, principal: str, format: Optional[str], query_text: Optional[str]
-    ):
-        """Ask upstream for q, passing its canonical text on; render the
-        table in `format`, or pass it through when format is None."""
+    def _serve_upstream(self, q, principal: str, format: Optional[str]):
+        """Ask upstream for q; render the table in `format`, or pass it
+        through when format is None."""
         if self.mode != "virtualizing":
             raise ProtocolError(
                 "materializing masks do not serve queries", origin=self.component_id
             )
 
-        def work(text):
+        def work():
             if format is not None and format not in self.formats:
                 raise ProtocolError(
                     f"format {format!r} disabled (enabled: {', '.join(self.formats)})",
@@ -177,13 +173,13 @@ class Mask(ComponentBase):
                 )
             if self.upstream is None:
                 raise UnavailableError("mask has no upstream", origin=self.component_id)
-            table = self.upstream.execute(q, principal, text)
+            table = self.upstream.execute(q, principal)
             if format is None:
                 return table, len(table.rows), False
             data = render_table(table, format).encode("utf-8")
             return Rendering(format, data), len(table.rows), False
 
-        return self._serve_request(q, principal, work, query_text)
+        return self._serve_request(q, principal, work)
 
     # -- materializing -----------------------------------------------------------------
 

@@ -17,9 +17,9 @@ tokens come from one `epoch()` call per request:
 - a plan: key ("plan", the query with its literals lifted into typed
   placeholders), token the configuration generation, value the plan of the
   lifted query, into which each request binds its own literals, with the
-  translated query and fetch key of each fetch that holds no placeholder,
-  so a request re-translates and re-renders only the fetches its own
-  literals reach;
+  translated query of each fetch that holds no placeholder, which keeps its
+  canonical text once rendered, so a request re-translates and re-renders
+  only the fetches its own literals reach;
 - a fetch: key ("fetch", alias, canonical text of the translated fetch
   query), token that downstream's token, value the fetched table;
 - a join: key ("join", the plan's join step, the fetch keys of its inputs),
@@ -221,16 +221,17 @@ class Mediator(ComponentBase):
                 ) from None
         return tuple(tokens)
 
-    def execute(self, q: Query, principal: str = "", query_text: Optional[str] = None) -> Table:
-        return self._serve_request(q, principal, lambda text: self._answer(q, text), query_text)
+    def execute(self, q: Query, principal: str = "") -> Table:
+        return self._serve_request(q, principal, lambda: self._answer(q))
 
-    def _answer(self, q: Query, query_text: Optional[str]) -> tuple[Table, int, bool]:
+    def _answer(self, q: Query) -> tuple[Table, int, bool]:
         config = self._config
         result_schema = infer_schema(q, config.product_env)
         caching = self.cache_capacity > 0
         token = self.epoch(config) if caching else None
         # A query with no textual form has no result key, so it always misses.
-        key = ("result", query_text) if caching and query_text is not None else None
+        query_text = canonical_query_text(q) if caching else None
+        key = None if query_text is None else ("result", query_text)
         cached = self._kept(key, token)
         if cached is not None:
             self._count_cache(True)
@@ -243,14 +244,14 @@ class Mediator(ComponentBase):
 
         def fetch(step):
             alias = step.namespace
-            fixed = fixed_fetches.get(step.intermediate)
-            translated, slot = fixed or self._translate(step, caching)
+            translated = fixed_fetches.get(step.intermediate) or self._translate(step)
+            fetch_text = canonical_query_text(translated) if caching else None
+            slot = None if fetch_text is None else ("fetch", alias, fetch_text)
             fetch_keys[step.intermediate] = slot
             downstream_token = downstream_tokens.get(alias)
             table = self._kept(slot, downstream_token)
             if table is None:
-                fetch_text = None if slot is None else slot[2]
-                table = self.downstream[alias].execute(translated, self.component_id, fetch_text)
+                table = self.downstream[alias].execute(translated, self.component_id)
                 self._keep(slot, downstream_token, table)
             return table
 
@@ -273,18 +274,15 @@ class Mediator(ComponentBase):
         self._keep(key, token, result)
         return result, len(result.rows), False
 
-    def _translate(self, step: FetchStep, caching: bool) -> tuple[Query, Optional[tuple]]:
-        """The query of a fetch step in its downstream's own namespace, and
-        its fetch key (None when caching is off or the query has no text)."""
+    def _translate(self, step: FetchStep) -> Query:
+        """The query of a fetch step in its downstream's own namespace."""
         alias = step.namespace
         remote_namespace = getattr(self.downstream[alias], "namespace", alias)
-        translated = rewrite_namespaces(step.query, {alias: remote_namespace})
-        fetch_text = canonical_query_text(translated) if caching else None
-        return translated, None if fetch_text is None else ("fetch", alias, fetch_text)
+        return rewrite_namespaces(step.query, {alias: remote_namespace})
 
     def _plan(
         self, q: Query, config: _Configuration, caching: bool
-    ) -> tuple[ExecutionPlan, Mapping[QualifiedName, tuple[Query, Optional[tuple]]]]:
+    ) -> tuple[ExecutionPlan, Mapping[QualifiedName, Query]]:
         """The plan of q: bound from the plan slot of q's shape, planned
         into it on a miss, or planned afresh when caching is off; with the
         `_translate` of each fetch that holds no placeholder, by
@@ -303,7 +301,7 @@ class Mediator(ComponentBase):
                 # real query gives the error its own text.
                 return plan(q, views, bound, env), {}
             kept = prepared, {
-                step.intermediate: self._translate(step, caching)
+                step.intermediate: self._translate(step)
                 for step in prepared.fetches
                 if not step.holds_placeholder
             }

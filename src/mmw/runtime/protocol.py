@@ -12,12 +12,13 @@ turns it back into the same hashable value (lists become tuples) and
 refuses any other shape.
 
 Each endpoint parses a query text once: its `QueryMemo` maps the text of an
-exec_query to the parsed query and that query's canonical text, which the
-component logs and keys its caches by and a `TcpBinding` sends on, so a warm
-request is neither parsed nor rendered again anywhere on its path. The memo
-keeps at most `QUERY_MEMO_ENTRIES` texts, least recently used first out, and
-only texts of at most `QUERY_MEMO_TEXT_CHARS` characters; a longer text is
-parsed on every request. A text that fails to parse is never kept. The memo
+exec_query to the parsed query. The tree keeps its canonical text once
+rendered (`mmw.component.canonical_query_text`), which the component logs
+and keys its caches by and a `TcpBinding` sends on, so a warm request is
+neither parsed nor rendered again anywhere on its path. The memo keeps at
+most `QUERY_MEMO_ENTRIES` texts, least recently used first out, and only
+texts of at most `QUERY_MEMO_TEXT_CHARS` characters; a longer text is parsed
+on every request. A text that fails to parse is never kept. The memo
 lives and dies with its endpoint: `ProtocolServer.close` empties it.
 """
 
@@ -150,13 +151,13 @@ def _text_field(request: dict, field: str, default: Optional[str] = None) -> str
 
 
 class QueryMemo:
-    """A bounded LRU map from a query text to (parsed query, canonical text
-    or None when the query has none); see the module docstring. Query trees
-    are frozen, so every request of an endpoint may share one."""
+    """A bounded LRU map from a query text to its parsed query; see the
+    module docstring. Query trees are frozen, so every request of an
+    endpoint may share one."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[Query, Optional[str]]] = OrderedDict()
+        self._entries: OrderedDict[str, Query] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -164,26 +165,25 @@ class QueryMemo:
     def __contains__(self, text: str) -> bool:
         return text in self._entries
 
-    def lookup(self, text: str) -> tuple[Query, Optional[str]]:
-        """The query of text and its canonical text, parsed on a miss; a
-        syntax error propagates and nothing is kept."""
+    def lookup(self, text: str) -> Query:
+        """The query of text, parsed on a miss; a syntax error propagates
+        and nothing is kept."""
         # One dict read needs no lock; every change to the map holds it, so
         # a hit and a miss each take it once.
-        entry = self._entries.get(text)
-        if entry is not None:
+        q = self._entries.get(text)
+        if q is not None:
             with self._lock:
                 if text in self._entries:  # not evicted since the read
                     self._entries.move_to_end(text)
-            return entry
+            return q
         q = parse_query(text)
-        entry = (q, canonical_query_text(q))
         if len(text) <= QUERY_MEMO_TEXT_CHARS:
             with self._lock:
-                self._entries[text] = entry
+                self._entries[text] = q
                 self._entries.move_to_end(text)
                 if len(self._entries) > QUERY_MEMO_ENTRIES:
                     self._entries.popitem(last=False)
-        return entry
+        return q
 
     def clear(self) -> None:
         with self._lock:
@@ -208,11 +208,11 @@ def handle_request(component, request: dict, queries: QueryMemo) -> dict:
         query_text = _text_field(request, "query")
         principal = _text_field(request, "principal", "")
         format_tag = _text_field(request, "format", "table")
-        q, canonical = queries.lookup(query_text)
+        q = queries.lookup(query_text)
         if format_tag == "table":
-            return table_response(component.execute(q, principal, canonical))
+            return table_response(component.execute(q, principal))
         if format_tag in FORMATS:
-            rendering = component.serve(q, format_tag, principal, canonical)
+            rendering = component.serve(q, format_tag, principal)
             return {"type": "rendering", "format": rendering.format, "data": rendering.text}
         raise ProtocolError(f"unknown format {format_tag!r}")
     if request_type == "stats":
@@ -430,17 +430,16 @@ class TcpBinding:
         obj = self._client.request({"type": "get_schema"})
         return product_from_obj(obj["schema"])
 
-    def _exec_query(self, q, principal: str, format: str, query_text: Optional[str]) -> dict:
-        """Send q as `query_text`, its canonical text, rendering it when the
-        caller has none."""
-        if query_text is None:
-            query_text = render_query(q)
+    def _exec_query(self, q, principal: str, format: str) -> dict:
+        """Send q as its canonical text; a tree with no textual form raises
+        `RenderError` before anything is sent."""
+        text = canonical_query_text(q) or render_query(q)  # the latter raises
         return self._client.request(
-            {"type": "exec_query", "query": query_text, "principal": principal, "format": format}
+            {"type": "exec_query", "query": text, "principal": principal, "format": format}
         )
 
-    def execute(self, q, principal: str = "", query_text: Optional[str] = None) -> Table:
-        return table_from_response(self._exec_query(q, principal, "table", query_text))
+    def execute(self, q, principal: str = "") -> Table:
+        return table_from_response(self._exec_query(q, principal, "table"))
 
     def epoch(self):
         response = self._client.request({"type": "epoch"})
@@ -453,10 +452,8 @@ class TcpBinding:
     def stats(self) -> dict:
         return self._client.request({"type": "stats"})["counters"]
 
-    def serve(
-        self, q, format: str, principal: str = "", query_text: Optional[str] = None
-    ) -> Rendering:
-        response = self._exec_query(q, principal, format, query_text)
+    def serve(self, q, format: str, principal: str = "") -> Rendering:
+        response = self._exec_query(q, principal, format)
         return Rendering(response["format"], response["data"].encode("utf-8"))
 
     def materialize(self) -> dict:

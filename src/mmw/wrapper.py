@@ -85,8 +85,8 @@ class Wrapper(ComponentBase):
 
     # -- data --------------------------------------------------------------
 
-    def execute(self, q: Query, principal: str = "", query_text: Optional[str] = None) -> Table:
-        def work(_query_text):
+    def execute(self, q: Query, principal: str = "") -> Table:
+        def work():
             foreign = namespaces(q) - {self.namespace}
             if foreign:
                 raise UnknownRelationError(
@@ -102,7 +102,7 @@ class Wrapper(ComponentBase):
             result = evaluate(push_down_selects(q, env), db, self.config.salt)
             return result, len(result.rows), False
 
-        return self._serve_request(q, principal, work, query_text)
+        return self._serve_request(q, principal, work)
 
     # -- change signal --------------------------------------------------------
 

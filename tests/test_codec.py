@@ -114,7 +114,7 @@ def random_value(rng: random.Random, kind: Kind) -> Value:
         digits = rng.randint(-10**12, 10**12)
         return Value.decimal(Decimal(digits).scaleb(rng.randint(-14, 6)))
     if kind is Kind.TEXT:
-        alphabet = string.ascii_letters + string.digits + ' ,"\n\r-:.é１😀'
+        alphabet = string.ascii_letters + string.digits + ' ,"\n\r-:.é１😀\x85\u2028\u2029'
         return Value.text("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8))))
     moment = datetime(
         rng.randint(1, 9999), rng.randint(1, 12), rng.randint(1, 28),
@@ -186,7 +186,11 @@ def reference_jsonl_token(value: Value) -> str:
     if value.kind is Kind.DECIMAL:
         return text if "." in text else text + ".0"
     if value.kind in (Kind.TEXT, Kind.TIMESTAMP):
-        return json.dumps(text, ensure_ascii=False)
+        # str.splitlines breaks a line at these, so a written line escapes them.
+        token = json.dumps(text, ensure_ascii=False)
+        for separator in "\x85\u2028\u2029":
+            token = token.replace(separator, f"\\u{ord(separator):04x}")
+        return token
     return text
 
 
@@ -290,6 +294,7 @@ PINNED_JSONL_TOKENS = [
     (Kind.DECIMAL, Value.integer(3), "3"),
     (Kind.TEXT, Value.integer(3), "3"),
     (Kind.TEXT, Value.text('a"\n'), '"a\\"\\n"'),
+    (Kind.TEXT, Value.text("a\x85\u2028\u2029"), '"a\\u0085\\u2028\\u2029"'),
     (Kind.INTEGER, Value.text("7"), '"7"'),
     (Kind.BOOLEAN, Value.null(), "null"),
 ]

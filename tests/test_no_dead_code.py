@@ -1,12 +1,15 @@
 """Every function, class, method and module-level name defined in `src/mmw`
-is used somewhere.
+is used somewhere, and every module-level import of a module there is used
+by that module.
 
 The check parses every Python file under `src/`, `tests/` and `meshbench/`
 and counts a definition as used when its name appears as a variable, an
 attribute, an imported name or a string constant (an `__all__` entry, a name
 patched with `setattr`). A definition's references to itself, as in
 recursion, do not count, nor does the target of a module-level assignment.
-Dunder names are called or read by Python itself.
+Dunder names are called or read by Python itself. A package's `__init__.py`
+imports to re-export, and `from __future__` imports change the compiler, so
+neither counts as an unused import.
 """
 
 from __future__ import annotations
@@ -94,3 +97,34 @@ def test_every_definition_in_the_package_is_referenced():
         and not (name.startswith("__") and name.endswith("__"))
     ]
     assert dead == [], "defined but never referenced:\n" + "\n".join(dead)
+
+
+def _unused_imports(path: Path) -> list[tuple[str, int]]:
+    """Each name a module-level import binds that the module never reads: as
+    a variable or as a string constant (a quoted annotation, an `__all__`
+    entry)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound: list[tuple[str, int]] = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [((alias.asname or alias.name).split(".")[0], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(alias.asname or alias.name, node.lineno) for alias in node.names]
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return [(name, line) for name, line in bound if name not in read]
+
+
+def test_every_module_level_import_in_the_package_is_used():
+    modules = [path for path in sorted(PACKAGE.rglob("*.py")) if path.name != "__init__.py"]
+    assert modules, "no modules found under src/mmw"
+    unused = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in modules
+        for name, line in _unused_imports(path)
+    ]
+    assert unused == [], "imported but never used:\n" + "\n".join(unused)

@@ -1,5 +1,6 @@
 """Each endpoint's query memo: a bounded map from a request's query text to
-the parsed query and its canonical text (`mmw.runtime.protocol.QueryMemo`).
+the parsed query, which keeps its canonical text once rendered
+(`mmw.runtime.protocol.QueryMemo`, `mmw.component.canonical_query_text`).
 
 Checked against `parse_query` and `render_query` as oracles, through the
 benchmark's tracer for the parse counts `meshbench` reports, and over the
@@ -19,10 +20,15 @@ import pytest
 
 import mmw.runtime.protocol as protocol
 from mmw.adapters import MemoryAdapter
-from mmw.errors import QuerySyntaxError
+from mmw.component import canonical_query_text
+from mmw.errors import MeshError, QuerySyntaxError
+from mmw.mask import Mask
+from mmw.mediator import Mediator
+from mmw.query.ast import AttrRef, Project, ProjectItem, QualifiedName, Scan
 from mmw.query.evaluate import evaluate
 from mmw.query.parse import parse_query, tokenize
-from mmw.query.render import render_query
+from mmw.query.render import RenderError, render_query
+from mmw.relational import Attribute, Kind, RelationSchema, Value
 from mmw.runtime.mesh import Mesh
 from mmw.runtime.protocol import (
     QUERY_MEMO_ENTRIES,
@@ -30,6 +36,7 @@ from mmw.runtime.protocol import (
     ProtocolClient,
     ProtocolServer,
     QueryMemo,
+    TcpBinding,
     table_from_response,
 )
 from mmw.runtime.topology import load_topology
@@ -83,11 +90,14 @@ class TestQueryMemo:
                 text += "\n-- " + "x" * QUERY_MEMO_TEXT_CHARS
             expected = parse_query(text)
             first = memo.lookup(text)
-            assert first == (expected, render_query(expected)), f"case {case}: {text!r}"
+            assert first == expected, f"case {case}: {text!r}"
+            assert canonical_query_text(first) == render_query(expected)
+            # The kept text is no field: a tree that keeps one is the same value.
+            assert (first, hash(first), repr(first)) == (expected, hash(expected), repr(expected))
             parsed = len(parse_calls)
             again = memo.lookup(text)
-            assert again == first
             kept = len(text) <= QUERY_MEMO_TEXT_CHARS
+            assert again is first if kept else again == first
             assert len(parse_calls) == parsed + (not kept), f"case {case}: {len(text)} chars"
             assert (text in memo) == kept
             assert len(memo) <= QUERY_MEMO_ENTRIES
@@ -313,3 +323,160 @@ class TestTracerContract:
                     assert render_calls == []
         finally:
             tracer.uninstall()
+
+
+# --- one query, three ways in ----------------------------------------------------
+
+# (component, text, principal): answers and errors of each kind, at each hop.
+THREE_WAYS = [
+    ("shop_mask", "select sku FROM shop.items  WHERE grp = 3", "reader"),
+    ("shop_mask", "SELECT * FROM shop.items WHERE sku >= 2 AND grp <> 4", "reader"),
+    ("shop_mask", "SELECT sku FROM shop.items WHERE grp = 'x'", "reader"),
+    ("shop_mask", "SELECT * FROM shop.items", "stranger"),
+    ("shop_product", "SELECT grp, sku FROM shop.items WHERE sku < 3", "reader"),
+    ("shop_product", "select * from shop.nowhere", "reader"),
+    ("shop_product", "SELECT sku AS s FROM shop.items WHERE grp = 3 OR sku = 2", "reader"),
+    ("w_items", "SELECT sku FROM north.items WHERE grp = 4", "reader"),
+    ("w_items", "SELECT * FROM south.items", "reader"),
+    ("w_items", "SELECT * FROM north.items WHERE ghost = 1", "reader"),
+]
+
+
+def outcome(thunk):
+    """A table as its attributes and row bag, or an error as its wire code
+    and message."""
+    try:
+        table = thunk()
+    except MeshError as exc:
+        return "error", exc.code, exc.message
+    attributes = [(attr.name, attr.data_type, attr.nullable) for attr in table.schema.attributes]
+    return "table", attributes, table.row_bag()
+
+
+class TestOneQueryThreeWays:
+    def test_text_tree_and_wire_line_give_one_answer_and_one_logged_text(self):
+        with Mesh(load_topology(chain_document())) as mesh:
+            tables = errors = 0
+            for component_id, text, principal in THREE_WAYS:
+                component = mesh.component(component_id)
+                client = ProtocolClient(*mesh.endpoints[component_id])
+
+                def over_the_wire():
+                    request = {"type": "exec_query", "query": text, "principal": principal}
+                    return table_from_response(client.request(request))
+
+                ways = [
+                    lambda: mesh.execute(component_id, text, principal),
+                    lambda: component.execute(parse_query(text), principal),
+                    over_the_wire,
+                ]
+                outcomes, logged = [], []
+                try:
+                    for way in ways:
+                        before = len(component.access_log)
+                        outcomes.append(outcome(way))
+                        assert len(component.access_log) == before + 1
+                        logged.append(component.access_log[-1].query)
+                finally:
+                    client.close()
+                case = (component_id, text, principal)
+                assert outcomes == [outcomes[0]] * 3, case
+                assert logged == [render_query(parse_query(text))] * 3, case
+                tables += outcomes[0][0] == "table"
+                errors += outcomes[0][0] == "error"
+            assert tables >= 5 and errors >= 4
+
+
+def nested_query(namespace: str, relation: str) -> Project:
+    """A projection over a projection: a tree with no textual form."""
+    inner = Project(Scan(QualifiedName(namespace, relation)), [ProjectItem(AttrRef("sku"), "s")])
+    return Project(inner, [ProjectItem(AttrRef("s"), "s")])
+
+
+def items_wrapper(component_id="w_items", namespace="north") -> Wrapper:
+    schema = RelationSchema("items", [Attribute("sku", Kind.INTEGER), Attribute("grp", Kind.INTEGER)])
+    rows = [(Value.integer(sku), Value.integer(grp)) for sku, grp in ((1, 3), (2, 4), (3, 3))]
+    return Wrapper(WrapperConfig(component_id, namespace, MemoryAdapter([schema], {"items": rows})))
+
+
+class TestUnrenderableTree:
+    @pytest.mark.parametrize("capacity", (0, 8))
+    def test_logged_as_unrenderable_in_process(self, capacity):
+        wrapper = items_wrapper()
+        mediator = Mediator(
+            "m", "shop", {"north": wrapper}, ["CREATE VIEW items AS SELECT sku, grp FROM north.items"],
+            cache_capacity=capacity,
+        )
+        mask = Mask("k", mediator, formats=("csv",))
+        for component, q in (
+            (wrapper, nested_query("north", "items")),
+            (mediator, nested_query("shop", "items")),
+            (mask, nested_query("shop", "items")),
+        ):
+            result = component.execute(q)
+            assert sorted(row[0].payload for row in result.rows) == [1, 2, 3]
+            assert component.access_log[-1].query == "<unrenderable query>"
+
+    def test_tcp_binding_raises_before_sending(self, monkeypatch):
+        server = ProtocolServer(items_wrapper(), "127.0.0.1", 0)
+        binding = TcpBinding(server.host, server.port)
+        sent = []
+        monkeypatch.setattr(binding._client, "request", sent.append)
+        try:
+            with pytest.raises(RenderError):
+                binding.execute(nested_query("north", "items"), "reader")
+            with pytest.raises(RenderError):
+                binding.serve(nested_query("north", "items"), "csv", "reader")
+            assert sent == []
+        finally:
+            binding.close()
+            server.close()
+
+
+class TestOneRenderPerTree:
+    """Through an in-process mask, mediator and wrappers, each tree is
+    rendered once: the query a caller hands in and each fetch the mediator
+    sends, however many components log it or key a cache by it."""
+
+    QUERIES = [
+        "SELECT sku, price FROM shop.priced WHERE grp = 3",
+        "SELECT sku, price FROM shop.priced WHERE grp = 3",
+        "SELECT sku, price FROM shop.priced WHERE grp = 4",
+        "SELECT * FROM shop.priced WHERE price > 1.5",
+    ]
+
+    def chain(self, capacity):
+        prices = RelationSchema(
+            "prices", [Attribute("psku", Kind.INTEGER), Attribute("price", Kind.DECIMAL)]
+        )
+        south = Wrapper(WrapperConfig("w_prices", "south", MemoryAdapter(
+            [prices],
+            {"prices": [(Value.integer(sku), Value.decimal(f"{sku}.50")) for sku in (1, 2, 3)]},
+        )))
+        north = items_wrapper()
+        mediator = Mediator(
+            "m", "shop", {"north": north, "south": south},
+            ["CREATE VIEW priced AS SELECT sku, grp, price "
+             "FROM north.items JOIN south.prices ON sku = psku"],
+            cache_capacity=capacity,
+        )
+        return Mask("k", mediator, formats=("csv",)), (north, south)
+
+    # Fetches that reach a wrapper per query: with a cache, the repeated
+    # text is a result hit, and the third query binds a kept plan whose
+    # placeholder-free fetch (south) hits its fetch slot.
+    @pytest.mark.parametrize("capacity,fetches", [(0, [2, 2, 2, 2]), (64, [2, 0, 1, 2])])
+    def test_the_query_and_each_fetch_render_once(self, render_calls, capacity, fetches):
+        mask, wrappers = self.chain(capacity)
+        sent = []
+        for text in self.QUERIES:
+            q = parse_query(text)
+            logged = sum(len(wrapper.access_log) for wrapper in wrappers)
+            del render_calls[:]
+            mask.serve(q, "csv", "reader")
+            sent.append(sum(len(wrapper.access_log) for wrapper in wrappers) - logged)
+            assert render_calls[0] is q
+            assert len(render_calls) == 1 + sent[-1], text
+            assert len({id(tree) for tree in render_calls}) == len(render_calls), text
+            assert mask.access_log[-1].query == render_query(q)
+        assert sent == fetches
