@@ -12,9 +12,11 @@ current text, and lists them by name. `relations()` builds no value: it
 reads each delimited file's header and splits none of its data lines (a
 text with a quote or a carriage return excepted), and infers each json-lines
 schema in one value-free pass (`formats.jsonl_schema`). A load may be handed
-the selection that sits on its relation; both file adapters then decode only
-the cells the selection reads, and the other cells of the rows they keep,
-and still validate every cell, so a malformed file fails whatever the
+the selection that sits on its relation. Both file adapters decode a text
+in one columnar form by one function (`formats._decoded_rows`): the cells
+the selection reads and the other cells of the rows they keep, validating
+every other cell. A text that form refuses goes to its format's reference
+parser, so a malformed file fails with the same message whatever the
 selection. Reuse of unchanged data belongs to the mediator, which keeps each
 fetch under its downstream's epoch token.
 """

@@ -13,25 +13,25 @@ quote-free text a reader splits the header line at once and the data lines
 only when the rows are first asked for, so reading a schema splits no data
 line.
 
-A csv read given a selection predicate decodes only the predicate's columns
-of each row and the other cells of the rows it keeps; every cell it does not
-decode is still validated (`relational.TEXT_CHECKS`), and a refused cell or
-row sends the whole text through the full decode, so a malformed file fails
-with the same message either way.
-
 json-lines format: one flat JSON object per row, field order = schema
 order. Decimals are emitted as raw numeric tokens with a forced '.' so a
 reader can tell them from integers; numbers are parsed back with exact
-decimal semantics. A reader decodes every line with `json` and infers each
-field's kind, nullability and widening from the decoded cells column by
-column, checking each cell as a value of its kind (int64 range, decimal
-exponent, calendar) without building one. It builds values only for the
-rows it returns; with a selection predicate it decodes only the predicate's
-cells of the other rows. A text this pass does not settle (a refused cell,
-an extreme decimal exponent, no fields at all) goes to
-`reference_parse_jsonl`, which builds every value as it infers and is the
-oracle of the quick pass, so a malformed file fails with the same message
-either way.
+decimal semantics.
+
+Both readers bring a text to one columnar form: the schema, each column's
+raw cells (a csv cell as split, a json-lines cell as `json` decoded it) and
+one decoder per column. The json-lines reader infers each field's kind,
+nullability and widening from its column, checking each cell as a value of
+its kind (int64 range, decimal exponent, calendar) without building one.
+`_decoded_rows` then builds values only for the rows a read returns: given
+a selection predicate it decodes the predicate's columns of every row and
+the other cells of the rows it keeps, and a csv read still validates every
+cell it does not decode (`relational.TEXT_CHECKS`). A text this pass does
+not settle (a ragged row, a refused cell, an extreme decimal exponent, a
+json-lines text without fields) goes to its format's reference parser,
+`reference_parse_csv` or `reference_parse_jsonl`, which decodes record by
+record, is the oracle of the columnar path, and raises each refusal with
+its line, so a malformed file fails with the same message either way.
 
 Cells are encoded and decoded by the per-column closures of `mmw.codec`;
 this module owns only the text around them: splitting, quoting, headers,
@@ -44,7 +44,6 @@ import json
 import re
 from decimal import Decimal
 from itertools import repeat
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from mmw.codec import csv_check, csv_decoder, jsonl_encoder, rows_to_wire
@@ -188,8 +187,8 @@ def iter_csv_rows(
     here, before any row.
 
     With `where`, rows for which it is not true may be left out, the others
-    keep their order. It is used only when it type-checks against the header
-    and holds no hash(), whose value depends on the reader's salt."""
+    keep their order (see `_decoded_rows`). A text the columnar decode
+    refuses is read by `reference_parse_csv`, which raises its error."""
     if '"' in text or "\r" in text:
         raw_rows = regex_split_delimited(text)
         header = raw_rows[0] if raw_rows else None
@@ -207,32 +206,47 @@ def iter_csv_rows(
     if header is None:
         raise ValueError("missing header row")
     schema = schema_from_header(name, header)
-    selective = _selection_applies(where, schema)
 
     def generate() -> Iterator[Row]:
         raw_rows = data()
-        decoders = [csv_decoder(attr) for attr in schema.attributes]
-        kept = _selected_rows(schema, decoders, raw_rows, where) if selective else None
-        if kept is not None:
-            yield from kept
-            return
-        for line_number, raw in enumerate(raw_rows, start=2):
-            if len(raw) != len(decoders):
-                raise ValueError(
-                    f"line {line_number}: expected {len(decoders)} fields, got {len(raw)}"
-                )
-            try:
-                row = tuple([decode(cell) for decode, cell in zip(decoders, raw)])
-            except ValueError as exc:
-                raise ValueError(f"line {line_number}: {exc}") from None
-            yield row
+        attrs = schema.attributes
+        rows = None
+        if all(len(raw) == len(attrs) for raw in raw_rows):  # else a ragged row
+            columns = list(zip(*raw_rows)) or [()] * len(attrs)
+            decoders = [csv_decoder(attr) for attr in attrs]
+            checks = [(p, check) for p, attr in enumerate(attrs) if (check := csv_check(attr))]
+            rows = _decoded_rows(schema, columns, decoders, where, checks)
+        yield from reference_parse_csv(text, name).rows if rows is None else rows
 
     return schema, generate()
 
 
+def reference_parse_csv(text: str, name: str = "relation") -> Table:
+    """The delimited text split by `regex_split_delimited` and decoded row
+    by row, each refusal raised with its line: the oracle of
+    `iter_csv_rows`, and its path for a text the columnar decode refuses."""
+    raw_rows = regex_split_delimited(text)
+    if not raw_rows:
+        raise ValueError("missing header row")
+    schema = schema_from_header(name, raw_rows[0])
+    decoders = [csv_decoder(attr) for attr in schema.attributes]
+    rows = []
+    for line_number, raw in enumerate(raw_rows[1:], start=2):
+        if len(raw) != len(decoders):
+            raise ValueError(
+                f"line {line_number}: expected {len(decoders)} fields, got {len(raw)}"
+            )
+        try:
+            rows.append(tuple([decode(cell) for decode, cell in zip(decoders, raw)]))
+        except ValueError as exc:
+            raise ValueError(f"line {line_number}: {exc}") from None
+    return Table(schema, rows)
+
+
 def _selection_applies(where: Optional[Predicate], schema: RelationSchema) -> bool:
     """Whether a reader may leave out the rows for which `where` is not
-    true: it type-checks against the schema and holds no hash()."""
+    true: it type-checks against the schema and holds no hash(), whose
+    value depends on the reader's salt."""
     if where is None or contains_hash_call(where):
         return False
     try:
@@ -242,41 +256,43 @@ def _selection_applies(where: Optional[Predicate], schema: RelationSchema) -> bo
     return True
 
 
-def _selected_rows(
-    schema: RelationSchema, decoders: list, data: list[list[Cell]], where: Predicate
+def _decoded_rows(
+    schema: RelationSchema, columns: list, decoders: list, where: Optional[Predicate], checks=()
 ) -> Optional[list[Row]]:
-    """The data rows for which `where` is true, in order, decoding only the
-    predicate's cells of every other row and checking the rest; None as soon
-    as any row or cell would fail to decode."""
-    attrs = schema.attributes
-    names = predicate_attrs(where)
-    test = _compile_predicate(where, {attr.name: p for p, attr in enumerate(attrs)}, "")
-    keys = [(p, decoders[p]) for p, attr in enumerate(attrs) if attr.name in names]
-    checks = [
-        (p, check)
-        for p, attr in enumerate(attrs)
-        if attr.name not in names and (check := csv_check(attr)) is not None
-    ]
-    width = len(attrs)
-    # One row buffer for every test: the predicate reads only the cells of
-    # its own columns, which each row overwrites.
-    probe: list = [None] * width
-    kept = []
+    """The rows held by `columns`, each column's raw cells, decoded in order
+    by `decoders`, one per column; None as soon as a cell fails to decode or
+    check. With a `where` the reader may use (`_selection_applies`), only
+    the rows for which it is true: it decodes the predicate's columns of
+    every row and the other columns of the kept rows, and each
+    `(position, check)` of `checks` validates every cell of its column the
+    predicate does not read."""
     try:
-        for raw in data:
-            if len(raw) != width:
+        if not _selection_applies(where, schema):
+            return list(zip(*[list(map(d, column)) for d, column in zip(decoders, columns)]))
+        attrs = schema.attributes
+        names = predicate_attrs(where)
+        keys = {
+            p: list(map(decoders[p], columns[p])) for p, attr in enumerate(attrs) if attr.name in names
+        }
+        for p, check in checks:
+            if p not in keys and not all(map(check, columns[p])):
                 return None
-            for p, decode in keys:
-                probe[p] = decode(raw[p])
+        test = _compile_predicate(where, {attr.name: p for p, attr in enumerate(attrs)}, "")
+        # One row buffer for every test: the predicate reads only the cells
+        # of its own columns, which each row overwrites.
+        probe: list = [None] * len(attrs)
+        kept = []
+        for record in range(len(columns[0])):
+            for p, values in keys.items():
+                probe[p] = values[record]
             if test(probe) is True:
-                kept.append(tuple([decode(cell) for decode, cell in zip(decoders, raw)]))
+                kept.append(record)
+        return list(zip(*[
+            [keys[p][r] for r in kept] if p in keys else [decode(column[r]) for r in kept]
+            for p, (decode, column) in enumerate(zip(decoders, columns))
+        ]))
     except ValueError:
         return None
-    # Column by column; the kept rows decoded, so checking them again is moot.
-    for p, check in checks:
-        if not all(map(check, map(itemgetter(p), data))):
-            return None
-    return kept
 
 
 def parse_csv(text: str, name: str = "relation") -> Table:
@@ -353,7 +369,10 @@ def reference_parse_jsonl(text: str, name: str = "relation") -> Table:
                 saw_null[field_name] = True
                 record[field_name] = Value.null()
                 continue
-            kind, value = _classify_scalar(raw)
+            try:
+                kind, value = _classify_scalar(raw)
+            except ValueError as exc:
+                raise ValueError(f"line {line_number}: {exc}") from None
             previous = kinds[field_name]
             if previous is None:
                 kinds[field_name] = kind
@@ -504,35 +523,10 @@ def parse_jsonl(text: str, name: str = "relation", where: Optional[Predicate] = 
     rows it returns. With `where`, used as `iter_csv_rows` uses it, only the
     predicate's cells of the records it leaves out are decoded."""
     scanned = _scan_jsonl(text, name)
-    if scanned is None:
+    rows = None if scanned is None else _decoded_rows(*scanned, where)
+    if rows is None:
         return reference_parse_jsonl(text, name)
-    schema, columns, decoders = scanned
-    if _selection_applies(where, schema):
-        columns = _kept_cells(schema, columns, decoders, where)
-    return Table(schema, zip(*[list(map(d, column)) for d, column in zip(decoders, columns)]))
-
-
-def _kept_cells(
-    schema: RelationSchema, columns: list[list], decoders: list, where: Predicate
-) -> list[list]:
-    """The columns cut down to the records for which `where` is true,
-    decoding only the predicate's columns to test them."""
-    attrs = schema.attributes
-    names = predicate_attrs(where)
-    test = _compile_predicate(where, {attr.name: p for p, attr in enumerate(attrs)}, "")
-    keys = [
-        (p, list(map(decoders[p], columns[p])))
-        for p, attr in enumerate(attrs)
-        if attr.name in names
-    ]
-    probe: list = [None] * len(attrs)
-    kept = []
-    for record in range(len(columns[0])):
-        for p, values in keys:
-            probe[p] = values[record]
-        if test(probe) is True:
-            kept.append(record)
-    return [[column[record] for record in kept] for column in columns]
+    return Table(scanned[0], rows)
 
 
 # --- pretty ---------------------------------------------------------------------

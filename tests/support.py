@@ -12,6 +12,8 @@ import string
 from datetime import datetime, timezone
 from decimal import Decimal
 
+from mmw.errors import ConfigError
+from mmw.formats import reference_parse_csv, reference_parse_jsonl
 from mmw.planner import execute_plan, plan
 from mmw.query.evaluate import evaluate
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value
@@ -98,6 +100,17 @@ def random_row(rng: random.Random, schema: RelationSchema) -> tuple[Value, ...]:
 
 def random_table(rng: random.Random, schema: RelationSchema, max_rows: int = 6) -> Table:
     return Table(schema, [random_row(rng, schema) for _ in range(rng.randint(0, max_rows))])
+
+
+def reference_load(file):
+    """The reference decode of a .csv or .jsonl file as its adapter reports
+    it: the text read as the adapter reads it, a refusal (a non-UTF-8 byte
+    too) a ConfigError naming the file."""
+    parse = reference_parse_csv if file.suffix == ".csv" else reference_parse_jsonl
+    try:
+        return parse(file.read_text(encoding="utf-8"), file.stem)
+    except ValueError as exc:  # UnicodeDecodeError is one
+        raise ConfigError(f"{file.name}: {exc}") from None
 
 
 # --- json-lines texts --------------------------------------------------------------

@@ -467,6 +467,7 @@ class TestUpDown:
         finally:
             if process.poll() is None:
                 process.kill()
+            process.communicate()  # reads and closes the output pipes
 
     def test_down_without_pidfile_exits_two(self, tmp_path, capsys):
         config = tmp_path / "mesh.json"

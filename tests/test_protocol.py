@@ -6,6 +6,7 @@ import gc
 import importlib
 import json
 import pkgutil
+import random
 import socket
 import socketserver
 import struct
@@ -297,6 +298,103 @@ WIRE_CODE_OF = [
     (TopologyError("m"), "unavailable"),
     (ViewCycleError(["v", "v"]), "unavailable"),
 ]
+
+
+# Characters of a junk request line: no quote, so no JSON object with a
+# field, and no whitespace only, so never a blank line the server skips.
+JUNK = "{}[]:,0123456789.-+eEtrufalsn\\'x\x00\ufffd "
+
+
+def nested(depth: int) -> list:
+    """A JSON list nested `depth` deep around one text."""
+    value: object = "x"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def malformed_request(rng: random.Random) -> bytes:
+    """One request line every endpoint answers with an error: bad JSON, a
+    value that is no request, a field of the wrong type, or nesting at or
+    past MAX_DEPTH in the JSON or in the query text."""
+    wrong = rng.choice([1, 2.5, None, True, [], ["x"], {}, {"k": "x"}, nested(MAX_DEPTH)])
+    roll = rng.random()
+    if roll < 0.15:
+        line = json.dumps({"type": "exec_query", "query": "SELECT * FROM ns.nums"}).encode()
+        return line[: rng.randrange(1, len(line))]  # cut short
+    if roll < 0.3:
+        junk = "".join(rng.choice(JUNK) for _ in range(rng.randint(1, 12))) + "x"
+        raw = junk.encode("utf-8")
+        if rng.random() < 0.5:
+            raw = raw.replace(b"x", bytes([rng.choice(b"\x80\xc3\xff")]))  # not UTF-8
+        return raw
+    if roll < 0.4:
+        request = rng.choice([[], [{"type": "get_schema"}], 1, "get_schema", None, wrong])
+    elif roll < 0.55:
+        request = {"type": wrong}
+    elif roll < 0.75:
+        request = {"type": "exec_query", "query": "SELECT * FROM ns.nums"}
+        field = rng.choice(["query", "principal", "format"])
+        if field == "query" and rng.random() < 0.3:
+            del request["query"]
+        else:
+            request[field] = wrong
+    elif roll < 0.85:
+        request = {"type": "lineage"}
+        if rng.random() < 0.7:
+            request["relation"] = wrong
+    else:
+        depth = rng.choice([MAX_DEPTH, MAX_DEPTH + 1])
+        if rng.random() < 0.5:
+            predicate = "(" * depth + "a = 1" + ")" * depth
+        else:
+            predicate = "NOT " * depth + "a = 1"
+        # At the limit the text parses, and names no relation the wrapper has.
+        request = {"type": "exec_query", "query": f"SELECT * FROM ns.ghost WHERE {predicate}"}
+    return json.dumps(request).encode("utf-8")
+
+
+class TestMalformedRequestFuzz:
+    def test_every_request_gets_one_error_line_and_the_endpoint_serves_on(
+        self, endpoint, caplog
+    ):
+        _, server = endpoint
+        rng = random.Random(22)
+
+        def error_code(reader) -> str:
+            response = json.loads(reader.readline())
+            assert response["type"] == "error" and response["message"], response
+            return response["code"]
+
+        codes = set()
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            for _ in range(400):
+                line = malformed_request(rng)
+                sock.sendall(line + b"\n")
+                codes.add(error_code(reader))
+            # Lines of exactly MAX_REQUEST_LINE bytes, newline included, are
+            # read and refused like any other.
+            for request in (b"{", b'{"type":"lineage","relation":1}'):
+                sock.sendall(request + b" " * (MAX_REQUEST_LINE - len(request) - 1) + b"\n")
+                assert error_code(reader) == "protocol"
+            # The same connection is still served, one answer per request.
+            sock.sendall(b'{"type":"get_schema"}\n')
+            assert json.loads(reader.readline())["type"] == "schema"
+        assert codes == {"protocol", "syntax", "unknown_relation"}
+        # A line one byte past the limit, newline or not, gets one error
+        # line, and the server hangs up.
+        for tail in (b"\n", b"}"):
+            with socket.create_connection((server.host, server.port), timeout=10) as sock:
+                reader = sock.makefile("rb")
+                sock.sendall(b"{" * MAX_REQUEST_LINE + tail)
+                assert error_code(reader) == "protocol"
+                assert reader.readline() == b""
+        # A fresh client is served, and no request raised anything but a
+        # mesh error.
+        (line,) = raw_roundtrip(server, {"type": "get_schema"})
+        assert json.loads(line)["type"] == "schema"
+        assert not [record for record in caplog.records if record.exc_info]
 
 
 def _package_error_classes() -> set[type]:

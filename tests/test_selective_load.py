@@ -2,9 +2,10 @@
 decode.
 
 A `delimited_dir` or `doc_lines` load handed a selection predicate may
-decode only the predicate's columns of the rows it leaves out. These seeded differential
-tests hold it to its oracle, a full decode followed by `execute`: the same
-rows in the same order, or the same error message. The files carry planted
+decode only the predicate's columns of the rows it leaves out. These seeded
+differential tests hold it to its oracle, the format's reference parser
+(`reference_parse_csv`, `reference_parse_jsonl`) followed by `execute`: the
+same rows in the same order, or the same error message. The files carry planted
 malformed cells and ragged rows in matching and non-matching rows,
 nullable empties, quoted and quote-free texts; the predicates include
 ill-typed ones and salted `hash()` comparisons, and the wrapper-level test
@@ -23,7 +24,13 @@ import mmw.formats
 from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter
 from mmw.codec import rows_to_wire
 from mmw.errors import ConfigError, MeshError, TypeCheckError
-from mmw.formats import header_cells, join_delimited, reference_parse_jsonl
+from mmw.formats import (
+    header_cells,
+    iter_csv_rows,
+    join_delimited,
+    reference_parse_csv,
+    reference_parse_jsonl,
+)
 from mmw.query.ast import (
     AttrRef,
     CompareOp,
@@ -44,9 +51,9 @@ from mmw.query.ast import (
 from mmw.query.evaluate import evaluate, hash_value
 from mmw.query.execute import execute
 from mmw.query.infer import infer_schema
-from mmw.relational import Attribute, Kind, RelationSchema, Value
+from mmw.relational import Attribute, Kind, RelationSchema, Table, Value
 from mmw.wrapper import Wrapper, WrapperConfig
-from support import random_jsonl, random_predicate, random_value
+from support import random_jsonl, random_predicate, random_value, reference_load
 
 SALT = "pepper"
 
@@ -94,6 +101,8 @@ def random_file(rng: random.Random, name: str, quote_free: bool):
                 line.pop()  # ragged: one cell short
             else:
                 position = rng.randrange(len(attrs))
+                if position >= len(line):
+                    continue  # an earlier fault cut this line short
                 kind = attrs[position].data_type
                 if kind is Kind.TEXT or rng.random() < 0.2:
                     # An empty field: null where nullable, refused otherwise
@@ -154,7 +163,7 @@ class TestSelectiveLoad:
                 query = Select(Scan(name), where)
 
                 def full():
-                    return execute(query, {name: adapter.load("t")}, SALT)
+                    return execute(query, {name: reference_load(tmp_path / "t.csv")}, SALT)
 
                 def selective():
                     return execute(query, {name: adapter.load("t", where=where)}, SALT)
@@ -165,7 +174,7 @@ class TestSelectiveLoad:
                     continue
                 assert (got.schema, got.rows) == (expected.schema, expected.rows), (text, where)
                 # The load keeps row order and omits only rows the test rules out.
-                everything = adapter.load("t").rows
+                everything = reference_load(tmp_path / "t.csv").rows
                 kept = adapter.load("t", where=where).rows
                 positions = iter(range(len(everything)))
                 assert all(any(everything[p] == row for p in positions) for row in kept)
@@ -223,12 +232,38 @@ class TestSelectiveLoad:
         )
         adapter = DelimitedDirAdapter(tmp_path)
         where = Comparison(AttrRef("k"), CompareOp.EQ, Literal(Value.integer(1)))
+        with pytest.raises(ConfigError) as reference:
+            reference_load(tmp_path / "t.csv")
         with pytest.raises(ConfigError) as full:
             adapter.load("t")
         with pytest.raises(ConfigError) as selective:
             adapter.load("t", where=where)
-        assert selective.value.message == full.value.message
+        assert selective.value.message == full.value.message == reference.value.message
         assert full.value.message.startswith("t.csv: line 3:")
+
+    def test_columnar_read_equals_the_reference_parser(self):
+        # The same rows in the same order, or the same error, over quoted
+        # and quote-free texts with planted faults; the error of a quoted
+        # text's split or of any header is raised before the first row.
+        rng = random.Random(22)
+        outcomes = Counter()
+        for case in range(600):
+            _, text = random_file(rng, "t", quote_free=case % 2 == 0)
+            try:
+                expected = reference_parse_csv(text, "t")
+            except ValueError as exc:
+                expected = str(exc)
+            try:
+                got = Table(*iter_csv_rows("t", text))
+            except ValueError as exc:
+                got = str(exc)
+            if isinstance(expected, str):
+                assert got == expected, text
+                outcomes["error"] += 1
+            else:
+                assert (got.schema, got.rows) == (expected.schema, expected.rows), text
+                outcomes["table"] += 1
+        assert outcomes["error"] > 100 and outcomes["table"] > 300
 
 
 def random_wrapper_query(rng, schemas):
@@ -257,7 +292,6 @@ class TestWrapperSelectiveLoad:
     def test_wrapper_answers_as_the_oracle_over_a_full_decode(self, tmp_path):
         rng = random.Random(61)
         wrapper = Wrapper(WrapperConfig("w", "ns", DelimitedDirAdapter(tmp_path), salt=SALT))
-        oracle_adapter = DelimitedDirAdapter(tmp_path)
         for case in range(150):
             schemas, texts = {}, {}
             for name in ("a", "b"):
@@ -267,7 +301,10 @@ class TestWrapperSelectiveLoad:
                 q = random_wrapper_query(rng, schemas)
 
                 def oracle():
-                    db = {qn: oracle_adapter.load(qn.relation) for qn in dict.fromkeys(scan_names(q))}
+                    db = {
+                        qn: reference_load(tmp_path / f"{qn.relation}.csv")
+                        for qn in dict.fromkeys(scan_names(q))
+                    }
                     infer_schema(q, {qn: table.schema for qn, table in db.items()})
                     return evaluate(q, db, SALT)
 
@@ -300,14 +337,6 @@ def jsonl_outcome(thunk):
         return f"{type(exc).__name__}: {exc}"
 
 
-def reference_load(text: str):
-    """The reference decode of t.jsonl as the adapter reports it."""
-    try:
-        return reference_parse_jsonl(text, "t")
-    except ValueError as exc:
-        raise ConfigError(f"t.jsonl: {exc}") from None
-
-
 def jsonl_where(rng: random.Random, schema: RelationSchema):
     """A selection over the fields of a json-lines text, or over the key
     column when the text has none."""
@@ -338,7 +367,7 @@ class TestJsonlSelectiveLoad:
                 where = jsonl_where(rng, schema)
                 query = Select(Scan(name), where)
                 expected = jsonl_outcome(
-                    lambda: evaluate(query, {name: reference_load(read)}, SALT)
+                    lambda: evaluate(query, {name: reference_load(file)}, SALT)
                 )
                 got = jsonl_outcome(
                     lambda: evaluate(query, {name: adapter.load("t", where=where)}, SALT)
@@ -348,7 +377,7 @@ class TestJsonlSelectiveLoad:
                     errors += 1
                     continue
                 assert (got.schema, got.rows) == (expected.schema, expected.rows), (text, where)
-                everything = reference_load(read).rows
+                everything = reference_load(file).rows
                 kept = adapter.load("t", where=where).rows
                 positions = iter(range(len(everything)))
                 assert all(any(everything[p] == row for p in positions) for row in kept)
@@ -379,7 +408,7 @@ class TestJsonlSelectiveLoad:
         with pytest.raises(ConfigError) as selective:
             adapter.load("t", where=where)
         assert selective.value.message == full.value.message == (
-            "t.jsonl: day is out of range for month"
+            "t.jsonl: line 2: day is out of range for month"
         )
 
     def test_load_with_where_calls_the_traced_reader_once_with_the_text_first(
@@ -426,7 +455,12 @@ class TestSchemaReadsDecodeNothing:
             monkeypatch.setattr(owner, attr, counted)
 
         spy(Value, "__init__")
-        for attr in ("split_delimited", "regex_split_delimited", "reference_parse_jsonl"):
+        for attr in (
+            "split_delimited",
+            "regex_split_delimited",
+            "reference_parse_csv",
+            "reference_parse_jsonl",
+        ):
             spy(mmw.formats, attr)
         adapters = [DelimitedDirAdapter(tmp_path), DocLinesAdapter(tmp_path)]
         schemas = [adapter.relations() for adapter in adapters]
@@ -436,3 +470,4 @@ class TestSchemaReadsDecodeNothing:
         for adapter in adapters:
             adapter.load("a")
         assert calls["__init__"] > 0 and calls["split_delimited"] == 1
+        assert calls["reference_parse_csv"] == calls["reference_parse_jsonl"] == 0
