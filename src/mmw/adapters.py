@@ -15,10 +15,12 @@ schema in one value-free pass (`formats.jsonl_schema`). A load may be handed
 the selection that sits on its relation. Both file adapters decode a text
 in one columnar form by one function (`formats._decoded_rows`): the cells
 the selection reads and the other cells of the rows they keep, validating
-every other cell. A text that form refuses goes to its format's reference
-parser, so a malformed file fails with the same message whatever the
-selection. Reuse of unchanged data belongs to the mediator, which keeps each
-fetch under its downstream's epoch token.
+every other cell. A selective load of a quote-free csv text first tries
+one row-pattern match per line, which validates every cell of the line at
+once (`formats._matched_rows`). A text these refuse goes to its format's
+reference parser, so a malformed file fails with the same message whatever
+the selection. Reuse of unchanged data belongs to the mediator, which keeps
+each fetch under its downstream's epoch token.
 """
 
 from __future__ import annotations

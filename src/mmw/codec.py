@@ -12,10 +12,21 @@ null versus quoted empty in delimited files, json-lines literals and
 quoting, and values whose kind is not their column's. A delimited column
 also has a validate-only check built from `relational.TEXT_CHECKS`, for the
 cells a selective read does not decode.
+
+A delimited schema also has a row pattern (`csv_row_pattern`): each
+column's accepted text from `relational.PLAIN_PATTERNS` (any text without a
+separator for a text column, an optional one for a nullable column), joined
+by commas. One `fullmatch` of a quote-free data line then settles its arity
+and the validity of every cell in it, with no call per cell. The pattern
+may refuse a line the decoders accept, such as one with a nineteen-digit
+integer, but never accepts one they refuse. It is compiled once per
+distinct header.
 """
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from json.encoder import encode_basestring
 from typing import Callable, Optional, Sequence
 
@@ -24,6 +35,7 @@ from mmw.relational import (
     NULL,
     Attribute,
     Kind,
+    PLAIN_PATTERNS,
     ProductSchema,
     RelationSchema,
     Row,
@@ -171,6 +183,22 @@ def csv_check(attr: Attribute) -> Optional[Callable[[tuple[str, bool]], bool]]:
         return nullable
 
     return check_cell
+
+
+@lru_cache(maxsize=64)
+def csv_row_pattern(attrs: tuple[Attribute, ...]) -> re.Pattern:
+    """Pattern whose `fullmatch` of one data line of a quote-free delimited
+    text (no '"', no carriage return, no line break) means that the line
+    holds one cell per attribute and that `csv_decoder` of each attribute
+    decodes its cell. It may refuse a line the decoders accept (see
+    `relational.PLAIN_PATTERNS`), never the reverse."""
+    cells = []
+    for attr in attrs:
+        if attr.data_type is Kind.TEXT:
+            cells.append("[^,\n]*")  # empty is null or empty text
+        else:
+            cells.append(f"(?:{PLAIN_PATTERNS[attr.data_type]})" + ("?" if attr.nullable else ""))
+    return re.compile(",".join(cells))
 
 
 def rows_from_wire(kinds: Sequence[Kind], raw_rows) -> list[Row]:

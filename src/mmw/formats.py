@@ -36,6 +36,19 @@ its line, so a malformed file fails with the same message either way.
 Cells are encoded and decoded by the per-column closures of `mmw.codec`;
 this module owns only the text around them: splitting, quoting, headers,
 record syntax and json-lines schema inference.
+
+A selective read of a quote-free csv text skips the columnar form when it
+can: a `fullmatch` of the header's row pattern (`codec.csv_row_pattern`)
+on each data line settles the arity of every line and the validity of
+every cell, so no cell is checked or wrapped one by one. The read then
+cuts the predicate's columns out of the lines, decodes and tests them, and
+splits and decodes only the lines it keeps (`_matched_rows`). A text the
+pattern refuses (a ragged or blank line, a nineteen-digit integer, any
+cell the pattern does not accept) takes the columnar path unchanged, so
+answers, row order and error texts are the same either way. The pattern
+is matched line by line, not once over the whole text: one match of a
+repeated row keeps the engine's backtracking state for every cell until
+it ends, about 27 bytes per byte of text, more than a full decode holds.
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ from decimal import Decimal
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional
 
-from mmw.codec import csv_check, csv_decoder, jsonl_encoder, rows_to_wire
+from mmw.codec import csv_check, csv_decoder, csv_row_pattern, jsonl_encoder, rows_to_wire
 from mmw.errors import TypeCheckError
 from mmw.query.ast import Predicate, contains_hash_call, predicate_attrs
 from mmw.query.execute import _compile_predicate
@@ -187,8 +200,10 @@ def iter_csv_rows(
     here, before any row.
 
     With `where`, rows for which it is not true may be left out, the others
-    keep their order (see `_decoded_rows`). A text the columnar decode
-    refuses is read by `reference_parse_csv`, which raises its error."""
+    keep their order (see `_decoded_rows`); a quote-free text its row
+    pattern matches is read by `_matched_rows` instead. A text the columnar
+    decode refuses is read by `reference_parse_csv`, which raises its error."""
+    start = None  # where a quote-free text's data lines begin
     if '"' in text or "\r" in text:
         raw_rows = regex_split_delimited(text)
         header = raw_rows[0] if raw_rows else None
@@ -199,6 +214,7 @@ def iter_csv_rows(
         end = text.find("\n")
         line = text if end < 0 else text[:end]
         header = [(cell, False) for cell in line.split(",")] if text else None
+        start = len(text) if end < 0 else end + 1
 
         def data() -> list[list[Cell]]:
             return split_delimited(text)[1:]
@@ -208,6 +224,11 @@ def iter_csv_rows(
     schema = schema_from_header(name, header)
 
     def generate() -> Iterator[Row]:
+        if start is not None and _selection_applies(where, schema):
+            rows = _matched_rows(schema, text, start, where)
+            if rows is not None:
+                yield from rows
+                return
         raw_rows = data()
         attrs = schema.attributes
         rows = None
@@ -256,6 +277,23 @@ def _selection_applies(where: Optional[Predicate], schema: RelationSchema) -> bo
     return True
 
 
+def _kept_records(schema: RelationSchema, where: Predicate, keys: dict, count: int) -> list[int]:
+    """The positions, in order, of the `count` records for which `where` is
+    true, given `keys`, the decoded cells of every column it reads by
+    column position."""
+    test = _compile_predicate(where, {attr.name: p for p, attr in enumerate(schema.attributes)}, "")
+    # One row buffer for every test: the predicate reads only the cells
+    # of its own columns, which each row overwrites.
+    probe: list = [None] * len(schema.attributes)
+    kept = []
+    for record in range(count):
+        for p, values in keys.items():
+            probe[p] = values[record]
+        if test(probe) is True:
+            kept.append(record)
+    return kept
+
+
 def _decoded_rows(
     schema: RelationSchema, columns: list, decoders: list, where: Optional[Predicate], checks=()
 ) -> Optional[list[Row]]:
@@ -269,30 +307,54 @@ def _decoded_rows(
     try:
         if not _selection_applies(where, schema):
             return list(zip(*[list(map(d, column)) for d, column in zip(decoders, columns)]))
-        attrs = schema.attributes
         names = predicate_attrs(where)
         keys = {
-            p: list(map(decoders[p], columns[p])) for p, attr in enumerate(attrs) if attr.name in names
+            p: list(map(decoders[p], columns[p]))
+            for p, attr in enumerate(schema.attributes)
+            if attr.name in names
         }
         for p, check in checks:
             if p not in keys and not all(map(check, columns[p])):
                 return None
-        test = _compile_predicate(where, {attr.name: p for p, attr in enumerate(attrs)}, "")
-        # One row buffer for every test: the predicate reads only the cells
-        # of its own columns, which each row overwrites.
-        probe: list = [None] * len(attrs)
-        kept = []
-        for record in range(len(columns[0])):
-            for p, values in keys.items():
-                probe[p] = values[record]
-            if test(probe) is True:
-                kept.append(record)
+        kept = _kept_records(schema, where, keys, len(columns[0]))
         return list(zip(*[
             [keys[p][r] for r in kept] if p in keys else [decode(column[r]) for r in kept]
             for p, (decode, column) in enumerate(zip(decoders, columns))
         ]))
     except ValueError:
         return None
+
+
+def _matched_rows(
+    schema: RelationSchema, text: str, start: int, where: Predicate
+) -> Optional[list[Row]]:
+    """The rows for which `where` is true of the data lines of a quote-free
+    delimited text, which begin at offset `start`; None unless
+    `csv_row_pattern` of the schema matches every line. On a match every
+    cell is known to decode, so no cell is checked: it cuts out and decodes
+    the predicate's columns alone, and splits and decodes only the lines it
+    keeps."""
+    attrs = schema.attributes
+    lines = text[start:].split("\n")
+    if lines[-1] == "":  # after a final line break there is no last row
+        lines.pop()
+    if not all(map(csv_row_pattern(attrs).fullmatch, lines)):
+        return None
+    names = predicate_attrs(where)
+    decoders = [csv_decoder(attr) for attr in attrs]
+    keys = {
+        p: list(map(decoders[p], zip([line.split(",", p + 1)[p] for line in lines], repeat(False))))
+        for p, attr in enumerate(attrs)
+        if attr.name in names
+    }
+    rows = []
+    for r in _kept_records(schema, where, keys, len(lines)):
+        cells = lines[r].split(",")
+        rows.append(tuple([
+            keys[p][r] if p in keys else decode((cell, False))
+            for p, (decode, cell) in enumerate(zip(decoders, cells))
+        ]))
+    return rows
 
 
 def parse_csv(text: str, name: str = "relation") -> Table:

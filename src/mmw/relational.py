@@ -200,12 +200,30 @@ TEXT_READERS: dict[Kind, Callable[[str], Value]] = {
 }
 
 
-# Only valid moments match: years from 0001, days up to the 28th, and
-# in-range clock fields.
-_PLAIN_TIMESTAMP = re.compile(
-    r"(?!0000)[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])"
-    r"T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]Z\Z"
+# Regular-expression source of texts each kind's check below accepts
+# without calling its reader, for every kind but text, whose every text is
+# valid, and null, which no header declares; a delimited file's row pattern
+# (`codec.csv_row_pattern`) joins them. Each may refuse a text the reader
+# accepts, never the reverse: an integer of nineteen digits or a decimal of
+# more than a thousand digits on either side of the point is left to the
+# reader. The timestamp pattern is exact: years from 0001, each month's own
+# days, February 29 of Gregorian leap years, and in-range clock fields.
+_MONTH_DAY = (
+    r"(?:(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])"
+    r"|(?:0[13-9]|1[0-2])-(?:29|30)"
+    r"|(?:0[13578]|1[02])-31)"
 )
+_LEAP_YEAR = r"(?:[0-9]{2}(?:0[48]|[2468][048]|[13579][26])|(?:0[48]|[2468][048]|[13579][26])00)"
+PLAIN_PATTERNS: dict[Kind, str] = {
+    Kind.BOOLEAN: "true|false",
+    Kind.INTEGER: "-?[0-9]{1,18}",
+    Kind.DECIMAL: r"-?[0-9]{1,1000}(?:\.[0-9]{1,1000})?",
+    Kind.TIMESTAMP: (
+        rf"(?:(?!0000)[0-9]{{4}}-{_MONTH_DAY}|{_LEAP_YEAR}-02-29)"
+        r"T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]Z"
+    ),
+}
+_PLAIN_TIMESTAMP = re.compile(PLAIN_PATTERNS[Kind.TIMESTAMP])
 
 
 def _accepts(read: Callable[[str], object], text: str) -> bool:
@@ -231,8 +249,7 @@ TEXT_CHECKS: dict[Kind, Callable[[str], bool]] = {
     Kind.DECIMAL: lambda text: _DECIMAL_TEXT.match(text) is not None
     and (len(text) < 999_999 or _accepts(_decimal_from_text, text)),
     Kind.TEXT: lambda text: True,
-    Kind.TIMESTAMP: lambda text: _PLAIN_TIMESTAMP.match(text) is not None
-    or _accepts(_moment_from_text, text),
+    Kind.TIMESTAMP: lambda text: _PLAIN_TIMESTAMP.fullmatch(text) is not None,
 }
 
 

@@ -244,7 +244,10 @@ class _Handler(socketserver.StreamRequestHandler):
         try:
             for raw_line in iter(lambda: self.rfile.readline(MAX_REQUEST_LINE + 1), b""):
                 if len(raw_line) > MAX_REQUEST_LINE:
-                    error = ProtocolError(f"request line exceeds {MAX_REQUEST_LINE} bytes")
+                    error = ProtocolError(
+                        f"request line exceeds {MAX_REQUEST_LINE} bytes",
+                        origin=component.component_id,
+                    )
                     self.wfile.write(_encode_line(error_to_obj(error)))
                     return
                 line = raw_line.decode("utf-8", errors="replace").strip()
@@ -256,7 +259,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 try:
                     request = json.loads(line)
                 except (ValueError, RecursionError) as exc:
-                    response = error_to_obj(ProtocolError(f"bad JSON: {exc}"))
+                    error = ProtocolError(f"bad JSON: {exc}", origin=component.component_id)
+                    response = error_to_obj(error)
                 else:
                     try:
                         response = handle_request(component, request, server.queries)

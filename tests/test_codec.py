@@ -17,7 +17,7 @@ from decimal import Decimal
 
 import pytest
 
-from mmw.codec import csv_decoder, jsonl_encoder, wire_decoder, wire_encoder
+from mmw.codec import csv_decoder, csv_row_pattern, jsonl_encoder, wire_decoder, wire_encoder
 from mmw.errors import ProtocolError
 from mmw.formats import parse_csv, parse_jsonl, render_csv, render_jsonl
 from mmw.relational import (
@@ -325,6 +325,34 @@ EARLY_YEARS = (1, 5, 999, 1000, 9999)
 STAMPS = RelationSchema(
     "stamps", [Attribute("id", Kind.INTEGER), Attribute("at", Kind.TIMESTAMP)]
 )
+
+
+# Cells a row pattern may refuse although they decode, and calendar edges.
+PATTERN_EDGE_CELLS = [
+    "1000000000000000000", "-9223372036854775808", "9223372036854775807",
+    "9223372036854775808", "-0", "007", "9" * 1000 + "." + "9" * 1000, "9" * 1001, "1.",
+    "2024-02-29T00:00:00Z", "2023-02-29T00:00:00Z", "1900-02-29T00:00:00Z",
+    "2000-02-29T00:00:00Z", "2024-04-31T00:00:00Z", "2024-12-31T23:59:59Z",
+    "0000-01-01T00:00:00Z", "true", "false", "TRUE", "", " ",
+]
+
+
+@pytest.mark.parametrize("kind", [kind for kind in Kind if kind is not Kind.NULL], ids=str)
+@pytest.mark.parametrize("nullable", (False, True))
+def test_csv_row_pattern_accepts_only_cells_the_decoder_decodes(kind, nullable):
+    # No header declares a null column, so no row pattern has one.
+    attr = Attribute("col", kind, nullable=nullable)
+    pattern = csv_row_pattern((attr, attr))
+    decode = csv_decoder(attr)
+    accepted = 0
+    for text in decode_cells() + PATTERN_EDGE_CELLS:
+        if not isinstance(text, str) or any(c in text for c in ',"\r\n'):
+            continue
+        if pattern.fullmatch(f"{text},{text}") is None:
+            continue
+        assert outcome(decode, (text, False))[0] == "value", (kind, nullable, text)
+        accepted += 1
+    assert accepted > 20
 
 
 def stamp_table() -> Table:

@@ -358,12 +358,15 @@ class TestMalformedRequestFuzz:
     def test_every_request_gets_one_error_line_and_the_endpoint_serves_on(
         self, endpoint, caplog
     ):
-        _, server = endpoint
+        component, server = endpoint
         rng = random.Random(22)
 
         def error_code(reader) -> str:
             response = json.loads(reader.readline())
             assert response["type"] == "error" and response["message"], response
+            # Every error names the component that answered, including one
+            # for a line that is not JSON or is too long to read.
+            assert response["origin"] == component.component_id, response
             return response["code"]
 
         codes = set()

@@ -133,6 +133,41 @@ class TestTextChecks:
                 assert TEXT_CHECKS[kind](text) is _reads(kind, text), (kind, text)
 
 
+class TestExactCalendarTimestamps:
+    """The timestamp check is one pattern, with no call to the reader: it
+    must accept exactly the texts `_moment_from_text` reads, calendar edges
+    included."""
+
+    YEARS = [
+        *range(0, 5), *range(1896, 1905), *range(1996, 2005), *range(2096, 2105),
+        *range(2396, 2405), *range(9996, 10000),
+    ]
+
+    def test_every_month_and_day_of_the_edge_years(self):
+        check = TEXT_CHECKS[Kind.TIMESTAMP]
+        for year in self.YEARS:
+            for month in range(14):
+                for day in range(33):
+                    text = "%04d-%02d-%02dT12:30:45Z" % (year, month, day)
+                    assert check(text) is _reads(Kind.TIMESTAMP, text), text
+
+    def test_clock_edges(self):
+        check = TEXT_CHECKS[Kind.TIMESTAMP]
+        for date in ("2024-02-29", "2023-02-28", "2000-12-31", "0001-01-01"):
+            for hour in (0, 9, 10, 19, 20, 23, 24, 29, 30, 99):
+                for minute in (0, 9, 59, 60, 99):
+                    for second in (0, 59, 60, 61, 99):
+                        text = "%sT%02d:%02d:%02dZ" % (date, hour, minute, second)
+                        assert check(text) is _reads(Kind.TIMESTAMP, text), text
+
+    def test_leap_days(self):
+        check = TEXT_CHECKS[Kind.TIMESTAMP]
+        for year in ("0004", "0400", "1600", "1996", "2000", "2004", "2400"):
+            assert check(f"{year}-02-29T00:00:00Z") is True
+        for year in ("0000", "0100", "1900", "2023", "2100", "2200", "2300", "9999"):
+            assert check(f"{year}-02-29T00:00:00Z") is False
+
+
 class TestCompareValues:
     def test_equal_integers(self):
         assert compare_values(Value.integer(3), Value.integer(3)) is Ordering.EQUAL

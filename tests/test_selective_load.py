@@ -22,7 +22,7 @@ import pytest
 import mmw.adapters
 import mmw.formats
 from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter
-from mmw.codec import rows_to_wire
+from mmw.codec import csv_row_pattern, rows_to_wire
 from mmw.errors import ConfigError, MeshError, TypeCheckError
 from mmw.formats import (
     header_cells,
@@ -30,6 +30,7 @@ from mmw.formats import (
     join_delimited,
     reference_parse_csv,
     reference_parse_jsonl,
+    render_csv,
 )
 from mmw.query.ast import (
     AttrRef,
@@ -266,6 +267,148 @@ class TestSelectiveLoad:
         assert outcomes["error"] > 100 and outcomes["table"] > 300
 
 
+# Cells planted into a quote-free text: each is one the row pattern refuses
+# or one a text check must settle exactly, valid or not.
+PLANTED = {
+    Kind.INTEGER: [
+        "1000000000000000000", "-9223372036854775808", "9223372036854775807",
+        "9223372036854775808", "-9223372036854775809", "12345678901234567890",
+    ],
+    Kind.TIMESTAMP: [
+        "2024-02-29T00:00:00Z", "2000-02-29T12:00:00Z", "2023-02-29T00:00:00Z",
+        "1900-02-29T00:00:00Z", "2024-04-31T00:00:00Z", "2024-01-31T23:59:59Z",
+    ],
+    Kind.DECIMAL: ["9" * 1001 + ".5", "1.", "-.5", "1e3"],
+    Kind.BOOLEAN: ["True", "tru"],
+    Kind.TEXT: ["x y"],
+}
+
+
+def quote_free_file(rng: random.Random, name: str = "t"):
+    """Schema and quote-free csv text of a small random relation with
+    planted faults: cells of `PLANTED`, empty cells in any column, ragged
+    and blank lines, with or without a final line break."""
+    kinds = [Kind.BOOLEAN, Kind.INTEGER, Kind.DECIMAL, Kind.TEXT, Kind.TIMESTAMP]
+    attrs = [Attribute("k", Kind.INTEGER, nullable=rng.random() < 0.3)]
+    for position in range(rng.randint(0, 4)):
+        attrs.append(Attribute(f"c{position}", rng.choice(kinds), nullable=rng.random() < 0.4))
+    schema = RelationSchema(name, attrs)
+    lines = []
+    for _ in range(rng.randint(0, 12)):
+        cells = [str(rng.randint(0, 5))]
+        for attr in attrs[1:]:
+            if attr.data_type is Kind.TEXT:
+                cells.append("".join(rng.choice("abc xyz") for _ in range(rng.randint(0, 4))))
+            else:
+                (text,) = rows_to_wire([attr.data_type], [(random_value(rng, attr.data_type),)])[0]
+                cells.append(text)
+        lines.append(cells)
+    for _ in range(rng.randint(0, 2) if lines else 0):
+        cells = rng.choice(lines)
+        fault = rng.random()
+        if fault < 0.1:
+            cells.append("1")  # ragged: one cell too many
+        elif fault < 0.2 and len(cells) > 1:
+            cells.pop()  # ragged: one cell short
+        elif fault < 0.3:
+            lines.insert(rng.randrange(len(lines) + 1), [""])  # a blank line
+        else:
+            position = rng.randrange(len(cells))
+            if position >= len(attrs):
+                continue  # an earlier fault made the line long
+            kind = attrs[position].data_type
+            cells[position] = "" if rng.random() < 0.4 else rng.choice(PLANTED[kind])
+    text = "\n".join(",".join(cells) for cells in [[t for t, _ in header_cells(schema)]] + lines)
+    return schema, text + "\n" if rng.random() < 0.7 else text
+
+
+class TestRowPatternLoad:
+    """A load with a usable selection of a quote-free csv text validates the
+    text with one row pattern and decodes only the predicate's columns and
+    the kept rows; a text the pattern refuses takes the columnar path."""
+
+    def test_selected_then_executed_equals_the_reference_then_evaluated(self, tmp_path):
+        rng = random.Random(23)
+        adapter = DelimitedDirAdapter(tmp_path)
+        name = QualifiedName("ns", "t")
+        outcomes = Counter()
+        for _ in range(700):
+            schema, text = quote_free_file(rng)
+            write_files(tmp_path, {"t": text})
+            data = text.partition("\n")[2]
+            lines = data.split("\n")
+            if lines[-1] == "":
+                lines.pop()
+            matched = all(map(csv_row_pattern(schema.attributes).fullmatch, lines))
+            for _ in range(3):
+                where = random_where(rng, schema) if rng.random() < 0.5 else Comparison(
+                    AttrRef("k"), CompareOp.EQ, Literal(Value.integer(rng.randint(0, 5)))
+                )
+                query = Select(Scan(name), where)
+                expected = outcome(
+                    lambda: evaluate(query, {name: reference_load(tmp_path / "t.csv")}, SALT)
+                )
+                got = outcome(lambda: execute(query, {name: adapter.load("t", where=where)}, SALT))
+                if isinstance(expected, str):
+                    assert got == expected, text
+                    outcomes["error"] += 1
+                    continue
+                assert (got.schema, got.rows) == (expected.schema, expected.rows), (text, where)
+                outcomes["matched" if matched else "refused"] += 1
+        assert outcomes["error"] > 600 and outcomes["matched"] > 600 and outcomes["refused"] > 80
+
+    def test_a_clean_point_load_checks_no_cell_and_decodes_the_key_and_kept_rows(
+        self, tmp_path, monkeypatch
+    ):
+        rng = random.Random(7)
+        attrs = [Attribute("id", Kind.INTEGER), Attribute("code", Kind.TEXT),
+                 Attribute("qty", Kind.INTEGER, nullable=True), Attribute("price", Kind.DECIMAL),
+                 Attribute("at", Kind.TIMESTAMP)]
+        schema = RelationSchema("t", attrs)
+        rows = [
+            (Value.integer(i), Value.text(f"c{i}"), random_value(rng, Kind.INTEGER, nullable=True),
+             random_value(rng, Kind.DECIMAL), random_value(rng, Kind.TIMESTAMP))
+            for i in range(1, 201)
+        ]
+        text = render_csv(Table(schema, rows))
+        assert '"' not in text
+        (tmp_path / "t.csv").write_text(text, encoding="utf-8")
+        calls = Counter()
+
+        def counted(key, function):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return function(*args, **kwargs)
+            return call
+
+        real_check = mmw.formats.csv_check
+        monkeypatch.setattr(
+            mmw.formats, "csv_check",
+            lambda attr: None if (check := real_check(attr)) is None else counted("check_cell", check),
+        )
+        for attr in ("split_delimited", "regex_split_delimited", "reference_parse_csv"):
+            monkeypatch.setattr(mmw.formats, attr, counted(attr, getattr(mmw.formats, attr)))
+        monkeypatch.setattr(Value, "__init__", counted("Value", Value.__init__))
+        adapter = DelimitedDirAdapter(tmp_path)
+        point = Comparison(AttrRef("id"), CompareOp.EQ, Literal(Value.integer(77)))
+        low = Comparison(AttrRef("id"), CompareOp.GE, Literal(Value.integer(50)))
+        high = Comparison(AttrRef("id"), CompareOp.LT, Literal(Value.integer(54)))
+        for where, kept in ((point, [rows[76]]), (LogicalAnd(low, high), rows[49:53])):
+            calls.clear()
+            assert list(adapter.load("t", where=where).rows) == kept
+            # One value per key cell and one per other non-null cell of a
+            # kept row, besides the empty text the `code` column's decoder
+            # holds.
+            others = sum(not value.is_null for row in kept for value in row[1:])
+            assert calls == Counter({"Value": 200 + others + 1}), where
+        # A load without a selection still validates and decodes every cell.
+        calls.clear()
+        assert list(adapter.load("t").rows) == rows
+        assert calls == Counter({
+            "split_delimited": 1, "Value": sum(not v.is_null for row in rows for v in row) + 1
+        })
+
+
 def random_wrapper_query(rng, schemas):
     """A fetch-shaped selection, a self-join or a union over the files."""
     name = rng.choice(sorted(schemas))
@@ -460,6 +603,7 @@ class TestSchemaReadsDecodeNothing:
             "regex_split_delimited",
             "reference_parse_csv",
             "reference_parse_jsonl",
+            "csv_row_pattern",
         ):
             spy(mmw.formats, attr)
         adapters = [DelimitedDirAdapter(tmp_path), DocLinesAdapter(tmp_path)]
