@@ -12,15 +12,15 @@ current text, and lists them by name. `relations()` builds no value: it
 reads each delimited file's header and splits none of its data lines (a
 text with a quote or a carriage return excepted), and infers each json-lines
 schema in one value-free pass (`formats.jsonl_schema`). A load may be handed
-the selection that sits on its relation. Both file adapters decode a text
-in one columnar form by one function (`formats._decoded_rows`): the cells
-the selection reads and the other cells of the rows they keep, validating
-every other cell. A selective load of a quote-free csv text first tries
-one row-pattern match per line, which validates every cell of the line at
-once (`formats._matched_rows`). A text these refuse goes to its format's
-reference parser, so a malformed file fails with the same message whatever
-the selection. Reuse of unchanged data belongs to the mediator, which keeps
-each fetch under its downstream's epoch token.
+the selection that sits on its relation. A load of a quote-free csv text
+validates it by one row-pattern match per line, then decodes only the
+cells the selection reads and the other cells of the rows it keeps, or
+every cell without a usable selection (`formats._matched_rows`). A load of
+a json-lines text decodes one columnar form the same way
+(`formats._decoded_rows`). Every other text, and one these refuse, goes to
+its format's reference parser, so a malformed file fails with the same
+message whatever the selection. Reuse of unchanged data belongs to the
+mediator, which keeps each fetch under its downstream's epoch token.
 """
 
 from __future__ import annotations

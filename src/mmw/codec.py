@@ -9,18 +9,17 @@ no cell dispatches on its kind, and every result and error is the
 reference's by construction. The codec adds only what each format puts
 around the canonical text: JSON null, boolean and number cells on the wire,
 null versus quoted empty in delimited files, json-lines literals and
-quoting, and values whose kind is not their column's. A delimited column
-also has a validate-only check built from `relational.TEXT_CHECKS`, for the
-cells a selective read does not decode.
+quoting, and values whose kind is not their column's.
 
 A delimited schema also has a row pattern (`csv_row_pattern`): each
 column's accepted text from `relational.PLAIN_PATTERNS` (any text without a
 separator for a text column, an optional one for a nullable column), joined
 by commas. One `fullmatch` of a quote-free data line then settles its arity
-and the validity of every cell in it, with no call per cell. The pattern
-may refuse a line the decoders accept, such as one with a nineteen-digit
-integer, but never accepts one they refuse. It is compiled once per
-distinct header.
+and the validity of every cell in it, with no call per cell, which is all
+the validation a quote-free text gets. The pattern may refuse a line the
+decoders accept, such as one with a nineteen-digit integer, but never
+accepts one they refuse; the reader leaves a text it refuses to the
+reference parser. It is compiled once per distinct header.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from mmw.relational import (
     ProductSchema,
     RelationSchema,
     Row,
-    TEXT_CHECKS,
     TEXT_READERS,
     TEXT_RENDERERS,
     Value,
@@ -165,24 +163,6 @@ def csv_decoder(attr: Attribute) -> Callable[[tuple[str, bool]], Value]:
         return empty
 
     return decode_cell
-
-
-def csv_check(attr: Attribute) -> Optional[Callable[[tuple[str, bool]], bool]]:
-    """Validate-only twin of `csv_decoder(attr)`: True exactly when the
-    decoder would not raise; None for a text column, whose every cell decodes."""
-    kind = attr.data_type
-    if kind is Kind.TEXT:
-        return None
-    ok = TEXT_CHECKS[kind]
-    nullable = attr.nullable
-
-    def check_cell(cell):
-        text, quoted = cell
-        if text or quoted:
-            return ok(text)
-        return nullable
-
-    return check_cell
 
 
 @lru_cache(maxsize=64)

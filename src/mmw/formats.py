@@ -5,50 +5,47 @@ header row of `name:type` cells (a '?' suffix marks nullable attributes).
 An unquoted empty field is null; an empty quoted field is empty text. The
 stdlib csv module collapses exactly that distinction, so the splitter is
 this module's own: one regular expression that matches a cell and the
-separator after it. A text with no '"' and no carriage return has neither
-quoted cells nor anything to refuse, so it is split on line breaks and
-commas by `str.split` instead; the regular expression stays the path for
-every other text and the oracle the quick split is tested against. Of a
-quote-free text a reader splits the header line at once and the data lines
-only when the rows are first asked for, so reading a schema splits no data
-line.
+separator after it (`split_delimited`).
 
 json-lines format: one flat JSON object per row, field order = schema
 order. Decimals are emitted as raw numeric tokens with a forced '.' so a
 reader can tell them from integers; numbers are parsed back with exact
 decimal semantics.
 
-Both readers bring a text to one columnar form: the schema, each column's
-raw cells (a csv cell as split, a json-lines cell as `json` decoded it) and
-one decoder per column. The json-lines reader infers each field's kind,
-nullability and widening from its column, checking each cell as a value of
-its kind (int64 range, decimal exponent, calendar) without building one.
-`_decoded_rows` then builds values only for the rows a read returns: given
-a selection predicate it decodes the predicate's columns of every row and
-the other cells of the rows it keeps, and a csv read still validates every
-cell it does not decode (`relational.TEXT_CHECKS`). A text this pass does
-not settle (a ragged row, a refused cell, an extreme decimal exponent, a
-json-lines text without fields) goes to its format's reference parser,
-`reference_parse_csv` or `reference_parse_jsonl`, which decodes record by
-record, is the oracle of the columnar path, and raises each refusal with
-its line, so a malformed file fails with the same message either way.
+A delimited text is read one of two ways, and its header is read at once
+either way, so reading a schema decodes no cell. A text with no '"' and no
+carriage return is read by `_matched_rows`: a `fullmatch` of the header's
+row pattern (`codec.csv_row_pattern`) on each data line settles the arity
+of every line and the validity of every cell, so no cell is checked one
+by one. With a selection predicate it then cuts the predicate's columns
+out of the lines, decodes and tests them, and splits and decodes only the
+lines it keeps; without one it decodes every column. The pattern is
+matched line by line, not once over the whole text: one match of a
+repeated row keeps the engine's backtracking state for every cell until
+it ends, about 27 bytes per byte of text, more than a full decode holds.
+Every other text, one with a quoted cell or a carriage return or one the
+pattern refuses (a ragged or blank line, a nineteen-digit integer), is
+read by the reference parser `reference_parse_csv`, which decodes row by
+row and raises each refusal with its line. A text with a quote or a
+carriage return is split whole when its header is read, so its split
+errors are raised before any row.
+
+The json-lines reader brings a text to a columnar form: the schema, each
+field's cells as `json` decoded them, and one decoder per field. It infers
+each field's kind, nullability and widening from its column, checking
+each cell as a value of its kind (int64 range, decimal exponent,
+calendar) without building one. `_decoded_rows` then builds values only
+for the rows a read returns: given a selection predicate it decodes the
+predicate's cells of every record and the other cells of the records it
+keeps. A text this pass does not settle (a refused cell, an extreme
+decimal exponent, a text without fields) goes to `reference_parse_jsonl`,
+which decodes record by record, is the oracle of the columnar path, and
+raises each refusal with its line, so a malformed file fails with the
+same message either way.
 
 Cells are encoded and decoded by the per-column closures of `mmw.codec`;
 this module owns only the text around them: splitting, quoting, headers,
 record syntax and json-lines schema inference.
-
-A selective read of a quote-free csv text skips the columnar form when it
-can: a `fullmatch` of the header's row pattern (`codec.csv_row_pattern`)
-on each data line settles the arity of every line and the validity of
-every cell, so no cell is checked or wrapped one by one. The read then
-cuts the predicate's columns out of the lines, decodes and tests them, and
-splits and decodes only the lines it keeps (`_matched_rows`). A text the
-pattern refuses (a ragged or blank line, a nineteen-digit integer, any
-cell the pattern does not accept) takes the columnar path unchanged, so
-answers, row order and error texts are the same either way. The pattern
-is matched line by line, not once over the whole text: one match of a
-repeated row keeps the engine's backtracking state for every cell until
-it ends, about 27 bytes per byte of text, more than a full decode holds.
 """
 
 from __future__ import annotations
@@ -59,16 +56,16 @@ from decimal import Decimal
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional
 
-from mmw.codec import csv_check, csv_decoder, csv_row_pattern, jsonl_encoder, rows_to_wire
+from mmw.codec import csv_decoder, csv_row_pattern, jsonl_encoder, rows_to_wire
 from mmw.errors import TypeCheckError
 from mmw.query.ast import Predicate, contains_hash_call, predicate_attrs
 from mmw.query.execute import _compile_predicate
 from mmw.query.infer import check_predicate
 from mmw.relational import (
+    EXACT_TIMESTAMP_RE,
     INT64_MAX,
     INT64_MIN,
     NULL,
-    TEXT_CHECKS,
     TIMESTAMP_RE,
     Attribute,
     Kind,
@@ -97,18 +94,6 @@ _CELL_RE = re.compile(r'(?:"((?:[^"]|"")*)"(?!")([^,"\r\n]*)|([^,"\r\n]*))(,|\r?
 
 def split_delimited(text: str) -> list[list[Cell]]:
     """Parse delimited text into rows of (text, was_quoted) cells."""
-    if '"' in text or "\r" in text:
-        return regex_split_delimited(text)
-    lines = text.split("\n")
-    if lines[-1] == "":  # after a final line break there is no last row
-        lines.pop()
-    return [[(cell, False) for cell in line.split(",")] for line in lines]
-
-
-def regex_split_delimited(text: str) -> list[list[Cell]]:
-    """`split_delimited` by the cell regular expression alone: the path of
-    every text with a quote or a carriage return, and the oracle of the
-    quote-free split."""
     rows: list[list[Cell]] = []
     row: list[Cell] = []
     pos = 0
@@ -194,74 +179,50 @@ def iter_csv_rows(
     name: str, text: str, where: Optional[Predicate] = None
 ) -> tuple[RelationSchema, Iterator[Row]]:
     """Read the header now; split and decode the data rows only as the
-    returned iterator reaches them, so reading the schema splits no data
-    line of a quote-free text and decodes no cell. A text with a quote or a
-    carriage return is split whole first, so each of its refusals is raised
-    here, before any row.
+    returned iterator reaches them, so reading the schema decodes no cell.
+    A text with a quote or a carriage return is split whole first, so each
+    of its refusals is raised here, before any row, and its rows are
+    decoded by the reference parser's own loop.
 
-    With `where`, rows for which it is not true may be left out, the others
-    keep their order (see `_decoded_rows`); a quote-free text its row
-    pattern matches is read by `_matched_rows` instead. A text the columnar
-    decode refuses is read by `reference_parse_csv`, which raises its error."""
-    start = None  # where a quote-free text's data lines begin
+    A quote-free text is read by `_matched_rows`. With `where`, rows for
+    which it is not true may be left out, the others keep their order."""
     if '"' in text or "\r" in text:
-        raw_rows = regex_split_delimited(text)
-        header = raw_rows[0] if raw_rows else None
-
-        def data() -> list[list[Cell]]:
-            return raw_rows[1:]
-    else:
-        end = text.find("\n")
-        line = text if end < 0 else text[:end]
-        header = [(cell, False) for cell in line.split(",")] if text else None
-        start = len(text) if end < 0 else end + 1
-
-        def data() -> list[list[Cell]]:
-            return split_delimited(text)[1:]
-
-    if header is None:
+        raw_rows = split_delimited(text)  # a row at least, as the text is not empty
+        schema = schema_from_header(name, raw_rows[0])
+        return schema, _reference_rows(schema, raw_rows)
+    if not text:
         raise ValueError("missing header row")
-    schema = schema_from_header(name, header)
-
-    def generate() -> Iterator[Row]:
-        if start is not None and _selection_applies(where, schema):
-            rows = _matched_rows(schema, text, start, where)
-            if rows is not None:
-                yield from rows
-                return
-        raw_rows = data()
-        attrs = schema.attributes
-        rows = None
-        if all(len(raw) == len(attrs) for raw in raw_rows):  # else a ragged row
-            columns = list(zip(*raw_rows)) or [()] * len(attrs)
-            decoders = [csv_decoder(attr) for attr in attrs]
-            checks = [(p, check) for p, attr in enumerate(attrs) if (check := csv_check(attr))]
-            rows = _decoded_rows(schema, columns, decoders, where, checks)
-        yield from reference_parse_csv(text, name).rows if rows is None else rows
-
-    return schema, generate()
+    end = text.find("\n")
+    line = text if end < 0 else text[:end]
+    schema = schema_from_header(name, [(cell, False) for cell in line.split(",")])
+    return schema, _matched_rows(schema, text, len(text) if end < 0 else end + 1, where)
 
 
 def reference_parse_csv(text: str, name: str = "relation") -> Table:
-    """The delimited text split by `regex_split_delimited` and decoded row
-    by row, each refusal raised with its line: the oracle of
-    `iter_csv_rows`, and its path for a text the columnar decode refuses."""
-    raw_rows = regex_split_delimited(text)
+    """The delimited text split by `split_delimited` and decoded row by
+    row, each refusal raised with its line: the oracle of `iter_csv_rows`,
+    and its path for every text `_matched_rows` does not settle."""
+    raw_rows = split_delimited(text)
     if not raw_rows:
         raise ValueError("missing header row")
     schema = schema_from_header(name, raw_rows[0])
+    return Table(schema, _reference_rows(schema, raw_rows))
+
+
+def _reference_rows(schema: RelationSchema, raw_rows: list[list[Cell]]) -> Iterator[Row]:
+    """The data rows of `raw_rows`, a split delimited text whose first row
+    is its header, decoded one by one; a ragged row or a refused cell
+    raises ValueError naming its line."""
     decoders = [csv_decoder(attr) for attr in schema.attributes]
-    rows = []
     for line_number, raw in enumerate(raw_rows[1:], start=2):
         if len(raw) != len(decoders):
             raise ValueError(
                 f"line {line_number}: expected {len(decoders)} fields, got {len(raw)}"
             )
         try:
-            rows.append(tuple([decode(cell) for decode, cell in zip(decoders, raw)]))
+            yield tuple([decode(cell) for decode, cell in zip(decoders, raw)])
         except ValueError as exc:
             raise ValueError(f"line {line_number}: {exc}") from None
-    return Table(schema, rows)
 
 
 def _selection_applies(where: Optional[Predicate], schema: RelationSchema) -> bool:
@@ -295,15 +256,13 @@ def _kept_records(schema: RelationSchema, where: Predicate, keys: dict, count: i
 
 
 def _decoded_rows(
-    schema: RelationSchema, columns: list, decoders: list, where: Optional[Predicate], checks=()
+    schema: RelationSchema, columns: list, decoders: list, where: Optional[Predicate]
 ) -> Optional[list[Row]]:
-    """The rows held by `columns`, each column's raw cells, decoded in order
-    by `decoders`, one per column; None as soon as a cell fails to decode or
-    check. With a `where` the reader may use (`_selection_applies`), only
-    the rows for which it is true: it decodes the predicate's columns of
-    every row and the other columns of the kept rows, and each
-    `(position, check)` of `checks` validates every cell of its column the
-    predicate does not read."""
+    """The records held by `columns`, each json-lines field's cells, decoded
+    in order by `decoders`, one per field; None as soon as a cell fails to
+    decode. With a `where` the reader may use (`_selection_applies`), only
+    the records for which it is true: it decodes the predicate's cells of
+    every record and the other cells of the kept records."""
     try:
         if not _selection_applies(where, schema):
             return list(zip(*[list(map(d, column)) for d, column in zip(decoders, columns)]))
@@ -313,9 +272,6 @@ def _decoded_rows(
             for p, attr in enumerate(schema.attributes)
             if attr.name in names
         }
-        for p, check in checks:
-            if p not in keys and not all(map(check, columns[p])):
-                return None
         kept = _kept_records(schema, where, keys, len(columns[0]))
         return list(zip(*[
             [keys[p][r] for r in kept] if p in keys else [decode(column[r]) for r in kept]
@@ -326,35 +282,43 @@ def _decoded_rows(
 
 
 def _matched_rows(
-    schema: RelationSchema, text: str, start: int, where: Predicate
-) -> Optional[list[Row]]:
-    """The rows for which `where` is true of the data lines of a quote-free
-    delimited text, which begin at offset `start`; None unless
-    `csv_row_pattern` of the schema matches every line. On a match every
-    cell is known to decode, so no cell is checked: it cuts out and decodes
-    the predicate's columns alone, and splits and decodes only the lines it
-    keeps."""
+    schema: RelationSchema, text: str, start: int, where: Optional[Predicate]
+) -> Iterator[Row]:
+    """The rows of the data lines of a quote-free delimited text, which
+    begin at offset `start`; those of `reference_parse_csv`, which raises
+    its error, unless `csv_row_pattern` of the schema matches every line.
+    On a match every cell is known to decode, so no cell is checked. With a
+    `where` the reader may use (`_selection_applies`) it yields only the
+    rows for which it is true: it cuts out and decodes the predicate's
+    columns alone, and splits and decodes only the lines it keeps. Without
+    one it decodes every column."""
     attrs = schema.attributes
     lines = text[start:].split("\n")
     if lines[-1] == "":  # after a final line break there is no last row
         lines.pop()
     if not all(map(csv_row_pattern(attrs).fullmatch, lines)):
-        return None
-    names = predicate_attrs(where)
+        yield from reference_parse_csv(text, schema.name).rows
+        return
     decoders = [csv_decoder(attr) for attr in attrs]
+    if not _selection_applies(where, schema):
+        columns = zip(*[line.split(",") for line in lines])
+        yield from zip(*[
+            list(map(decode, zip(column, repeat(False))))
+            for decode, column in zip(decoders, columns)
+        ])
+        return
+    names = predicate_attrs(where)
     keys = {
         p: list(map(decoders[p], zip([line.split(",", p + 1)[p] for line in lines], repeat(False))))
         for p, attr in enumerate(attrs)
         if attr.name in names
     }
-    rows = []
     for r in _kept_records(schema, where, keys, len(lines)):
         cells = lines[r].split(",")
-        rows.append(tuple([
+        yield tuple([
             keys[p][r] if p in keys else decode((cell, False))
             for p, (decode, cell) in enumerate(zip(decoders, cells))
-        ]))
-    return rows
+        ])
 
 
 def parse_csv(text: str, name: str = "relation") -> Table:
@@ -472,7 +436,6 @@ def reference_parse_jsonl(text: str, name: str = "relation") -> Table:
 
 _JSONL_DECODER = json.JSONDecoder(parse_float=Decimal)
 _NONE_TYPE = type(None)
-_TIMESTAMP_CHECK = TEXT_CHECKS[Kind.TIMESTAMP]
 # A decimal whose adjusted exponent lies inside this bound normalizes without
 # overflow: the context's largest exponent is 999_999, and rounding to its
 # precision moves the exponent by one at most.
@@ -505,7 +468,7 @@ def _field_kinds(column: list) -> Optional[tuple[set[Kind], bool]]:
             kinds.add(Kind.DECIMAL)
         elif cell_type is str:
             stamps = list(filter(TIMESTAMP_RE.match, cells))
-            if not all(map(_TIMESTAMP_CHECK, stamps)):
+            if not all(map(EXACT_TIMESTAMP_RE.fullmatch, stamps)):
                 return None
             if stamps:
                 kinds.add(Kind.TIMESTAMP)

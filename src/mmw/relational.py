@@ -200,14 +200,15 @@ TEXT_READERS: dict[Kind, Callable[[str], Value]] = {
 }
 
 
-# Regular-expression source of texts each kind's check below accepts
-# without calling its reader, for every kind but text, whose every text is
-# valid, and null, which no header declares; a delimited file's row pattern
-# (`codec.csv_row_pattern`) joins them. Each may refuse a text the reader
-# accepts, never the reverse: an integer of nineteen digits or a decimal of
-# more than a thousand digits on either side of the point is left to the
-# reader. The timestamp pattern is exact: years from 0001, each month's own
-# days, February 29 of Gregorian leap years, and in-range clock fields.
+# Regular-expression source of texts each kind's reader accepts, for every
+# kind but text, whose every text is valid, and null, which no header
+# declares; a delimited file's row pattern (`codec.csv_row_pattern`) joins
+# them. Each may refuse a text the reader accepts, never the reverse: an
+# integer of nineteen digits or a decimal of more than a thousand digits on
+# either side of the point is left to the reader. The timestamp pattern is
+# exact: years from 0001, each month's own days, February 29 of Gregorian
+# leap years, and in-range clock fields: `EXACT_TIMESTAMP_RE.fullmatch(text)`
+# holds exactly when `Value.timestamp(text)` does not raise.
 _MONTH_DAY = (
     r"(?:(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])"
     r"|(?:0[13-9]|1[0-2])-(?:29|30)"
@@ -223,34 +224,7 @@ PLAIN_PATTERNS: dict[Kind, str] = {
         r"T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]Z"
     ),
 }
-_PLAIN_TIMESTAMP = re.compile(PLAIN_PATTERNS[Kind.TIMESTAMP])
-
-
-def _accepts(read: Callable[[str], object], text: str) -> bool:
-    try:
-        read(text)
-    except ValueError:
-        return False
-    return True
-
-
-# Validate-only twins of TEXT_READERS: TEXT_CHECKS[kind](text) is True exactly
-# when TEXT_READERS[kind](text) does not raise. Each settles the common texts
-# with a pattern and leaves the rest to the reader itself, so most checks
-# build no Value, and a timestamp check none. A file adapter checks with them
-# the cells it does not decode.
-TEXT_CHECKS: dict[Kind, Callable[[str], bool]] = {
-    Kind.NULL: lambda text: text == "",
-    Kind.BOOLEAN: lambda text: text == "true" or text == "false",
-    # Eighteen digits cannot leave the 64-bit range.
-    Kind.INTEGER: lambda text: _INTEGER_TEXT.match(text) is not None
-    and (len(text) < 19 or _accepts(_integer_from_text, text)),
-    # Too few digits to round past the context's largest exponent.
-    Kind.DECIMAL: lambda text: _DECIMAL_TEXT.match(text) is not None
-    and (len(text) < 999_999 or _accepts(_decimal_from_text, text)),
-    Kind.TEXT: lambda text: True,
-    Kind.TIMESTAMP: lambda text: _PLAIN_TIMESTAMP.fullmatch(text) is not None,
-}
+EXACT_TIMESTAMP_RE = re.compile(PLAIN_PATTERNS[Kind.TIMESTAMP])
 
 
 def canonical_text(value: Value) -> str:

@@ -134,6 +134,28 @@ class TestJsonlValueErrorsNameTheirLine:
             assert err.value.message == f"t.jsonl: line 2: {error}", call
 
 
+class TestQuotedCsvErrorTiming:
+    """A csv text with a quote is split whole when its header is read, so a
+    split error fails every read, the schema's included; a cell error fails
+    only a load, with the reference parser's line."""
+
+    def test_an_unterminated_quote_fails_the_schema_read(self, tmp_path):
+        (tmp_path / "t.csv").write_text('k:integer,c:text\n1,"a\n', encoding="utf-8")
+        for call, read in reads(DelimitedDirAdapter(tmp_path)).items():
+            with pytest.raises(ConfigError) as err:
+                read()
+            assert err.value.message == "t.csv: unterminated quoted field", call
+
+    def test_a_bad_integer_cell_fails_a_load_with_its_line(self, tmp_path):
+        (tmp_path / "t.csv").write_text('k:integer,c:text\n1,"a"\n1x,"b"\n', encoding="utf-8")
+        adapter = DelimitedDirAdapter(tmp_path)
+        assert [schema.attribute_names for schema in adapter.relations()] == [("k", "c")]
+        for call in ("load", "load(where)"):
+            with pytest.raises(ConfigError) as err:
+                reads(adapter)[call]()
+            assert err.value.message == "t.csv: line 3: not an integer rendering: '1x'", call
+
+
 # Bytes a mutation inserts: lone and truncated UTF-8 lead bytes, and the
 # characters that carry the syntax of either format.
 FUZZ_BYTES = b'\xff\x80\xc3\xe2",:{}[]\n\r\\0e.- '

@@ -184,35 +184,53 @@ class TestSelectiveLoad:
 
     def test_literal_comparisons_on_every_op_and_kind(self, tmp_path):
         # Every operator with the literal on either side, over a column of
-        # each kind with null cells, and the null literal; the selective
-        # load tests each row with the same compiled comparisons as execute.
+        # each kind with null cells, and the null literal. The selective
+        # load of a quote-free text tests each row with the same compiled
+        # comparisons as execute; a quoted text is read whole, and its
+        # answers are the same as evaluate's too.
         rng = random.Random(17)
         kinds = [Kind.BOOLEAN, Kind.INTEGER, Kind.DECIMAL, Kind.TEXT, Kind.TIMESTAMP]
         attrs = [Attribute(f"c{position}", kind, nullable=True) for position, kind in enumerate(kinds)]
         schema = RelationSchema("t", attrs)
         rows = [tuple(random_value(rng, kind, nullable=True) for kind in kinds) for _ in range(30)]
-        cells = [
-            [("", False) if text is None else (text, text == "") for text in texts]
-            for texts in rows_to_wire(kinds, rows)
-        ]
-        write_files(tmp_path, {"t": join_delimited([header_cells(schema)] + cells)})
+        text_at = kinds.index(Kind.TEXT)
+        files = {
+            "quoted": rows,
+            # The same rows with non-empty text cells that need no quotes.
+            "plain": [
+                row[:text_at] + (row[text_at] if row[text_at].is_null
+                                 else Value.text(rng.choice(["a", "b", "x y"])),) + row[text_at + 1:]
+                for row in rows
+            ],
+        }
+        texts = {
+            file: join_delimited([header_cells(schema)] + [
+                [("", False) if cell is None else (cell, cell == "") for cell in wire]
+                for wire in rows_to_wire(kinds, file_rows)
+            ])
+            for file, file_rows in files.items()
+        }
+        assert '"' in texts["quoted"] and '"' not in texts["plain"]
+        write_files(tmp_path, texts)
         adapter = DelimitedDirAdapter(tmp_path)
-        name = QualifiedName("ns", "t")
-        everything = adapter.load("t")
         left_out = 0
-        for attr, kind in zip(attrs, kinds):
-            for literal in [rows[rng.randrange(len(rows))][kinds.index(kind)], Value.null()]:
-                for op in CompareOp:
-                    for where in (
-                        Comparison(AttrRef(attr.name), op, Literal(literal)),
-                        Comparison(Literal(literal), op, AttrRef(attr.name)),
-                    ):
-                        query = Select(Scan(name), where)
-                        selected = adapter.load("t", where=where)
-                        expected = evaluate(query, {name: everything})
-                        got = execute(query, {name: selected})
-                        assert (got.schema, got.rows) == (expected.schema, expected.rows), where
-                        left_out += len(everything.rows) - len(selected.rows)
+        for file, file_rows in files.items():
+            name = QualifiedName("ns", file)
+            everything = adapter.load(file)
+            for attr, kind in zip(attrs, kinds):
+                for literal in [file_rows[rng.randrange(len(file_rows))][kinds.index(kind)], Value.null()]:
+                    for op in CompareOp:
+                        for where in (
+                            Comparison(AttrRef(attr.name), op, Literal(literal)),
+                            Comparison(Literal(literal), op, AttrRef(attr.name)),
+                        ):
+                            query = Select(Scan(name), where)
+                            selected = adapter.load(file, where=where)
+                            expected = evaluate(query, {name: everything})
+                            got = execute(query, {name: selected})
+                            assert (got.schema, got.rows) == (expected.schema, expected.rows), where
+                            if file == "plain":
+                                left_out += len(everything.rows) - len(selected.rows)
         assert left_out > 500
 
     def test_ill_typed_or_hashed_predicate_is_not_used(self, tmp_path):
@@ -322,10 +340,19 @@ def quote_free_file(rng: random.Random, name: str = "t"):
     return schema, text + "\n" if rng.random() < 0.7 else text
 
 
+def matches_row_pattern(schema: RelationSchema, text: str) -> bool:
+    """Whether the row pattern of schema matches every data line of text."""
+    lines = text.partition("\n")[2].split("\n")
+    if lines[-1] == "":  # after a final line break there is no last row
+        lines.pop()
+    return all(map(csv_row_pattern(schema.attributes).fullmatch, lines))
+
+
 class TestRowPatternLoad:
-    """A load with a usable selection of a quote-free csv text validates the
-    text with one row pattern and decodes only the predicate's columns and
-    the kept rows; a text the pattern refuses takes the columnar path."""
+    """A load of a quote-free csv text validates the text with one row
+    pattern; with a usable selection it decodes only the predicate's
+    columns and the kept rows, without one every cell. A text the pattern
+    refuses is read by the reference parser."""
 
     def test_selected_then_executed_equals_the_reference_then_evaluated(self, tmp_path):
         rng = random.Random(23)
@@ -335,11 +362,7 @@ class TestRowPatternLoad:
         for _ in range(700):
             schema, text = quote_free_file(rng)
             write_files(tmp_path, {"t": text})
-            data = text.partition("\n")[2]
-            lines = data.split("\n")
-            if lines[-1] == "":
-                lines.pop()
-            matched = all(map(csv_row_pattern(schema.attributes).fullmatch, lines))
+            matched = matches_row_pattern(schema, text)
             for _ in range(3):
                 where = random_where(rng, schema) if rng.random() < 0.5 else Comparison(
                     AttrRef("k"), CompareOp.EQ, Literal(Value.integer(rng.randint(0, 5)))
@@ -356,6 +379,40 @@ class TestRowPatternLoad:
                 assert (got.schema, got.rows) == (expected.schema, expected.rows), (text, where)
                 outcomes["matched" if matched else "refused"] += 1
         assert outcomes["error"] > 600 and outcomes["matched"] > 600 and outcomes["refused"] > 80
+
+    def test_unselected_or_unusable_loads_equal_the_reference_then_evaluated(self, tmp_path):
+        # Without a selection, or with one the reader may not use (a salted
+        # hash(), an ill-typed comparison), a load returns every row.
+        rng = random.Random(24)
+        adapter = DelimitedDirAdapter(tmp_path)
+        name = QualifiedName("ns", "t")
+        outcomes = Counter()
+        for _ in range(400):
+            schema, text = quote_free_file(rng)
+            write_files(tmp_path, {"t": text})
+            matched = matches_row_pattern(schema, text)
+            target = hash_value(Value.integer(rng.randint(0, 5)), SALT).payload
+            for where in (
+                None,
+                Comparison(HashCall(AttrRef("k")), CompareOp.EQ, Literal(Value.text(target))),
+                Comparison(AttrRef("k"), CompareOp.EQ, Literal(Value.text("1"))),
+            ):
+                query = Scan(name) if where is None else Select(Scan(name), where)
+                reference = outcome(lambda: reference_load(tmp_path / "t.csv"))
+                loaded = outcome(lambda: adapter.load("t", where=where))
+                if isinstance(reference, str):
+                    assert loaded == reference, text
+                    outcomes["error"] += 1
+                    continue
+                assert (loaded.schema, loaded.rows) == (reference.schema, reference.rows), text
+                expected = outcome(lambda: evaluate(query, {name: reference}, SALT))
+                got = outcome(lambda: execute(query, {name: loaded}, SALT))
+                if isinstance(expected, str):
+                    assert got == expected, (text, where)
+                else:
+                    assert (got.schema, got.rows) == (expected.schema, expected.rows), (text, where)
+                outcomes["matched" if matched else "refused"] += 1
+        assert outcomes["error"] > 400 and outcomes["matched"] > 500 and outcomes["refused"] > 40
 
     def test_a_clean_point_load_checks_no_cell_and_decodes_the_key_and_kept_rows(
         self, tmp_path, monkeypatch
@@ -381,12 +438,7 @@ class TestRowPatternLoad:
                 return function(*args, **kwargs)
             return call
 
-        real_check = mmw.formats.csv_check
-        monkeypatch.setattr(
-            mmw.formats, "csv_check",
-            lambda attr: None if (check := real_check(attr)) is None else counted("check_cell", check),
-        )
-        for attr in ("split_delimited", "regex_split_delimited", "reference_parse_csv"):
+        for attr in ("split_delimited", "reference_parse_csv"):
             monkeypatch.setattr(mmw.formats, attr, counted(attr, getattr(mmw.formats, attr)))
         monkeypatch.setattr(Value, "__init__", counted("Value", Value.__init__))
         adapter = DelimitedDirAdapter(tmp_path)
@@ -401,12 +453,11 @@ class TestRowPatternLoad:
             # holds.
             others = sum(not value.is_null for row in kept for value in row[1:])
             assert calls == Counter({"Value": 200 + others + 1}), where
-        # A load without a selection still validates and decodes every cell.
+        # A load without a selection decodes every cell, and splits the text
+        # no more than a selective load.
         calls.clear()
         assert list(adapter.load("t").rows) == rows
-        assert calls == Counter({
-            "split_delimited": 1, "Value": sum(not v.is_null for row in rows for v in row) + 1
-        })
+        assert calls == Counter({"Value": sum(not v.is_null for row in rows for v in row) + 1})
 
 
 def random_wrapper_query(rng, schemas):
@@ -600,7 +651,6 @@ class TestSchemaReadsDecodeNothing:
         spy(Value, "__init__")
         for attr in (
             "split_delimited",
-            "regex_split_delimited",
             "reference_parse_csv",
             "reference_parse_jsonl",
             "csv_row_pattern",
@@ -613,5 +663,8 @@ class TestSchemaReadsDecodeNothing:
         # The spies see the loads' work.
         for adapter in adapters:
             adapter.load("a")
-        assert calls["__init__"] > 0 and calls["split_delimited"] == 1
+        # `a.csv` is quote-free and clean, so its load matches the row
+        # pattern and never splits the text whole.
+        assert calls["__init__"] > 0 and calls["csv_row_pattern"] == 1
+        assert calls["split_delimited"] == 0
         assert calls["reference_parse_csv"] == calls["reference_parse_jsonl"] == 0
