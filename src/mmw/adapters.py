@@ -21,6 +21,12 @@ a json-lines text decodes one columnar form the same way
 its format's reference parser, so a malformed file fails with the same
 message whatever the selection. Reuse of unchanged data belongs to the
 mediator, which keeps each fetch under its downstream's epoch token.
+
+A fingerprint may be scoped to named relations: it then answers one entry
+per name, in the order asked, and None for a relation the source lacks. A
+file adapter stats only the named files and lists no directory, and the
+memory adapter keeps one generation per relation, so a probe of one
+relation reads nothing of the others.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from mmw.errors import ConfigError, UnavailableError, UnknownRelationError
 from mmw.formats import iter_csv_rows, jsonl_schema, parse_jsonl
@@ -41,7 +47,8 @@ T = TypeVar("T")
 
 # A file whose change time lies within this window of now may still be
 # rewritten within the same timestamp tick, unseen by its stat; 2 s covers
-# the coarsest timestamps in use (FAT's).
+# the coarsest timestamps in use (FAT's). The rule applies per file a
+# fingerprint names: a scoped probe reads the bytes of only its own files.
 RACY_WINDOW_NS = 2_000_000_000
 
 
@@ -62,8 +69,11 @@ class SourceAdapter(ABC):
         only those; it never omits a row without a `where`."""
 
     @abstractmethod
-    def fingerprint(self) -> object:
-        """Changes whenever the observable source content may have changed."""
+    def fingerprint(self, relations: Optional[Sequence[str]] = None) -> object:
+        """Changes whenever the observable source content may have changed.
+        Given `relations`, a list of one entry per name, in order, that
+        changes whenever that relation's content may have changed, and is
+        None for a relation the source lacks."""
 
     def location(self) -> str:
         return self.kind
@@ -84,7 +94,7 @@ class MemoryAdapter(SourceAdapter):
             if violations:
                 raise ConfigError(f"memory relation {schema.name!r}: {violations[0]}")
         self._rows: dict[str, list[Row]] = {name: [] for name in self._schemas}
-        self._generation = 0
+        self._generations = {name: 0 for name in self._schemas}
         self._lock = threading.Lock()
         for name, initial in (rows or {}).items():
             self.replace_rows(name, initial)
@@ -110,13 +120,13 @@ class MemoryAdapter(SourceAdapter):
         checked = self._conforming(relation, rows)
         with self._lock:
             self._rows[relation] = checked
-            self._generation += 1
+            self._generations[relation] += 1
 
     def insert(self, relation: str, row: Row) -> None:
         (checked,) = self._conforming(relation, [row])
         with self._lock:
             self._rows[relation].append(checked)
-            self._generation += 1
+            self._generations[relation] += 1
 
     def relations(self) -> list[RelationSchema]:
         return [self._schemas[name] for name in sorted(self._schemas)]
@@ -127,9 +137,10 @@ class MemoryAdapter(SourceAdapter):
             rows = list(self._rows[relation])
         return Table(schema, rows)
 
-    def fingerprint(self) -> object:
+    def fingerprint(self, relations: Optional[Sequence[str]] = None) -> list:
+        names = sorted(self._generations) if relations is None else relations
         with self._lock:
-            return self._generation
+            return [self._generations.get(name) for name in names]
 
 
 class _FileDirAdapter(SourceAdapter):
@@ -203,7 +214,7 @@ class _FileDirAdapter(SourceAdapter):
             self._file_for(relation), lambda name, text: self._table(name, text, where)
         )
 
-    def fingerprint(self) -> object:
+    def fingerprint(self, relations: Optional[Sequence[str]] = None) -> list:
         # The inode number catches a rewrite through a temporary file and
         # os.replace that keeps the size and the modification time. The
         # change time catches a rewrite in place that puts the old
@@ -213,23 +224,31 @@ class _FileDirAdapter(SourceAdapter):
         # within RACY_WINDOW_NS of now also contributes its exact bytes.
         # When the file leaves the window its entry drops the bytes and the
         # fingerprint moves once more: one extra cache miss, never a stale
-        # answer.
+        # answer. A file gone since it was listed or named has entry None.
+        # The result is a list, not a tuple: CPython 3.11 puts each freed
+        # tuple of exactly 20 items on a free list it never takes from, so
+        # a source of 20 files left one there per probe until a full
+        # collection.
+        if relations is None:
+            files = self._files()
+        else:  # a name that is no identifier has no file
+            files = [relation + self.suffix if is_identifier(relation) else None
+                     for relation in relations]
+        now = time.time_ns()
+        return [None if file is None else self._entry(file, now) for file in files]
+
+    def _entry(self, file: str, now: int) -> Optional[tuple]:
+        """One file's fingerprint entry at time `now`, None when it is gone."""
+        path = os.path.join(self.path, file)
         try:
-            now = time.time_ns()
-            entries = []
-            for file in self._files():
-                path = os.path.join(self.path, file)
-                stat = os.stat(path)
-                entry = (file, stat.st_size, stat.st_mtime_ns, stat.st_ino, stat.st_ctime_ns)
-                if now - stat.st_ctime_ns < RACY_WINDOW_NS:
-                    with open(path, "rb") as handle:
-                        entry += (handle.read(),)
-                entries.append(entry)
-            # A list, not a tuple: CPython 3.11 puts each freed tuple of
-            # exactly 20 items on a free list it never takes from, so a
-            # source of 20 files left one there per probe until a full
-            # collection.
-            return entries
+            stat = os.stat(path)
+            entry = (file, stat.st_size, stat.st_mtime_ns, stat.st_ino, stat.st_ctime_ns)
+            if now - stat.st_ctime_ns < RACY_WINDOW_NS:
+                with open(path, "rb") as handle:
+                    entry += (handle.read(),)
+            return entry
+        except FileNotFoundError:
+            return None
         except OSError as exc:
             raise UnavailableError(f"source unavailable: {exc}") from None
 

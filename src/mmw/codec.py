@@ -16,7 +16,8 @@ column's accepted text from `relational.PLAIN_PATTERNS` (any text without a
 separator for a text column, an optional one for a nullable column), joined
 by commas. One `fullmatch` of a quote-free data line then settles its arity
 and the validity of every cell in it, with no call per cell, which is all
-the validation a quote-free text gets. The pattern may refuse a line the
+the validation a quote-free text gets: `matched_decoder` then decodes its
+cells without the checks the match made. The pattern may refuse a line the
 decoders accept, such as one with a nineteen-digit integer, but never
 accepts one they refuse; the reader leaves a text it refuses to the
 reference parser. It is compiled once per distinct header.
@@ -34,6 +35,7 @@ from mmw.relational import (
     NULL,
     Attribute,
     Kind,
+    MATCHED_READERS,
     PLAIN_PATTERNS,
     ProductSchema,
     RelationSchema,
@@ -141,18 +143,21 @@ def wire_decoder(kind: Kind) -> Decoder:
     return decode
 
 
+def _empty_field(attr: Attribute) -> Optional[Value]:
+    """The value of an unquoted empty field of column `attr`: null, or
+    empty text in a non-nullable text column; None where none is."""
+    if attr.nullable:
+        return NULL
+    if attr.data_type is Kind.TEXT:
+        return Value.text("")
+    return None
+
+
 def csv_decoder(attr: Attribute) -> Callable[[tuple[str, bool]], Value]:
     """Decoder of one delimited-file cell, `(text, was_quoted)`, of column
-    `attr`: an unquoted empty field is null, or empty text in a non-nullable
-    text column; raises ValueError."""
-    kind = attr.data_type
-    read = TEXT_READERS[kind]
-    if attr.nullable:
-        empty = NULL
-    elif kind is Kind.TEXT:
-        empty = Value.text("")
-    else:
-        empty = None
+    `attr`: an unquoted empty field is `_empty_field`; raises ValueError."""
+    read = TEXT_READERS[attr.data_type]
+    empty = _empty_field(attr)
 
     def decode_cell(cell):
         text, quoted = cell
@@ -163,6 +168,16 @@ def csv_decoder(attr: Attribute) -> Callable[[tuple[str, bool]], Value]:
         return empty
 
     return decode_cell
+
+
+def matched_decoder(attr: Attribute) -> Callable[[str], Value]:
+    """Decoder of one cell text of column `attr` in a line `csv_row_pattern`
+    has matched, so its checks are not made again
+    (`relational.MATCHED_READERS`); the pattern allows an empty cell only
+    where `_empty_field` is a value."""
+    read = MATCHED_READERS[attr.data_type]
+    empty = _empty_field(attr)
+    return lambda text: read(text) if text else empty
 
 
 @lru_cache(maxsize=64)

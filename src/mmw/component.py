@@ -15,10 +15,14 @@ keeps (see `mmw.runtime.protocol`) or a fetch a mediator's plan slot keeps
 is rendered once, however many requests and components it passes through.
 
 `epoch()` answers an opaque token that moves whenever what the component
-serves may have changed. A token is hashable and has a JSON form: a text
-leaf `<nonce>:<counter>`, or a tuple of tokens. The nonce is random per
-instance, so tokens never repeat across instances, not even for a component
-restarted on the same port.
+serves may have changed. `epoch(relations)` may be scoped to named
+relations: a wrapper answers a tuple of one token per name, in the order
+asked, each moving whenever that relation may have changed, and a mediator
+or mask answers its full token, which is always safe. A token is hashable
+and has a JSON form: a text leaf `<nonce>:<counter>` (a wrapper's scoped
+leaf is `<nonce>:<relation>:<counter>`, from a counter of its own), or a
+tuple of tokens. The nonce is random per instance, so tokens never repeat
+across instances, not even for a component restarted on the same port.
 """
 
 from __future__ import annotations
@@ -155,8 +159,9 @@ class ComponentBase:
     def stop(self) -> None:
         self._stopped = True
 
-    def _token(self, counter: int) -> str:
-        """This instance's epoch token at `counter`: `<nonce>:<counter>`."""
+    def _token(self, counter: object) -> str:
+        """This instance's epoch token at `counter`, a number or, for a
+        wrapper's scoped token, `<relation>:<number>`: `<nonce>:<counter>`."""
         return f"{self._nonce}:{counter}"
 
     # -- request plumbing ---------------------------------------------------

@@ -56,7 +56,7 @@ from decimal import Decimal
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional
 
-from mmw.codec import csv_decoder, csv_row_pattern, jsonl_encoder, rows_to_wire
+from mmw.codec import csv_decoder, csv_row_pattern, jsonl_encoder, matched_decoder, rows_to_wire
 from mmw.errors import TypeCheckError
 from mmw.query.ast import Predicate, contains_hash_call, predicate_attrs
 from mmw.query.execute import _compile_predicate
@@ -287,9 +287,10 @@ def _matched_rows(
     """The rows of the data lines of a quote-free delimited text, which
     begin at offset `start`; those of `reference_parse_csv`, which raises
     its error, unless `csv_row_pattern` of the schema matches every line.
-    On a match every cell is known to decode, so no cell is checked. With a
-    `where` the reader may use (`_selection_applies`) it yields only the
-    rows for which it is true: it cuts out and decodes the predicate's
+    On a match every cell is known to decode, so no cell is checked, and
+    `codec.matched_decoder` reads each without the checks the match made.
+    With a `where` the reader may use (`_selection_applies`) it yields only
+    the rows for which it is true: it cuts out and decodes the predicate's
     columns alone, and splits and decodes only the lines it keeps. Without
     one it decodes every column."""
     attrs = schema.attributes
@@ -299,24 +300,21 @@ def _matched_rows(
     if not all(map(csv_row_pattern(attrs).fullmatch, lines)):
         yield from reference_parse_csv(text, schema.name).rows
         return
-    decoders = [csv_decoder(attr) for attr in attrs]
+    decoders = [matched_decoder(attr) for attr in attrs]
     if not _selection_applies(where, schema):
         columns = zip(*[line.split(",") for line in lines])
-        yield from zip(*[
-            list(map(decode, zip(column, repeat(False))))
-            for decode, column in zip(decoders, columns)
-        ])
+        yield from zip(*[list(map(decode, column)) for decode, column in zip(decoders, columns)])
         return
     names = predicate_attrs(where)
     keys = {
-        p: list(map(decoders[p], zip([line.split(",", p + 1)[p] for line in lines], repeat(False))))
+        p: list(map(decoders[p], [line.split(",", p + 1)[p] for line in lines]))
         for p, attr in enumerate(attrs)
         if attr.name in names
     }
     for r in _kept_records(schema, where, keys, len(lines)):
         cells = lines[r].split(",")
         yield tuple([
-            keys[p][r] if p in keys else decode((cell, False))
+            keys[p][r] if p in keys else decode(cell)
             for p, (decode, cell) in enumerate(zip(decoders, cells))
         ])
 

@@ -19,7 +19,7 @@ import shutil
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from mmw.component import ComponentBase, LineageNode
 from mmw.errors import ConfigError, ProtocolError, UnavailableError
@@ -137,8 +137,9 @@ class Mask(ComponentBase):
             return ProductSchema(self.component_id, 1, (), {"description": "unbound mask"})
         return self.upstream.get_schema()
 
-    def epoch(self):
-        """The upstream's token, passed through; an unbound mask's never moves."""
+    def epoch(self, relations: Optional[Sequence[str]] = None):
+        """The upstream's full token, passed through whatever the `relations`
+        scope, which is always safe; an unbound mask's never moves."""
         self._check_alive()
         return self.upstream.epoch() if self.upstream is not None else self._token(0)
 

@@ -10,25 +10,33 @@ repeat across instances, so a change to any downstream, a reconfiguration
 or a downstream restarted in place gives a token never seen before.
 
 One LRU map of at most `cache_capacity` slots (0 turns it off) keeps four
-kinds of slot, each as (token, value) under a key tagged with its kind;
-tokens come from one `epoch()` call per request:
-- a result: key ("result", canonical query text), token the mediator's
-  token, value the answer;
+kinds of slot, each as (token, value) under a key tagged with its kind.
+A request's tokens come from one scoped `epoch()` probe: its own token,
+then, for each alias the plan fetches from, that downstream's token scoped
+to the relations its fetches read (the plan's reads), so a request probes
+no other downstream and no other relation:
+- a result: key ("result", canonical query text), token the scoped
+  mediator token, value the answer and the reads it was probed over, so
+  a result hit probes those reads and plans nothing;
 - a plan: key ("plan", the query with its literals lifted into typed
   placeholders), token the configuration generation, value the plan of the
   lifted query, into which each request binds its own literals, with the
   translated query of each fetch that holds no placeholder, which keeps its
   canonical text once rendered, so a request re-translates and re-renders
-  only the fetches its own literals reach;
+  only the fetches its own literals reach, and the plan's reads;
 - a fetch: key ("fetch", alias, canonical text of the translated fetch
-  query), token that downstream's token, value the fetched table;
+  query), token that downstream's scoped token, value the fetched table;
 - a join: key ("join", the plan's join step, the fetch keys of its inputs),
   token the tuple of those fetches' downstream tokens, value the joined
   table.
 A slot is served only while its kept token equals the one just read; a
-miss replaces the slot in place. The token is read before the fetch it
-keys, so a change between the two costs one extra miss, never a stale
-answer. Errors are never kept. So a result miss re-plans nothing while
+miss replaces the slot in place. A wrapper's scoped token names its
+relations, so equal tokens cover the same relations unchanged, and one
+configuration generation plans a text one way, so a result's kept reads
+are the reads of its plan. The token is read before the fetch it keys,
+so a change between the two costs one extra miss, never a stale answer.
+A change to a relation a result does not read leaves it a hit. Errors are
+never kept. So a result miss re-plans nothing while
 the configuration stands, and re-joins nothing while its inputs' sources
 stand: it binds its literals and runs the residual selection.
 
@@ -47,6 +55,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import Counter, OrderedDict
+from itertools import repeat
 from typing import Mapping, Optional, Sequence, Union as TypingUnion
 
 from mmw.component import ComponentBase, LineageNode, canonical_query_text
@@ -65,6 +74,19 @@ from mmw.relational import ProductSchema, RelationSchema, Table, is_identifier
 from mmw.views import ViewDeclaration, derive_global_schema, parse_view_source, unfold
 
 ViewInput = TypingUnion[str, ViewDeclaration]
+# Each alias a plan fetches from, in sorted order, with the sorted names of
+# the relations its fetches scan.
+Reads = tuple[tuple[str, tuple[str, ...]], ...]
+
+
+def _reads(exec_plan: ExecutionPlan) -> Reads:
+    """The relations each alias's fetches in the plan scan."""
+    scanned: dict[str, set[str]] = {}
+    for step in exec_plan.fetches:
+        scanned.setdefault(step.namespace, set()).update(
+            name.relation for name in scan_names(step.query)
+        )
+    return tuple((alias, tuple(sorted(scanned[alias]))) for alias in sorted(scanned))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,15 +227,24 @@ class Mediator(ComponentBase):
         self._check_alive()
         return self._config.product_schema
 
-    def epoch(self, config: Optional[_Configuration] = None) -> tuple:
+    def epoch(
+        self,
+        relations: Optional[Sequence[str]] = None,
+        config: Optional[_Configuration] = None,
+        reads: Optional[Reads] = None,
+    ) -> tuple:
         """(own token at the generation of `config`, by default the installed
-        configuration, then downstream tokens in sorted alias order)."""
+        configuration, then downstream tokens in sorted alias order). An
+        upstream's `relations` scope is answered with this full token, which
+        moves whenever any part of it moves, so it is always safe. `reads`,
+        as a plan slot records them, probes only its aliases, each scoped
+        to the relations its fetches read."""
         self._check_alive()
         tokens = [self._token((config or self._config).generation)]
-        for alias in self._aliases:
+        for alias, scope in zip(self._aliases, repeat(None)) if reads is None else reads:
             binding = self.downstream[alias]
             try:
-                tokens.append(binding.epoch())
+                tokens.append(binding.epoch(scope))
             except UnavailableError as exc:
                 raise UnavailableError(
                     f"downstream {alias!r} unavailable: {exc.message}",
@@ -228,18 +259,28 @@ class Mediator(ComponentBase):
         config = self._config
         result_schema = infer_schema(q, config.product_env)
         caching = self.cache_capacity > 0
-        token = self.epoch(config) if caching else None
         # A query with no textual form has no result key, so it always misses.
         query_text = canonical_query_text(q) if caching else None
         key = None if query_text is None else ("result", query_text)
-        cached = self._kept(key, token)
-        if cached is not None:
-            self._count_cache(True)
-            return cached, len(cached.rows), True
+        # A kept result is probed over the reads kept beside it, so a hit
+        # plans nothing. One dict read needs no lock; `_kept` checks the
+        # token under it.
+        token = reads = None
+        slot = self._cache.get(key) if key is not None else None
+        if slot is not None:
+            reads = slot[1][1]
+            token = self.epoch(config=config, reads=reads)
+            cached = self._kept(key, token)
+            if cached is not None:
+                self._count_cache(True)
+                return cached[0], len(cached[0].rows), True
         self._count_cache(False)
-        exec_plan, fixed_fetches = self._plan(q, config, caching)
+        exec_plan, fixed_fetches, plan_reads = self._plan(q, config, caching)
+        if caching and plan_reads != reads:
+            reads = plan_reads
+            token = self.epoch(config=config, reads=reads)
 
-        downstream_tokens = dict(zip(self._aliases, token[1:])) if caching else {}
+        downstream_tokens = {alias: t for (alias, _), t in zip(reads, token[1:])} if caching else {}
         fetch_keys: dict[QualifiedName, Optional[tuple]] = {}
 
         def fetch(step):
@@ -271,7 +312,7 @@ class Mediator(ComponentBase):
         # Client-facing schema comes from inference against the product
         # environment, not from plan internals.
         result = Table(result_schema, result.rows)
-        self._keep(key, token, result)
+        self._keep(key, token, (result, reads))
         return result, len(result.rows), False
 
     def _translate(self, step: FetchStep) -> Query:
@@ -282,14 +323,14 @@ class Mediator(ComponentBase):
 
     def _plan(
         self, q: Query, config: _Configuration, caching: bool
-    ) -> tuple[ExecutionPlan, Mapping[QualifiedName, Query]]:
+    ) -> tuple[ExecutionPlan, Mapping[QualifiedName, Query], Reads]:
         """The plan of q: bound from the plan slot of q's shape, planned
         into it on a miss, or planned afresh when caching is off; with the
         `_translate` of each fetch that holds no placeholder, by
-        intermediate name, as the slot keeps them."""
+        intermediate name, and the plan's `_reads`, as the slot keeps them."""
         views, bound, env = config.views, self.downstream.keys(), config.base_env
         if not caching:
-            return plan(q, views, bound, env), {}
+            return plan(q, views, bound, env), {}, ()
         lifted, values = lift_literals(q)
         key = ("plan", lifted)
         kept = self._kept(key, config.generation)
@@ -299,15 +340,16 @@ class Mediator(ComponentBase):
             except MeshError:
                 # Planning reads no literal value, so this fails again; the
                 # real query gives the error its own text.
-                return plan(q, views, bound, env), {}
+                exec_plan = plan(q, views, bound, env)
+                return exec_plan, {}, _reads(exec_plan)
             kept = prepared, {
                 step.intermediate: self._translate(step)
                 for step in prepared.fetches
                 if not step.holds_placeholder
-            }
+            }, _reads(prepared)
             self._keep(key, config.generation, kept)
-        prepared, fixed_fetches = kept
-        return bind_literals(prepared, values), fixed_fetches
+        prepared, fixed_fetches, reads = kept
+        return bind_literals(prepared, values), fixed_fetches, reads
 
     def _kept(self, key, token):
         """The value kept under key while its token equals `token`, else None."""

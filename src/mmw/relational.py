@@ -226,6 +226,20 @@ PLAIN_PATTERNS: dict[Kind, str] = {
 }
 EXACT_TIMESTAMP_RE = re.compile(PLAIN_PATTERNS[Kind.TIMESTAMP])
 
+_TRUE, _FALSE = Value(Kind.BOOLEAN, True), Value(Kind.BOOLEAN, False)
+
+# Readers of a non-empty text its kind's plain pattern (or, for text, the
+# row pattern) has matched, which skip the checks the match made: an
+# integer of at most eighteen digits lies in the 64-bit range. Decimal and
+# timestamp texts keep their full readers.
+MATCHED_READERS: dict[Kind, Callable[[str], Value]] = {
+    Kind.BOOLEAN: {"true": _TRUE, "false": _FALSE}.__getitem__,
+    Kind.INTEGER: lambda text: Value(Kind.INTEGER, int(text)),
+    Kind.DECIMAL: _decimal_from_text,
+    Kind.TEXT: lambda text: Value(Kind.TEXT, text),
+    Kind.TIMESTAMP: Value.timestamp,
+}
+
 
 def canonical_text(value: Value) -> str:
     """Canonical rendering used by hashing, delimited files and the protocol.

@@ -6,10 +6,13 @@ lineage, plus two extensions the runtime itself needs: epoch (cache
 freshness) and materialize (remote refresh trigger). Every error response
 carries one of the fixed codes and the id of the originating component.
 
-An epoch response carries the component's token in its JSON form: a string,
-or a list of tokens nested at most `MAX_DEPTH` deep. `TcpBinding.epoch`
-turns it back into the same hashable value (lists become tuples) and
-refuses any other shape.
+An epoch request may carry `relations`, a list of distinct relation
+identifiers, to scope the probe to them (a wrapper answers one token per
+name; a mediator or mask answers its full token); any other value is a
+protocol error. An epoch response carries the component's token in its
+JSON form: a string, or a list of tokens nested at most `MAX_DEPTH` deep.
+`TcpBinding.epoch` turns it back into the same hashable value (lists become
+tuples) and refuses any other shape.
 
 Each endpoint parses a query text once: its `QueryMemo` maps the text of an
 exec_query to the parsed query. The tree keeps its canonical text once
@@ -53,7 +56,7 @@ from mmw.mask import FORMATS, Rendering
 from mmw.query.ast import Query
 from mmw.query.parse import MAX_DEPTH, parse_query
 from mmw.query.render import render_query
-from mmw.relational import RelationSchema, Table
+from mmw.relational import RelationSchema, Table, is_identifier
 
 logger = logging.getLogger(__name__)
 
@@ -150,6 +153,21 @@ def _text_field(request: dict, field: str, default: Optional[str] = None) -> str
     return value
 
 
+def _relations_field(request: dict) -> Optional[list[str]]:
+    """An epoch request's scope: None when absent, else a list of distinct
+    identifiers; any other value is a protocol error."""
+    if "relations" not in request:
+        return None
+    relations = request["relations"]
+    if (
+        not isinstance(relations, list)
+        or not all(map(is_identifier, relations))
+        or len(set(relations)) != len(relations)
+    ):
+        raise ProtocolError("epoch 'relations' must be a list of distinct relation identifiers")
+    return relations
+
+
 class QueryMemo:
     """A bounded LRU map from a query text to its parsed query; see the
     module docstring. Query trees are frozen, so every request of an
@@ -225,7 +243,9 @@ def handle_request(component, request: dict, queries: QueryMemo) -> dict:
         node = component.lineage(_text_field(request, "relation"))
         return {"type": "lineage", "root": node.to_obj()}
     if request_type == "epoch":
-        return {"type": "epoch", "epoch": component.epoch()}
+        relations = _relations_field(request)
+        token = component.epoch() if relations is None else component.epoch(relations)
+        return {"type": "epoch", "epoch": token}
     if request_type == "materialize":
         return {"type": "report", "report": component.materialize()}
     raise ProtocolError(f"unknown request type {request_type!r}")
@@ -445,8 +465,11 @@ class TcpBinding:
     def execute(self, q, principal: str = "") -> Table:
         return table_from_response(self._exec_query(q, principal, "table"))
 
-    def epoch(self):
-        response = self._client.request({"type": "epoch"})
+    def epoch(self, relations=None):
+        request = {"type": "epoch"}
+        if relations is not None:
+            request["relations"] = list(relations)
+        response = self._client.request(request)
         return token_from_wire(response.get("epoch") if isinstance(response, dict) else None)
 
     def lineage(self, relation: str) -> LineageNode:

@@ -15,7 +15,7 @@ query path never lists the whole source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from mmw.adapters import SourceAdapter
 from mmw.component import ComponentBase, LineageNode
@@ -67,6 +67,10 @@ class Wrapper(ComponentBase):
         self.namespace = config.namespace
         self._epoch = 1
         self._last_fingerprint = config.adapter.fingerprint()
+        # Scoped tokens: a counter of their own, never reset, and for each
+        # relation found at its last scoped probe (fingerprint, token).
+        self._relation_epoch = 0
+        self._relation_tokens: dict[str, tuple[object, str]] = {}
 
     @property
     def adapter(self) -> SourceAdapter:
@@ -106,16 +110,32 @@ class Wrapper(ComponentBase):
 
     # -- change signal --------------------------------------------------------
 
-    def epoch(self) -> str:
+    def epoch(self, relations: Optional[Sequence[str]] = None):
         """This wrapper's token; its counter moves once per observed change
-        of the adapter's fingerprint."""
+        of the adapter's fingerprint. Given `relations`, a tuple of one token
+        per name, in order, which moves once per observed change of that
+        relation's fingerprint and is fresh on every probe of a relation
+        the source lacks; scoped tokens leave the unscoped counter alone."""
         self._check_alive()
-        current = self.adapter.fingerprint()
+        current = self.adapter.fingerprint(relations)
         with self._lock:
-            if current != self._last_fingerprint:
-                self._last_fingerprint = current
-                self._epoch += 1
-            return self._token(self._epoch)
+            if relations is None:
+                if current != self._last_fingerprint:
+                    self._last_fingerprint = current
+                    self._epoch += 1
+                return self._token(self._epoch)
+            tokens = []
+            for relation, entry in zip(relations, current):
+                kept = self._relation_tokens.get(relation)
+                if kept is None or kept[0] != entry:
+                    self._relation_epoch += 1
+                    kept = entry, self._token(f"{relation}:{self._relation_epoch}")
+                    if entry is None:
+                        self._relation_tokens.pop(relation, None)
+                    else:
+                        self._relation_tokens[relation] = kept
+                tokens.append(kept[1])
+            return tuple(tokens)
 
     # -- lineage ------------------------------------------------------------------
 

@@ -399,6 +399,34 @@ class TestMalformedRequestFuzz:
         assert json.loads(line)["type"] == "schema"
         assert not [record for record in caplog.records if record.exc_info]
 
+    def test_a_bad_epoch_scope_gets_one_error_line_and_grows_nothing(self, endpoint, caplog):
+        component, server = endpoint
+        rng = random.Random(25)
+        bad = [
+            "nums", 1, None, True, {"nums": 1},  # not a list
+            [1], [None], [True], [["nums"]], [{"r": "nums"}],  # items that are no text
+            [""], ["Nums"], ["1a"], ["a b"], ["../nums"], ["nums\n"],  # no identifiers
+            ["nums", "nums"],  # not distinct
+            nested(MAX_DEPTH), [nested(MAX_DEPTH - 1)], nested(MAX_DEPTH + 1),
+        ]
+        bad += [
+            ["nums", rng.choice([1, None, "", "X", ["nums"], "nums"])] for _ in range(20)
+        ]
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            for relations in bad:
+                sock.sendall(_encode_line({"type": "epoch", "relations": relations}))
+                response = json.loads(reader.readline())
+                assert response["type"] == "error" and response["code"] == "protocol", relations
+                assert response["origin"] == component.component_id
+            sock.sendall(_encode_line({"type": "epoch", "relations": ["nums", "ghost"]}))
+            token = json.loads(reader.readline())["epoch"]
+            assert len(token) == 2 and token[0] == component.epoch(["nums"])[0]
+        assert list(component._relation_tokens) == ["nums"]
+        (line,) = raw_roundtrip(server, {"type": "get_schema"})
+        assert json.loads(line)["type"] == "schema"
+        assert not [record for record in caplog.records if record.exc_info]
+
 
 def _package_error_classes() -> set[type]:
     for module in pkgutil.walk_packages(mmw.__path__, "mmw."):
