@@ -8,15 +8,19 @@ wrapper turns into its change epoch. Database-backed adapters can slot in
 behind the same interface later.
 
 A file adapter keeps nothing between calls: every call reads the files'
-current text, and lists them by name. `relations()` builds no value: it
-reads each delimited file's header and splits none of its data lines (a
-text with a quote or a carriage return excepted), and infers each json-lines
-schema in one value-free pass (`formats.jsonl_schema`). A load may be handed
-the selection that sits on its relation. A load of a quote-free csv text
-validates it by one row-pattern match per line, then decodes only the
-cells the selection reads and the other cells of the rows it keeps, or
-every cell without a usable selection (`formats._matched_rows`). A load of
-a json-lines text decodes one columnar form the same way
+current text. `relations()` lists the directory, refuses a file whose name
+is no relation identifier, and builds no value: it reads each delimited
+file's header and splits none of its data lines (a text with a quote or a
+carriage return excepted), and infers each json-lines schema in one
+value-free pass (`formats.jsonl_schema`). A load opens its relation's file
+by name and lists no directory, so a badly named sibling file does not fail
+it; a file that is not there is an unknown relation while the directory
+is. A load may be handed the selection that sits on its relation. A load
+of a quote-free csv text validates it by one row-pattern match per line,
+tests the selection on the bare payloads of the columns it reads, and
+decodes every cell of the rows it keeps and no other, or every cell
+without a usable selection (`formats._matched_rows`). A load of a
+json-lines text does the same on one columnar form
 (`formats._decoded_rows`). Every other text, and one these refuse, goes to
 its format's reference parser, so a malformed file fails with the same
 message whatever the selection. Reuse of unchanged data belongs to the
@@ -184,35 +188,41 @@ class _FileDirAdapter(SourceAdapter):
                 raise ConfigError(f"file name {name!r} is not a valid relation identifier")
         return names
 
-    def _file_for(self, relation: str) -> str:
-        file = relation + self.suffix
-        if file in self._files():
-            return file
-        raise UnknownRelationError(f"source has no relation {relation!r}")
-
     def _read(self, file: str) -> str:
         # Text mode translates newlines, so a lone \r reads as \n.
-        try:
-            with open(os.path.join(self.path, file), encoding="utf-8") as handle:
-                return handle.read()
-        except OSError as exc:
-            raise UnavailableError(f"source unavailable: {exc}") from None
+        with open(os.path.join(self.path, file), encoding="utf-8") as handle:
+            return handle.read()
 
     def _decoded(self, file: str, decode: Callable[[str, str], T]) -> T:
         """`decode(relation, text)` of one file's text; a file that is not
-        UTF-8, or that decode refuses, is a ConfigError naming the file."""
+        UTF-8, or that decode refuses, is a ConfigError naming the file. A
+        file that cannot be read raises its OSError."""
         try:
             return decode(file[: -len(self.suffix)], self._read(file))
         except ValueError as exc:  # UnicodeDecodeError is one
             raise ConfigError(f"{file}: {exc}") from None
 
     def relations(self) -> list[RelationSchema]:
-        return [self._decoded(file, self._schema) for file in self._files()]
+        try:
+            return [self._decoded(file, self._schema) for file in self._files()]
+        except OSError as exc:
+            raise UnavailableError(f"source unavailable: {exc}") from None
 
     def load(self, relation: str, where: Optional[Predicate] = None) -> Table:
-        return self._decoded(
-            self._file_for(relation), lambda name, text: self._table(name, text, where)
-        )
+        # The relation's file is opened by name, and no directory is listed:
+        # a file that is not there is a relation the source lacks, unless
+        # the directory itself is gone.
+        try:
+            if is_identifier(relation):
+                return self._decoded(
+                    relation + self.suffix, lambda name, text: self._table(name, text, where)
+                )
+        except FileNotFoundError as exc:
+            if not os.path.isdir(self.path):
+                raise UnavailableError(f"source unavailable: {exc}") from None
+        except OSError as exc:
+            raise UnavailableError(f"source unavailable: {exc}") from None
+        raise UnknownRelationError(f"source has no relation {relation!r}")
 
     def fingerprint(self, relations: Optional[Sequence[str]] = None) -> list:
         # The inode number catches a rewrite through a temporary file and

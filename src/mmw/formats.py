@@ -18,11 +18,15 @@ carriage return is read by `_matched_rows`: a `fullmatch` of the header's
 row pattern (`codec.csv_row_pattern`) on each data line settles the arity
 of every line and the validity of every cell, so no cell is checked one
 by one. With a selection predicate it then cuts the predicate's columns
-out of the lines, decodes and tests them, and splits and decodes only the
-lines it keeps; without one it decodes every column. The pattern is
-matched line by line, not once over the whole text: one match of a
-repeated row keeps the engine's backtracking state for every cell until
-it ends, about 27 bytes per byte of text, more than a full decode holds.
+out of the lines as bare payloads (`relational.MATCHED_PAYLOADS`: an
+`int`, a `Decimal`, a `datetime`, the text itself, None for null), tests
+the predicate on them (`query.execute._compile_payload_predicate`), and
+splits and decodes only the lines it keeps, every cell of them (late
+materialization: Abadi, Myers, DeWitt and Madden, ICDE 2007); without one
+it decodes every column. The pattern is matched line by line, not once
+over the whole text: one match of a repeated row keeps the engine's
+backtracking state for every cell until it ends, about 27 bytes per byte
+of text, more than a full decode holds.
 Every other text, one with a quoted cell or a carriage return or one the
 pattern refuses (a ragged or blank line, a nineteen-digit integer), is
 read by the reference parser `reference_parse_csv`, which decodes row by
@@ -35,13 +39,15 @@ field's cells as `json` decoded them, and one decoder per field. It infers
 each field's kind, nullability and widening from its column, checking
 each cell as a value of its kind (int64 range, decimal exponent,
 calendar) without building one. `_decoded_rows` then builds values only
-for the rows a read returns: given a selection predicate it decodes the
-predicate's cells of every record and the other cells of the records it
-keeps. A text this pass does not settle (a refused cell, an extreme
-decimal exponent, a text without fields) goes to `reference_parse_jsonl`,
-which decodes record by record, is the oracle of the columnar path, and
-raises each refusal with its line, so a malformed file fails with the
-same message either way.
+for the rows a read returns: given a selection predicate it tests it on
+the payloads of the predicate's fields, each cell as `json` decoded it but
+a decimal canonical, a timestamp a `datetime` and a widened field's cell
+its canonical text, and decodes the records it keeps and no other. A text
+this pass does not settle (a refused cell, an extreme decimal exponent, a
+text without fields) goes to `reference_parse_jsonl`, which decodes
+record by record, is the oracle of the columnar path, and raises each
+refusal with its line, so a malformed file fails with the same message
+either way.
 
 Cells are encoded and decoded by the per-column closures of `mmw.codec`;
 this module owns only the text around them: splitting, quoting, headers,
@@ -53,18 +59,19 @@ from __future__ import annotations
 import json
 import re
 from decimal import Decimal
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from mmw.codec import csv_decoder, csv_row_pattern, jsonl_encoder, matched_decoder, rows_to_wire
 from mmw.errors import TypeCheckError
 from mmw.query.ast import Predicate, contains_hash_call, predicate_attrs
-from mmw.query.execute import _compile_predicate
+from mmw.query.execute import _compile_payload_predicate
 from mmw.query.infer import check_predicate
 from mmw.relational import (
     EXACT_TIMESTAMP_RE,
     INT64_MAX,
     INT64_MIN,
+    MATCHED_PAYLOADS,
     NULL,
     TIMESTAMP_RE,
     Attribute,
@@ -72,6 +79,9 @@ from mmw.relational import (
     RelationSchema,
     Table,
     Value,
+    _canonical_decimal,
+    _decimal_text,
+    _moment_from_text,
     canonical_text,
     is_identifier,
     kind_from_name,
@@ -238,44 +248,49 @@ def _selection_applies(where: Optional[Predicate], schema: RelationSchema) -> bo
     return True
 
 
-def _kept_records(schema: RelationSchema, where: Predicate, keys: dict, count: int) -> list[int]:
-    """The positions, in order, of the `count` records for which `where` is
-    true, given `keys`, the decoded cells of every column it reads by
-    column position."""
-    test = _compile_predicate(where, {attr.name: p for p, attr in enumerate(schema.attributes)}, "")
-    # One row buffer for every test: the predicate reads only the cells
-    # of its own columns, which each row overwrites.
-    probe: list = [None] * len(schema.attributes)
-    kept = []
-    for record in range(count):
-        for p, values in keys.items():
-            probe[p] = values[record]
-        if test(probe) is True:
-            kept.append(record)
-    return kept
+def _kept(where: Predicate, schema: RelationSchema, columns: dict, count: int) -> list[int]:
+    """The positions, in order, of the `count` records for which `where`,
+    one `_selection_applies` admits, is true, given `columns`, the payloads
+    of every column it reads by name (`_compile_payload_predicate`)."""
+    return list(compress(range(count), _compile_payload_predicate(where, schema)(columns, count)))
+
+
+def _payload_column(attr: Attribute, cells: list[str]) -> list:
+    """The payloads of the cell texts of column `attr` in lines the row
+    pattern has matched: those the column's matched decoder wraps, None for
+    null."""
+    read = MATCHED_PAYLOADS[attr.data_type]
+    if attr.nullable:
+        return [read(cell) if cell else None for cell in cells]
+    # Only a text column's pattern allows an empty cell here: empty text.
+    return list(map(read, cells))
 
 
 def _decoded_rows(
-    schema: RelationSchema, columns: list, decoders: list, where: Optional[Predicate]
+    schema: RelationSchema,
+    columns: list,
+    decoders: list,
+    payloads: list,
+    where: Optional[Predicate],
 ) -> Optional[list[Row]]:
     """The records held by `columns`, each json-lines field's cells, decoded
     in order by `decoders`, one per field; None as soon as a cell fails to
     decode. With a `where` the reader may use (`_selection_applies`), only
-    the records for which it is true: it decodes the predicate's cells of
-    every record and the other cells of the kept records."""
+    the records for which it is true: it tests `where` on the payloads of
+    the fields it reads, each cell read by the field's entry of `payloads`
+    (None: the cell as it is), and decodes the kept records alone."""
     try:
         if not _selection_applies(where, schema):
             return list(zip(*[list(map(d, column)) for d, column in zip(decoders, columns)]))
         names = predicate_attrs(where)
-        keys = {
-            p: list(map(decoders[p], columns[p]))
-            for p, attr in enumerate(schema.attributes)
+        tested = {
+            attr.name: column if read is None else [None if c is None else read(c) for c in column]
+            for attr, column, read in zip(schema.attributes, columns, payloads)
             if attr.name in names
         }
-        kept = _kept_records(schema, where, keys, len(columns[0]))
+        kept = _kept(where, schema, tested, len(columns[0]))
         return list(zip(*[
-            [keys[p][r] for r in kept] if p in keys else [decode(column[r]) for r in kept]
-            for p, (decode, column) in enumerate(zip(decoders, columns))
+            [decode(column[r]) for r in kept] for decode, column in zip(decoders, columns)
         ]))
     except ValueError:
         return None
@@ -290,9 +305,10 @@ def _matched_rows(
     On a match every cell is known to decode, so no cell is checked, and
     `codec.matched_decoder` reads each without the checks the match made.
     With a `where` the reader may use (`_selection_applies`) it yields only
-    the rows for which it is true: it cuts out and decodes the predicate's
-    columns alone, and splits and decodes only the lines it keeps. Without
-    one it decodes every column."""
+    the rows for which it is true: it cuts out the predicate's columns
+    alone, tests `where` on their payloads (`relational.MATCHED_PAYLOADS`),
+    and splits and decodes only the lines it keeps. Without one it decodes
+    every column."""
     attrs = schema.attributes
     lines = text[start:].split("\n")
     if lines[-1] == "":  # after a final line break there is no last row
@@ -306,17 +322,13 @@ def _matched_rows(
         yield from zip(*[list(map(decode, column)) for decode, column in zip(decoders, columns)])
         return
     names = predicate_attrs(where)
-    keys = {
-        p: list(map(decoders[p], [line.split(",", p + 1)[p] for line in lines]))
+    tested = {
+        attr.name: _payload_column(attr, [line.split(",", p + 1)[p] for line in lines])
         for p, attr in enumerate(attrs)
         if attr.name in names
     }
-    for r in _kept_records(schema, where, keys, len(lines)):
-        cells = lines[r].split(",")
-        yield tuple([
-            keys[p][r] if p in keys else decode(cell)
-            for p, (decode, cell) in enumerate(zip(decoders, cells))
-        ])
+    for r in _kept(where, schema, tested, len(lines)):
+        yield tuple([decode(cell) for decode, cell in zip(decoders, lines[r].split(","))])
 
 
 def parse_csv(text: str, name: str = "relation") -> Table:
@@ -486,22 +498,43 @@ _JSONL_VALUES: dict[Kind, Callable[[object], Value]] = {
 }
 
 
-def _widened_value(raw: object) -> Value:
-    return _widen_to_text(_classify_scalar(raw)[1])
+def _widened_text(raw: object) -> str:
+    """The canonical text of a JSON cell `_field_kinds` admits, by the
+    cell's own kind: a string as it is, as an exact timestamp's text is
+    canonical, and a boolean or number rendered."""
+    if isinstance(raw, str):
+        return raw
+    if isinstance(raw, Decimal):
+        return _decimal_text(_canonical_decimal(raw))
+    if isinstance(raw, bool):
+        return "true" if raw else "false"
+    return str(raw)  # an integer
 
 
 def _jsonl_decoder(kind: Kind, widened: bool) -> Callable[[object], Value]:
     """Decoder of one field's decoded JSON cells, None for null or missing,
     by the factories `reference_parse_jsonl` builds its values with."""
-    make = _widened_value if widened else _JSONL_VALUES[kind]
+    make = (lambda raw: Value.text(_widened_text(raw))) if widened else _JSONL_VALUES[kind]
     return lambda raw: NULL if raw is None else make(raw)
 
 
-def _scan_jsonl(text: str, name: str) -> Optional[tuple[RelationSchema, list[list], list]]:
+# The payload of a decoded JSON cell, not null, of an unwidened field,
+# where it is not the cell itself: what the field's decoder wraps.
+_JSONL_PAYLOADS: dict[Kind, Callable[[object], object]] = {
+    Kind.DECIMAL: _canonical_decimal,  # normalize() rounds past 28 digits
+    Kind.TIMESTAMP: _moment_from_text,
+}
+
+
+def _scan_jsonl(
+    text: str, name: str
+) -> Optional[tuple[RelationSchema, list[list], list, list]]:
     """The schema of a json-lines text, each field's cells as JSON decoded
-    them (None for null or missing) and each field's decoder, by one pass
-    that builds no `Value`; None when a line or cell is one the reference
-    refuses or one this pass does not settle, and for a text without fields."""
+    them (None for null or missing), each field's decoder, and each
+    field's reader of a cell's payload (None: the cell is its payload), by
+    one pass that builds no `Value`; None when a line or cell is one the
+    reference refuses or one this pass does not settle, and for a text
+    without fields."""
     decode = _JSONL_DECODER.decode
     records = []
     shapes: dict[tuple, None] = {}  # each record's field names, in order of first sight
@@ -520,7 +553,7 @@ def _scan_jsonl(text: str, name: str) -> Optional[tuple[RelationSchema, list[lis
     fields = dict.fromkeys(field for shape in shapes for field in shape)
     if not fields or not all(map(is_identifier, fields)):
         return None
-    attrs, columns, decoders = [], [], []
+    attrs, columns, decoders, payloads = [], [], [], []
     for field in fields:
         column = list(map(dict.get, records, repeat(field)))
         inferred = _field_kinds(column)
@@ -532,7 +565,8 @@ def _scan_jsonl(text: str, name: str) -> Optional[tuple[RelationSchema, list[lis
         attrs.append(Attribute(field, kind, nullable=nullable or widened))
         columns.append(column)
         decoders.append(_jsonl_decoder(kind, widened))
-    return RelationSchema(name, attrs), columns, decoders
+        payloads.append(_widened_text if widened else _JSONL_PAYLOADS.get(kind))
+    return RelationSchema(name, attrs), columns, decoders, payloads
 
 
 def jsonl_schema(text: str, name: str = "relation") -> RelationSchema:
@@ -543,8 +577,8 @@ def jsonl_schema(text: str, name: str = "relation") -> RelationSchema:
 
 def parse_jsonl(text: str, name: str = "relation", where: Optional[Predicate] = None) -> Table:
     """The table `reference_parse_jsonl` reads, building values only for the
-    rows it returns. With `where`, used as `iter_csv_rows` uses it, only the
-    predicate's cells of the records it leaves out are decoded."""
+    rows it returns. With `where`, used as `iter_csv_rows` uses it, the
+    records it leaves out are tested on payloads and never decoded."""
     scanned = _scan_jsonl(text, name)
     rows = None if scanned is None else _decoded_rows(*scanned, where)
     if rows is None:

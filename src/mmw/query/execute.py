@@ -3,7 +3,7 @@
 `Wrapper.execute` and `planner.execute_plan` run every query through
 `execute`. Its contract is `evaluate`'s: the same schema, the same rows in the
 same order and the same error classes. `query/evaluate.py` stays the oracle
-that this module is checked against, and it differs from it in two ways only:
+that this module is checked against, and it differs from it in three ways only:
 
 - An equi-join builds a hash table on its right input, keyed by the
   ``(kind, payload)`` tuple of the join cells, and probes it with the left
@@ -21,11 +21,22 @@ that this module is checked against, and it differs from it in two ways only:
   and then applies the Python operator to the two payloads, which is what
   `compare_values` decides within one kind: a null cell, a null literal or
   another kind is unknown.
+- A file reader tests a pushed-down selection before it builds any value
+  (`_compile_payload_predicate`): on columns of bare payloads, None for
+  null, one list per attribute the predicate reads, a whole column per
+  operator. The predicate type-checks against the file's schema, so every
+  operand's kind is fixed when it is compiled: a comparison of two kinds
+  or with a null literal is unknown for every row, and no cell's kind is
+  checked. Connectives combine whole columns of True, False and None
+  (unknown) under the same Kleene logic.
 
 `tests/test_execute.py` holds it to the oracle: a seeded differential test
 over random queries (unions, chained joins, nullable columns, salted hashes)
 compares schemas and row lists in order, hand-built joins cover null keys,
 mixed kinds and duplicate keys, and a scaling check keeps the join linear.
+`tests/test_selective_load.py` holds the payload compiler to
+`_compile_predicate`, row by row, over the payloads and values both file
+readers make of the same cells.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
 from mmw.errors import UnknownRelationError
-from mmw.relational import Kind, Ordering, Row, Table, Value, compare_values
+from mmw.relational import Kind, Ordering, RelationSchema, Row, Table, Value, compare_values
 from mmw.query.ast import (
     AttrRef,
     CompareOp,
@@ -187,6 +198,125 @@ def _compile_predicate(predicate: Predicate, index: Mapping[str, int], salt: str
             return None if result is None else not result
 
         return negation
+    raise TypeError(f"unknown predicate {type(predicate).__name__}")
+
+
+# A column of payloads, one per row, None for null; a compiled selection
+# reads the columns of its attributes by name, all of one length.
+PayloadColumns = Mapping[str, list]
+ColumnFn = Callable[[PayloadColumns, int], list]
+
+
+def _constant_column(payload: object) -> ColumnFn:
+    return lambda columns, count: [payload] * count
+
+
+def _compile_payload_expr(expr: Expr, schema: RelationSchema) -> tuple[Kind, ColumnFn]:
+    """The kind of `expr` over `schema`, and a function giving its payload
+    in each row, None for null, as `_compile_expr` gives its value."""
+    if isinstance(expr, AttrRef):
+        name = expr.name
+        return schema.attribute(name).data_type, lambda columns, count: columns[name]
+    if isinstance(expr, (Literal, RedactCall)):
+        value = expr.value if isinstance(expr, Literal) else REDACTED
+        return value.kind, _constant_column(value.payload)
+    if isinstance(expr, ConcatCall):
+        left = _compile_payload_expr(expr.left, schema)[1]
+        right = _compile_payload_expr(expr.right, schema)[1]
+
+        def concat(columns: PayloadColumns, count: int) -> list:
+            return [
+                None if a is None or b is None else a + b
+                for a, b in zip(left(columns, count), right(columns, count))
+            ]
+
+        return Kind.TEXT, concat
+    raise TypeError(f"cannot compile {type(expr).__name__} over payloads")
+
+
+def _cell_test(
+    predicate: Predicate, schema: RelationSchema
+) -> Optional[tuple[str, Callable, object]]:
+    """`(name, test, payload)` when `predicate` compares the attribute
+    `name` with a literal of the attribute's kind: then it holds of a
+    non-null cell exactly when `test(cell, payload)` does. None otherwise."""
+    if not isinstance(predicate, Comparison):
+        return None
+    attr, op, literal = predicate.left, predicate.op, predicate.right
+    if isinstance(attr, Literal):
+        attr, op, literal = literal, _MIRRORED[op], attr
+    if not (isinstance(attr, AttrRef) and isinstance(literal, Literal)):
+        return None
+    if literal.value.kind is not schema.attribute(attr.name).data_type:
+        return None
+    return attr.name, _PAYLOAD_TESTS[op], literal.value.payload
+
+
+def _compile_payload_comparison(comparison: Comparison, schema: RelationSchema) -> ColumnFn:
+    cell_test = _cell_test(comparison, schema)
+    if cell_test is not None:
+        name, test, payload = cell_test
+        return lambda columns, count: [
+            None if cell is None else test(cell, payload) for cell in columns[name]
+        ]
+    left_kind, left = _compile_payload_expr(comparison.left, schema)
+    right_kind, right = _compile_payload_expr(comparison.right, schema)
+    if left_kind is Kind.NULL or left_kind is not right_kind:
+        return _constant_column(None)
+    test = _PAYLOAD_TESTS[comparison.op]
+    return lambda columns, count: [
+        None if a is None or b is None else test(a, b)
+        for a, b in zip(left(columns, count), right(columns, count))
+    ]
+
+
+def _compile_column_range(predicate: LogicalAnd, schema: RelationSchema) -> Optional[ColumnFn]:
+    """A conjunction of two comparisons of one attribute with literals of
+    its kind, such as a range read's `id >= K AND id < K + 4`, as one pass
+    over its column: a null cell makes both unknown, and so the
+    conjunction. None for any other conjunction."""
+    first, second = _cell_test(predicate.left, schema), _cell_test(predicate.right, schema)
+    if first is None or second is None or first[0] != second[0]:
+        return None
+    (name, test, payload), (_, second_test, second_payload) = first, second
+    return lambda columns, count: [
+        None if cell is None else test(cell, payload) and second_test(cell, second_payload)
+        for cell in columns[name]
+    ]
+
+
+def _compile_payload_predicate(predicate: Predicate, schema: RelationSchema) -> ColumnFn:
+    """`predicate` as a function of the payload columns of the attributes
+    of `schema` it reads and their length, giving for each row what
+    `_compile_predicate` gives for the row of its values: True, False, or
+    None for unknown. `predicate` is one `formats._selection_applies`
+    admits, so it type-checks and holds no hash(): every operand's kind is
+    known here, and a comparison of two kinds or with null is unknown
+    without reading a cell."""
+    if isinstance(predicate, Comparison):
+        return _compile_payload_comparison(predicate, schema)
+    if isinstance(predicate, LogicalNot):
+        inner = _compile_payload_predicate(predicate.child, schema)
+        return lambda columns, count: [
+            None if result is None else not result for result in inner(columns, count)
+        ]
+    if isinstance(predicate, LogicalAnd):
+        one_pass = _compile_column_range(predicate, schema)
+        if one_pass is not None:
+            return one_pass
+        left = _compile_payload_predicate(predicate.left, schema)
+        right = _compile_payload_predicate(predicate.right, schema)
+        return lambda columns, count: [
+            False if a is False or b is False else None if a is None or b is None else True
+            for a, b in zip(left(columns, count), right(columns, count))
+        ]
+    if isinstance(predicate, LogicalOr):
+        left = _compile_payload_predicate(predicate.left, schema)
+        right = _compile_payload_predicate(predicate.right, schema)
+        return lambda columns, count: [
+            True if a is True or b is True else None if a is None or b is None else False
+            for a, b in zip(left(columns, count), right(columns, count))
+        ]
     raise TypeError(f"unknown predicate {type(predicate).__name__}")
 
 

@@ -241,6 +241,18 @@ MATCHED_READERS: dict[Kind, Callable[[str], Value]] = {
 }
 
 
+# The payloads MATCHED_READERS wraps, read from the same matched texts: a
+# file reader tests a selection on these and builds values only for the
+# rows it keeps.
+MATCHED_PAYLOADS: dict[Kind, Callable[[str], object]] = {
+    Kind.BOOLEAN: {"true": True, "false": False}.__getitem__,
+    Kind.INTEGER: int,
+    Kind.DECIMAL: _canonical_decimal,
+    Kind.TEXT: str,
+    Kind.TIMESTAMP: _moment_from_text,
+}
+
+
 def canonical_text(value: Value) -> str:
     """Canonical rendering used by hashing, delimited files and the protocol.
 

@@ -6,13 +6,14 @@ lineage, plus two extensions the runtime itself needs: epoch (cache
 freshness) and materialize (remote refresh trigger). Every error response
 carries one of the fixed codes and the id of the originating component.
 
-An epoch request may carry `relations`, a list of distinct relation
-identifiers, to scope the probe to them (a wrapper answers one token per
-name; a mediator or mask answers its full token); any other value is a
-protocol error. An epoch response carries the component's token in its
-JSON form: a string, or a list of tokens nested at most `MAX_DEPTH` deep.
-`TcpBinding.epoch` turns it back into the same hashable value (lists become
-tuples) and refuses any other shape.
+An epoch request may carry `relations`, a list of at most
+`MAX_EPOCH_RELATIONS` distinct relation identifiers, to scope the probe to
+them (a wrapper answers one token per name; a mediator or mask answers its
+full token); any other value is a protocol error. An epoch response
+carries the component's token in its JSON form: a string, or a list of
+tokens nested at most `MAX_DEPTH` deep. `TcpBinding.epoch` turns it back
+into the same hashable value (lists become tuples) and refuses any other
+shape.
 
 Each endpoint parses a query text once: its `QueryMemo` maps the text of an
 exec_query to the parsed query. The tree keeps its canonical text once
@@ -71,6 +72,14 @@ MAX_REQUEST_LINE = 1 << 20
 # MAX_REQUEST_LINE could pin tens of megabytes each.
 QUERY_MEMO_ENTRIES = 32
 QUERY_MEMO_TEXT_CHARS = 1024
+
+# Most relation names one scoped epoch request may carry. A wrapper answers
+# one token per name, so without a bound one request line could ask for
+# tens of thousands (18 278 three-letter names took 0.16 s and drew a
+# 537 KB answer). A plan reads a handful of relations of each downstream; a
+# binding sends a longer scope unscoped, whose token moves whenever any of
+# them may have.
+MAX_EPOCH_RELATIONS = 256
 
 WIRE_CODES = ("syntax", "type", "unknown_relation", "access_denied", "unavailable", "protocol")
 
@@ -159,6 +168,8 @@ def _relations_field(request: dict) -> Optional[list[str]]:
     if "relations" not in request:
         return None
     relations = request["relations"]
+    if isinstance(relations, list) and len(relations) > MAX_EPOCH_RELATIONS:
+        raise ProtocolError(f"epoch 'relations' names more than {MAX_EPOCH_RELATIONS} relations")
     if (
         not isinstance(relations, list)
         or not all(map(is_identifier, relations))
@@ -467,7 +478,7 @@ class TcpBinding:
 
     def epoch(self, relations=None):
         request = {"type": "epoch"}
-        if relations is not None:
+        if relations is not None and len(relations) <= MAX_EPOCH_RELATIONS:
             request["relations"] = list(relations)
         response = self._client.request(request)
         return token_from_wire(response.get("epoch") if isinstance(response, dict) else None)

@@ -33,6 +33,7 @@ from mmw.mask import Mask
 from mmw.mediator import Mediator
 from mmw.relational import INT64_MAX, INT64_MIN, Attribute, Kind, RelationSchema, Table, Value
 from mmw.runtime.protocol import (
+    MAX_EPOCH_RELATIONS,
     MAX_REQUEST_LINE,
     WIRE_CODES,
     ProtocolClient,
@@ -412,6 +413,8 @@ class TestMalformedRequestFuzz:
         bad += [
             ["nums", rng.choice([1, None, "", "X", ["nums"], "nums"])] for _ in range(20)
         ]
+        # One name past the bound, however well formed.
+        bad.append(["nums"] + [f"r{i}" for i in range(MAX_EPOCH_RELATIONS)])
         with socket.create_connection((server.host, server.port), timeout=10) as sock:
             reader = sock.makefile("rb")
             for relations in bad:
@@ -422,6 +425,11 @@ class TestMalformedRequestFuzz:
             sock.sendall(_encode_line({"type": "epoch", "relations": ["nums", "ghost"]}))
             token = json.loads(reader.readline())["epoch"]
             assert len(token) == 2 and token[0] == component.epoch(["nums"])[0]
+            # A scope of exactly the bound is answered, one token per name.
+            full = ["nums"] + [f"r{i}" for i in range(MAX_EPOCH_RELATIONS - 1)]
+            sock.sendall(_encode_line({"type": "epoch", "relations": full}))
+            token = json.loads(reader.readline())["epoch"]
+            assert len(token) == MAX_EPOCH_RELATIONS and token[0] == component.epoch(["nums"])[0]
         assert list(component._relation_tokens) == ["nums"]
         (line,) = raw_roundtrip(server, {"type": "get_schema"})
         assert json.loads(line)["type"] == "schema"
@@ -568,6 +576,17 @@ class TestTcpBinding:
             assert bag_equal(remote, local)
             assert binding.epoch() == component.epoch()
             assert binding.lineage("nums").component == "w_nums"
+        finally:
+            binding.close()
+
+    def test_a_scope_past_the_bound_is_probed_unscoped(self, endpoint):
+        component, server = endpoint
+        binding = TcpBinding(server.host, server.port)
+        try:
+            names = ["nums"] + [f"r{i}" for i in range(MAX_EPOCH_RELATIONS)]
+            assert binding.epoch(names) == component.epoch()
+            scoped = binding.epoch(names[:-1])
+            assert len(scoped) == MAX_EPOCH_RELATIONS and scoped[0] == component.epoch(["nums"])[0]
         finally:
             binding.close()
 

@@ -22,7 +22,7 @@ import pytest
 import mmw.adapters
 import mmw.formats
 from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter
-from mmw.codec import csv_row_pattern, rows_to_wire
+from mmw.codec import csv_row_pattern, matched_decoder, rows_to_wire
 from mmw.errors import ConfigError, MeshError, TypeCheckError
 from mmw.formats import (
     header_cells,
@@ -36,21 +36,30 @@ from mmw.query.ast import (
     AttrRef,
     CompareOp,
     Comparison,
+    ConcatCall,
     HashCall,
     Join,
     Literal,
     LogicalAnd,
     LogicalNot,
+    LogicalOr,
     Project,
     ProjectItem,
     QualifiedName,
+    RedactCall,
     Scan,
     Select,
     Union,
     scan_names,
+    walk,
 )
 from mmw.query.evaluate import evaluate, hash_value
-from mmw.query.execute import execute
+from mmw.query.execute import (
+    _compile_column_range,
+    _compile_payload_predicate,
+    _compile_predicate,
+    execute,
+)
 from mmw.query.infer import infer_schema
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value
 from mmw.wrapper import Wrapper, WrapperConfig
@@ -448,11 +457,11 @@ class TestRowPatternLoad:
         for where, kept in ((point, [rows[76]]), (LogicalAnd(low, high), rows[49:53])):
             calls.clear()
             assert list(adapter.load("t", where=where).rows) == kept
-            # One value per key cell and one per other non-null cell of a
-            # kept row, besides the empty text the `code` column's decoder
-            # holds.
-            others = sum(not value.is_null for row in kept for value in row[1:])
-            assert calls == Counter({"Value": 200 + others + 1}), where
+            # One value per non-null cell of a kept row, besides the empty
+            # text the `code` column's decoder holds: the key column is
+            # tested on bare payloads.
+            cells = sum(not value.is_null for row in kept for value in row)
+            assert calls == Counter({"Value": cells + 1}), where
         # A load without a selection decodes every cell, and splits the text
         # no more than a selective load.
         calls.clear()
@@ -668,3 +677,231 @@ class TestSchemaReadsDecodeNothing:
         assert calls["__init__"] > 0 and calls["csv_row_pattern"] == 1
         assert calls["split_delimited"] == 0
         assert calls["reference_parse_csv"] == calls["reference_parse_jsonl"] == 0
+
+
+# Cell texts a quote-free csv row pattern accepts, with the forms whose
+# payload is not the text's own: leading zeros, -0, trailing zeros, and
+# decimals past the 28 digits `normalize()` keeps, which round together.
+PAYLOAD_TEXTS = {
+    Kind.BOOLEAN: ["true", "false"],
+    Kind.INTEGER: ["0", "-0", "007", "7", "-3", "12", "999999999999999999", "-999999999999999999"],
+    Kind.DECIMAL: [
+        "0", "-0", "-0.000", "1.5", "1.50", "-1.5", "7", "007.0", "0.001",
+        "1234567890123456789012345678901", "1234567890123456789012345678902",
+        "1234567890123456789012345678901.5",
+        "0.0000000000000000000000000000012345678901234567890123",
+    ],
+    Kind.TEXT: ["", "a", "ab", "b", "a b", "REDACTED", "RED", "ACTED", "1", "true"],
+    Kind.TIMESTAMP: [
+        "2024-02-29T00:00:00Z", "2024-03-01T00:00:00Z", "0001-01-01T00:00:00Z",
+        "9999-12-31T23:59:59Z", "2023-12-31T23:59:59Z",
+    ],
+}
+
+# JSON tokens of each kind, for json-lines fields; a field now and then
+# takes a token of another kind and is widened to text.
+PAYLOAD_TOKENS = {
+    Kind.BOOLEAN: ["true", "false"],
+    Kind.INTEGER: ["0", "-0", "7", "-3", "9223372036854775807"],
+    Kind.DECIMAL: [
+        "0.0", "-0.0", "-0.000", "1.5", "1.50", "7.0", "1e2", "100.0",
+        "1234567890123456789012345678901.0", "1234567890123456789012345678902.0",
+    ],
+    Kind.TEXT: ['""', '"a"', '"b"', '"REDACTED"', '"1"', '"true"', '"1.5"'],
+    Kind.TIMESTAMP: ['"2024-02-29T00:00:00Z"', '"2024-03-01T00:00:00Z"', '"0001-01-01T00:00:00Z"'],
+}
+
+
+def payload_csv_case(rng: random.Random):
+    """A schema, the `Value` rows of random matched cell texts as the csv
+    reader decodes them, and the payload columns it tests a selection on."""
+    kinds = [Kind.BOOLEAN, Kind.INTEGER, Kind.DECIMAL, Kind.TEXT, Kind.TIMESTAMP]
+    attrs = [
+        Attribute(f"a{p}", rng.choice(kinds), nullable=rng.random() < 0.4)
+        for p in range(rng.randint(1, 5))
+    ]
+    texts = [
+        ["" if attr.nullable and rng.random() < 0.2 else rng.choice(PAYLOAD_TEXTS[attr.data_type])
+         for _ in range(rng.randint(1, 10))]
+        if p == 0 else None
+        for p, attr in enumerate(attrs)
+    ]
+    count = len(texts[0])
+    texts[1:] = [
+        ["" if attr.nullable and rng.random() < 0.2 else rng.choice(PAYLOAD_TEXTS[attr.data_type])
+         for _ in range(count)]
+        for attr in attrs[1:]
+    ]
+    schema = RelationSchema("t", attrs)
+    rows = list(zip(*[list(map(matched_decoder(attr), column))
+                      for attr, column in zip(attrs, texts)]))
+    columns = {attr.name: mmw.formats._payload_column(attr, column)
+               for attr, column in zip(attrs, texts)}
+    return schema, rows, columns
+
+
+def payload_jsonl_case(rng: random.Random):
+    """The same for a random json-lines text the columnar scan settles, or
+    None for one it does not."""
+    kinds = [Kind.BOOLEAN, Kind.INTEGER, Kind.DECIMAL, Kind.TEXT, Kind.TIMESTAMP]
+    fields = {f"f{p}": rng.choice(kinds) for p in range(rng.randint(1, 4))}
+    lines = []
+    for _ in range(rng.randint(1, 10)):
+        tokens = []
+        for field, kind in fields.items():
+            roll = rng.random()
+            if roll < 0.08:
+                continue  # a missing field
+            if roll < 0.16:
+                token = "null"
+            else:
+                token = rng.choice(PAYLOAD_TOKENS[kind if roll < 0.9 else rng.choice(kinds)])
+            tokens.append(f'"{field}":{token}')
+        lines.append("{" + ",".join(tokens) + "}")
+    scanned = mmw.formats._scan_jsonl("\n".join(lines) + "\n", "t")
+    if scanned is None:
+        return None
+    schema, cells, decoders, payloads = scanned
+    rows = list(zip(*[list(map(decode, column)) for decode, column in zip(decoders, cells)]))
+    columns = {
+        attr.name: column if read is None else [None if c is None else read(c) for c in column]
+        for attr, column, read in zip(schema.attributes, cells, payloads)
+    }
+    return schema, rows, columns
+
+
+def payload_operand(rng: random.Random, schema: RelationSchema, rows, kind: Kind):
+    """An operand of kind `kind` over `schema`: an attribute, a literal
+    (mostly a cell of the rows, so equality holds now and then), and for
+    text a concat or redact."""
+    same = [attr.name for attr in schema.attributes if attr.data_type is kind]
+    roll = rng.random()
+    if same and roll < 0.45:
+        return AttrRef(rng.choice(same))
+    if kind is Kind.TEXT and roll < 0.6:
+        if rng.random() < 0.3:
+            return RedactCall()
+        sides = [payload_operand(rng, schema, rows, Kind.TEXT) for _ in range(2)]
+        if rng.random() < 0.15:
+            sides[rng.randrange(2)] = Literal(Value.null())
+        return ConcatCall(*sides)
+    pool = [row[p] for row in rows for p, attr in enumerate(schema.attributes)
+            if attr.data_type is kind and not row[p].is_null]
+    if pool and rng.random() < 0.7:
+        return Literal(rng.choice(pool))
+    return Literal(random_value(rng, kind))
+
+
+def payload_predicate(rng: random.Random, schema: RelationSchema, rows, depth: int = 3):
+    """A selection over `schema`: comparisons of every operator between
+    attributes, literals, concats and redacts, under nested NOT/AND/OR;
+    now and then with a null literal or operands of two kinds."""
+    if depth > 0 and rng.random() < 0.45:
+        shape = rng.random()
+        if shape < 0.2:
+            return LogicalNot(payload_predicate(rng, schema, rows, depth - 1))
+        if shape < 0.3:
+            # A range: two comparisons of one attribute, one side each.
+            attr = AttrRef(rng.choice(schema.attributes).name)
+            kind = schema.attribute(attr.name).data_type
+            bounds = [Comparison(attr, rng.choice(list(CompareOp)),
+                                 payload_operand(rng, schema, rows, kind)) for _ in range(2)]
+            return LogicalAnd(*bounds)
+        connective = LogicalAnd if shape < 0.6 else LogicalOr
+        return connective(payload_predicate(rng, schema, rows, depth - 1),
+                          payload_predicate(rng, schema, rows, depth - 1))
+    kind = rng.choice(schema.attributes).data_type if rng.random() < 0.8 else Kind.TEXT
+    left = payload_operand(rng, schema, rows, kind)
+    roll = rng.random()
+    if roll < 0.08:
+        right = Literal(Value.null())
+    elif roll < 0.14:
+        other = rng.choice([k for k in PAYLOAD_TEXTS if k is not kind])
+        right = Literal(random_value(rng, other))
+    else:
+        right = payload_operand(rng, schema, rows, kind)
+    if rng.random() < 0.5:
+        left, right = right, left
+    return Comparison(left, rng.choice(list(CompareOp)), right)
+
+
+class TestPayloadPredicate:
+    """`_compile_payload_predicate` over the payload columns a file reader
+    cuts out gives, row by row, what `_compile_predicate` gives over the
+    rows of values the reader decodes: True, False or None (unknown)."""
+
+    def test_payload_tests_equal_value_tests_row_by_row(self):
+        rng = random.Random(26)
+        seen = Counter()
+        for case in range(1500):
+            made = payload_csv_case(rng) if case % 2 else payload_jsonl_case(rng)
+            if made is None:
+                seen["unsettled"] += 1
+                continue
+            schema, rows, columns = made
+            index = {attr.name: p for p, attr in enumerate(schema.attributes)}
+            for _ in range(4):
+                where = payload_predicate(rng, schema, rows)
+                expected = [_compile_predicate(where, index, "")(row) for row in rows]
+                got = _compile_payload_predicate(where, schema)(columns, len(rows))
+                assert len(got) == len(expected), where
+                assert all(a is b for a, b in zip(got, expected)), (schema, rows, where, got)
+                admitted = mmw.formats._selection_applies(where, schema)
+                seen["admitted" if admitted else "refused"] += 1
+                seen.update(map(repr, expected))
+                for node in walk(where):
+                    if isinstance(node, LogicalAnd):
+                        seen["one pass"] += _compile_column_range(node, schema) is not None
+                    if isinstance(node, Comparison):
+                        kinds = {attr.data_type for attr in schema.attributes
+                                 if AttrRef(attr.name) in (node.left, node.right)}
+                        seen.update((node.op, kind) for kind in kinds)
+                        seen.update(type(operand).__name__ for operand in (node.left, node.right))
+        # Every operator on every kind, nulls, concat and redact operands,
+        # and both outcomes of the reader's check.
+        assert all(seen[(op, kind)] > 20 for op in CompareOp for kind in PAYLOAD_TEXTS)
+        assert min(seen["True"], seen["False"], seen["None"]) > 1000
+        assert seen["ConcatCall"] > 300 and seen["RedactCall"] > 100 and seen["one pass"] > 150
+        assert seen["admitted"] > 3000 and seen["refused"] > 300
+
+    def test_a_widened_field_is_tested_on_its_canonical_text(self):
+        schema, cells, decoders, payloads = mmw.formats._scan_jsonl(
+            '{"w":1}\n{"w":true}\n{"w":1.50}\n{"w":"2024-02-29T00:00:00Z"}\n{"w":null}\n', "t"
+        )
+        assert schema.attributes == (Attribute("w", Kind.TEXT, nullable=True),)
+        texts = [None if c is None else payloads[0](c) for c in cells[0]]
+        assert texts == ["1", "true", "1.5", "2024-02-29T00:00:00Z", None]
+        assert [decoders[0](c) for c in cells[0]] == [
+            Value.null() if text is None else Value.text(text) for text in texts
+        ]
+
+    def test_a_clean_jsonl_point_load_decodes_the_kept_records_alone(self, tmp_path, monkeypatch):
+        rng = random.Random(8)
+        text = "".join(
+            f'{{"id": {i}, "kind": "{rng.choice("ab")}", "value": {rng.randint(0, 999) / 100:.2f},'
+            f' "at": "2024-01-{rng.randint(1, 28):02d}T00:00:00Z", "note": null}}\n'
+            for i in range(1, 151)
+        )
+        (tmp_path / "t.jsonl").write_text(text, encoding="utf-8")
+        adapter = DocLinesAdapter(tmp_path)
+        everything = adapter.load("t").rows
+        calls = Counter()
+        real = Value.__init__
+
+        def counted(*args, **kwargs):
+            calls["Value"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(Value, "__init__", counted)
+        point = Comparison(AttrRef("id"), CompareOp.EQ, Literal(Value.integer(77)))
+        low = Comparison(AttrRef("id"), CompareOp.GE, Literal(Value.integer(50)))
+        late = Literal(Value.timestamp("2024-01-14T00:00:00Z"))
+        high = Comparison(AttrRef("at"), CompareOp.GT, late)
+        for where in (point, LogicalAnd(low, high)):
+            test = _compile_predicate(where, {"id": 0, "at": 3}, "")
+            kept = [row for row in everything if test(row)]
+            calls.clear()
+            assert adapter.load("t", where=where).rows == tuple(kept)
+            # One value per non-null cell of a kept record, and none for
+            # the records left out.
+            assert calls == Counter({"Value": sum(not v.is_null for row in kept for v in row)})

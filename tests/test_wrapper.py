@@ -651,6 +651,53 @@ class TestLoadReadsCurrentText:
         assert wrong == []
 
 
+@pytest.mark.parametrize("kind", FILE_KINDS)
+class TestLoadOpensItsFileByName:
+    """A file adapter's load opens `relation + suffix` and lists no
+    directory; `relations()` still lists it and refuses a bad file name."""
+
+    def test_a_missing_relation_is_unknown_and_a_badly_named_sibling_is_ignored(
+        self, kind, tmp_path
+    ):
+        adapter_class, suffix, render = FILE_KINDS[kind]
+        (tmp_path / f"people{suffix}").write_text(render(Table(PEOPLE, people_rows())),
+                                                  encoding="utf-8")
+        (tmp_path / f"Bad name{suffix}").write_text("", encoding="utf-8")
+        adapter = adapter_class(tmp_path)
+        assert adapter.load("people").rows == Table(PEOPLE, people_rows()).rows
+        for relation in ("ghost", "Ghost", f"people{suffix}", "../people", ""):
+            with pytest.raises(UnknownRelationError) as err:
+                adapter.load(relation)
+            assert err.value.message == f"source has no relation {relation!r}"
+        with pytest.raises(ConfigError) as err:
+            adapter.relations()
+        assert err.value.message == (
+            f"file name {'Bad name' + suffix!r} is not a valid relation identifier"
+        )
+
+    def test_a_removed_directory_is_unavailable(self, kind, tmp_path):
+        adapter_class, suffix, render = FILE_KINDS[kind]
+        directory = tmp_path / "source"
+        directory.mkdir()
+        (directory / f"people{suffix}").write_text(render(Table(PEOPLE, people_rows())),
+                                                   encoding="utf-8")
+        adapter = adapter_class(directory)
+        shutil.rmtree(directory)
+        for relation in ("people", "ghost"):
+            with pytest.raises(UnavailableError) as err:
+                adapter.load(relation)
+            assert err.value.message.startswith("source unavailable: [Errno 2]")
+
+    def test_a_directory_named_as_a_relation_file_is_unavailable(self, kind, tmp_path):
+        adapter_class, suffix, _ = FILE_KINDS[kind]
+        (tmp_path / f"t{suffix}").mkdir()
+        adapter = adapter_class(tmp_path)
+        for read in (lambda: adapter.load("t"), adapter.relations):
+            with pytest.raises(UnavailableError) as err:
+                read()
+            assert err.value.message.startswith("source unavailable: ")
+
+
 class TestRewritesAgainstFreshAdapter:
     @pytest.mark.parametrize("seed", [3, 17])
     @pytest.mark.parametrize("kind", FILE_KINDS)
