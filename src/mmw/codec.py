@@ -21,6 +21,12 @@ cells without the checks the match made. The pattern may refuse a line the
 decoders accept, such as one with a nineteen-digit integer, but never
 accepts one they refuse; the reader leaves a text it refuses to the
 reference parser. It is compiled once per distinct header.
+
+A json-lines text likewise has a record pattern (`jsonl_record_pattern`),
+built from the field order and cell kinds of its first record: each
+field's JSON token or null, one group per field. A match holds only
+cells the reference reads as values of those kinds, so the reader decodes
+no other line of a text whose every line matches.
 """
 
 from __future__ import annotations
@@ -194,6 +200,38 @@ def csv_row_pattern(attrs: tuple[Attribute, ...]) -> re.Pattern:
         else:
             cells.append(f"(?:{PLAIN_PATTERNS[attr.data_type]})" + ("?" if attr.nullable else ""))
     return re.compile(",".join(cells))
+
+
+# The JSON token of a non-null cell of each kind, as one group: a literal's
+# text, or a string's text between its quotes. A string with no escape and
+# no control character is that text. A text cell refuses a string
+# `relational.TIMESTAMP_RE` matches, which json-lines reads as a timestamp.
+# A number keeps its mantissa inside `PLAIN_PATTERNS` and its exponent to
+# five digits, so every decimal it accepts normalizes without overflow.
+_JSONL_TOKENS: dict[Kind, str] = {
+    Kind.BOOLEAN: "(true|false)",
+    Kind.INTEGER: "(-?(?:0|[1-9][0-9]{0,17}))",
+    Kind.DECIMAL: (
+        r"(-?(?:0|[1-9][0-9]{0,999})"
+        r"(?:\.[0-9]{1,1000}(?:[eE][-+]?[0-9]{1,5})?|[eE][-+]?[0-9]{1,5}))"
+    ),
+    Kind.TEXT: r'"((?![0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")[^"\\\x00-\x1f]*)"',
+    Kind.TIMESTAMP: f'"({PLAIN_PATTERNS[Kind.TIMESTAMP]})"',
+}
+
+
+@lru_cache(maxsize=64)
+def jsonl_record_pattern(fields: tuple[tuple[str, Kind], ...]) -> re.Pattern:
+    """Pattern whose `fullmatch` of one json-lines line means that the line
+    is a record of exactly `fields`, each a field name (an identifier) and
+    a kind, in that order, each cell `null` or a token of its field's kind
+    that the reference reads as a value of that kind, with JSON blanks
+    between tokens. Group i is field i's cell text (`_JSONL_TOKENS`), None
+    for null. It may refuse a record the reference reads as these fields,
+    such as one with an escape in a string, never the reverse."""
+    gap = "[ \t]*"
+    cells = [f'"{name}"{gap}:{gap}(?:null|{_JSONL_TOKENS[kind]})' for name, kind in fields]
+    return re.compile(gap + "\\{" + gap + f"{gap},{gap}".join(cells) + gap + "\\}" + gap)
 
 
 def rows_from_wire(kinds: Sequence[Kind], raw_rows) -> list[Row]:

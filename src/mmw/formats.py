@@ -35,19 +35,31 @@ carriage return is split whole when its header is read, so its split
 errors are raised before any row.
 
 The json-lines reader brings a text to a columnar form: the schema, each
-field's cells as `json` decoded them, and one decoder per field. It infers
+field's cells, and one decoder per field. It first decodes the first line
+alone and, from its field order and its cells' kinds, builds one record
+pattern (`codec.jsonl_record_pattern`): each field's JSON token or null,
+with no escape in a string, an integer of at most eighteen digits and a
+decimal exponent of at most five. When that pattern `fullmatch`es every
+line, the first included, the matches settle the schema with no other
+line decoded: every record has the first record's fields in its order,
+and every cell is a valid value of its field's kind. Each cell is then its
+matched text, read by `relational.MATCHED_READERS` and
+`MATCHED_PAYLOADS` as a quote-free csv cell is (Mison, Li et al., VLDB
+2017, speculates on a repeated field order the same way). A text the
+pattern refuses anywhere (another field order, a missing or repeated key,
+an escape, a widened field, a null first cell, a blank line) is decoded
+line by line instead, each cell as `json` decoded it: this pass infers
 each field's kind, nullability and widening from its column, checking
 each cell as a value of its kind (int64 range, decimal exponent,
-calendar) without building one. `_decoded_rows` then builds values only
-for the rows a read returns: given a selection predicate it tests it on
-the payloads of the predicate's fields, each cell as `json` decoded it but
-a decimal canonical, a timestamp a `datetime` and a widened field's cell
-its canonical text, and decodes the records it keeps and no other. A text
-this pass does not settle (a refused cell, an extreme decimal exponent, a
-text without fields) goes to `reference_parse_jsonl`, which decodes
-record by record, is the oracle of the columnar path, and raises each
-refusal with its line, so a malformed file fails with the same message
-either way.
+calendar) without building one. Either way `_decoded_rows` then builds
+values only for the rows a read returns: given a selection predicate it
+tests it on the payloads of the predicate's fields (a decimal canonical,
+a timestamp a `datetime`, a widened field's cell its canonical text) and
+decodes the records it keeps and no other. A text neither pass settles (a
+refused cell, an extreme decimal exponent, a text without fields) goes to
+`reference_parse_jsonl`, which decodes record by record, is the oracle of
+both passes, and raises each refusal with its line, so a malformed file
+fails with the same message either way.
 
 Cells are encoded and decoded by the per-column closures of `mmw.codec`;
 this module owns only the text around them: splitting, quoting, headers,
@@ -59,10 +71,18 @@ from __future__ import annotations
 import json
 import re
 from decimal import Decimal
+from functools import lru_cache
 from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
-from mmw.codec import csv_decoder, csv_row_pattern, jsonl_encoder, matched_decoder, rows_to_wire
+from mmw.codec import (
+    csv_decoder,
+    csv_row_pattern,
+    jsonl_encoder,
+    jsonl_record_pattern,
+    matched_decoder,
+    rows_to_wire,
+)
 from mmw.errors import TypeCheckError
 from mmw.query.ast import Predicate, contains_hash_call, predicate_attrs
 from mmw.query.execute import _compile_payload_predicate
@@ -72,6 +92,7 @@ from mmw.relational import (
     INT64_MAX,
     INT64_MIN,
     MATCHED_PAYLOADS,
+    MATCHED_READERS,
     NULL,
     TIMESTAMP_RE,
     Attribute,
@@ -158,9 +179,13 @@ def header_cells(schema: RelationSchema) -> list[Cell]:
     return cells
 
 
-def schema_from_header(name: str, cells: list[Cell]) -> RelationSchema:
+@lru_cache(maxsize=64)
+def schema_from_header(name: str, cells: tuple[str, ...]) -> RelationSchema:
+    """The schema of relation `name` declared by its header's cell texts;
+    raises ValueError on a malformed header. Kept per distinct header, as
+    relations' headers rarely change between loads; an error is not kept."""
     attrs = []
-    for text, _ in cells:
+    for text in cells:
         match = _HEADER_CELL_RE.match(text)
         if not match:
             raise ValueError(f"malformed header cell {text!r}")
@@ -198,13 +223,13 @@ def iter_csv_rows(
     which it is not true may be left out, the others keep their order."""
     if '"' in text or "\r" in text:
         raw_rows = split_delimited(text)  # a row at least, as the text is not empty
-        schema = schema_from_header(name, raw_rows[0])
+        schema = schema_from_header(name, tuple([cell for cell, _ in raw_rows[0]]))
         return schema, _reference_rows(schema, raw_rows)
     if not text:
         raise ValueError("missing header row")
     end = text.find("\n")
     line = text if end < 0 else text[:end]
-    schema = schema_from_header(name, [(cell, False) for cell in line.split(",")])
+    schema = schema_from_header(name, tuple(line.split(",")))
     return schema, _matched_rows(schema, text, len(text) if end < 0 else end + 1, where)
 
 
@@ -215,7 +240,7 @@ def reference_parse_csv(text: str, name: str = "relation") -> Table:
     raw_rows = split_delimited(text)
     if not raw_rows:
         raise ValueError("missing header row")
-    schema = schema_from_header(name, raw_rows[0])
+    schema = schema_from_header(name, tuple([cell for cell, _ in raw_rows[0]]))
     return Table(schema, _reference_rows(schema, raw_rows))
 
 
@@ -511,11 +536,16 @@ def _widened_text(raw: object) -> str:
     return str(raw)  # an integer
 
 
-def _jsonl_decoder(kind: Kind, widened: bool) -> Callable[[object], Value]:
-    """Decoder of one field's decoded JSON cells, None for null or missing,
-    by the factories `reference_parse_jsonl` builds its values with."""
-    make = (lambda raw: Value.text(_widened_text(raw))) if widened else _JSONL_VALUES[kind]
+def _or_null(make: Callable[[object], Value]) -> Callable[[object], Value]:
+    """Decoder of one json-lines field's cells by `make`, None for null or
+    missing."""
     return lambda raw: NULL if raw is None else make(raw)
+
+
+def _jsonl_decoder(kind: Kind, widened: bool) -> Callable[[object], Value]:
+    """Decoder of one field's decoded JSON cells, by the factories
+    `reference_parse_jsonl` builds its values with."""
+    return _or_null((lambda raw: Value.text(_widened_text(raw))) if widened else _JSONL_VALUES[kind])
 
 
 # The payload of a decoded JSON cell, not null, of an unwidened field,
@@ -526,19 +556,73 @@ _JSONL_PAYLOADS: dict[Kind, Callable[[object], object]] = {
 }
 
 
+# The kind a decoded JSON cell gives its field in a record pattern.
+_RECORD_KINDS = {bool: Kind.BOOLEAN, int: Kind.INTEGER, Decimal: Kind.DECIMAL, str: Kind.TEXT}
+
+
+def _record_fields(line: str) -> Optional[tuple[tuple[str, Kind], ...]]:
+    """Each field of the record on `line` with its cell's kind, a string
+    that is an exact timestamp a TIMESTAMP: the fields of its record pattern
+    (`codec.jsonl_record_pattern`). None when the line is no record of
+    named, non-null scalar cells."""
+    try:
+        record = _JSONL_DECODER.decode(line)
+    except (ValueError, RecursionError, ArithmeticError):
+        return None
+    if type(record) is not dict or not record or not all(map(is_identifier, record)):
+        return None
+    fields = []
+    for field, cell in record.items():
+        kind = _RECORD_KINDS.get(type(cell))
+        if kind is None:
+            return None
+        if kind is Kind.TEXT and EXACT_TIMESTAMP_RE.fullmatch(cell):
+            kind = Kind.TIMESTAMP
+        fields.append((field, kind))
+    return tuple(fields)
+
+
+def _matched_records(lines: list[str]) -> Optional[tuple[tuple[tuple[str, Kind], ...], list]]:
+    """The fields of the first of `lines` and each field's cell texts, None
+    for null, when the record pattern of those fields matches every line;
+    None otherwise."""
+    fields = _record_fields(lines[0]) if lines else None
+    if fields is None:
+        return None
+    matches = list(map(jsonl_record_pattern(fields).fullmatch, lines))
+    if not all(matches):
+        return None
+    return fields, list(zip(*map(re.Match.groups, matches)))
+
+
 def _scan_jsonl(
     text: str, name: str
-) -> Optional[tuple[RelationSchema, list[list], list, list]]:
-    """The schema of a json-lines text, each field's cells as JSON decoded
-    them (None for null or missing), each field's decoder, and each
-    field's reader of a cell's payload (None: the cell is its payload), by
-    one pass that builds no `Value`; None when a line or cell is one the
-    reference refuses or one this pass does not settle, and for a text
-    without fields."""
+) -> Optional[tuple[RelationSchema, list, list, list]]:
+    """The schema of a json-lines text, each field's cells (None for null
+    or missing), each field's decoder, and each field's reader of a cell's
+    payload (None: the cell is its payload), by a pass that builds no
+    `Value`; None when a line or cell is one the reference refuses or one
+    this pass does not settle, and for a text without fields.
+
+    A text whose every line the record pattern of its first line matches
+    is settled by those matches, each cell its matched text, and no line is
+    JSON-decoded past the first. Any other text is decoded line by line,
+    each cell as JSON decoded it."""
+    lines = text.splitlines()
+    matched = _matched_records(lines)
+    if matched is not None:
+        shape, columns = matched
+        attrs = [
+            Attribute(field, kind, nullable=None in column)
+            for (field, kind), column in zip(shape, columns)
+        ]
+        decoders = [_or_null(MATCHED_READERS[kind]) for _, kind in shape]
+        payloads = [None if kind is Kind.TEXT else MATCHED_PAYLOADS[kind] for _, kind in shape]
+        return RelationSchema(name, attrs), columns, decoders, payloads
     decode = _JSONL_DECODER.decode
     records = []
     shapes: dict[tuple, None] = {}  # each record's field names, in order of first sight
-    for line in text.splitlines():
+    for line in lines:
         try:
             record = decode(line)
         except (ValueError, RecursionError, ArithmeticError):

@@ -229,13 +229,14 @@ EXACT_TIMESTAMP_RE = re.compile(PLAIN_PATTERNS[Kind.TIMESTAMP])
 _TRUE, _FALSE = Value(Kind.BOOLEAN, True), Value(Kind.BOOLEAN, False)
 
 # Readers of a non-empty text its kind's plain pattern (or, for text, the
-# row pattern) has matched, which skip the checks the match made: an
-# integer of at most eighteen digits lies in the 64-bit range. Decimal and
-# timestamp texts keep their full readers.
+# row pattern) or a json-lines record pattern has matched, which skip the
+# checks the match made: an integer of at most eighteen digits lies in the
+# 64-bit range, and a matched decimal text, a json-lines exponent included,
+# is one `Decimal` reads. Timestamp texts keep their full reader.
 MATCHED_READERS: dict[Kind, Callable[[str], Value]] = {
     Kind.BOOLEAN: {"true": _TRUE, "false": _FALSE}.__getitem__,
     Kind.INTEGER: lambda text: Value(Kind.INTEGER, int(text)),
-    Kind.DECIMAL: _decimal_from_text,
+    Kind.DECIMAL: lambda text: Value(Kind.DECIMAL, _canonical_decimal(text)),
     Kind.TEXT: lambda text: Value(Kind.TEXT, text),
     Kind.TIMESTAMP: Value.timestamp,
 }

@@ -66,7 +66,9 @@ class Wrapper(ComponentBase):
         self.config = config
         self.namespace = config.namespace
         self._epoch = 1
-        self._last_fingerprint = config.adapter.fingerprint()
+        # The first unscoped probe takes the baseline: a probe here would
+        # hold the racy bytes of every file a new source has just written.
+        self._last_fingerprint = None
         # Scoped tokens: a counter of their own, never reset, and for each
         # relation found at its last scoped probe (fingerprint, token).
         self._relation_epoch = 0
@@ -120,9 +122,9 @@ class Wrapper(ComponentBase):
         current = self.adapter.fingerprint(relations)
         with self._lock:
             if relations is None:
-                if current != self._last_fingerprint:
-                    self._last_fingerprint = current
+                if self._last_fingerprint is not None and current != self._last_fingerprint:
                     self._epoch += 1
+                self._last_fingerprint = current
                 return self._token(self._epoch)
             tokens = []
             for relation, entry in zip(relations, current):

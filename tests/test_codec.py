@@ -23,11 +23,13 @@ from mmw.formats import parse_csv, parse_jsonl, render_csv, render_jsonl
 from mmw.relational import (
     INT64_MAX,
     INT64_MIN,
+    MATCHED_READERS,
     Attribute,
     Kind,
     RelationSchema,
     Table,
     Value,
+    _decimal_from_text,
     canonical_text,
     value_from_text,
 )
@@ -353,6 +355,24 @@ def test_csv_row_pattern_accepts_only_cells_the_decoder_decodes(kind, nullable):
         assert outcome(decode, (text, False))[0] == "value", (kind, nullable, text)
         accepted += 1
     assert accepted > 20
+
+
+def test_the_matched_decimal_reader_equals_the_full_reader_on_matched_texts():
+    rng = random.Random(9)
+    read = MATCHED_READERS[Kind.DECIMAL]
+    pattern = csv_row_pattern((Attribute("d", Kind.DECIMAL),))
+    texts = PATTERN_EDGE_CELLS + ["-0.000", "0.0", "00012.5000", "-" + "9" * 40 + ".5", "1." + "0" * 999]
+    for _ in range(2000):
+        whole = "".join(rng.choice("0123456789") for _ in range(rng.choice((1, 2, 5, 31, 1000))))
+        point = "." + "".join(rng.choice("09") for _ in range(rng.randint(1, 40))) if rng.random() < 0.7 else ""
+        texts.append(rng.choice(("", "-")) + whole + point)
+    matched = [text for text in texts if pattern.fullmatch(text)]
+    assert len(matched) > 1900
+    for text in matched:
+        got, expected = read(text), _decimal_from_text(text)
+        assert (got.kind, type(got.payload), str(got.payload)) == (
+            expected.kind, type(expected.payload), str(expected.payload)
+        ), text
 
 
 def stamp_table() -> Table:

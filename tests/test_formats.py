@@ -9,6 +9,7 @@ import pytest
 
 import mmw.formats
 from mmw.formats import (
+    iter_csv_rows,
     join_delimited,
     jsonl_schema,
     parse_csv,
@@ -18,6 +19,7 @@ from mmw.formats import (
     render_csv,
     render_jsonl,
     render_pretty,
+    schema_from_header,
     split_delimited,
 )
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value, bag_equal
@@ -192,6 +194,24 @@ class TestCsv:
     def test_malformed_header(self):
         with pytest.raises(ValueError):
             parse_csv("id:int64\n1\n")
+
+    def test_a_malformed_header_raises_on_every_read(self):
+        for _ in range(3):
+            for text in ("id:int64\n1\n", "id:integer,id:text\n1,a\n", '"id:int64"\n1\n'):
+                with pytest.raises(ValueError):
+                    iter_csv_rows("t", text)
+        assert schema_from_header("t", ("id:integer",)).attributes[0].name == "id"
+        with pytest.raises(ValueError, match="malformed header cell 'id:int64'"):
+            schema_from_header("t", ("id:int64",))
+
+    def test_a_changed_header_reads_a_new_schema(self):
+        first = iter_csv_rows("t", "id:integer,v:text\n1,a\n")[0]
+        assert iter_csv_rows("t", "id:integer,v:text\n2,b\n")[0] is first  # kept per header
+        changed = iter_csv_rows("t", "id:integer,v:text?\n1,\n")[0]
+        assert changed.attribute("v").nullable and not first.attribute("v").nullable
+        renamed = iter_csv_rows("u", "id:integer,v:text\n1,a\n")[0]
+        assert renamed.name == "u" and first.name == "t"
+        assert parse_csv("id:integer,v:integer\n1,2\n", "t").rows == ((Value.integer(1), Value.integer(2)),)
 
     def test_arity_mismatch_reports_line(self):
         with pytest.raises(ValueError) as err:

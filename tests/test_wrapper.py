@@ -123,6 +123,24 @@ class TestMemoryWrapper:
         )
         assert epoch_steps(first, wrapper.epoch()) == (1,)
 
+    def test_construction_probes_nothing_and_the_first_epoch_takes_the_baseline(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "t.csv").write_text("id:integer\n1\n", encoding="utf-8")
+        adapter = DelimitedDirAdapter(tmp_path)
+        probes = []
+        fingerprint = adapter.fingerprint
+        monkeypatch.setattr(adapter, "fingerprint", lambda *a: probes.append(a) or fingerprint(*a))
+        wrapper = Wrapper(WrapperConfig("w_csv", "files", adapter))
+        assert probes == []
+        temp = tmp_path / ".t.csv.tmp"
+        temp.write_text("id:integer\n2\n3\n", encoding="utf-8")
+        os.replace(temp, tmp_path / "t.csv")
+        first = wrapper.epoch()
+        assert wrapper.epoch() == first
+        result = wrapper.execute(parse_query("SELECT * FROM files.t"))
+        assert sorted(row[0].payload for row in result.rows) == [2, 3]
+
     def test_epoch_strictly_monotone_over_random_mutations(self):
         wrapper = memory_wrapper()
         rng = random.Random(55)
