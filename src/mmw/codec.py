@@ -23,10 +23,12 @@ accepts one they refuse; the reader leaves a text it refuses to the
 reference parser. It is compiled once per distinct header.
 
 A json-lines text likewise has a record pattern (`jsonl_record_pattern`),
-built from the field order and cell kinds of its first record: each
-field's JSON token or null, one group per field. A match holds only
-cells the reference reads as values of those kinds, so the reader decodes
-no other line of a text whose every line matches.
+built from the field order of its first record and each field's kind, that
+of its first non-null cell: each field's JSON token or null, one group per
+field, and null alone for a field with no non-null cell (`Kind.NULL`). A
+match holds only cells the reference reads as values of those kinds, so
+the reader decodes no line past those that gave the kinds in a text whose
+every line matches.
 """
 
 from __future__ import annotations
@@ -217,6 +219,7 @@ _JSONL_TOKENS: dict[Kind, str] = {
     ),
     Kind.TEXT: r'"((?![0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")[^"\\\x00-\x1f]*)"',
     Kind.TIMESTAMP: f'"({PLAIN_PATTERNS[Kind.TIMESTAMP]})"',
+    Kind.NULL: "((?!))",  # no token: a field null in every record
 }
 
 

@@ -34,32 +34,26 @@ row and raises each refusal with its line. A text with a quote or a
 carriage return is split whole when its header is read, so its split
 errors are raised before any row.
 
-The json-lines reader brings a text to a columnar form: the schema, each
-field's cells, and one decoder per field. It first decodes the first line
-alone and, from its field order and its cells' kinds, builds one record
-pattern (`codec.jsonl_record_pattern`): each field's JSON token or null,
-with no escape in a string, an integer of at most eighteen digits and a
-decimal exponent of at most five. When that pattern `fullmatch`es every
-line, the first included, the matches settle the schema with no other
-line decoded: every record has the first record's fields in its order,
-and every cell is a valid value of its field's kind. Each cell is then its
-matched text, read by `relational.MATCHED_READERS` and
-`MATCHED_PAYLOADS` as a quote-free csv cell is (Mison, Li et al., VLDB
-2017, speculates on a repeated field order the same way). A text the
-pattern refuses anywhere (another field order, a missing or repeated key,
-an escape, a widened field, a null first cell, a blank line) is decoded
-line by line instead, each cell as `json` decoded it: this pass infers
-each field's kind, nullability and widening from its column, checking
-each cell as a value of its kind (int64 range, decimal exponent,
-calendar) without building one. Either way `_decoded_rows` then builds
-values only for the rows a read returns: given a selection predicate it
-tests it on the payloads of the predicate's fields (a decimal canonical,
-a timestamp a `datetime`, a widened field's cell its canonical text) and
-decodes the records it keeps and no other. A text neither pass settles (a
-refused cell, an extreme decimal exponent, a text without fields) goes to
-`reference_parse_jsonl`, which decodes record by record, is the oracle of
-both passes, and raises each refusal with its line, so a malformed file
-fails with the same message either way.
+The json-lines reader is one of two. It decodes the first line, and
+later lines only until each of the first record's fields has a non-null
+cell, and from the first record's field order and each field's first
+non-null kind builds one record pattern (`codec.jsonl_record_pattern`):
+each field's JSON token or null, with no escape in a string, an integer of
+at most eighteen digits and a decimal exponent of at most five; a field
+null in every line takes null alone. When that pattern `fullmatch`es every
+line, the matches settle the schema with no other line decoded: every
+record has the first record's fields in its order, and every cell is a
+valid value of its field's kind, or null. Each cell is then its matched
+text, read by `relational.MATCHED_READERS` and `MATCHED_PAYLOADS` as a
+quote-free csv cell is (Mison, Li et al., VLDB 2017, speculates on a
+repeated field order the same way), and `_decoded_rows` builds values
+only for the rows a read returns: given a selection predicate it tests it
+on the payloads of the predicate's fields and decodes the records it
+keeps and no other. A text the pattern refuses anywhere (another field
+order, a missing or repeated key, an escape, a widened field, a blank
+line, a refused cell) goes to `reference_parse_jsonl`, which decodes
+record by record, is the pattern's oracle, and raises each refusal with
+its line, so a malformed file fails with the same message either way.
 
 Cells are encoded and decoded by the per-column closures of `mmw.codec`;
 this module owns only the text around them: splitting, quoting, headers,
@@ -72,7 +66,7 @@ import json
 import re
 from decimal import Decimal
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Optional
 
 from mmw.codec import (
@@ -89,8 +83,6 @@ from mmw.query.execute import _compile_payload_predicate
 from mmw.query.infer import check_predicate
 from mmw.relational import (
     EXACT_TIMESTAMP_RE,
-    INT64_MAX,
-    INT64_MIN,
     MATCHED_PAYLOADS,
     MATCHED_READERS,
     NULL,
@@ -100,9 +92,6 @@ from mmw.relational import (
     RelationSchema,
     Table,
     Value,
-    _canonical_decimal,
-    _decimal_text,
-    _moment_from_text,
     canonical_text,
     is_identifier,
     kind_from_name,
@@ -291,36 +280,6 @@ def _payload_column(attr: Attribute, cells: list[str]) -> list:
     return list(map(read, cells))
 
 
-def _decoded_rows(
-    schema: RelationSchema,
-    columns: list,
-    decoders: list,
-    payloads: list,
-    where: Optional[Predicate],
-) -> Optional[list[Row]]:
-    """The records held by `columns`, each json-lines field's cells, decoded
-    in order by `decoders`, one per field; None as soon as a cell fails to
-    decode. With a `where` the reader may use (`_selection_applies`), only
-    the records for which it is true: it tests `where` on the payloads of
-    the fields it reads, each cell read by the field's entry of `payloads`
-    (None: the cell as it is), and decodes the kept records alone."""
-    try:
-        if not _selection_applies(where, schema):
-            return list(zip(*[list(map(d, column)) for d, column in zip(decoders, columns)]))
-        names = predicate_attrs(where)
-        tested = {
-            attr.name: column if read is None else [None if c is None else read(c) for c in column]
-            for attr, column, read in zip(schema.attributes, columns, payloads)
-            if attr.name in names
-        }
-        kept = _kept(where, schema, tested, len(columns[0]))
-        return list(zip(*[
-            [decode(column[r]) for r in kept] for decode, column in zip(decoders, columns)
-        ]))
-    except ValueError:
-        return None
-
-
 def _matched_rows(
     schema: RelationSchema, text: str, start: int, where: Optional[Predicate]
 ) -> Iterator[Row]:
@@ -470,123 +429,84 @@ def reference_parse_jsonl(text: str, name: str = "relation") -> Table:
 
 
 _JSONL_DECODER = json.JSONDecoder(parse_float=Decimal)
-_NONE_TYPE = type(None)
-# A decimal whose adjusted exponent lies inside this bound normalizes without
-# overflow: the context's largest exponent is 999_999, and rounding to its
-# precision moves the exponent by one at most.
-_SAFE_EXPONENT = 999_000
 
 
-def _field_kinds(column: list) -> Optional[tuple[set[Kind], bool]]:
-    """The kinds of one field's cells and whether a cell is null or missing
-    (None), each cell checked as `_classify_scalar` would build it; None for
-    a cell it refuses or one not settled cheaply."""
-    types = set(map(type, column))
-    nullable = _NONE_TYPE in types
-    types.discard(_NONE_TYPE)
-    kinds: set[Kind] = set()
-    for cell_type in types:
-        if len(types) == 1 and not nullable:
-            cells = column
-        else:
-            cells = [cell for cell in column if type(cell) is cell_type]
-        if cell_type is bool:
-            kinds.add(Kind.BOOLEAN)
-        elif cell_type is int:
-            if min(cells) < INT64_MIN or max(cells) > INT64_MAX:
-                return None
-            kinds.add(Kind.INTEGER)
-        elif cell_type is Decimal:
-            exponents = list(map(Decimal.adjusted, cells))
-            if min(exponents) <= -_SAFE_EXPONENT or max(exponents) >= _SAFE_EXPONENT:
-                return None
-            kinds.add(Kind.DECIMAL)
-        elif cell_type is str:
-            stamps = list(filter(TIMESTAMP_RE.match, cells))
-            if not all(map(EXACT_TIMESTAMP_RE.fullmatch, stamps)):
-                return None
-            if stamps:
-                kinds.add(Kind.TIMESTAMP)
-            if len(stamps) < len(cells):
-                kinds.add(Kind.TEXT)
-        else:
-            return None
-    return kinds, nullable
+def _or_null(make: Callable[[str], Value]) -> Callable[[Optional[str]], Value]:
+    """Decoder of one json-lines field's matched cell texts by `make`, None
+    for null."""
+    return lambda text: NULL if text is None else make(text)
 
 
-_JSONL_VALUES: dict[Kind, Callable[[object], Value]] = {
-    Kind.BOOLEAN: Value.boolean,
-    Kind.INTEGER: Value.integer,
-    Kind.DECIMAL: Value.decimal,
-    Kind.TEXT: Value.text,
-    Kind.TIMESTAMP: Value.timestamp,
-}
-
-
-def _widened_text(raw: object) -> str:
-    """The canonical text of a JSON cell `_field_kinds` admits, by the
-    cell's own kind: a string as it is, as an exact timestamp's text is
-    canonical, and a boolean or number rendered."""
-    if isinstance(raw, str):
-        return raw
-    if isinstance(raw, Decimal):
-        return _decimal_text(_canonical_decimal(raw))
-    if isinstance(raw, bool):
-        return "true" if raw else "false"
-    return str(raw)  # an integer
-
-
-def _or_null(make: Callable[[object], Value]) -> Callable[[object], Value]:
-    """Decoder of one json-lines field's cells by `make`, None for null or
-    missing."""
-    return lambda raw: NULL if raw is None else make(raw)
-
-
-def _jsonl_decoder(kind: Kind, widened: bool) -> Callable[[object], Value]:
-    """Decoder of one field's decoded JSON cells, by the factories
-    `reference_parse_jsonl` builds its values with."""
-    return _or_null((lambda raw: Value.text(_widened_text(raw))) if widened else _JSONL_VALUES[kind])
-
-
-# The payload of a decoded JSON cell, not null, of an unwidened field,
-# where it is not the cell itself: what the field's decoder wraps.
-_JSONL_PAYLOADS: dict[Kind, Callable[[object], object]] = {
-    Kind.DECIMAL: _canonical_decimal,  # normalize() rounds past 28 digits
-    Kind.TIMESTAMP: _moment_from_text,
-}
+def _decoded_rows(
+    schema: RelationSchema, columns: list, where: Optional[Predicate]
+) -> list[Row]:
+    """The records held by `columns`, each json-lines field's matched cell
+    texts (None for null), decoded in order by the readers of their fields'
+    kinds (`relational.MATCHED_READERS`). With a `where` the reader may use
+    (`_selection_applies`), only the records for which it is true: it tests
+    `where` on the payloads of the fields it reads
+    (`relational.MATCHED_PAYLOADS`; a text cell is its own payload), and
+    decodes the kept records alone."""
+    readers = [_or_null(MATCHED_READERS[attr.data_type]) for attr in schema.attributes]
+    if not _selection_applies(where, schema):
+        return list(zip(*[list(map(read, column)) for read, column in zip(readers, columns)]))
+    names = predicate_attrs(where)
+    tested = {}
+    for attr, column in zip(schema.attributes, columns):
+        if attr.name not in names:
+            continue
+        if attr.data_type is not Kind.TEXT:
+            payload = MATCHED_PAYLOADS[attr.data_type]
+            column = [None if cell is None else payload(cell) for cell in column]
+        tested[attr.name] = column
+    kept = _kept(where, schema, tested, len(columns[0]))
+    return list(zip(*[[read(column[r]) for r in kept] for read, column in zip(readers, columns)]))
 
 
 # The kind a decoded JSON cell gives its field in a record pattern.
 _RECORD_KINDS = {bool: Kind.BOOLEAN, int: Kind.INTEGER, Decimal: Kind.DECIMAL, str: Kind.TEXT}
 
 
-def _record_fields(line: str) -> Optional[tuple[tuple[str, Kind], ...]]:
-    """Each field of the record on `line` with its cell's kind, a string
-    that is an exact timestamp a TIMESTAMP: the fields of its record pattern
-    (`codec.jsonl_record_pattern`). None when the line is no record of
-    named, non-null scalar cells."""
-    try:
-        record = _JSONL_DECODER.decode(line)
-    except (ValueError, RecursionError, ArithmeticError):
-        return None
-    if type(record) is not dict or not record or not all(map(is_identifier, record)):
-        return None
-    fields = []
-    for field, cell in record.items():
-        kind = _RECORD_KINDS.get(type(cell))
-        if kind is None:
+def _record_fields(lines: list[str]) -> Optional[tuple[tuple[str, Kind], ...]]:
+    """Each field of the record on the first of `lines`, in order, with the
+    kind of its first non-null cell, a string that is an exact timestamp a
+    TIMESTAMP, and NULL for a field null in every line: the fields of their
+    record pattern (`codec.jsonl_record_pattern`). Lines are decoded only
+    until every field has a kind, so one line when the first record has no
+    null. None when a line decoded is no record of scalar cells, or the
+    first no record of named fields."""
+    kinds: dict[str, Optional[Kind]] = {}
+    for line in lines:
+        try:
+            record = _JSONL_DECODER.decode(line)
+        except (ValueError, RecursionError, ArithmeticError):
             return None
-        if kind is Kind.TEXT and EXACT_TIMESTAMP_RE.fullmatch(cell):
-            kind = Kind.TIMESTAMP
-        fields.append((field, kind))
-    return tuple(fields)
+        if type(record) is not dict:
+            return None
+        if not kinds:
+            if not record or not all(map(is_identifier, record)):
+                return None
+            kinds = dict.fromkeys(record)
+        for field, kind in kinds.items():
+            cell = record.get(field)
+            if kind is not None or cell is None:
+                continue
+            kind = _RECORD_KINDS.get(type(cell))
+            if kind is None:
+                return None
+            if kind is Kind.TEXT and EXACT_TIMESTAMP_RE.fullmatch(cell):
+                kind = Kind.TIMESTAMP
+            kinds[field] = kind
+        if None not in kinds.values():
+            break
+    return tuple([(field, kind or Kind.NULL) for field, kind in kinds.items()]) or None
 
 
 def _matched_records(lines: list[str]) -> Optional[tuple[tuple[tuple[str, Kind], ...], list]]:
-    """The fields of the first of `lines` and each field's cell texts, None
-    for null, when the record pattern of those fields matches every line;
-    None otherwise."""
-    fields = _record_fields(lines[0]) if lines else None
+    """The fields of the first of `lines` with their kinds
+    (`_record_fields`) and each field's cell texts, None for null, when the
+    record pattern of those fields matches every line; None otherwise."""
+    fields = _record_fields(lines)
     if fields is None:
         return None
     matches = list(map(jsonl_record_pattern(fields).fullmatch, lines))
@@ -595,79 +515,40 @@ def _matched_records(lines: list[str]) -> Optional[tuple[tuple[tuple[str, Kind],
     return fields, list(zip(*map(re.Match.groups, matches)))
 
 
-def _scan_jsonl(
-    text: str, name: str
-) -> Optional[tuple[RelationSchema, list, list, list]]:
-    """The schema of a json-lines text, each field's cells (None for null
-    or missing), each field's decoder, and each field's reader of a cell's
-    payload (None: the cell is its payload), by a pass that builds no
-    `Value`; None when a line or cell is one the reference refuses or one
-    this pass does not settle, and for a text without fields.
-
-    A text whose every line the record pattern of its first line matches
-    is settled by those matches, each cell its matched text, and no line is
-    JSON-decoded past the first. Any other text is decoded line by line,
-    each cell as JSON decoded it."""
-    lines = text.splitlines()
-    matched = _matched_records(lines)
-    if matched is not None:
-        shape, columns = matched
-        attrs = [
-            Attribute(field, kind, nullable=None in column)
-            for (field, kind), column in zip(shape, columns)
-        ]
-        decoders = [_or_null(MATCHED_READERS[kind]) for _, kind in shape]
-        payloads = [None if kind is Kind.TEXT else MATCHED_PAYLOADS[kind] for _, kind in shape]
-        return RelationSchema(name, attrs), columns, decoders, payloads
-    decode = _JSONL_DECODER.decode
-    records = []
-    shapes: dict[tuple, None] = {}  # each record's field names, in order of first sight
-    for line in lines:
-        try:
-            record = decode(line)
-        except (ValueError, RecursionError, ArithmeticError):
-            # ArithmeticError: an exponent no Decimal holds; the reference refuses it too.
-            if line.strip():
-                return None
-            continue
-        if type(record) is not dict:
-            return None
-        records.append(record)
-        shapes[tuple(record)] = None
-    fields = dict.fromkeys(field for shape in shapes for field in shape)
-    if not fields or not all(map(is_identifier, fields)):
+def _scan_jsonl(text: str, name: str) -> Optional[tuple[RelationSchema, list]]:
+    """The schema of a json-lines text and each field's matched cell texts
+    (None for null), by a pass that builds no `Value`, when the record
+    pattern of its first record matches every line (`_matched_records`);
+    None otherwise. A field null in every record is nullable text, as the
+    reference reads it."""
+    matched = _matched_records(text.splitlines())
+    if matched is None:
         return None
-    attrs, columns, decoders, payloads = [], [], [], []
-    for field in fields:
-        column = list(map(dict.get, records, repeat(field)))
-        inferred = _field_kinds(column)
-        if inferred is None:
-            return None
-        kinds, nullable = inferred
-        widened = len(kinds) > 1
-        kind = kinds.pop() if len(kinds) == 1 else Kind.TEXT
-        attrs.append(Attribute(field, kind, nullable=nullable or widened))
-        columns.append(column)
-        decoders.append(_jsonl_decoder(kind, widened))
-        payloads.append(_widened_text if widened else _JSONL_PAYLOADS.get(kind))
-    return RelationSchema(name, attrs), columns, decoders, payloads
+    fields, columns = matched
+    attrs = [
+        Attribute(field, Kind.TEXT if kind is Kind.NULL else kind, nullable=None in column)
+        for (field, kind), column in zip(fields, columns)
+    ]
+    return RelationSchema(name, attrs), columns
 
 
 def jsonl_schema(text: str, name: str = "relation") -> RelationSchema:
-    """The schema `parse_jsonl` reads, by a pass that builds no `Value`."""
+    """The schema `parse_jsonl` reads, by a pass that builds no `Value` when
+    the record pattern settles the text."""
     scanned = _scan_jsonl(text, name)
     return reference_parse_jsonl(text, name).schema if scanned is None else scanned[0]
 
 
 def parse_jsonl(text: str, name: str = "relation", where: Optional[Predicate] = None) -> Table:
     """The table `reference_parse_jsonl` reads, building values only for the
-    rows it returns. With `where`, used as `iter_csv_rows` uses it, the
-    records it leaves out are tested on payloads and never decoded."""
+    rows it returns when the record pattern settles the text. With `where`,
+    used as `iter_csv_rows` uses it, the records it leaves out are tested on
+    payloads and never decoded."""
     scanned = _scan_jsonl(text, name)
-    rows = None if scanned is None else _decoded_rows(*scanned, where)
-    if rows is None:
+    if scanned is None:
         return reference_parse_jsonl(text, name)
-    return Table(scanned[0], rows)
+    schema, columns = scanned
+    return Table(schema, _decoded_rows(schema, columns, where))
 
 
 # --- pretty ---------------------------------------------------------------------

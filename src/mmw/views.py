@@ -9,6 +9,7 @@ Declarations arrive as ``CREATE VIEW name AS <query>`` text; files hold one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from mmw.errors import ConfigError, TypeCheckError, UnknownRelationError, ViewCycleError
@@ -39,8 +40,12 @@ def parse_view_decl(text: str, namespace: str) -> ViewDeclaration:
     return ViewDeclaration(namespace, name, body)
 
 
-def parse_view_source(text: str, namespace: str) -> list[ViewDeclaration]:
-    return [ViewDeclaration(namespace, name, body) for name, body in parse_view_statements(text)]
+@lru_cache(maxsize=64)
+def parse_view_source(text: str, namespace: str) -> tuple[ViewDeclaration, ...]:
+    """The views a view text declares into `namespace`. Kept per distinct
+    text and namespace, as a mediator reads its same view texts on every
+    start; an error is not kept."""
+    return tuple([ViewDeclaration(namespace, name, body) for name, body in parse_view_statements(text)])
 
 
 def _view_map(views: Iterable[ViewDeclaration]) -> dict[QualifiedName, ViewDeclaration]:

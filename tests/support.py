@@ -163,10 +163,14 @@ def _jsonl_token(rng: random.Random, kind: Kind) -> str:
     return json.dumps(text, ensure_ascii=rng.random() < 0.5)
 
 
-def random_jsonl(rng: random.Random) -> str:
+def random_jsonl(rng: random.Random, regular: bool = False) -> str:
     """A small random json-lines text: a few fields of one kind each, with
     nulls, missing fields and now and then a cell of another kind; blank
-    lines, `\r\n` line ends, and a planted fault in about one text in five."""
+    lines, `\r\n` line ends, and a planted fault in about one text in five.
+    A `regular` text has none of these but the nulls and line ends: every
+    record holds each field, in one order, with a token of the field's
+    kind or null, the shape the json-lines record pattern settles when no
+    token exceeds its bounds."""
     fields = rng.sample(JSONL_FIELDS, rng.randint(1, 4))
     if "k" not in fields:
         fields[0] = "k"
@@ -176,16 +180,16 @@ def random_jsonl(rng: random.Random) -> str:
     for _ in range(rng.randint(0, 10)):
         tokens = []
         for field in fields:
-            if rng.random() < 0.1:
+            if not regular and rng.random() < 0.1:
                 continue  # a missing field
-            kind = kinds[field] if rng.random() < 0.93 else rng.choice(VALUE_KINDS)
+            kind = kinds[field] if regular or rng.random() < 0.93 else rng.choice(VALUE_KINDS)
             tokens.append(f'"{field}":{_jsonl_token(rng, kind)}')
-        if rng.random() < 0.2:
+        if not regular and rng.random() < 0.2:
             rng.shuffle(tokens)
         lines.append("{" + ",".join(tokens) + "}")
-        if rng.random() < 0.05:
+        if not regular and rng.random() < 0.05:
             lines.append(rng.choice(("", "  ", "\t")))
-    if rng.random() < 0.2:
+    if not regular and rng.random() < 0.2:
         lines.insert(rng.randint(0, len(lines)), rng.choice(JSONL_FAULTS))
     end = "\r\n" if rng.random() < 0.2 else "\n"
     return end.join(lines) + (end if rng.random() < 0.9 else "")

@@ -1,13 +1,15 @@
 """The json-lines record pattern: a text whose every line matches the
 pattern of its first record is settled from the matches, and every other
-text takes the decode loop; `reference_parse_jsonl` is the oracle of both
-in schema, rows and error text, with and without a selection."""
+text goes to `reference_parse_jsonl`, the oracle of the pattern in schema,
+rows and error text, with and without a selection."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -77,7 +79,7 @@ def _gap(rng: random.Random) -> str:
 def record_text(rng: random.Random) -> str:
     """A json-lines text of records that mostly repeat one field order,
     with the faults and edges the record pattern must settle or leave to
-    the decode loop: reordered, missing and duplicate keys, another kind
+    the reference: reordered, missing and duplicate keys, another kind
     in a field, nulls (in the first record too), escapes, raw line
     separators, blank lines, nested values and JSON blanks between tokens.
     The faults' odds vary by text, so some texts have none."""
@@ -162,7 +164,7 @@ class TestRecordPatternAgainstTheReference:
                 assert all(any(row == kept for row in rows) for kept in got.rows), (text, where)
             outcomes["table"] += 1
         # Both outcomes, and both paths: most texts settle by their record
-        # pattern, and a share goes to the decode loop.
+        # pattern, and a share goes to the reference.
         assert outcomes["error"] > 100 and outcomes["table"] > 1000
         assert settled[True] > 2000 and settled[False] > 2000
 
@@ -195,6 +197,14 @@ class TestRecordPatternAgainstTheReference:
             '{"x":1}\n{"x":{"a":1}}\n',
             '{"x":null,"y":1}\n{"x":"a","y":2}\n',
             '{"x":null}\n{"x":null}\n',
+            '{"x":null,"y":1}\n{"x":2,"y":null}\n{"x":-3,"y":4}\n',
+            '{"x":null}\n{"x":null}\n{"x":1}\n',
+            '{"at":null}\n{"at":"2024-02-29T00:00:00Z"}\n{"at":"x"}\n',
+            '{"at":null}\n{"at":"2024-02-29T00:00:00Z"}\n{"at":null}\n',
+            '{"x":1,"y":null}\n{"x":2,"y":null}\n',
+            '{"x":1,"y":null}\n{"x":2,"y":"a"}\n{"x":3,"y":null}\n',
+            '{"x":null,"y":1}\n{"y":2,"x":3}\n',
+            '{"x":1,"y":null}\n{"y":null,"x":2}\n',
             '{"at":"2024-02-29T00:00:00Z"}\n{"at":null}\n{"at":"x"}\n',
             '{"at":"x"}\n{"at":"2024-02-29T00:00:00Z"}\n',
             '{"at":"x"}\n{"at":"2023-02-29T00:00:00Z"}\n',
@@ -290,9 +300,55 @@ class TestUniformTextDecodesOneLine:
             assert check(), read
             assert spy.calls == 1, read
 
-    def test_a_refused_line_decodes_every_line(self, monkeypatch):
+    def test_a_null_first_cell_decodes_lines_until_its_field_has_a_kind(self, monkeypatch):
+        lines = events_text().splitlines(keepends=True)
+        lines[0] = lines[0].replace('"kind": "click"', '"kind": null').replace('"kind": "view"', '"kind": null')
+        text = "".join(lines)
+        reference = reference_parse_jsonl(text, "events")
+        spy = _CountingDecoder(mmw.formats._JSONL_DECODER)
+        monkeypatch.setattr(mmw.formats, "_JSONL_DECODER", spy)
+        monkeypatch.setattr(mmw.formats, "reference_parse_jsonl", None)
+        assert exact(parse_jsonl(text, "events")) == exact(reference)
+        assert spy.calls == 2
+
+    def test_a_refused_line_sends_the_text_to_the_reference(self, monkeypatch):
         text = events_text() + '{"id": 151, "kind": "a\\tb", "value": 1.00, "at": "2024-03-10T12:00:05Z"}\n'
         spy = _CountingDecoder(mmw.formats._JSONL_DECODER)
         monkeypatch.setattr(mmw.formats, "_JSONL_DECODER", spy)
+        references = []
+
+        def counted(*args):
+            references.append(args)
+            return reference_parse_jsonl(*args)
+
+        monkeypatch.setattr(mmw.formats, "reference_parse_jsonl", counted)
         assert exact(parse_jsonl(text, "events")) == exact(reference_parse_jsonl(text, "events"))
-        assert spy.calls == 1 + 151
+        assert spy.calls == 1 and references == [(text, "events")]
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "meshbench_workloads", Path(__file__).resolve().parent.parent / "meshbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkTraffic:
+    """The benchmark's json-lines texts are all of the shape the record
+    pattern settles, so no benchmark load reaches the reference. A change
+    to the workloads that sends one there fails here."""
+
+    @pytest.mark.parametrize("scale", ["tiny", "full"])
+    def test_every_benchmark_jsonl_text_settles_by_its_record_pattern(self, scale, tmp_path):
+        workloads = load_workloads()
+        scan = workloads.ScanFiles(1, scale, tmp_path / "scan")
+        rewrites = [
+            payload[2] for kind, payload in scan.ops if kind == "write" and payload[0] in scan.docs
+        ]
+        workloads.FederateCold(1, scale, tmp_path / "federate")
+        customers = [path.read_text(encoding="utf-8") for path in tmp_path.glob("federate/**/*.jsonl")]
+        assert rewrites and customers
+        for text in [scan.initial_text[doc] for doc in scan.docs] + rewrites + customers:
+            assert mmw.formats._matched_records(text.splitlines()) is not None, text

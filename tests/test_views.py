@@ -6,12 +6,21 @@ import random
 
 import pytest
 
-from mmw.errors import ConfigError, TypeCheckError, UnknownRelationError, ViewCycleError
+import mmw.views
+from mmw.errors import (
+    ConfigError,
+    QuerySyntaxError,
+    TypeCheckError,
+    UnknownRelationError,
+    ViewCycleError,
+)
 from mmw.query.ast import Project, ProjectItem, AttrRef, QualifiedName, Scan
 from mmw.query.evaluate import evaluate
 from mmw.query.infer import infer_schema
 from mmw.query.parse import parse_query
 from mmw.relational import Attribute, Kind, RelationSchema, bag_equal
+from mmw.runtime.mesh import Mesh
+from mmw.runtime.topology import load_topology
 from mmw.views import (
     ViewDeclaration,
     check_views,
@@ -52,6 +61,64 @@ class TestParseViewDecl:
             QualifiedName("m", "one"),
             QualifiedName("m", "two"),
         ]
+
+
+def counted_view_parses(monkeypatch) -> list[str]:
+    """The view texts parsed from now on, one entry per parse."""
+    parsed = []
+    real = mmw.views.parse_view_statements
+
+    def counted(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(mmw.views, "parse_view_statements", counted)
+    return parsed
+
+
+def views_document() -> dict:
+    relation = {
+        "name": "people",
+        "attributes": [{"name": "id", "type": "integer"}, {"name": "name", "type": "text"}],
+        "rows": [["1", "ada"], ["2", "grace"]],
+    }
+    return {
+        "domains": ["x"],
+        "components": [
+            {"id": "w", "kind": "wrapper", "domain": "x", "role": "operational_wrapper",
+             "config": {"namespace": "ops", "adapter": {"kind": "memory", "relations": [relation]}}},
+            {"id": "m", "kind": "mediator", "domain": "x", "role": "product_mediator",
+             "config": {"product": "registry", "downstream": {"ops": "w"},
+                        "views": "CREATE VIEW names AS SELECT name FROM ops.people;"
+                                 "CREATE VIEW ids AS SELECT id FROM ops.people;"}},
+        ],
+        "edges": [["m", "w"]],
+        "acl": [["analyst", "x", "*", True]],
+    }
+
+
+class TestParseViewSourceIsKept:
+    def test_a_second_start_parses_no_view_text(self, monkeypatch):
+        parsed = counted_view_parses(monkeypatch)
+        parse_view_source.cache_clear()
+        topology = load_topology(views_document())
+        Mesh(topology).up().down()
+        assert len(parsed) == 1
+        parsed.clear()
+        mesh = Mesh(topology).up()
+        try:
+            assert parsed == []
+            names = mesh.execute("m", "SELECT name FROM registry.names", "analyst")
+            assert sorted(row[0].payload for row in names.rows) == ["ada", "grace"]
+        finally:
+            mesh.down()
+
+    def test_a_bad_view_text_raises_on_every_call(self, monkeypatch):
+        parsed = counted_view_parses(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(QuerySyntaxError):
+                parse_view_source("CREATE VIEW v AS SELECT FROM", "m")
+        assert len(parsed) == 2
 
 
 class TestCheckViews:
