@@ -7,25 +7,28 @@ Adapters read one consistent snapshot per call and report a fingerprint the
 wrapper turns into its change epoch. Database-backed adapters can slot in
 behind the same interface later.
 
-A file adapter keeps nothing between calls: every call reads the files'
-current text. `relations()` lists the directory, refuses a file whose name
-is no relation identifier, and builds no value: it reads each delimited
-file's header and splits none of its data lines (a text with a quote or a
-carriage return excepted), and infers each json-lines schema
-(`formats.jsonl_schema`) by one record-pattern match per line, building
+A file adapter holds no state of its own between calls: every call reads
+the files' current text. `relations()` lists the directory, refuses a file
+whose name is no relation identifier, and builds no value: it reads each
+delimited file's header and splits none of its data lines (a text with a
+quote or a carriage return excepted), and infers each json-lines schema
+(`formats.jsonl_schema`) by a record-pattern match of each line, building
 no value, when every line repeats the first record's field order, and by
 the reference parser otherwise. A load opens its relation's file
 by name and lists no directory, so a badly named sibling file does not fail
 it; a file that is not there is an unknown relation while the directory
 is. A load may be handed the selection that sits on its relation. A load
-of a quote-free csv text validates it by one row-pattern match per line,
+of a quote-free csv text validates it by a row-pattern match of each line,
 tests the selection on the bare payloads of the columns it reads, and
 decodes every cell of the rows it keeps and no other, or every cell
 without a usable selection (`formats._matched_rows`). A load of a
 json-lines text the record pattern matches does the same on the
 columns cut from the matches (`formats._decoded_rows`). Every other text
 goes to its format's reference parser, so a malformed file fails with the same
-message whatever the selection. Reuse of unchanged data belongs to the
+message whatever the selection. A text a pattern settled is matched once
+per process while it stays in `formats`' bounded map of images, kept under
+the exact text just read: a later read of that same text matches no line
+and cuts no column cut before. Reuse of unchanged results belongs to the
 mediator, which keeps each fetch under its downstream's epoch token.
 
 A fingerprint may be scoped to named relations: it then answers one entry

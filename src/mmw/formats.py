@@ -55,6 +55,17 @@ line, a refused cell) goes to `reference_parse_jsonl`, which decodes
 record by record, is the pattern's oracle, and raises each refusal with
 its line, so a malformed file fails with the same message either way.
 
+A text either pattern settled keeps an image under its exact text, in one
+process-wide map of at most IMAGE_TEXT_CHARS characters of text, evicted
+least recently used first (`_Images`): a delimited text's line offsets, a
+json-lines text's schema attributes and matched cells, and, from the first
+read that tests them, the payloads of each column a selection reads. A
+later read of the same text matches no line and cuts no column it has cut
+before (a positional map of a raw file, as NoDB keeps one: Alagiannis et
+al., SIGMOD 2012). Every read still reads the file and its key is the
+whole text, so an image is never stale. A refused text keeps nothing and
+goes to its reference parser every time.
+
 Cells are encoded and decoded by the per-column closures of `mmw.codec`;
 this module owns only the text around them: splitting, quoting, headers,
 record syntax and json-lines schema inference.
@@ -64,9 +75,12 @@ from __future__ import annotations
 
 import json
 import re
+import threading
+from array import array
+from collections import OrderedDict
 from decimal import Decimal
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Callable, Iterable, Iterator, Optional
 
 from mmw.codec import (
@@ -187,6 +201,88 @@ def schema_from_header(name: str, cells: tuple[str, ...]) -> RelationSchema:
     return schema
 
 
+# --- images of settled texts ---------------------------------------------------------
+
+# The most characters of text the kept images' keys hold in all, in one
+# process; a text longer than an eighth of it is never kept.
+IMAGE_TEXT_CHARS = 1 << 20
+
+
+class _Images:
+    """A bounded map from (format, exact text) to the image a reader built
+    of a text its fast path settled, evicted least recently used first once
+    the kept texts exceed IMAGE_TEXT_CHARS characters. The key is the whole
+    text just read, so an image is served for no other text and is never
+    stale."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple[str, str], object] = OrderedDict()
+        self.chars = 0
+
+    def get(self, format: str, text: str):
+        """The image kept of `text` read as `format`, None when there is none."""
+        # One dict read needs no lock; every change to the map holds it.
+        key = (format, text)
+        image = self._entries.get(key)
+        if image is not None:
+            with self._lock:
+                if key in self._entries:  # not evicted since the read
+                    self._entries.move_to_end(key)
+        return image
+
+    def keep(self, format: str, text: str, image: object) -> None:
+        """Keep `image` of `text` read as `format`, unless the text is longer
+        than an eighth of the budget; evict the least recent beyond it."""
+        if len(text) > IMAGE_TEXT_CHARS // 8:
+            return
+        key = (format, text)
+        with self._lock:
+            if key in self._entries:  # kept by another reader meanwhile
+                return
+            self._entries[key] = image
+            self.chars += len(text)
+            while self.chars > IMAGE_TEXT_CHARS:
+                (_, evicted), _ = self._entries.popitem(last=False)
+                self.chars -= len(evicted)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.chars = 0
+
+
+_IMAGES = _Images()
+
+
+class _RowImage:
+    """What `_matched_rows` keeps of a text whose data lines all matched its
+    row pattern: `bounds`, the offset of the first data line and then the
+    running sum of the data lines' lengths (`array('q')`), so that data
+    line r is `text[bounds[r] + r : bounds[r + 1] + r]`, past the r line
+    breaks before it; and the payload column (`_payload_column`) of each
+    column position a selection tested."""
+
+    __slots__ = ("bounds", "payloads")
+
+    def __init__(self, bounds: array):
+        self.bounds = bounds
+        self.payloads: dict[int, list] = {}
+
+
+class _RecordImage:
+    """What `_scan_jsonl` keeps of a text its record pattern matched: the
+    schema's attributes, each field's matched cell texts (None for null),
+    and the payload column of each field position a selection tested."""
+
+    __slots__ = ("attributes", "columns", "payloads")
+
+    def __init__(self, attributes: tuple[Attribute, ...], columns: list):
+        self.attributes = attributes
+        self.columns = columns
+        self.payloads: dict[int, list] = {}
+
+
 # --- delimited table io ------------------------------------------------------------
 
 
@@ -292,27 +388,51 @@ def _matched_rows(
     the rows for which it is true: it cuts out the predicate's columns
     alone, tests `where` on their payloads (`relational.MATCHED_PAYLOADS`),
     and splits and decodes only the lines it keeps. Without one it decodes
-    every column."""
+    every column.
+
+    A text the pattern matched keeps a `_RowImage` under its exact text, so
+    a later read of the same text matches no line and cuts no column it
+    has cut before: it slices the kept lines alone by their bounds."""
     attrs = schema.attributes
-    lines = text[start:].split("\n")
-    if lines[-1] == "":  # after a final line break there is no last row
-        lines.pop()
-    if not all(map(csv_row_pattern(attrs).fullmatch, lines)):
-        yield from reference_parse_csv(text, schema.name).rows
-        return
+    image = _IMAGES.get("csv", text)
+    lines = None
+    if image is None:
+        lines = _data_lines(text, start)
+        if not all(map(csv_row_pattern(attrs).fullmatch, lines)):
+            yield from reference_parse_csv(text, schema.name).rows
+            return
+        # From a list: an array built from an iterator grows item by item.
+        image = _RowImage(array("q", list(accumulate(map(len, lines), initial=start))))
+        _IMAGES.keep("csv", text, image)
     decoders = [matched_decoder(attr) for attr in attrs]
     if not _selection_applies(where, schema):
-        columns = zip(*[line.split(",") for line in lines])
+        columns = zip(*[line.split(",") for line in lines or _data_lines(text, start)])
         yield from zip(*[list(map(decode, column)) for decode, column in zip(decoders, columns)])
         return
     names = predicate_attrs(where)
-    tested = {
-        attr.name: _payload_column(attr, [line.split(",", p + 1)[p] for line in lines])
-        for p, attr in enumerate(attrs)
-        if attr.name in names
-    }
-    for r in _kept(where, schema, tested, len(lines)):
-        yield tuple([decode(cell) for decode, cell in zip(decoders, lines[r].split(","))])
+    tested = {}
+    for p, attr in enumerate(attrs):
+        if attr.name not in names:
+            continue
+        column = image.payloads.get(p)
+        if column is None:
+            if lines is None:
+                lines = _data_lines(text, start)
+            column = _payload_column(attr, [line.split(",", p + 1)[p] for line in lines])
+            image.payloads[p] = column
+        tested[attr.name] = column
+    bounds = image.bounds
+    for r in _kept(where, schema, tested, len(bounds) - 1):
+        line = text[bounds[r] + r : bounds[r + 1] + r]
+        yield tuple([decode(cell) for decode, cell in zip(decoders, line.split(","))])
+
+
+def _data_lines(text: str, start: int) -> list[str]:
+    """The lines of `text` from offset `start`, without their line breaks."""
+    lines = text[start:].split("\n")
+    if lines[-1] == "":  # after a final line break there is no last row
+        lines.pop()
+    return lines
 
 
 def parse_csv(text: str, name: str = "relation") -> Table:
@@ -438,26 +558,32 @@ def _or_null(make: Callable[[str], Value]) -> Callable[[Optional[str]], Value]:
 
 
 def _decoded_rows(
-    schema: RelationSchema, columns: list, where: Optional[Predicate]
+    schema: RelationSchema, image: _RecordImage, where: Optional[Predicate]
 ) -> list[Row]:
-    """The records held by `columns`, each json-lines field's matched cell
-    texts (None for null), decoded in order by the readers of their fields'
-    kinds (`relational.MATCHED_READERS`). With a `where` the reader may use
-    (`_selection_applies`), only the records for which it is true: it tests
-    `where` on the payloads of the fields it reads
-    (`relational.MATCHED_PAYLOADS`; a text cell is its own payload), and
-    decodes the kept records alone."""
+    """The records held by `image.columns`, each json-lines field's matched
+    cell texts (None for null), decoded in order by the readers of their
+    fields' kinds (`relational.MATCHED_READERS`). With a `where` the reader
+    may use (`_selection_applies`), only the records for which it is true:
+    it tests `where` on the payloads of the fields it reads
+    (`relational.MATCHED_PAYLOADS`; a text cell is its own payload), kept in
+    the image from the first read that tests them, and decodes the kept
+    records alone."""
+    columns = image.columns
     readers = [_or_null(MATCHED_READERS[attr.data_type]) for attr in schema.attributes]
     if not _selection_applies(where, schema):
         return list(zip(*[list(map(read, column)) for read, column in zip(readers, columns)]))
     names = predicate_attrs(where)
     tested = {}
-    for attr, column in zip(schema.attributes, columns):
+    for p, (attr, column) in enumerate(zip(schema.attributes, columns)):
         if attr.name not in names:
             continue
         if attr.data_type is not Kind.TEXT:
-            payload = MATCHED_PAYLOADS[attr.data_type]
-            column = [None if cell is None else payload(cell) for cell in column]
+            payloads = image.payloads.get(p)
+            if payloads is None:
+                payload = MATCHED_PAYLOADS[attr.data_type]
+                payloads = [None if cell is None else payload(cell) for cell in column]
+                image.payloads[p] = payloads
+            column = payloads
         tested[attr.name] = column
     kept = _kept(where, schema, tested, len(columns[0]))
     return list(zip(*[[read(column[r]) for r in kept] for read, column in zip(readers, columns)]))
@@ -515,21 +641,26 @@ def _matched_records(lines: list[str]) -> Optional[tuple[tuple[tuple[str, Kind],
     return fields, list(zip(*map(re.Match.groups, matches)))
 
 
-def _scan_jsonl(text: str, name: str) -> Optional[tuple[RelationSchema, list]]:
-    """The schema of a json-lines text and each field's matched cell texts
-    (None for null), by a pass that builds no `Value`, when the record
-    pattern of its first record matches every line (`_matched_records`);
-    None otherwise. A field null in every record is nullable text, as the
-    reference reads it."""
-    matched = _matched_records(text.splitlines())
-    if matched is None:
-        return None
-    fields, columns = matched
-    attrs = [
-        Attribute(field, Kind.TEXT if kind is Kind.NULL else kind, nullable=None in column)
-        for (field, kind), column in zip(fields, columns)
-    ]
-    return RelationSchema(name, attrs), columns
+def _scan_jsonl(text: str, name: str) -> Optional[tuple[RelationSchema, _RecordImage]]:
+    """The schema of a json-lines text and its `_RecordImage`, by a pass
+    that builds no `Value`, when the record pattern of its first record
+    matches every line (`_matched_records`); None otherwise. A field null in
+    every record is nullable text, as the reference reads it. The image is
+    kept under the exact text, so a later scan of the same text matches no
+    line."""
+    image = _IMAGES.get("jsonl", text)
+    if image is None:
+        matched = _matched_records(text.splitlines())
+        if matched is None:
+            return None
+        fields, columns = matched
+        attrs = tuple([
+            Attribute(field, Kind.TEXT if kind is Kind.NULL else kind, nullable=None in column)
+            for (field, kind), column in zip(fields, columns)
+        ])
+        image = _RecordImage(attrs, columns)
+        _IMAGES.keep("jsonl", text, image)
+    return RelationSchema(name, image.attributes), image
 
 
 def jsonl_schema(text: str, name: str = "relation") -> RelationSchema:
@@ -547,8 +678,8 @@ def parse_jsonl(text: str, name: str = "relation", where: Optional[Predicate] = 
     scanned = _scan_jsonl(text, name)
     if scanned is None:
         return reference_parse_jsonl(text, name)
-    schema, columns = scanned
-    return Table(schema, _decoded_rows(schema, columns, where))
+    schema, image = scanned
+    return Table(schema, _decoded_rows(schema, image, where))
 
 
 # --- pretty ---------------------------------------------------------------------

@@ -71,7 +71,7 @@ from mmw.planner import (
 from mmw.query.ast import QualifiedName, Query, rewrite_namespaces, scan_names
 from mmw.query.infer import infer_schema
 from mmw.relational import ProductSchema, RelationSchema, Table, is_identifier
-from mmw.views import ViewDeclaration, derive_global_schema, parse_view_source, unfold
+from mmw.views import ViewDeclaration, ViewMap, derive_global_schema, parse_view_source, unfold
 
 ViewInput = TypingUnion[str, ViewDeclaration]
 # Each alias a plan fetches from, in sorted order, with the sorted names of
@@ -92,7 +92,8 @@ def _reads(exec_plan: ExecutionPlan) -> Reads:
 @dataclasses.dataclass(frozen=True)
 class _Configuration:
     views: tuple[ViewDeclaration, ...]
-    views_by_name: Mapping[str, ViewDeclaration]
+    # Each view by qualified name, built once: every plan unfolds through it.
+    view_map: ViewMap
     base_env: Mapping[QualifiedName, RelationSchema]
     product_schema: ProductSchema
     product_env: Mapping[QualifiedName, RelationSchema]
@@ -185,7 +186,7 @@ class Mediator(ComponentBase):
                         )
         self._config = _Configuration(
             views=tuple(declared),
-            views_by_name={view.name: view for view in declared},
+            view_map={view.qualified: view for view in declared},
             base_env=env,
             product_schema=product,
             product_env={
@@ -328,7 +329,7 @@ class Mediator(ComponentBase):
         into it on a miss, or planned afresh when caching is off; with the
         `_translate` of each fetch that holds no placeholder, by
         intermediate name, and the plan's `_reads`, as the slot keeps them."""
-        views, bound, env = config.views, self.downstream.keys(), config.base_env
+        views, bound, env = config.view_map, self.downstream.keys(), config.base_env
         if not caching:
             return plan(q, views, bound, env), {}, ()
         lifted, values = lift_literals(q)
@@ -379,14 +380,14 @@ class Mediator(ComponentBase):
     def lineage(self, relation: str) -> LineageNode:
         self._check_alive()
         config = self._config
-        view = config.views_by_name.get(relation)
+        view = config.view_map.get(QualifiedName(self.product, relation))
         if view is None:
             raise UnknownRelationError(
                 f"unknown relation {relation!r} (declared views: "
-                f"{sorted(config.views_by_name)})",
+                f"{sorted(name.relation for name in config.view_map)})",
                 origin=self.component_id,
             )
-        unfolded = unfold(view.body, config.views)
+        unfolded = unfold(view.body, config.view_map)
         children: list[LineageNode] = []
         seen: set[QualifiedName] = set()
         for name in scan_names(unfolded):

@@ -60,7 +60,7 @@ from mmw.query.ast import (
 from mmw.query.infer import Environment, infer_schema
 # Bound as `evaluate`: meshbench/tracing.py patches the module's `evaluate`.
 from mmw.query.execute import execute as evaluate
-from mmw.views import ViewDeclaration, unfold
+from mmw.views import ViewDeclaration, ViewMap, unfold
 
 
 @dataclass(frozen=True)
@@ -344,13 +344,14 @@ def _drop_repeated_projects(q: Query) -> Query:
 
 def plan(
     q: Query,
-    views: Sequence[ViewDeclaration],
+    views: Sequence[ViewDeclaration] | ViewMap,
     bound: AbstractSet[str],
     env: Environment,
     push_predicates: bool = True,
 ) -> ExecutionPlan:
     """Plan q (posed over views and/or base relations) for distributed execution
-    over the downstream aliases in `bound`.
+    over the downstream aliases in `bound`. `views` are taken as
+    `views.unfold` takes them: a mediator passes its configuration's map.
 
     `push_predicates=False` skips predicate pushdown; the differential tests
     compare both forms.

@@ -32,6 +32,10 @@ class ViewDeclaration:
         return QualifiedName(self.namespace, self.name)
 
 
+# Views by qualified name, as `check_views` accepts them.
+ViewMap = Mapping[QualifiedName, ViewDeclaration]
+
+
 def parse_view_decl(text: str, namespace: str) -> ViewDeclaration:
     statements = parse_view_statements(text)
     if len(statements) != 1:
@@ -109,10 +113,13 @@ def _topological_order(
     return order
 
 
-def unfold(q: Query, views: Iterable[ViewDeclaration]) -> Query:
+def unfold(q: Query, views: Iterable[ViewDeclaration] | ViewMap) -> Query:
     """Replace every scan of a view by the view's body until only base
-    relations remain. Idempotent; preserves the inferred schema."""
-    return _expand(q, _view_map(views), ())
+    relations remain. Idempotent; preserves the inferred schema. `views`
+    may be the declarations, or a map of them by qualified name that
+    `check_views` has accepted, which is used as it is."""
+    mapping = views if isinstance(views, Mapping) else _view_map(views)
+    return _expand(q, mapping, ())
 
 
 # Module-level rather than a closure: a recursive closure is a reference
@@ -120,7 +127,7 @@ def unfold(q: Query, views: Iterable[ViewDeclaration]) -> Query:
 # collector runs.
 def _expand(
     node: Query,
-    mapping: Mapping[QualifiedName, ViewDeclaration],
+    mapping: ViewMap,
     active: tuple[QualifiedName, ...],
 ) -> Query:
     if isinstance(node, Scan):

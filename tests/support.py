@@ -6,12 +6,15 @@ printed seed.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import string
 from datetime import datetime, timezone
 from decimal import Decimal
+from pathlib import Path
 
+import mmw.formats
 from mmw.errors import ConfigError
 from mmw.formats import reference_parse_csv, reference_parse_jsonl
 from mmw.planner import execute_plan, plan
@@ -43,6 +46,22 @@ def plan_and_evaluate(
     """Plan, then serve fetches straight from `db`; the planner's oracle."""
     exec_plan = plan(q, views, bound, env, push_predicates)
     return execute_plan(exec_plan, lambda step: evaluate(step.query, db), salt)
+
+
+def load_workloads():
+    """The benchmark's `meshbench/workloads.py`, imported from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "meshbench_workloads", Path(__file__).resolve().parent.parent / "meshbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def forget_images() -> None:
+    """Empty the file readers' images of settled texts, so that the next
+    read of any text runs its row or record pattern again."""
+    mmw.formats._IMAGES.clear()
 
 
 def epoch_steps(before, after) -> tuple[int, ...]:

@@ -5,11 +5,9 @@ rows and error text, with and without a selection."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -27,7 +25,7 @@ from mmw.query.ast import (
 )
 from mmw.query.evaluate import evaluate
 from mmw.relational import Kind, Value
-from support import random_predicate
+from support import forget_images, load_workloads, random_predicate
 
 FIELDS = ("id", "kind", "value", "at", "flag", "note")
 KINDS = (Kind.BOOLEAN, Kind.INTEGER, Kind.DECIMAL, Kind.TEXT, Kind.TIMESTAMP)
@@ -154,10 +152,14 @@ class TestRecordPatternAgainstTheReference:
                 assert outcome(lambda: parse_jsonl(text, "t")) == reference, text
                 outcomes["error"] += 1
                 continue
+            # Each read is counted, so none may find the image of the one before.
+            forget_images()
             assert jsonl_schema(text, "t") == reference.schema, text
+            forget_images()
             assert exact(parse_jsonl(text, "t")) == exact(reference), text
             for _ in range(2 if reference.schema.attributes else 0):
                 where = random_predicate(rng, reference.schema)
+                forget_images()
                 got = parse_jsonl(text, "t", where)
                 assert selected(got, where) == selected(reference, where), (text, where)
                 rows = iter(reference.rows)
@@ -297,6 +299,7 @@ class TestUniformTextDecodesOneLine:
         }
         for read, check in reads.items():
             spy.calls = 0
+            forget_images()
             assert check(), read
             assert spy.calls == 1, read
 
@@ -324,15 +327,6 @@ class TestUniformTextDecodesOneLine:
         monkeypatch.setattr(mmw.formats, "reference_parse_jsonl", counted)
         assert exact(parse_jsonl(text, "events")) == exact(reference_parse_jsonl(text, "events"))
         assert spy.calls == 1 and references == [(text, "events")]
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "meshbench_workloads", Path(__file__).resolve().parent.parent / "meshbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestBenchmarkTraffic:

@@ -775,8 +775,9 @@ def payload_jsonl_case(rng: random.Random, regular: bool = False):
     scanned = mmw.formats._scan_jsonl("\n".join(lines) + "\n", "t")
     if scanned is None:
         return None
-    schema, cells = scanned
-    rows = mmw.formats._decoded_rows(schema, cells, None)
+    schema, image = scanned
+    cells = image.columns
+    rows = mmw.formats._decoded_rows(schema, image, None)
     columns = {
         attr.name: [None if c is None else MATCHED_PAYLOADS[attr.data_type](c) for c in column]
         for attr, column in zip(schema.attributes, cells)

@@ -121,6 +121,43 @@ class TestParseViewSourceIsKept:
         assert len(parsed) == 2
 
 
+class TestViewMapIsKept:
+    def test_a_plan_builds_no_view_map(self, monkeypatch):
+        built = []
+        real = mmw.views._view_map
+
+        def counted(views):
+            built.append(views)
+            return real(views)
+
+        monkeypatch.setattr(mmw.views, "_view_map", counted)
+        mesh = Mesh(load_topology(views_document())).up()
+        try:
+            assert len(built) == 1  # the configuration's check
+            built.clear()
+            for key in (1, 2, 3):
+                names = mesh.execute("m", f"SELECT name FROM registry.names WHERE name <> 'x{key}'",
+                                     "analyst")
+                assert sorted(row[0].payload for row in names.rows) == ["ada", "grace"]
+            ids = mesh.execute("m", "SELECT id FROM registry.ids WHERE id = 2", "analyst")
+            assert [row[0].payload for row in ids.rows] == [2]
+            assert mesh.components["m"].lineage("ids").children
+            assert built == []
+        finally:
+            mesh.down()
+
+    def test_a_mediator_refuses_duplicate_view_names(self):
+        mesh = Mesh(load_topology(views_document())).up()
+        try:
+            mediator = mesh.components["m"]
+            before = mediator.get_schema()
+            with pytest.raises(ConfigError, match="duplicate view name"):
+                mediator.reconfigure(views=["CREATE VIEW ids AS SELECT id FROM ops.people;"] * 2)
+            assert mediator.get_schema() == before
+        finally:
+            mesh.down()
+
+
 class TestCheckViews:
     def test_undeclared_view_reference(self):
         decl = view("m", "v", "SELECT a FROM m.nope")
