@@ -126,6 +126,14 @@ def canonical_query_text(q: Query) -> Optional[str]:
     return text
 
 
+def _stamp_text(second: int) -> str:
+    """The canonical UTC rendering of a whole second since the epoch."""
+    return datetime.fromtimestamp(second, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+_EPOCH_STAMP = _stamp_text(0)
+
+
 COUNTER_NAMES = ("queries_served", "rows_returned", "cache_hits", "cache_misses", "errors")
 
 
@@ -141,7 +149,9 @@ class ComponentBase:
         self._counters = {name: 0 for name in COUNTER_NAMES}
         self._access_log: deque[AccessLogEntry] = deque(maxlen=ACCESS_LOG_CAPACITY)
         self._log_path = None
-        self._last_log_second = 0
+        # The last second stamped and its text; a stamp is formatted only
+        # when the second moves.
+        self._stamp = (0, _EPOCH_STAMP)
         self._access_checker: Optional[AccessChecker] = None
         self._stopped = False
 
@@ -187,11 +197,11 @@ class ComponentBase:
         self, principal: str, query_text: str, rows: int, cache_hit: bool, outcome: str
     ) -> None:
         with self._lock:
-            second = max(int(time.time()), self._last_log_second)
-            self._last_log_second = second
-            stamp = datetime.fromtimestamp(second, tz=timezone.utc).strftime(
-                "%Y-%m-%dT%H:%M:%SZ"
-            )
+            last, stamp = self._stamp
+            second = max(int(time.time()), last)
+            if second != last:
+                stamp = _stamp_text(second)
+                self._stamp = (second, stamp)
             entry = AccessLogEntry(
                 stamp, self.component_id, principal, query_text, rows, cache_hit, outcome
             )

@@ -27,7 +27,8 @@ it decodes every column. The pattern is matched line by line, not once
 over the whole text: one match of a repeated row keeps the engine's
 backtracking state for every cell until it ends, about 27 bytes per byte
 of text, more than a full decode holds.
-Every other text, one with a quoted cell or a carriage return or one the
+Every other text, one with a quoted cell or a carriage return, one of
+more than `codec.PATTERN_FIELDS` columns, which gets no pattern, or one the
 pattern refuses (a ragged or blank line, a nineteen-digit integer), is
 read by the reference parser `reference_parse_csv`, which decodes row by
 row and raises each refusal with its line. A text with a quote or a
@@ -49,9 +50,11 @@ quote-free csv cell is (Mison, Li et al., VLDB 2017, speculates on a
 repeated field order the same way), and `_decoded_rows` builds values
 only for the rows a read returns: given a selection predicate it tests it
 on the payloads of the predicate's fields and decodes the records it
-keeps and no other. A text the pattern refuses anywhere (another field
-order, a missing or repeated key, an escape, a widened field, a blank
-line, a refused cell) goes to `reference_parse_jsonl`, which decodes
+keeps and no other. A text whose first record has more than
+`codec.PATTERN_FIELDS` fields gets no pattern; it and a text the pattern
+refuses anywhere (another field order, a missing or repeated key, an
+escape, a widened field, a blank line, a refused cell) go to
+`reference_parse_jsonl`, which decodes
 record by record, is the pattern's oracle, and raises each refusal with
 its line, so a malformed file fails with the same message either way.
 
@@ -84,6 +87,7 @@ from itertools import accumulate, compress
 from typing import Callable, Iterable, Iterator, Optional
 
 from mmw.codec import (
+    PATTERN_FIELDS,
     csv_decoder,
     csv_row_pattern,
     jsonl_encoder,
@@ -381,7 +385,8 @@ def _matched_rows(
 ) -> Iterator[Row]:
     """The rows of the data lines of a quote-free delimited text, which
     begin at offset `start`; those of `reference_parse_csv`, which raises
-    its error, unless `csv_row_pattern` of the schema matches every line.
+    its error, unless the schema has at most `PATTERN_FIELDS` attributes
+    and `csv_row_pattern` of the schema matches every line.
     On a match every cell is known to decode, so no cell is checked, and
     `codec.matched_decoder` reads each without the checks the match made.
     With a `where` the reader may use (`_selection_applies`) it yields only
@@ -394,6 +399,9 @@ def _matched_rows(
     a later read of the same text matches no line and cuts no column it
     has cut before: it slices the kept lines alone by their bounds."""
     attrs = schema.attributes
+    if len(attrs) > PATTERN_FIELDS:
+        yield from reference_parse_csv(text, schema.name).rows
+        return
     image = _IMAGES.get("csv", text)
     lines = None
     if image is None:
@@ -630,10 +638,11 @@ def _record_fields(lines: list[str]) -> Optional[tuple[tuple[str, Kind], ...]]:
 
 def _matched_records(lines: list[str]) -> Optional[tuple[tuple[tuple[str, Kind], ...], list]]:
     """The fields of the first of `lines` with their kinds
-    (`_record_fields`) and each field's cell texts, None for null, when the
-    record pattern of those fields matches every line; None otherwise."""
+    (`_record_fields`) and each field's cell texts, None for null, when
+    there are at most `PATTERN_FIELDS` fields and the record pattern of
+    those fields matches every line; None otherwise."""
     fields = _record_fields(lines)
-    if fields is None:
+    if fields is None or len(fields) > PATTERN_FIELDS:
         return None
     matches = list(map(jsonl_record_pattern(fields).fullmatch, lines))
     if not all(matches):

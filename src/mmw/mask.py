@@ -3,7 +3,10 @@
 A virtualizing mask renders query results on demand (csv, jsonl, pretty) and
 never persists anything; a materializing mask persists the whole upstream
 product as delimited files and never serves queries. Rows are sorted by all
-columns before rendering so identical tables produce identical bytes.
+columns before rendering so identical tables produce identical bytes. A
+table keeps each format's rendering once made, outside its fields, so an
+answer the upstream repeats as the same table (a mediator's result hit, a
+binding's kept decode) is rendered once.
 
 Materialization is atomic per refresh: a snapshot directory is fully written
 under the target, then a `current` symlink is swapped onto it. A reader (a
@@ -40,6 +43,18 @@ class Rendering:
     @property
     def text(self) -> str:
         return self.data.decode("utf-8")
+
+
+def _rendering(table: Table, format: str) -> Rendering:
+    """The rendering of table in format, made once and kept on the frozen
+    table, outside its fields, as a tree keeps its canonical text. Threads
+    racing on one table keep equal renderings."""
+    renderings = vars(table).setdefault("_renderings", {})
+    rendering = renderings.get(format)
+    if rendering is None:
+        rendering = Rendering(format, render_table(table, format).encode("utf-8"))
+        renderings[format] = rendering
+    return rendering
 
 
 class Mask(ComponentBase):
@@ -177,8 +192,7 @@ class Mask(ComponentBase):
             table = self.upstream.execute(q, principal)
             if format is None:
                 return table, len(table.rows), False
-            data = render_table(table, format).encode("utf-8")
-            return Rendering(format, data), len(table.rows), False
+            return _rendering(table, format), len(table.rows), False
 
         return self._serve_request(q, principal, work)
 

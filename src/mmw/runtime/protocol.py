@@ -24,6 +24,20 @@ most `QUERY_MEMO_ENTRIES` texts, least recently used first out, and only
 texts of at most `QUERY_MEMO_TEXT_CHARS` characters; a longer text is parsed
 on every request. A text that fails to parse is never kept. The memo
 lives and dies with its endpoint: `ProtocolServer.close` empties it.
+
+A repeated answer is encoded, decoded and rendered once. Each kept form is
+keyed by the exact object or bytes it is a pure function of, and tables,
+rows and values are immutable, so none can go stale:
+- an endpoint encodes a `Table` to its table response once and keeps the
+  response, with its line, on the frozen table, outside its fields
+  (`table_response`), so a mediator's result hit, which returns the kept
+  table itself, is written as kept bytes;
+- a `TcpBinding` keeps a `Memo` from the exact response line to its decoded
+  table: at most `TABLE_MEMO_ENTRIES` lines, least recently used first out,
+  each of at most `TABLE_MEMO_LINE_BYTES` bytes; an error response or a
+  longer line is never kept;
+- a mask keeps each format's rendering on the table it rendered
+  (`mmw.mask`).
 """
 
 from __future__ import annotations
@@ -54,7 +68,6 @@ from mmw.errors import (
     UnknownRelationError,
 )
 from mmw.mask import FORMATS, Rendering
-from mmw.query.ast import Query
 from mmw.query.parse import MAX_DEPTH, parse_query
 from mmw.query.render import render_query
 from mmw.relational import RelationSchema, Table, is_identifier
@@ -72,6 +85,14 @@ MAX_REQUEST_LINE = 1 << 20
 # MAX_REQUEST_LINE could pin tens of megabytes each.
 QUERY_MEMO_ENTRIES = 32
 QUERY_MEMO_TEXT_CHARS = 1024
+
+# Response lines one binding keeps decoded, and the longest line it keeps. A
+# product's clients ask a handful of distinct queries, whose answers change
+# only when a source does; a 15-row answer is a line of about 730 bytes. A
+# decoded table takes 10-15 bytes per byte of its line, so a full memo holds
+# about 4 MB at most.
+TABLE_MEMO_ENTRIES = 32
+TABLE_MEMO_LINE_BYTES = 8 * 1024
 
 # Most relation names one scoped epoch request may carry. A wrapper answers
 # one token per name, so without a bound one request line could ask for
@@ -122,12 +143,29 @@ def _encode_line(obj: dict) -> bytes:
     return (json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+class _EncodedResponse(dict):
+    """A response object with its encoded line, which the server writes as
+    it is. Shared by every request that answers the same table, so never
+    changed once built."""
+
+    __slots__ = ("line",)
+
+
 def table_response(table: Table) -> dict:
-    return {
-        "type": "table",
-        "schema": [attribute_to_obj(attr) for attr in table.schema.attributes],
-        "rows": rows_to_wire([attr.data_type for attr in table.schema.attributes], table.rows),
-    }
+    """The table response of `table`, encoded once and kept on the frozen
+    table, outside its fields, as a tree keeps its canonical text. Threads
+    racing on one table build equal responses."""
+    response = vars(table).get("_response")
+    if response is None:
+        attrs = table.schema.attributes
+        response = _EncodedResponse(
+            type="table",
+            schema=[attribute_to_obj(attr) for attr in attrs],
+            rows=rows_to_wire([attr.data_type for attr in attrs], table.rows),
+        )
+        response.line = _encode_line(response)
+        vars(table)["_response"] = response  # past the frozen __setattr__
+    return response
 
 
 def table_from_response(obj: dict, name: str = "result") -> Table:
@@ -179,50 +217,67 @@ def _relations_field(request: dict) -> Optional[list[str]]:
     return relations
 
 
-class QueryMemo:
-    """A bounded LRU map from a query text to its parsed query; see the
-    module docstring. Query trees are frozen, so every request of an
-    endpoint may share one."""
+class Memo:
+    """A bounded LRU map from an exact text or line to what `make` derives
+    from it: at most `entries` keys, least recently used first out, each of
+    at most `longest` characters or bytes. A longer key is derived on every
+    lookup, and a key whose `make` raises is never kept, so it raises every
+    time. What `make` returns must be immutable, as every caller shares it."""
 
-    def __init__(self):
+    def __init__(self, make, entries: int, longest: int):
+        self._make = make
+        self._most = entries
+        self._longest = longest
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, Query] = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, text: str) -> bool:
-        return text in self._entries
+    def __contains__(self, key) -> bool:
+        return key in self._entries
 
-    def lookup(self, text: str) -> Query:
-        """The query of text, parsed on a miss; a syntax error propagates
-        and nothing is kept."""
+    def lookup(self, key):
+        """What `make` derives from key, derived on a miss; an error of
+        `make` propagates and nothing is kept."""
         # One dict read needs no lock; every change to the map holds it, so
         # a hit and a miss each take it once.
-        q = self._entries.get(text)
-        if q is not None:
+        value = self._entries.get(key)
+        if value is not None:
             with self._lock:
-                if text in self._entries:  # not evicted since the read
-                    self._entries.move_to_end(text)
-            return q
-        q = parse_query(text)
-        if len(text) <= QUERY_MEMO_TEXT_CHARS:
+                if key in self._entries:  # not evicted since the read
+                    self._entries.move_to_end(key)
+            return value
+        value = self._make(key)
+        if len(key) <= self._longest:
             with self._lock:
-                self._entries[text] = q
-                self._entries.move_to_end(text)
-                if len(self._entries) > QUERY_MEMO_ENTRIES:
+                self._entries[key] = value
+                self._entries.move_to_end(key)
+                if len(self._entries) > self._most:
                     self._entries.popitem(last=False)
-        return q
+        return value
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
 
 
+class QueryMemo(Memo):
+    """An endpoint's map from a query text to its parsed query; see the
+    module docstring. Query trees are frozen, so every request of an
+    endpoint may share one."""
+
+    def __init__(self):
+        # parse_query is looked up on each miss, where tracers replace it.
+        super().__init__(lambda text: parse_query(text), QUERY_MEMO_ENTRIES, QUERY_MEMO_TEXT_CHARS)
+
+
 def handle_request(component, request: dict, queries: QueryMemo) -> dict:
     """Dispatch one decoded request against a component, looking an
     exec_query text up in the endpoint's `queries`; returns the response
-    object (errors are raised, the server serializes them)."""
+    object (errors are raised, the server serializes them). A table
+    response is the one kept on its table (`table_response`), whose kept
+    line the server writes."""
     if not isinstance(request, dict) or "type" not in request:
         raise ProtocolError("request must be an object with a 'type' field")
     request_type = request["type"]
@@ -301,7 +356,10 @@ class _Handler(socketserver.StreamRequestHandler):
                         response = error_to_obj(exc)
                         if not response.get("origin"):
                             response["origin"] = component.component_id
-                self.wfile.write(_encode_line(response))
+                if type(response) is _EncodedResponse:
+                    self.wfile.write(response.line)
+                else:
+                    self.wfile.write(_encode_line(response))
                 self.wfile.flush()
         except OSError:
             # The client hung up, or reset the connection, before reading
@@ -410,8 +468,11 @@ class ProtocolClient:
                 pass
             self._sock = None
 
-    def request(self, payload: dict) -> dict:
-        """Send one request; raises the decoded error for error responses.
+    def request(self, payload: dict, memo: Optional[Memo] = None):
+        """Send one request and return its decoded response; an error
+        response raises its decoded error. With a `memo` from response lines
+        to what they hold, such as a binding's decoded tables, return
+        `memo.lookup(line)` instead, so a line seen before is not decoded.
 
         A connection kept from an earlier request may have been closed by the
         server since. If it fails before the first byte of the response (end
@@ -440,13 +501,23 @@ class ProtocolClient:
                 if not (may_resend and resendable):
                     raise UnavailableError(f"connection to {self.host}:{self.port} {failure}")
                 may_resend = False
-        try:
-            response = json.loads(line.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise ProtocolError(f"bad response line: {exc}") from None
-        if isinstance(response, dict) and response.get("type") == "error":
-            raise error_from_obj(response)
-        return response
+        return _response_from_line(line) if memo is None else memo.lookup(line)
+
+
+def _response_from_line(line: bytes):
+    """The response a line holds; raises the decoded error for an error
+    response, and a protocol error for a line that is no JSON."""
+    try:
+        response = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"bad response line: {exc}") from None
+    if isinstance(response, dict) and response.get("type") == "error":
+        raise error_from_obj(response)
+    return response
+
+
+def _table_from_line(line: bytes) -> Table:
+    return table_from_response(_response_from_line(line))
 
 
 class TcpBinding:
@@ -455,6 +526,7 @@ class TcpBinding:
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self._client = ProtocolClient(host, port, timeout)
+        self._tables = Memo(_table_from_line, TABLE_MEMO_ENTRIES, TABLE_MEMO_LINE_BYTES)
         schema_obj = self._client.request({"type": "get_schema"})
         self.component_id = schema_obj.get("component", f"{host}:{port}")
         self.kind = schema_obj.get("kind", "component")
@@ -465,16 +537,18 @@ class TcpBinding:
         obj = self._client.request({"type": "get_schema"})
         return product_from_obj(obj["schema"])
 
-    def _exec_query(self, q, principal: str, format: str) -> dict:
+    def _exec_query(self, q, principal: str, format: str, memo: Optional[Memo] = None):
         """Send q as its canonical text; a tree with no textual form raises
         `RenderError` before anything is sent."""
         text = canonical_query_text(q) or render_query(q)  # the latter raises
         return self._client.request(
-            {"type": "exec_query", "query": text, "principal": principal, "format": format}
+            {"type": "exec_query", "query": text, "principal": principal, "format": format},
+            memo=memo,
         )
 
     def execute(self, q, principal: str = "") -> Table:
-        return table_from_response(self._exec_query(q, principal, "table"))
+        """The answer table, decoded once per distinct response line."""
+        return self._exec_query(q, principal, "table", self._tables)
 
     def epoch(self, relations=None):
         request = {"type": "epoch"}
@@ -499,3 +573,4 @@ class TcpBinding:
 
     def close(self) -> None:
         self._client.close()
+        self._tables.clear()

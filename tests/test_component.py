@@ -3,8 +3,12 @@ exactly one access-log entry per request."""
 
 from __future__ import annotations
 
+from datetime import datetime, timezone
+from types import SimpleNamespace
+
 import pytest
 
+import mmw.component
 from mmw.adapters import MemoryAdapter
 from mmw.component import ACCESS_LOG_CAPACITY
 from mmw.errors import AccessDeniedError, MeshError, UnavailableError
@@ -73,3 +77,30 @@ def test_access_log_keeps_the_newest_entries(tmp_path):
     assert log[0].principal == "p5" and log[-1].principal == f"p{requests - 1}"
     assert wrapper.stats()["queries_served"] == requests
     assert len(log_file.read_text(encoding="utf-8").splitlines()) == requests
+
+
+def test_stamps_are_the_latest_second_formatted_once_per_second(monkeypatch):
+    wrapper = build()[0]
+    # Within a second, across one, back in time (held at the latest second),
+    # and a minute on.
+    times = [1_700_000_000.2, 1_700_000_000.9, 1_700_000_001.1, 1_699_999_999.5,
+             1_700_000_001.7, 1_700_000_061.0, 1_700_000_061.4]
+    clock = iter(times)
+    monkeypatch.setattr(mmw.component, "time", SimpleNamespace(time=lambda: next(clock)))
+    formatted = []
+    real = mmw.component._stamp_text
+    monkeypatch.setattr(
+        mmw.component, "_stamp_text", lambda second: formatted.append(second) or real(second)
+    )
+    q = parse_query("SELECT * FROM src.nums")
+    for _ in times:
+        wrapper.execute(q)
+    latest = 0
+    expected = []
+    for t in times:
+        latest = max(latest, int(t))
+        expected.append(
+            datetime.fromtimestamp(latest, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        )
+    assert [entry.timestamp for entry in wrapper.access_log] == expected
+    assert formatted == [1_700_000_000, 1_700_000_001, 1_700_000_061]

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 import mmw.formats
+from mmw.codec import PATTERN_FIELDS
 from mmw.formats import (
     iter_csv_rows,
     join_delimited,
@@ -23,7 +24,7 @@ from mmw.formats import (
     split_delimited,
 )
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value, bag_equal
-from support import random_jsonl, random_row, random_schema
+from support import forget_images, random_jsonl, random_row, random_schema
 
 MIXED = RelationSchema(
     "mixed",
@@ -375,6 +376,71 @@ class TestJsonlFastPath:
     def test_matches_the_reference_on_edge_texts(self, text):
         expected = _jsonl_outcome(lambda t: reference_parse_jsonl(t, "r"), text)
         assert _jsonl_outcome(lambda t: parse_jsonl(t, "r"), text) == expected
+
+
+@pytest.fixture()
+def pattern_calls(monkeypatch):
+    """The shapes the readers ask a row or record pattern for, in order."""
+    calls: list[tuple] = []
+    for name in ("csv_row_pattern", "jsonl_record_pattern"):
+        real = getattr(mmw.formats, name)
+        monkeypatch.setattr(
+            mmw.formats, name, lambda shape, real=real: calls.append(shape) or real(shape)
+        )
+    forget_images()
+    return calls
+
+
+def wide_texts(width: int) -> tuple[str, str]:
+    """A csv text and a json-lines text of three records of `width`
+    integer, timestamp and nullable decimal fields."""
+    kinds = ("integer", "timestamp", "decimal?")
+    header = ",".join(f"c{i}:{kinds[i % 3]}" for i in range(width))
+    csv_rows, records = [header], []
+    for r in range(3):
+        cells = []
+        for i in range(width):
+            if i % 3 == 0:
+                cells.append(str(r * width + i))
+            elif i % 3 == 1:
+                cells.append(f"2024-03-{1 + (r + i) % 28:02d}T12:00:05Z")
+            else:
+                cells.append("" if (r + i) % 4 == 0 else f"{i}.{r}5")
+        csv_rows.append(",".join(cells))
+        records.append(
+            "{"
+            + ",".join(
+                f'"c{i}":' + ("null" if cell == "" else cell if i % 3 != 1 else f'"{cell}"')
+                for i, cell in enumerate(cells)
+            )
+            + "}"
+        )
+    return "\n".join(csv_rows) + "\n", "\n".join(records) + "\n"
+
+
+class TestWideShapes:
+    """A shape wider than `codec.PATTERN_FIELDS` gets no pattern: compiling
+    one costs far more than the reference parsers' read of the text."""
+
+    def test_five_thousand_fields_read_as_the_reference_and_compile_nothing(self, pattern_calls):
+        csv_text, jsonl_text = wide_texts(5000)
+        assert parse_csv(csv_text, "wide") == reference_parse_csv(csv_text, "wide")
+        reference = reference_parse_jsonl(jsonl_text, "wide")
+        assert len(reference.schema.attributes) == 5000 and len(reference.rows) == 3
+        assert parse_jsonl(jsonl_text, "wide") == reference
+        assert jsonl_schema(jsonl_text, "wide") == reference.schema
+        assert pattern_calls == []
+
+    def test_the_widest_shape_with_a_pattern(self, pattern_calls):
+        for width, patterns in ((PATTERN_FIELDS, 1), (PATTERN_FIELDS + 1, 0)):
+            csv_text, jsonl_text = wide_texts(width)
+            for text, read, reference in (
+                (csv_text, parse_csv, reference_parse_csv),
+                (jsonl_text, parse_jsonl, reference_parse_jsonl),
+            ):
+                del pattern_calls[:]
+                assert read(text, "w") == reference(text, "w")
+                assert [len(shape) for shape in pattern_calls] == [width] * patterns
 
 
 class TestPretty:

@@ -325,6 +325,74 @@ class TestTracerContract:
             tracer.uninstall()
 
 
+    # A warm read's round trips, as they were before answers kept their wire
+    # forms: the wrapper's epoch answer, the mediator's table and the mask's
+    # csv, in the order they end, with the bytes the tracer counts for each.
+    WARM_SPANS = ["server.handle", "client.request"] * 3
+    WARM_RESPONSE_BYTES = [54, 98, 65]
+
+    def test_a_warm_read_makes_the_same_round_trips_and_writes_what_it_returns(
+        self, monkeypatch, render_calls
+    ):
+        written: list[bytes] = []
+        real_setup = protocol._Handler.setup
+
+        def recording_setup(handler):
+            real_setup(handler)
+            handler.wfile = WriteRecorder(handler.wfile, written)
+
+        monkeypatch.setattr(protocol._Handler, "setup", recording_setup)
+        tracer = load_tracing().Tracer()
+        tracer.install()
+        # Every response as the tracer counts its bytes, recorded over the
+        # tracer's own wrapper, which stays in place below this one.
+        returned: list[bytes] = []
+        traced = protocol.handle_request
+
+        def recorded(*args):
+            response = traced(*args)
+            returned.append(
+                (json.dumps(response, ensure_ascii=False, separators=(",", ":")) + "\n").encode()
+            )
+            return response
+
+        protocol.handle_request = recorded
+        try:
+            with Mesh(load_topology(chain_document())) as mesh:
+                for warm in (False, True, True):
+                    del written[:], returned[:], render_calls[:]
+                    tracer.take()
+                    assert self.read(mesh) == "sku:integer\n1\n3\n"
+                    spans = tracer.take()
+                    assert sorted(written) == sorted(returned)
+                    if not warm:
+                        continue
+                    trips = [s for s in spans if s.name in ("client.request", "server.handle")]
+                    assert [span.name for span in trips] == self.WARM_SPANS
+                    handled = [span.extra["bytes"] for span in trips if span.name == "server.handle"]
+                    assert handled == self.WARM_RESPONSE_BYTES
+                    assert [span.name for span in spans if span.name == "parse"] == []
+                    assert render_calls == []
+        finally:
+            protocol.handle_request = traced
+            tracer.uninstall()
+
+
+class WriteRecorder:
+    """A server connection's writer that records every write."""
+
+    def __init__(self, sink, lines: list[bytes]):
+        self._sink = sink
+        self._lines = lines
+
+    def write(self, data):
+        self._lines.append(bytes(data))
+        return self._sink.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sink, name)
+
+
 # --- one query, three ways in ----------------------------------------------------
 
 # (component, text, principal): answers and errors of each kind, at each hop.
