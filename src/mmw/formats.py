@@ -59,8 +59,9 @@ record by record, is the pattern's oracle, and raises each refusal with
 its line, so a malformed file fails with the same message either way.
 
 A text either pattern settled keeps an image under its exact text, in one
-process-wide map of at most IMAGE_TEXT_CHARS characters of text, evicted
-least recently used first (`_Images`): a delimited text's line offsets, a
+process-wide `mmw.kept.Kept` store (`_IMAGES`) of at most IMAGE_TEXT_CHARS
+characters of text, none longer than an eighth of that, evicted least
+recently used first: a delimited text's line offsets, a
 json-lines text's schema attributes and matched cells, and, from the first
 read that tests them, the payloads of each column a selection reads. A
 later read of the same text matches no line and cuts no column it has cut
@@ -78,9 +79,7 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 from array import array
-from collections import OrderedDict
 from decimal import Decimal
 from functools import lru_cache
 from itertools import accumulate, compress
@@ -96,6 +95,7 @@ from mmw.codec import (
     rows_to_wire,
 )
 from mmw.errors import TypeCheckError
+from mmw.kept import Kept
 from mmw.query.ast import Predicate, contains_hash_call, predicate_attrs
 from mmw.query.execute import _compile_payload_predicate
 from mmw.query.infer import check_predicate
@@ -212,51 +212,16 @@ def schema_from_header(name: str, cells: tuple[str, ...]) -> RelationSchema:
 IMAGE_TEXT_CHARS = 1 << 20
 
 
-class _Images:
-    """A bounded map from (format, exact text) to the image a reader built
-    of a text its fast path settled, evicted least recently used first once
-    the kept texts exceed IMAGE_TEXT_CHARS characters. The key is the whole
-    text just read, so an image is served for no other text and is never
-    stale."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple[str, str], object] = OrderedDict()
-        self.chars = 0
-
-    def get(self, format: str, text: str):
-        """The image kept of `text` read as `format`, None when there is none."""
-        # One dict read needs no lock; every change to the map holds it.
-        key = (format, text)
-        image = self._entries.get(key)
-        if image is not None:
-            with self._lock:
-                if key in self._entries:  # not evicted since the read
-                    self._entries.move_to_end(key)
-        return image
-
-    def keep(self, format: str, text: str, image: object) -> None:
-        """Keep `image` of `text` read as `format`, unless the text is longer
-        than an eighth of the budget; evict the least recent beyond it."""
-        if len(text) > IMAGE_TEXT_CHARS // 8:
-            return
-        key = (format, text)
-        with self._lock:
-            if key in self._entries:  # kept by another reader meanwhile
-                return
-            self._entries[key] = image
-            self.chars += len(text)
-            while self.chars > IMAGE_TEXT_CHARS:
-                (_, evicted), _ = self._entries.popitem(last=False)
-                self.chars -= len(evicted)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.chars = 0
+def _image_store(budget: int = IMAGE_TEXT_CHARS) -> Kept:
+    """A map from (format, exact text) to the image a reader built of a text
+    its fast path settled, sized by the text's length: at most `budget`
+    characters in all, least recently used first out, and no text longer
+    than an eighth of it. The key is the whole text just read, so an image
+    is served for no other text and is never stale."""
+    return Kept(budget=budget, largest=budget // 8)
 
 
-_IMAGES = _Images()
+_IMAGES = _image_store()
 
 
 class _RowImage:
@@ -402,7 +367,7 @@ def _matched_rows(
     if len(attrs) > PATTERN_FIELDS:
         yield from reference_parse_csv(text, schema.name).rows
         return
-    image = _IMAGES.get("csv", text)
+    image = _IMAGES.get(("csv", text))
     lines = None
     if image is None:
         lines = _data_lines(text, start)
@@ -411,7 +376,7 @@ def _matched_rows(
             return
         # From a list: an array built from an iterator grows item by item.
         image = _RowImage(array("q", list(accumulate(map(len, lines), initial=start))))
-        _IMAGES.keep("csv", text, image)
+        _IMAGES.put(("csv", text), image, len(text))
     decoders = [matched_decoder(attr) for attr in attrs]
     if not _selection_applies(where, schema):
         columns = zip(*[line.split(",") for line in lines or _data_lines(text, start)])
@@ -657,7 +622,7 @@ def _scan_jsonl(text: str, name: str) -> Optional[tuple[RelationSchema, _RecordI
     every record is nullable text, as the reference reads it. The image is
     kept under the exact text, so a later scan of the same text matches no
     line."""
-    image = _IMAGES.get("jsonl", text)
+    image = _IMAGES.get(("jsonl", text))
     if image is None:
         matched = _matched_records(text.splitlines())
         if matched is None:
@@ -668,7 +633,7 @@ def _scan_jsonl(text: str, name: str) -> Optional[tuple[RelationSchema, _RecordI
             for (field, kind), column in zip(fields, columns)
         ])
         image = _RecordImage(attrs, columns)
-        _IMAGES.keep("jsonl", text, image)
+        _IMAGES.put(("jsonl", text), image, len(text))
     return RelationSchema(name, image.attributes), image
 
 

@@ -9,8 +9,12 @@ followed by the token of each downstream in sorted alias order. Tokens never
 repeat across instances, so a change to any downstream, a reconfiguration
 or a downstream restarted in place gives a token never seen before.
 
-One LRU map of at most `cache_capacity` slots (0 turns it off) keeps four
-kinds of slot, each as (token, value) under a key tagged with its kind.
+One `mmw.kept.Kept` store of at most `cache_capacity` slots (0 turns it
+off) keeps four kinds of slot, each as (token, value) under a key tagged
+with its kind. A result, fetch or join slot counts its table's cells
+(rows times attributes) toward `CACHE_CELLS`, least recently used first
+out, and a table of more than an eighth of it is served but not kept; a
+plan slot counts none.
 A request's tokens come from one scoped `epoch()` probe: its own token,
 then, for each alias the plan fetches from, that downstream's token scoped
 to the relations its fetches read (the plan's reads), so a request probes
@@ -54,12 +58,13 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from itertools import repeat
 from typing import Mapping, Optional, Sequence, Union as TypingUnion
 
 from mmw.component import ComponentBase, LineageNode, canonical_query_text
 from mmw.errors import ConfigError, MeshError, UnavailableError, UnknownRelationError
+from mmw.kept import Kept
 from mmw.planner import (
     ExecutionPlan,
     FetchStep,
@@ -77,6 +82,19 @@ ViewInput = TypingUnion[str, ViewDeclaration]
 # Each alias a plan fetches from, in sorted order, with the sorted names of
 # the relations its fetches scan.
 Reads = tuple[tuple[str, tuple[str, ...]], ...]
+
+# Table cells (rows times attributes) a mediator's result, fetch and join
+# slots hold in all, beside the `cache_capacity` bound on their number; a
+# table of more than an eighth of it is served but not kept. A decoded table
+# takes about 180 bytes per cell and 260 with its response line kept
+# (tracemalloc, 150- and 200-row files), so full slots hold about 17 MB. A
+# round of a benchmark workload keeps at most 2 300 cells, none over 900.
+CACHE_CELLS = 1 << 16
+
+
+def _cells(table: Table) -> int:
+    """The size a slot holding `table` counts toward `CACHE_CELLS`."""
+    return len(table.rows) * len(table.schema.attributes)
 
 
 def _reads(exec_plan: ExecutionPlan) -> Reads:
@@ -141,9 +159,8 @@ class Mediator(ComponentBase):
         self.deny_raw_identifying = deny_raw_identifying
         self.cache_capacity = cache_capacity
         # (kind, ...) -> (token, value); see the module docstring
-        self._cache: OrderedDict[tuple, tuple[object, object]] = OrderedDict()
+        self._cache = Kept(cache_capacity, CACHE_CELLS, CACHE_CELLS // 8)
         self._slot_hits = {"plan": 0, "join": 0}
-        self._cache_lock = threading.Lock()
         self._configure_lock = threading.Lock()
         self._config: Optional[_Configuration] = None
         self._configure(views, version, dict(metadata or {}))
@@ -264,17 +281,15 @@ class Mediator(ComponentBase):
         query_text = canonical_query_text(q) if caching else None
         key = None if query_text is None else ("result", query_text)
         # A kept result is probed over the reads kept beside it, so a hit
-        # plans nothing. One dict read needs no lock; `_kept` checks the
-        # token under it.
+        # plans nothing.
         token = reads = None
         slot = self._cache.get(key) if key is not None else None
         if slot is not None:
-            reads = slot[1][1]
+            kept_token, (kept, reads) = slot
             token = self.epoch(config=config, reads=reads)
-            cached = self._kept(key, token)
-            if cached is not None:
+            if kept_token == token:
                 self._count_cache(True)
-                return cached[0], len(cached[0].rows), True
+                return kept, len(kept.rows), True
         self._count_cache(False)
         exec_plan, fixed_fetches, plan_reads = self._plan(q, config, caching)
         if caching and plan_reads != reads:
@@ -294,7 +309,7 @@ class Mediator(ComponentBase):
             table = self._kept(slot, downstream_token)
             if table is None:
                 table = self.downstream[alias].execute(translated, self.component_id)
-                self._keep(slot, downstream_token, table)
+                self._keep(slot, downstream_token, table, _cells(table))
             return table
 
         def join(step, compute):
@@ -306,14 +321,14 @@ class Mediator(ComponentBase):
             table = self._kept(slot, join_token)
             if table is None:
                 table = compute()
-                self._keep(slot, join_token, table)
+                self._keep(slot, join_token, table, _cells(table))
             return table
 
         result = execute_plan(exec_plan, fetch, self.salt, join)
         # Client-facing schema comes from inference against the product
         # environment, not from plan internals.
         result = Table(result_schema, result.rows)
-        self._keep(key, token, (result, reads))
+        self._keep(key, token, (result, reads), _cells(result))
         return result, len(result.rows), False
 
     def _translate(self, step: FetchStep) -> Query:
@@ -354,26 +369,19 @@ class Mediator(ComponentBase):
 
     def _kept(self, key, token):
         """The value kept under key while its token equals `token`, else None."""
-        if key is None:
+        slot = None if key is None else self._cache.get(key)
+        if slot is None or slot[0] != token:
             return None
-        with self._cache_lock:
-            slot = self._cache.get(key)
-            if slot is None or slot[0] != token:
-                return None
-            self._cache.move_to_end(key)
-            if key[0] in self._slot_hits:
+        if key[0] in self._slot_hits:
+            with self._lock:
                 self._slot_hits[key[0]] += 1
-            return slot[1]
+        return slot[1]
 
-    def _keep(self, key, token, value) -> None:
-        """Replace key's slot as the most recent, evicting beyond capacity."""
-        if key is None:
-            return
-        with self._cache_lock:
-            self._cache[key] = (token, value)
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.cache_capacity:
-                self._cache.popitem(last=False)
+    def _keep(self, key, token, value, cells: int = 0) -> None:
+        """Replace key's slot as the most recent, sized by the cells of the
+        table it holds (a plan holds none), evicting beyond the bounds."""
+        if key is not None:
+            self._cache.put(key, (token, value), cells)
 
     # -- lineage --------------------------------------------------------------------
 
@@ -408,14 +416,13 @@ class Mediator(ComponentBase):
     def cache_info(self) -> dict[str, int]:
         """Slots held by kind (`entries` counts results), all counting toward
         capacity, and the hits on plan and join slots so far."""
-        with self._cache_lock:
-            held = Counter(key[0] for key in self._cache)
-            return {
-                "entries": held["result"],
-                "fetch_slots": held["fetch"],
-                "plan_slots": held["plan"],
-                "join_slots": held["join"],
-                "capacity": self.cache_capacity,
-                "plan_hits": self._slot_hits["plan"],
-                "join_hits": self._slot_hits["join"],
-            }
+        held = Counter(key[0] for key in self._cache.keys())
+        return {
+            "entries": held["result"],
+            "fetch_slots": held["fetch"],
+            "plan_slots": held["plan"],
+            "join_slots": held["join"],
+            "capacity": self.cache_capacity,
+            "plan_hits": self._slot_hits["plan"],
+            "join_hits": self._slot_hits["join"],
+        }

@@ -15,14 +15,20 @@ tokens nested at most `MAX_DEPTH` deep. `TcpBinding.epoch` turns it back
 into the same hashable value (lists become tuples) and refuses any other
 shape.
 
+A server reads request lines of at most `MAX_REQUEST_LINE` bytes and a
+client response lines of at most `MAX_RESPONSE_LINE` bytes; a longer
+request line gets one protocol error and a closed connection, and a longer
+response line drops the connection and raises `UnavailableError`.
+
 Each endpoint parses a query text once: its `QueryMemo` maps the text of an
 exec_query to the parsed query. The tree keeps its canonical text once
 rendered (`mmw.component.canonical_query_text`), which the component logs
 and keys its caches by and a `TcpBinding` sends on, so a warm request is
-neither parsed nor rendered again anywhere on its path. The memo keeps at
-most `QUERY_MEMO_ENTRIES` texts, least recently used first out, and only
-texts of at most `QUERY_MEMO_TEXT_CHARS` characters; a longer text is parsed
-on every request. A text that fails to parse is never kept. The memo
+neither parsed nor rendered again anywhere on its path. Like every `Memo`,
+it is a `mmw.kept.Kept` store: it keeps at most `QUERY_MEMO_ENTRIES` texts,
+least recently used first out, and only texts of at most
+`QUERY_MEMO_TEXT_CHARS` characters; a longer text is parsed on every
+request. A text that fails to parse is never kept. The memo
 lives and dies with its endpoint: `ProtocolServer.close` empties it.
 
 A repeated answer is encoded, decoded and rendered once. Each kept form is
@@ -47,7 +53,6 @@ import logging
 import socket
 import socketserver
 import threading
-from collections import OrderedDict
 from typing import Optional
 
 from mmw.codec import (
@@ -67,6 +72,7 @@ from mmw.errors import (
     UnavailableError,
     UnknownRelationError,
 )
+from mmw.kept import Kept
 from mmw.mask import FORMATS, Rendering
 from mmw.query.parse import MAX_DEPTH, parse_query
 from mmw.query.render import render_query
@@ -77,6 +83,13 @@ logger = logging.getLogger(__name__)
 # Longest request line a server reads, newline included; a longer one gets one
 # protocol error and the connection is closed, so memory per client stays bounded.
 MAX_REQUEST_LINE = 1 << 20
+
+# Longest response line a client reads, newline included; a longer one drops
+# the connection and raises, so a broken or hostile downstream cannot make a
+# consumer hold any amount of memory. The longest line in the tests and in a
+# round of each benchmark workload is 8 193 bytes (a 150-row table is 6.9 KB),
+# a test's deliberately broken 200 001-byte line aside.
+MAX_RESPONSE_LINE = 1 << 23
 
 # Query texts one endpoint keeps parsed, and the longest text it keeps. A
 # product's clients send a handful of distinct texts. A parsed tree takes
@@ -217,7 +230,7 @@ def _relations_field(request: dict) -> Optional[list[str]]:
     return relations
 
 
-class Memo:
+class Memo(Kept):
     """A bounded LRU map from an exact text or line to what `make` derives
     from it: at most `entries` keys, least recently used first out, each of
     at most `longest` characters or bytes. A longer key is derived on every
@@ -225,41 +238,17 @@ class Memo:
     time. What `make` returns must be immutable, as every caller shares it."""
 
     def __init__(self, make, entries: int, longest: int):
+        super().__init__(entries, largest=longest)
         self._make = make
-        self._most = entries
-        self._longest = longest
-        self._lock = threading.Lock()
-        self._entries: OrderedDict = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
 
     def lookup(self, key):
         """What `make` derives from key, derived on a miss; an error of
         `make` propagates and nothing is kept."""
-        # One dict read needs no lock; every change to the map holds it, so
-        # a hit and a miss each take it once.
-        value = self._entries.get(key)
-        if value is not None:
-            with self._lock:
-                if key in self._entries:  # not evicted since the read
-                    self._entries.move_to_end(key)
-            return value
-        value = self._make(key)
-        if len(key) <= self._longest:
-            with self._lock:
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-                if len(self._entries) > self._most:
-                    self._entries.popitem(last=False)
+        value = self.get(key)
+        if value is None:
+            value = self._make(key)
+            self.put(key, value, len(key))
         return value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
 
 class QueryMemo(Memo):
@@ -487,16 +476,20 @@ class ProtocolClient:
                 try:
                     self._sock.sendall(data)
                     started = bool(self._reader.peek(1))
-                    line = self._reader.readline()
+                    line = self._reader.readline(MAX_RESPONSE_LINE + 1)
                 except OSError as exc:
                     failure = f"failed: {exc}"
                     # After a timeout the server may still be running the
                     # request, so sending it again could run it twice.
                     resendable = not started and not isinstance(exc, TimeoutError)
                 else:
-                    if line:
+                    if len(line) > MAX_RESPONSE_LINE:
+                        failure = f"failed: response line exceeds {MAX_RESPONSE_LINE} bytes"
+                        resendable = False
+                    elif line:
                         break
-                    failure, resendable = "closed", True
+                    else:
+                        failure, resendable = "closed", True
                 self._drop()
                 if not (may_resend and resendable):
                     raise UnavailableError(f"connection to {self.host}:{self.port} {failure}")

@@ -85,7 +85,7 @@ def read_without_images(call):
     """The outcome of `call()` read with an empty image map, leaving the
     images kept so far as they are for the reads after it."""
     kept = mmw.formats._IMAGES
-    mmw.formats._IMAGES = mmw.formats._Images()
+    mmw.formats._IMAGES = mmw.formats._image_store()
     try:
         return outcome(call)
     finally:
@@ -163,7 +163,7 @@ class TestRewriteSchedule:
         built: dict[int, tuple] = {}  # id -> (image, format, text); holds the image
         served = []
         read_last = []
-        real_get, real_keep = images.get, images.keep
+        real_get, real_put = images.get, images.put
         real_read = mmw.adapters._FileDirAdapter._read
 
         def read(adapter, file):
@@ -171,20 +171,23 @@ class TestRewriteSchedule:
             read_last[:] = [text]
             return text
 
-        def keep(kind, text, image):
+        def put(key, image, size):
+            kind, text = key
+            assert size == len(text)
             built[id(image)] = (image, kind, text)
-            real_keep(kind, text, image)
+            real_put(key, image, size)
 
-        def get(kind, text):
+        def get(key):
+            kind, text = key
             assert kind == format and read_last == [text]
-            image = real_get(kind, text)
+            image = real_get(key)
             if image is not None:
                 assert built[id(image)][1:] == (kind, text)
                 served.append(image)
             return image
 
         monkeypatch.setattr(mmw.adapters._FileDirAdapter, "_read", read)
-        monkeypatch.setattr(images, "keep", keep)
+        monkeypatch.setattr(images, "put", put)
         monkeypatch.setattr(images, "get", get)
         forget_images()
         rewrite_schedule(tmp_path, format, 4)
@@ -239,8 +242,8 @@ class TestRefusedText:
             else:
                 assert load(text, None) == exact(reference)
                 assert schema(text) == reference.schema
-            assert mmw.formats._IMAGES.get(format, text) is None
-            assert not mmw.formats._IMAGES._entries
+            assert mmw.formats._IMAGES.get((format, text)) is None
+            assert len(mmw.formats._IMAGES) == 0
 
 
 def counting(monkeypatch, module, name) -> list:
@@ -291,9 +294,8 @@ class TestRepeatRead:
 class TestBudget:
     def test_the_kept_texts_never_exceed_the_budget(self, monkeypatch):
         budget = 4000
-        monkeypatch.setattr(mmw.formats, "IMAGE_TEXT_CHARS", budget)
-        images = mmw.formats._IMAGES
-        forget_images()
+        images = mmw.formats._image_store(budget)
+        monkeypatch.setattr(mmw.formats, "_IMAGES", images)
         rng = random.Random(8)
         texts = [(format, FORMATS[format][2](rng, rng.randint(1, 12)))
                  for _ in range(60) for format in FORMATS]
@@ -302,17 +304,17 @@ class TestBudget:
             for format, text in rng.sample(texts, len(texts)):
                 reference_parse, load, _ = READERS[format]
                 assert load(text, None) == exact(reference_parse(text, "t"))
-                assert images.chars == sum(len(kept) for _, kept in images._entries) <= budget
-                kept = images.get(format, text) is not None
+                assert images.size == sum(len(kept) for _, kept in images.keys()) <= budget
+                kept = images.get((format, text)) is not None
                 assert kept == (len(text) <= budget // 8), len(text)
-        assert len(images._entries) > 1
+        assert len(images) > 1
 
 
 class TestThreads:
     def test_four_threads_reading_the_same_texts_get_equal_answers(self, monkeypatch):
         # A budget of a few texts, so images are kept and evicted while
         # other threads read them.
-        monkeypatch.setattr(mmw.formats, "IMAGE_TEXT_CHARS", 24_000)
+        monkeypatch.setattr(mmw.formats, "_IMAGES", mmw.formats._image_store(24_000))
         rng = random.Random(9)
         cases = []
         for format in sorted(FORMATS):
@@ -347,7 +349,7 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert mmw.formats._IMAGES.chars <= 24_000
+        assert mmw.formats._IMAGES.size <= 24_000
 
 
 class TestBenchmarkTraffic:

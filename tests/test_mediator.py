@@ -44,7 +44,7 @@ from mmw.relational import Attribute, Kind, RelationSchema, Table, Value, bag_eq
 from mmw.runtime.protocol import ProtocolServer, TcpBinding
 from mmw.views import ViewDeclaration, check_views, parse_view_source, unfold
 from mmw.wrapper import Wrapper, WrapperConfig
-from support import epoch_steps
+from support import epoch_steps, load_workloads
 
 PEOPLE = RelationSchema(
     "people",
@@ -492,6 +492,79 @@ class TestCache:
                     assert bag_equal(cached.execute(q), uncached.execute(q))
             hits += cached.stats()["cache_hits"]
         assert hits > 0
+
+
+def person(serial):
+    return (Value.integer(serial), Value.text(f"n{serial}"), Value.text("s"))
+
+
+class TestCellBudget:
+    def test_a_table_over_an_eighth_of_the_budget_is_served_but_not_kept(self, monkeypatch):
+        monkeypatch.setattr(mmw.mediator, "CACHE_CELLS", 48)  # tables of at most 6 cells kept
+        wrapper = people_wrapper()
+        views = ["CREATE VIEW v AS SELECT id, name FROM p.people"]
+        mediator = Mediator("m1", "prod", {"p": wrapper}, views)
+        q = parse_query("SELECT * FROM prod.v")  # two cells per person
+        first = mediator.execute(q)
+        assert mediator.execute(q) is first
+        for serial in (3, 4):
+            wrapper.adapter.insert("people", person(serial))
+        big = mediator.execute(q)
+        again = mediator.execute(q)
+        assert len(big.rows) == 4 and again is not big and bag_equal(again, big)
+        info = mediator.cache_info()
+        assert (info["entries"], info["fetch_slots"]) == (0, 0)
+        assert mediator.stats()["cache_hits"] == 1
+
+    def test_the_kept_cells_never_exceed_the_budget(self, monkeypatch):
+        monkeypatch.setattr(mmw.mediator, "CACHE_CELLS", 160)  # tables of 10 rows kept
+        rng = random.Random(4141)
+        views = ["CREATE VIEW v AS SELECT id, name FROM p.people"]
+        cached_people, uncached_people = people_wrapper(), people_wrapper()
+        cached = Mediator("ma", "prod", {"p": cached_people}, views, cache_capacity=64)
+        uncached = Mediator("mb", "prod", {"p": uncached_people}, views, cache_capacity=0)
+        for serial in range(3, 25):
+            cached_people.adapter.insert("people", person(serial))
+            uncached_people.adapter.insert("people", person(serial))
+        sizes = []
+        for _ in range(600):
+            q = parse_query(f"SELECT * FROM prod.v WHERE id <= {rng.randint(0, 24)}")
+            assert bag_equal(cached.execute(q), uncached.execute(q))
+            sizes.append(cached._cache.size)
+        # Each kept answer has a fetch slot of its size beside it: the kept
+        # queries (up to id 10) would hold 220 cells without the budget.
+        assert max(sizes) <= 160 and max(sizes) > 140
+        assert cached.stats()["cache_hits"] > 200
+
+
+class TestBenchmarkTraffic:
+    """The slots one full round of each benchmark workload puts fit the
+    cell budget, so no slot is evicted for its cells and the workloads'
+    hit ratios cannot move. A change to a workload that would make the
+    slots thrash fails here."""
+
+    @pytest.mark.parametrize("name", ["serve_tcp", "federate_cold", "scan_files"])
+    def test_a_full_round_fits_the_cell_budget(self, tmp_path, name):
+        workload = load_workloads().WORKLOADS[name](1, "full", tmp_path)
+        workload.prepare()
+        workload.setup()
+        try:
+            store = workload.mediator()._cache
+            cells: dict[tuple, int] = {}
+            real_put = store.put
+
+            def put(key, value, size=0):
+                cells[key] = max(size, cells.get(key, 0))
+                real_put(key, value, size)
+
+            store.put = put
+            for op in workload.ops:
+                workload.perform(op)
+        finally:
+            workload.teardown()
+        assert {key[0] for key in cells} >= {"result", "plan", "fetch"}
+        assert max(cells.values()) <= mmw.mediator.CACHE_CELLS // 8
+        assert sum(cells.values()) <= mmw.mediator.CACHE_CELLS
 
 
 PAIRS = RelationSchema("pairs", [Attribute("id", Kind.INTEGER), Attribute("name", Kind.TEXT)])

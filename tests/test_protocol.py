@@ -755,6 +755,42 @@ class TestClient:
             assert not thread.is_alive()
 
 
+    def test_a_response_line_past_the_bound_drops_the_connection(self, monkeypatch):
+        bound = 4096
+        monkeypatch.setattr(mmw.runtime.protocol, "MAX_RESPONSE_LINE", bound)
+        head = b'{"type":"epoch","epoch":"n:1"'
+        line = head + b" " * (bound - len(head) - 2) + b"}\n"
+        # One byte past the bound and no newline yet, so a client that read
+        # on to the end of the line would wait for its timeout.
+        over = line[:-1] + b"  "
+        assert (len(line), len(over)) == (bound, bound + 1)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer():  # one connection: a request sent again would time out
+                connection, _ = listener.accept()
+                with connection:
+                    reader = connection.makefile("rb")
+                    for response in (line, over):
+                        reader.readline()
+                        connection.sendall(response)
+                    reader.readline()  # until the client hangs up
+
+            thread = threading.Thread(target=answer, daemon=True)
+            thread.start()
+            host, port = listener.getsockname()[:2]
+            client = ProtocolClient(host, port, timeout=2)
+            try:
+                assert client.request({"type": "epoch"}) == json.loads(line)
+                message = f"{host}:{port} failed: response line exceeds {bound} bytes"
+                with pytest.raises(UnavailableError, match=message):
+                    client.request({"type": "epoch"})
+                assert client._sock is None
+            finally:
+                client.close()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+
 class TestReconnect:
     def test_request_after_server_hang_up_resends_on_new_connection(self):
         component = wrapper_component()
