@@ -13,9 +13,16 @@ from collections import OrderedDict
 
 class Kept:
     """At most `entries` entries whose sizes sum to at most `budget`, none
-    larger than `largest`, least recently used first out. A read takes no
+    larger than `largest`, least recently used first out. A lookup takes no
     lock and every change holds it. A value is shared by every reader, so it
-    must never change; None is never kept."""
+    must never change; None is never kept.
+
+    `hits`, `misses` and `evictions` count, since the store was made, the
+    `get`s that found a value, those that found none and the entries put
+    out for the bounds. They are plain ints. A hit and an eviction are
+    counted under the lock their change already holds, so neither count is
+    lost; a miss changes nothing and takes no lock, so two misses counted
+    at once may count as one."""
 
     def __init__(
         self, entries: int = sys.maxsize, budget: int = sys.maxsize, largest: int = sys.maxsize
@@ -26,6 +33,7 @@ class Kept:
         self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()  # key -> (value, size)
         self.size = 0  # the sum of the kept entries' sizes
+        self.hits = self.misses = self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -37,8 +45,10 @@ class Kept:
         """The value kept under key, now the most recent; None when there is none."""
         kept = self._entries.get(key)
         if kept is None:
+            self.misses += 1
             return None
         with self._lock:
+            self.hits += 1
             if key in self._entries:  # not evicted since the read
                 self._entries.move_to_end(key)
         return kept[0]
@@ -58,6 +68,7 @@ class Kept:
             while len(self._entries) > self._most or self.size > self._budget:
                 _, (_, evicted) = self._entries.popitem(last=False)
                 self.size -= evicted
+                self.evictions += 1
 
     def keys(self) -> list:
         """The kept keys, least recent first."""

@@ -27,7 +27,8 @@ no other downstream and no other relation:
   lifted query, into which each request binds its own literals, with the
   translated query of each fetch that holds no placeholder, which keeps its
   canonical text once rendered, so a request re-translates and re-renders
-  only the fetches its own literals reach, and the plan's reads;
+  only the fetches its own literals reach, the plan's reads and the result
+  schema;
 - a fetch: key ("fetch", alias, canonical text of the translated fetch
   query), token that downstream's scoped token, value the fetched table;
 - a join: key ("join", the plan's join step, the fetch keys of its inputs),
@@ -42,7 +43,17 @@ so a change between the two costs one extra miss, never a stale answer.
 A change to a relation a result does not read leaves it a hit. Errors are
 never kept. So a result miss re-plans nothing while
 the configuration stands, and re-joins nothing while its inputs' sources
-stand: it binds its literals and runs the residual selection.
+stand: it binds its literals and runs the residual selection, which
+answers `attr = literal` terms from an index kept on the join's table
+(`mmw.query.execute`).
+
+A lifted query types as its bound query does, so neither a result hit nor
+a plan-slot hit type-checks: `infer_schema` runs on the real query only on
+a plan-slot miss, before the miss is counted, so an ill-typed query fails
+with its own error, counts no miss and keeps no slot, or on every request
+when caching is off. The lifted query comes kept on the tree when an
+endpoint bound it from a kept shape (`mmw.runtime.protocol.QueryMemo`), and
+a plan key's hash is worked out once per lifted tree.
 
 Downstream bindings are fetched once at configure time; schema changes
 require an explicit reconfiguration, which bumps the mediator's epoch.
@@ -87,14 +98,38 @@ Reads = tuple[tuple[str, tuple[str, ...]], ...]
 # slots hold in all, beside the `cache_capacity` bound on their number; a
 # table of more than an eighth of it is served but not kept. A decoded table
 # takes about 180 bytes per cell and 260 with its response line kept
-# (tracemalloc, 150- and 200-row files), so full slots hold about 17 MB. A
-# round of a benchmark workload keeps at most 2 300 cells, none over 900.
+# (tracemalloc, 150- and 200-row files), so full slots hold about 17 MB. An
+# index a selection keeps on a table (`mmw.query.execute`) takes 90-225
+# bytes more per cell of the column it indexes when payloads are distinct
+# (integers least, timestamps most) and 13 for a column of four values
+# (tracemalloc, the 150-row join of the federate_cold workload); the two
+# columns its reads index add 25 bytes per cell of that join. Indexes are
+# not counted against this budget. A round of a benchmark workload keeps at
+# most 2 300 cells, none over 900.
 CACHE_CELLS = 1 << 16
 
 
 def _cells(table: Table) -> int:
     """The size a slot holding `table` counts toward `CACHE_CELLS`."""
     return len(table.rows) * len(table.schema.attributes)
+
+
+class _PlanKey(tuple):
+    """A plan slot's key, ("plan", the lifted query). A tree does not keep
+    its hash, and a deep one takes microseconds to hash, so the key's hash
+    is worked out once per lifted tree and kept on it, outside its fields;
+    an endpoint's kept shape shares one lifted tree among all its texts."""
+
+    __slots__ = ()
+
+    def __new__(cls, lifted: Query):
+        return super().__new__(cls, ("plan", lifted))
+
+    def __hash__(self) -> int:
+        kept = vars(self[1])
+        if "_plan_hash" not in kept:
+            kept["_plan_hash"] = tuple.__hash__(self)
+        return kept["_plan_hash"]
 
 
 def _reads(exec_plan: ExecutionPlan) -> Reads:
@@ -275,13 +310,12 @@ class Mediator(ComponentBase):
 
     def _answer(self, q: Query) -> tuple[Table, int, bool]:
         config = self._config
-        result_schema = infer_schema(q, config.product_env)
         caching = self.cache_capacity > 0
         # A query with no textual form has no result key, so it always misses.
         query_text = canonical_query_text(q) if caching else None
         key = None if query_text is None else ("result", query_text)
         # A kept result is probed over the reads kept beside it, so a hit
-        # plans nothing.
+        # plans nothing and type-checks nothing.
         token = reads = None
         slot = self._cache.get(key) if key is not None else None
         if slot is not None:
@@ -290,8 +324,20 @@ class Mediator(ComponentBase):
             if kept_token == token:
                 self._count_cache(True)
                 return kept, len(kept.rows), True
+        # A lifted query types as its bound query does, so the plan slot of
+        # q's shape keeps the result schema. Only a shape this configuration
+        # has not planned is type-checked, and an ill-typed query fails
+        # there, before it counts a miss.
+        lifted, values = lift_literals(q) if caching else (None, ())
+        plan_key = _PlanKey(lifted) if caching else None
+        prepared = self._kept(plan_key, config.generation)
+        if prepared is None:
+            result_schema = infer_schema(q, config.product_env)
         self._count_cache(False)
-        exec_plan, fixed_fetches, plan_reads = self._plan(q, config, caching)
+        if prepared is None:
+            prepared = self._prepare(q, lifted, plan_key, config, result_schema)
+        exec_plan, fixed_fetches, plan_reads, result_schema = prepared
+        exec_plan = bind_literals(exec_plan, values)
         if caching and plan_reads != reads:
             reads = plan_reads
             token = self.epoch(config=config, reads=reads)
@@ -324,10 +370,9 @@ class Mediator(ComponentBase):
                 self._keep(slot, join_token, table, _cells(table))
             return table
 
-        result = execute_plan(exec_plan, fetch, self.salt, join)
         # Client-facing schema comes from inference against the product
         # environment, not from plan internals.
-        result = Table(result_schema, result.rows)
+        result = execute_plan(exec_plan, fetch, self.salt, join, result_schema)
         self._keep(key, token, (result, reads), _cells(result))
         return result, len(result.rows), False
 
@@ -337,35 +382,36 @@ class Mediator(ComponentBase):
         remote_namespace = getattr(self.downstream[alias], "namespace", alias)
         return rewrite_namespaces(step.query, {alias: remote_namespace})
 
-    def _plan(
-        self, q: Query, config: _Configuration, caching: bool
-    ) -> tuple[ExecutionPlan, Mapping[QualifiedName, Query], Reads]:
-        """The plan of q: bound from the plan slot of q's shape, planned
-        into it on a miss, or planned afresh when caching is off; with the
-        `_translate` of each fetch that holds no placeholder, by
-        intermediate name, and the plan's `_reads`, as the slot keeps them."""
+    def _prepare(
+        self,
+        q: Query,
+        lifted: Optional[Query],
+        key: Optional[tuple],
+        config: _Configuration,
+        result_schema: RelationSchema,
+    ) -> tuple[ExecutionPlan, Mapping[QualifiedName, Query], Reads, RelationSchema]:
+        """What the plan slot under key keeps for q's shape, planned into it:
+        the plan of the `lifted` query, into which each request binds its
+        literals, the `_translate` of each fetch that holds no placeholder,
+        by intermediate name, the plan's `_reads` and the result schema.
+        With no key (caching off), q planned afresh."""
         views, bound, env = config.view_map, self.downstream.keys(), config.base_env
-        if not caching:
-            return plan(q, views, bound, env), {}, ()
-        lifted, values = lift_literals(q)
-        key = ("plan", lifted)
-        kept = self._kept(key, config.generation)
-        if kept is None:
-            try:
-                prepared = plan(lifted, views, bound, env)
-            except MeshError:
-                # Planning reads no literal value, so this fails again; the
-                # real query gives the error its own text.
-                exec_plan = plan(q, views, bound, env)
-                return exec_plan, {}, _reads(exec_plan)
-            kept = prepared, {
-                step.intermediate: self._translate(step)
-                for step in prepared.fetches
-                if not step.holds_placeholder
-            }, _reads(prepared)
-            self._keep(key, config.generation, kept)
-        prepared, fixed_fetches, reads = kept
-        return bind_literals(prepared, values), fixed_fetches, reads
+        if key is None:
+            return plan(q, views, bound, env), {}, (), result_schema
+        try:
+            prepared = plan(lifted, views, bound, env)
+        except MeshError:
+            # Planning reads no literal value, so this fails again; the
+            # real query gives the error its own text.
+            exec_plan = plan(q, views, bound, env)
+            return exec_plan, {}, _reads(exec_plan), result_schema
+        kept = prepared, {
+            step.intermediate: self._translate(step)
+            for step in prepared.fetches
+            if not step.holds_placeholder
+        }, _reads(prepared), result_schema
+        self._keep(key, config.generation, kept)
+        return kept
 
     def _kept(self, key, token):
         """The value kept under key while its token equals `token`, else None."""

@@ -29,9 +29,9 @@ caller may keep what it derives from one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import AbstractSet, Callable, Mapping, Sequence
+from typing import AbstractSet, Callable, Mapping, Optional, Sequence
 
 from mmw.errors import ConfigError, TypeCheckError, UnknownRelationError
 from mmw.relational import RelationSchema, Table, Value
@@ -54,6 +54,7 @@ from mmw.query.ast import (
     contains_hash_call,
     map_children,
     namespaces,
+    operands,
     predicate_attrs,
     scan_names,
 )
@@ -118,14 +119,80 @@ def _map_literals(node, fn):
 
 def lift_literals(q: Query) -> tuple[Query, tuple[Value, ...]]:
     """q with each literal replaced by a placeholder of the same kind, and
-    the literal values in placeholder order."""
-    values: list[Value] = []
+    the literal values in placeholder order, placeholder 0 first in the
+    query's text. The pair is worked out once and kept on the frozen tree,
+    outside its fields, as the tree keeps its canonical text; a tree an
+    endpoint binds from a kept shape (`mmw.runtime.protocol.QueryMemo`)
+    comes with it."""
+    lifted = vars(q).get("_lifted")
+    if lifted is None:
+        values: list[Value] = []
 
-    def lift(literal: Literal) -> Literal:
-        values.append(literal.value)
-        return Literal(Value(literal.value.kind, Placeholder(len(values) - 1)))
+        def lift(literal: Literal) -> Literal:
+            values.append(literal.value)
+            return Literal(Value(literal.value.kind, Placeholder(len(values) - 1)))
 
-    return _map_literals(q, lift), tuple(values)
+        lifted = _map_literals(q, lift), tuple(values)
+        keep_lifted(q, lifted)
+    return lifted
+
+
+def keep_lifted(q: Query, lifted: tuple[Query, tuple[Value, ...]]) -> None:
+    """Keep `lifted`, what `lift_literals` gives for q, on q."""
+    vars(q)["_lifted"] = lifted  # past the frozen __setattr__
+
+
+def _compile_binding(node) -> Optional[Callable[[tuple[Value, ...]], object]]:
+    """A function of the values that builds node, a tree, a tuple of trees
+    or a field of a node, with each placeholder bound to its value; it
+    rebuilds only the nodes over a placeholder. None when node holds no
+    placeholder, so binds to itself."""
+    if isinstance(node, Literal):
+        payload = node.value.payload
+        if not isinstance(payload, Placeholder):
+            return None
+        index = payload.index
+        return lambda values: Literal(values[index])
+    if isinstance(node, tuple):
+        parts, make = node, lambda *built: built
+    elif isinstance(node, (Query, Predicate, Expr, ProjectItem)):
+        parts, make = [getattr(node, field.name) for field in fields(node)], type(node)
+    else:
+        return None
+    builders = [_compile_binding(part) for part in parts]
+    if not any(builders):
+        return None
+    builders = [
+        builder or (lambda values, part=part: part) for builder, part in zip(builders, parts)
+    ]
+    return lambda values: make(*[build(values) for build in builders])
+
+
+# Bindings of a tree by walking it before its binding function is compiled:
+# compiling one costs about three walks of its tree.
+_WALKS = 3
+
+
+def bind_query(lifted: Query, values: tuple[Value, ...]) -> Query:
+    """A lifted query, or a tree of one, with its placeholders bound to
+    `values`. The first `_WALKS` bindings of a tree walk it, as most trees
+    of a fresh mesh are bound once or twice; the next compiles its binding
+    function and keeps it on the tree, outside its fields, as a kept shape
+    or plan is bound on every read."""
+    kept = vars(lifted)
+    binder = kept.get("_binder")
+    if binder is None:
+        walks = kept.get("_walks", 0)
+        if walks < _WALKS:
+            kept["_walks"] = walks + 1
+
+            def bind(literal: Literal) -> Literal:
+                payload = literal.value.payload
+                return Literal(values[payload.index]) if isinstance(payload, Placeholder) else literal
+
+            return _map_literals(lifted, bind)
+        binder = kept["_binder"] = _compile_binding(lifted) or False
+    return binder(values) if binder else lifted
 
 
 def bind_literals(exec_plan: ExecutionPlan, values: tuple[Value, ...]) -> ExecutionPlan:
@@ -134,20 +201,15 @@ def bind_literals(exec_plan: ExecutionPlan, values: tuple[Value, ...]) -> Execut
     each fetch step whose query holds no placeholder."""
     if not values:
         return exec_plan
-
-    def bind(literal: Literal) -> Literal:
-        payload = literal.value.payload
-        return Literal(values[payload.index]) if isinstance(payload, Placeholder) else literal
-
     return ExecutionPlan(
         tuple(
-            FetchStep(step.namespace, _map_literals(step.query, bind), step.intermediate)
+            FetchStep(step.namespace, bind_query(step.query, values), step.intermediate)
             if step.holds_placeholder
             else step
             for step in exec_plan.fetches
         ),
         exec_plan.joins,
-        _map_literals(exec_plan.residual, bind),
+        bind_query(exec_plan.residual, values),
     )
 
 
@@ -160,12 +222,6 @@ def substitute(node, mapping: Mapping[str, Expr]):
     if isinstance(node, AttrRef):
         return mapping.get(node.name, node)
     return map_children(node, lambda child: substitute(child, mapping))
-
-
-def _conjuncts(predicate: Predicate) -> list[Predicate]:
-    if isinstance(predicate, LogicalAnd):
-        return _conjuncts(predicate.left) + _conjuncts(predicate.right)
-    return [predicate]
 
 
 def _and_all(conjuncts: Sequence[Predicate]) -> Predicate:
@@ -181,7 +237,8 @@ def _and_all(conjuncts: Sequence[Predicate]) -> Predicate:
 def push_down_selects(q: Query, env: Environment) -> Query:
     """Sink selections toward scans; single-side conjuncts cross joins."""
     if isinstance(q, Select):
-        return _apply_conjuncts(push_down_selects(q.child, env), _conjuncts(q.predicate), env)
+        conjuncts = operands(q.predicate, LogicalAnd)
+        return _apply_conjuncts(push_down_selects(q.child, env), conjuncts, env)
     return map_children(q, lambda child: push_down_selects(child, env))
 
 
@@ -191,7 +248,7 @@ def _apply_conjuncts(node: Query, conjuncts: list[Predicate], env: Environment) 
     if isinstance(node, Scan):
         return Select(node, _and_all(conjuncts))
     if isinstance(node, Select):
-        return _apply_conjuncts(node.child, _conjuncts(node.predicate) + conjuncts, env)
+        return _apply_conjuncts(node.child, operands(node.predicate, LogicalAnd) + conjuncts, env)
     if isinstance(node, Join):
         left_names = set(infer_schema(node.left, env).attribute_names)
         right_names = set(infer_schema(node.right, env).attribute_names) - {
@@ -389,11 +446,13 @@ def execute_plan(
     fetch: Callable[[FetchStep], Table],
     salt: str = "",
     join: Callable[[JoinStep, Callable[[], Table]], Table] = lambda step, compute: compute(),
+    schema: Optional[RelationSchema] = None,
 ) -> Table:
     """Run fetch steps in order, then join steps, then the residual locally;
     the residual's scans name each table after its intermediate relation.
     `join(step, compute)` gives a join step's table, where `compute()`
-    evaluates it over the fetched tables."""
+    evaluates it over the fetched tables. A caller that has typed the
+    planned query passes its `schema`, which the answer takes (`execute`)."""
     db: dict[QualifiedName, Table] = {}
     for step in exec_plan.fetches:
         db[step.intermediate] = fetch(step)
@@ -401,4 +460,4 @@ def execute_plan(
         # Each fetch is scanned once, here or in the residual.
         inputs = {name: db.pop(name) for name in scan_names(step.query)}
         db[step.intermediate] = join(step, lambda: evaluate(step.query, inputs))
-    return evaluate(exec_plan.residual, db, salt)
+    return evaluate(exec_plan.residual, db, salt, schema)

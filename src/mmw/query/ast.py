@@ -213,6 +213,14 @@ def rewrite_namespaces(q: Query, mapping: dict[str, str]) -> Query:
     return map_children(q, lambda child: rewrite_namespaces(child, mapping))
 
 
+def operands(predicate: Predicate, connective: type) -> list[Predicate]:
+    """The operands of predicate's chain of `connective` (`LogicalAnd` or
+    `LogicalOr`), left to right; [predicate] when it is no such node."""
+    if isinstance(predicate, connective):
+        return operands(predicate.left, connective) + operands(predicate.right, connective)
+    return [predicate]
+
+
 def predicate_attrs(predicate: Predicate) -> set[str]:
     return {node.name for node in walk(predicate) if isinstance(node, AttrRef)}
 

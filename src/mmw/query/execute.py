@@ -3,7 +3,7 @@
 `Wrapper.execute` and `planner.execute_plan` run every query through
 `execute`. Its contract is `evaluate`'s: the same schema, the same rows in the
 same order and the same error classes. `query/evaluate.py` stays the oracle
-that this module is checked against, and it differs from it in three ways only:
+that this module is checked against, and it differs from it in four ways only:
 
 - An equi-join builds a hash table on its right input, keyed by the
   ``(kind, payload)`` tuple of the join cells, and probes it with the left
@@ -29,11 +29,29 @@ that this module is checked against, and it differs from it in three ways only:
   or with a null literal is unknown for every row, and no cell's kind is
   checked. Connectives combine whole columns of True, False and None
   (unknown) under the same Kleene logic.
+- A `Select` over a `Scan` whose table is selected from a second time
+  answers `attr = literal` (or `literal = attr`) with a literal of the
+  column's own kind from a hash index of the column, `(kind, payload)` to
+  row positions as `_join_key` keys a cell, null cells left out (database
+  cracking: Idreos, Kersten and Manegold, CIDR 2007, indexes only what a
+  query touches again). An OR of such terms holds exactly in the sorted
+  union of their rows, so no row is tested; an AND tests the whole
+  predicate on the rows of one such term or OR. Anything else, a NOT, a
+  null or another kind's literal among them, keeps the scan and its Kleene
+  results. The first selection only marks the table; the second builds
+  the column's index into a local and installs it on the frozen table,
+  outside its fields, by one assignment. Tables are immutable, so an
+  index never goes stale, and it dies with its table, as with the join a
+  mediator's join slot keeps. A scan shares its table's rows, and a caller
+  that has typed the query may hand `execute` the answer's schema, so a
+  projection at the top works out none.
 
 `tests/test_execute.py` holds it to the oracle: a seeded differential test
 over random queries (unions, chained joins, nullable columns, salted hashes)
 compares schemas and row lists in order, hand-built joins cover null keys,
-mixed kinds and duplicate keys, and a scaling check keeps the join linear.
+mixed kinds and duplicate keys, a scaling check keeps the join linear, and
+a seeded differential selects from one kept table before and after its
+indexes, from one thread and from four.
 `tests/test_selective_load.py` holds the payload compiler to
 `_compile_predicate`, row by row, over the payloads and values both file
 readers make of the same cells.
@@ -67,6 +85,7 @@ from mmw.query.ast import (
     Scan,
     Select,
     Union,
+    operands,
 )
 from mmw.query.evaluate import REDACTED, _TRUE_ORDERINGS, _index, hash_value
 from mmw.query.infer import (
@@ -320,6 +339,67 @@ def _compile_payload_predicate(predicate: Predicate, schema: RelationSchema) -> 
     raise TypeError(f"unknown predicate {type(predicate).__name__}")
 
 
+def _equality_key(
+    predicate: Predicate, index: Mapping[str, int], schema: RelationSchema
+) -> Optional[tuple[int, tuple]]:
+    """`(position, key)` when `predicate` is `attr = literal` or `literal =
+    attr` with a literal of the attribute's own kind: then it holds exactly
+    in the rows whose cell at `position` has the `(kind, payload)` key, as
+    `_join_key` keys a cell. None otherwise."""
+    if not (isinstance(predicate, Comparison) and predicate.op is CompareOp.EQ):
+        return None
+    attr, literal = predicate.left, predicate.right
+    if isinstance(attr, Literal):
+        attr, literal = literal, attr
+    if not (isinstance(attr, AttrRef) and isinstance(literal, Literal) and attr.name in index):
+        return None
+    position, value = index[attr.name], literal.value
+    if value.kind is not schema.attributes[position].data_type:
+        return None
+    return position, (value.kind, value.payload)
+
+
+def _column_index(table: Table, position: int) -> dict[tuple, list[int]]:
+    """The positions of table's rows by the `(kind, payload)` of their cell
+    at `position`, null cells left out: built once and kept on the frozen
+    table, outside its fields, as its table response is. A table is
+    immutable, so the index never goes stale; it lives and dies with the
+    table, as the one a mediator's join slot keeps."""
+    indexes = vars(table)["_indexes"]
+    index = indexes.get(position)
+    if index is None:
+        index = {}
+        for row_position, row in enumerate(table.rows):
+            cell = row[position]
+            if cell.kind is not Kind.NULL:
+                index.setdefault((cell.kind, cell.payload), []).append(row_position)
+        indexes[position] = index  # built aside, installed by one assignment
+    return index
+
+
+def _indexed_positions(
+    predicate: Predicate, table: Table, index: Mapping[str, int]
+) -> Optional[tuple[list[int], bool]]:
+    """The positions, in row order, of the rows of `table` where `predicate`
+    may hold, from the indexes of its columns, and whether it holds in
+    every one of them; None when no index answers it, or on the table's
+    first selection, which only marks it as selected. An OR of indexed
+    equalities holds exactly in the union of their rows; an AND of terms
+    holds at most in the rows of one that is such an OR."""
+    for conjunct in operands(predicate, LogicalAnd):
+        keys = [_equality_key(term, index, table.schema) for term in operands(conjunct, LogicalOr)]
+        if None in keys:
+            continue
+        if "_indexes" not in vars(table):
+            vars(table).setdefault("_indexes", {})  # index on the next selection
+            return None
+        found: set[int] = set()
+        for position, key in keys:
+            found.update(_column_index(table, position).get(key, ()))
+        return sorted(found), conjunct is predicate
+    return None
+
+
 def _join_key(row: Row, positions: list[int]) -> Optional[tuple]:
     """The hash key of a row's join cells; None when one of them is null."""
     key = []
@@ -331,25 +411,47 @@ def _join_key(row: Row, positions: list[int]) -> Optional[tuple]:
     return tuple(key)
 
 
-def execute(q: Query, db: Mapping[QualifiedName, Table], salt: str = "") -> Table:
-    """Evaluate q over base tables exactly as `evaluate` does, in the same row order."""
+def execute(
+    q: Query,
+    db: Mapping[QualifiedName, Table],
+    salt: str = "",
+    schema: Optional[RelationSchema] = None,
+) -> Table:
+    """Evaluate q over base tables exactly as `evaluate` does, in the same
+    row order. A caller that has typed q may pass the answer's `schema`,
+    which the answer takes in place of its own; a projection at the top
+    then works out no schema of its own."""
+    if schema is not None and not (isinstance(q, Project) and q.items is not None):
+        return Table(schema, execute(q, db, salt).rows)
     if isinstance(q, Scan):
         table = db.get(q.name)
         if table is None:
             raise UnknownRelationError(f"unknown relation {q.name}")
-        return Table(table.schema.rename(q.name.relation), table.rows)
+        return table.renamed(q.name.relation)
     if isinstance(q, Select):
         child = execute(q.child, db, salt)
         if not child.rows:
             # The oracle never looks at the predicate of an empty input.
             return child
-        test = _compile_predicate(q.predicate, _index(child), salt)
-        return Table(child.schema, [row for row in child.rows if test(row) is True])
+        rows, index = child.rows, _index(child)
+        # The scanned table itself, which a caller may keep and select from
+        # again, such as a mediator's join slot.
+        indexed = None
+        if isinstance(q.child, Scan):
+            indexed = _indexed_positions(q.predicate, db[q.child.name], index)
+        if indexed is not None:
+            positions, exact = indexed
+            if exact:
+                return Table(child.schema, [rows[position] for position in positions])
+            rows = [rows[position] for position in positions]
+        test = _compile_predicate(q.predicate, index, salt)
+        return Table(child.schema, [row for row in rows if test(row) is True])
     if isinstance(q, Project):
         child = execute(q.child, db, salt)
         if q.items is None:
             return child
-        schema = project_output_schema(child.schema, q.items)
+        if schema is None:
+            schema = project_output_schema(child.schema, q.items)
         index = _index(child)
         items = [_compile_expr(item.expr, index, salt) for item in q.items]
         return Table(schema, [tuple([item(row) for item in items]) for row in child.rows])

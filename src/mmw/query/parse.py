@@ -20,7 +20,7 @@ tabs, line breaks and '--' line comments separate tokens. View files hold
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from mmw.errors import QuerySyntaxError
 from mmw.relational import Value, is_identifier
@@ -102,6 +102,40 @@ _TOKEN_RE = re.compile(
       | (?P<BAD>.)""",
     re.VERBOSE | re.DOTALL,
 )
+
+
+def _read_integer(text: str) -> Value:
+    return Value.integer(int(text))
+
+
+def scan_shape(source: str) -> Optional[tuple[tuple, list[tuple[Callable[[str], Value], str]]]]:
+    """The shape key of a query text and its literals, from one pass of
+    `_TOKEN_RE` that builds no `Token`: the key is the token sequence with
+    spaces and comments dropped, keywords upper-cased and each NUMBER or
+    STRING literal replaced by the function the parser reads it with; the
+    literals are each such function with its token's text, unquoted, in
+    text order. Texts of one key differ only in their literals' texts and
+    in spacing, comments and keyword case. None when the text holds a
+    character no token starts with, whose error only the parser gives."""
+    key: list = []
+    literals: list[tuple[Callable[[str], Value], str]] = []
+    for skip, string, number, word, op, bad in _TOKEN_RE.findall(source):
+        if word:
+            upper = word.upper()
+            key.append(upper if upper in KEYWORDS else word)
+        elif op:
+            key.append(op)
+        elif number:
+            read = Value.decimal if "." in number else _read_integer
+            key.append(read)
+            literals.append((read, number))
+        elif string:
+            read = Value.timestamp if key and key[-1] == "TIMESTAMP" else Value.text
+            key.append(read)
+            literals.append((read, string[1:-1].replace("''", "'")))
+        elif not skip:
+            return None
+    return tuple(key), literals
 
 
 def tokenize(source: str) -> list[Token]:
@@ -312,9 +346,7 @@ class _Parser:
         token = self.tokens[self.pos]
         if token.type == "NUMBER":
             self.advance()
-            if "." in token.text:
-                return self.literal(token, Value.decimal)
-            return self.literal(token, lambda text: Value.integer(int(text)))
+            return self.literal(token, Value.decimal if "." in token.text else _read_integer)
         if token.type == "STRING":
             self.advance()
             return Literal(Value.text(token.text))

@@ -391,6 +391,13 @@ class Table:
         # Through a list, so the tuple is made at its final size.
         object.__setattr__(self, "rows", tuple([tuple(row) for row in rows]))
 
+    def renamed(self, name: str) -> "Table":
+        """The table under the relation name `name`, sharing its rows."""
+        table = object.__new__(Table)
+        object.__setattr__(table, "schema", self.schema.rename(name))
+        object.__setattr__(table, "rows", self.rows)
+        return table
+
     def row_bag(self) -> Counter:
         return Counter(_row_identity(row) for row in self.rows)
 

@@ -28,8 +28,24 @@ neither parsed nor rendered again anywhere on its path. Like every `Memo`,
 it is a `mmw.kept.Kept` store: it keeps at most `QUERY_MEMO_ENTRIES` texts,
 least recently used first out, and only texts of at most
 `QUERY_MEMO_TEXT_CHARS` characters; a longer text is parsed on every
-request. A text that fails to parse is never kept. The memo
-lives and dies with its endpoint: `ProtocolServer.close` empties it.
+request. A text that fails to parse is never kept.
+
+An endpoint parses each query shape once. On a miss of a text of at most
+`QUERY_MEMO_TEXT_CHARS` characters, the memo scans it once
+(`mmw.query.parse.scan_shape`) into its shape key, the tokens with spaces
+and comments dropped, keywords upper-cased and each literal replaced by
+the parser's reader of it (integer, decimal, text, or timestamp after
+TIMESTAMP), and looks the key up in a second `Kept` of at most
+`QUERY_MEMO_ENTRIES` shapes. A shape keeps the lifted tree
+(`mmw.planner.lift_literals`) and the source of each placeholder: the
+literal token that fills it, or the keyword constant TRUE, FALSE or NULL
+it lifted. The first text of a shape is parsed, and its shape is kept only
+when binding the text's own literals rebuilds the parsed tree. A later
+text's literals are read with the parser's readers and bound into the
+lifted tree; if a reader refuses one, the text is parsed, so every error
+is the parser's. A bound tree keeps its lifted pair, so a mediator lifts
+nothing. Both maps live and die with their endpoint:
+`ProtocolServer.close` empties them.
 
 A repeated answer is encoded, decoded and rendered once. Each kept form is
 keyed by the exact object or bytes it is a pure function of, and tables,
@@ -53,7 +69,8 @@ import logging
 import socket
 import socketserver
 import threading
-from typing import Optional
+from functools import partial
+from typing import NamedTuple, Optional
 
 from mmw.codec import (
     attribute_from_obj,
@@ -74,9 +91,11 @@ from mmw.errors import (
 )
 from mmw.kept import Kept
 from mmw.mask import FORMATS, Rendering
-from mmw.query.parse import MAX_DEPTH, parse_query
+from mmw.planner import bind_query, keep_lifted, lift_literals
+from mmw.query.ast import Query
+from mmw.query.parse import MAX_DEPTH, parse_query, scan_shape
 from mmw.query.render import render_query
-from mmw.relational import RelationSchema, Table, is_identifier
+from mmw.relational import RelationSchema, Table, Value, is_identifier
 
 logger = logging.getLogger(__name__)
 
@@ -251,14 +270,89 @@ class Memo(Kept):
         return value
 
 
+# The keyword constants, each a literal of its own shape.
+_CONSTANTS = {"TRUE": Value.boolean(True), "FALSE": Value.boolean(False), "NULL": Value.null()}
+
+
+class _Shape(NamedTuple):
+    """A parsed shape: the lifted tree, and the source of each placeholder,
+    the index of the literal token that fills it or the value of the
+    keyword constant (TRUE, FALSE, NULL) it lifted."""
+
+    lifted: Query
+    sources: tuple[int | Value, ...]
+
+
+def _shape_of(query: Query, key: tuple, literals: list) -> Optional[_Shape]:
+    """The shape of a query parsed from a text of shape key, when binding
+    that text's own literals rebuilds the query; None otherwise."""
+    lifted, values = lift_literals(query)
+    serial = iter(range(len(literals)))
+    shape = _Shape(
+        lifted,
+        tuple(
+            next(serial) if callable(part) else _CONSTANTS[part]  # a reader marks a literal token
+            for part in key
+            if callable(part) or part in _CONSTANTS
+        ),
+    )
+    if len(shape.sources) != len(values) or _bind_shape(shape, literals) != query:
+        return None
+    return shape
+
+
+def _bind_shape(shape: _Shape, literals: list) -> Optional[Query]:
+    """The tree of a text of the shape with these literals, keeping its
+    lifted pair; None when a literal's reader refuses its text."""
+    try:
+        values = tuple(
+            source if type(source) is not int else literals[source][0](literals[source][1])
+            for source in shape.sources
+        )
+    except ValueError:
+        return None
+    query = bind_query(shape.lifted, values)
+    keep_lifted(query, (shape.lifted, values))
+    return query
+
+
+def _parse(shapes: Kept, text: str) -> Query:
+    """The query of a text the memo does not hold: bound from the kept
+    shape of its key in `shapes`, or parsed, its shape then kept."""
+    # parse_query is looked up on each call, where tracers replace it.
+    if len(text) > QUERY_MEMO_TEXT_CHARS:
+        return parse_query(text)
+    scanned = scan_shape(text)
+    if scanned is None:
+        return parse_query(text)
+    key, literals = scanned
+    shape = shapes.get(key)
+    if shape is not None:
+        query = _bind_shape(shape, literals)
+        # A literal its reader refuses is the parser's error to give.
+        return parse_query(text) if query is None else query
+    query = parse_query(text)
+    shape = _shape_of(query, key, literals)
+    if shape is not None:
+        shapes.put(key, shape)
+    return query
+
+
 class QueryMemo(Memo):
-    """An endpoint's map from a query text to its parsed query; see the
-    module docstring. Query trees are frozen, so every request of an
-    endpoint may share one."""
+    """An endpoint's map from a query text to its parsed query, and from a
+    shape key to its `_Shape`; see the module docstring. Query trees are
+    frozen, so every request of an endpoint may share one."""
 
     def __init__(self):
-        # parse_query is looked up on each miss, where tracers replace it.
-        super().__init__(lambda text: parse_query(text), QUERY_MEMO_ENTRIES, QUERY_MEMO_TEXT_CHARS)
+        # Bound to the shapes alone, so the memo refers to nothing that
+        # refers back to it.
+        shapes = Kept(QUERY_MEMO_ENTRIES)
+        super().__init__(partial(_parse, shapes), QUERY_MEMO_ENTRIES, QUERY_MEMO_TEXT_CHARS)
+        self.shapes = shapes
+
+    def clear(self) -> None:
+        super().clear()
+        self.shapes.clear()
 
 
 def handle_request(component, request: dict, queries: QueryMemo) -> dict:

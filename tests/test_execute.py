@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+import threading
 import time
 
 import pytest
 
+import mmw.query.execute
 from mmw.errors import TypeCheckError, UnknownRelationError
 from mmw.query.ast import (
     AttrRef,
@@ -21,7 +24,9 @@ from mmw.query.ast import (
     Expr,
     Join,
     Literal,
+    LogicalAnd,
     LogicalNot,
+    LogicalOr,
     Predicate,
     Project,
     ProjectItem,
@@ -285,3 +290,136 @@ class TestUnknownClasses:
         db = {L: Table(RelationSchema("l", [Attribute("k", Kind.INTEGER)]), [])}
         q = Select(Scan(L), _Strange())
         assert execute(q, db).rows == evaluate(q, db).rows == ()
+
+
+# A kept table's columns: one per kind an index keys, all nullable. Each
+# column's cells come from a small pool, so payloads repeat, and now and then
+# a cell of another kind with an equal payload stands in, as `_mix_kinds`
+# makes them: integer 1, decimal 1 and boolean true must stay apart.
+KEPT = QualifiedName("m", "kept")
+KEPT_SCHEMA = RelationSchema(
+    "kept",
+    [
+        Attribute("i", Kind.INTEGER, nullable=True),
+        Attribute("d", Kind.DECIMAL, nullable=True),
+        Attribute("b", Kind.BOOLEAN, nullable=True),
+        Attribute("s", Kind.TEXT, nullable=True),
+    ],
+)
+CELL_POOLS = {
+    "i": [I(0), I(1), I(2), I(-3)],
+    "d": [Value.decimal("1"), Value.decimal("0.5"), Value.decimal("-2.25")],
+    "b": [Value.boolean(True), Value.boolean(False)],
+    "s": [T(""), T("a"), T("it's"), T("1")],
+}
+STRANGERS = [I(1), Value.decimal("1"), Value.boolean(True), T("1")]
+OPS = [CompareOp.EQ] * 4 + [CompareOp.NE, CompareOp.LT, CompareOp.GE]
+
+
+def random_kept_table(rng: random.Random, rows: int) -> Table:
+    def cell(name):
+        roll = rng.random()
+        if roll < 0.15:
+            return N
+        if roll < 0.25:
+            return rng.choice(STRANGERS)
+        return rng.choice(CELL_POOLS[name])
+
+    names = KEPT_SCHEMA.attribute_names
+    return Table(KEPT_SCHEMA, [tuple(cell(name) for name in names) for _ in range(rows)])
+
+
+def random_kept_predicate(rng: random.Random, depth: int = 3) -> Predicate:
+    roll = rng.random()
+    if depth == 0 or roll < 0.35:
+        name = rng.choice(KEPT_SCHEMA.attribute_names)
+        pick = rng.random()
+        pool = [N] if pick < 0.08 else STRANGERS if pick < 0.2 else CELL_POOLS[name]
+        attr, value = AttrRef(name), Literal(rng.choice(pool))
+        op = rng.choice(OPS)
+        return Comparison(value, op, attr) if rng.random() < 0.3 else Comparison(attr, op, value)
+    if roll < 0.9:
+        left, right = random_kept_predicate(rng, depth - 1), random_kept_predicate(rng, depth - 1)
+        return (LogicalOr if roll < 0.6 else LogicalAnd)(left, right)
+    return LogicalNot(random_kept_predicate(rng, depth - 1))
+
+
+def indexed_columns(table: Table) -> int:
+    return len(vars(table).get("_indexes", ()))
+
+
+class TestIndexedSelection:
+    """A selection over a scan of a table a caller keeps, such as a
+    mediator's join slot, answers OR and AND mixes of `attr = literal` from
+    an index of the table's column once it is selected from a second time.
+    Its rows, in order, are the oracle's, before the index and after it."""
+
+    def test_seeded_selections_over_one_kept_table_match_the_oracle(self):
+        rng = random.Random(3200)
+        indexed = 0
+        for case in range(300):
+            table = random_kept_table(rng, rng.choice([0, 1, 5, 40]))
+            db = {KEPT: table}
+            for _ in range(6):
+                q = Select(Scan(KEPT), random_kept_predicate(rng))
+                if rng.random() < 0.3:
+                    q = Project(q, [ProjectItem(AttrRef("s"), "s"), ProjectItem(AttrRef("i"), "n")])
+                for _ in range(3):  # marks, then builds an index, then reads it
+                    assert_same_as_oracle(q, db)
+            indexed += indexed_columns(table) > 0
+        assert indexed > 150
+
+    def test_an_or_of_equalities_reads_only_the_index(self, monkeypatch):
+        table = random_kept_table(random.Random(3201), 50)
+        db = {KEPT: table}
+        q = Select(
+            Scan(KEPT),
+            LogicalOr(
+                Comparison(AttrRef("i"), CompareOp.EQ, Literal(I(1))),
+                Comparison(Literal(T("a")), CompareOp.EQ, AttrRef("s")),
+            ),
+        )
+        assert_same_as_oracle(q, db)
+        assert vars(table)["_indexes"] == {}  # marked on the first selection
+        assert_same_as_oracle(q, db)
+        assert sorted(vars(table)["_indexes"]) == [0, 3]
+        # A third selection reads the kept index and compiles no predicate.
+        def refuse(*args):
+            raise AssertionError("an indexed OR of equalities compiled its predicate")
+
+        monkeypatch.setattr(mmw.query.execute, "_compile_predicate", refuse)
+        assert_same_as_oracle(q, db)
+
+    def test_four_threads_on_one_kept_table_match_the_oracle(self):
+        rng = random.Random(3202)
+        table = random_kept_table(rng, 60)
+        db = {KEPT: table}
+        cases = []
+        for _ in range(80):
+            q = Select(Scan(KEPT), random_kept_predicate(rng))
+            cases.append((q, evaluate(q, db).rows))
+        failures: list[str] = []
+        interval = sys.getswitchinterval()
+
+        def reader(seed: int) -> None:
+            order = random.Random(seed)
+            try:
+                for _ in range(3):
+                    for q, expected in order.sample(cases, len(cases)):
+                        if execute(q, db).rows != expected:
+                            failures.append(repr(q.predicate))
+            except Exception as exc:  # reported below, not lost in the thread
+                failures.append(repr(exc))
+
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert indexed_columns(table) == 4

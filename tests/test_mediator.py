@@ -15,6 +15,8 @@ import pytest
 import mmw.component
 import mmw.mediator
 import mmw.planner
+import mmw.query.execute
+import mmw.runtime.protocol
 from mmw.adapters import DelimitedDirAdapter, DocLinesAdapter, MemoryAdapter
 from mmw.errors import (
     AccessDeniedError,
@@ -195,19 +197,20 @@ class TestConfigurationSnapshot:
         self, capacity, monkeypatch
     ):
         mediator, answers = flip_mediator(capacity)
-        real = mmw.mediator.infer_schema
+        real = mediator._count_cache
         rng = random.Random(16)
         flips = 0
 
-        def infer_then_maybe_flip(q, env):
+        # Every request counts a hit or a miss once it has read its
+        # configuration, and a miss does so before it plans.
+        def count_then_maybe_flip(hit):
             nonlocal flips
-            schema = real(q, env)
+            real(hit)
             if rng.random() < 0.5:
                 flips += 1
                 mediator.reconfigure(views=FLIP_VIEWS[flips % 2])
-            return schema
 
-        monkeypatch.setattr(mmw.mediator, "infer_schema", infer_then_maybe_flip)
+        monkeypatch.setattr(mediator, "_count_cache", count_then_maybe_flip)
         for _ in range(60):
             assert_answer_of_one_configuration(
                 mediator.execute(parse_query("SELECT * FROM prod.v")), answers
@@ -567,6 +570,64 @@ class TestBenchmarkTraffic:
         assert sum(cells.values()) <= mmw.mediator.CACHE_CELLS
 
 
+    def test_a_cold_round_parses_and_types_each_shape_once_and_selects_by_index(
+        self, tmp_path, monkeypatch
+    ):
+        # Every read of a federate_cold round has new literals, so each
+        # misses the mediator's result slots; its per-shape work is done on
+        # the first read of the shape alone.
+        workload = load_workloads().FederateCold(1, "tiny", tmp_path)
+        parses: list[str] = []
+        infers: list[str] = []
+        for module, name, calls in (
+            (mmw.runtime.protocol, "parse_query", parses),
+            (mmw.mediator, "infer_schema", infers),
+        ):
+            real = getattr(module, name)
+
+            def counted(q, *args, real=real, calls=calls):
+                calls.append(q)
+                return real(q, *args)
+
+            monkeypatch.setattr(module, name, counted)
+        read = 0
+        indexed: dict[int, list[bool]] = {}
+        real_indexed = mmw.query.execute._indexed_positions
+
+        def recorded(*args):
+            found = real_indexed(*args)
+            indexed.setdefault(read, []).append(found is not None)
+            return found
+
+        monkeypatch.setattr(mmw.query.execute, "_indexed_positions", recorded)
+        workload.prepare()
+        workload.setup()
+        try:
+            for read, op in enumerate(workload.ops):
+                assert workload.check(op, workload.perform(op)) == "ok"
+            shapes = {
+                component_id: server._server.queries.shapes
+                for component_id, server in workload.mesh.servers.items()
+            }
+            info = workload.mediator().cache_info()
+        finally:
+            workload.teardown()
+        reads = len(workload.ops)
+        assert reads >= 4
+        # One parse per shape, not per read: each endpoint parsed the first
+        # text of each shape it met and bound every later one.
+        assert len(parses) == sum(store.misses for store in shapes.values()) == 3
+        mediator_shapes = shapes[workload.mediator_id]
+        assert (mediator_shapes.misses, mediator_shapes.hits) == (1, reads - 1)
+        # No type check on a plan-slot hit.
+        assert (info["plan_slots"], info["plan_hits"]) == (1, reads - 1)
+        assert len(infers) == 1
+        # The residual selection over the kept join: the first read marks
+        # the join's table, and every read after the second takes its index.
+        assert sorted(indexed) == list(range(reads))
+        assert all(all(indexed[later]) for later in range(2, reads))
+
+
 PAIRS = RelationSchema("pairs", [Attribute("id", Kind.INTEGER), Attribute("name", Kind.TEXT)])
 
 
@@ -915,6 +976,35 @@ class TestPlanAndJoinSlots:
         if isinstance(expected[0], list):  # answered, so it was planned
             assert warm.cache_info()["plan_slots"] == plans + 1
             assert warm.cache_info()["plan_hits"] == 0
+
+    @pytest.mark.parametrize("capacity", [0, 64])
+    def test_only_a_new_shape_is_type_checked_and_an_ill_typed_one_counts_no_miss(
+        self, capacity, monkeypatch
+    ):
+        mediator = self._join_mediator(capacity)
+        checked: list = []
+        real = mmw.mediator.infer_schema
+
+        def counted(q, env):
+            checked.append(q)
+            return real(q, env)
+
+        monkeypatch.setattr(mmw.mediator, "infer_schema", counted)
+        for oid in (10, 11, 12):
+            mediator.execute(parse_query(f"SELECT * FROM prod.v WHERE oid = {oid} OR name = 'ada'"))
+        # Cache off type-checks every request; a plan-slot hit none.
+        assert len(checked) == (3 if capacity == 0 else 1)
+        stats, info = mediator.stats(), mediator.cache_info()
+        ill_typed = parse_query("SELECT * FROM prod.v WHERE oid = 'x' OR name = 'ada'")
+        with pytest.raises(TypeCheckError) as err:
+            mediator.execute(ill_typed)
+        cold = self._join_mediator(0)
+        assert outcome(lambda: cold.execute(ill_typed)) == (TypeCheckError, err.value.message)
+        assert mediator.access_log[-1].outcome == "error"
+        after = mediator.stats()
+        assert after["cache_misses"] == stats["cache_misses"]
+        assert after["errors"] == stats["errors"] + 1
+        assert mediator.cache_info() == info
 
     def test_unplannable_query_fails_alike_cold_and_warm(self, monkeypatch):
         q = parse_query("SELECT * FROM nowhere.v WHERE oid = 1")

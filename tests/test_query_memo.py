@@ -26,6 +26,7 @@ from mmw.mask import Mask
 from mmw.mediator import Mediator
 from mmw.query.ast import AttrRef, Project, ProjectItem, QualifiedName, Scan
 from mmw.query.evaluate import evaluate
+from mmw.planner import lift_literals
 from mmw.query.parse import parse_query, tokenize
 from mmw.query.render import RenderError, render_query
 from mmw.relational import Attribute, Kind, RelationSchema, Value
@@ -127,6 +128,97 @@ class TestQueryMemo:
         assert len(memo) == QUERY_MEMO_ENTRIES
 
 
+# Literal texts by what the parser reads them as; a small pool, so equal
+# literals repeat within a text and across texts of one shape, and some that
+# the parser's reader refuses.
+INTEGER_TEXTS = ("0", "1", "-1", "7", "-42", "9223372036854775807", "-9223372036854775808")
+BAD_INTEGER_TEXTS = ("9223372036854775808", "-9223372036854775809", "1" + "0" * 30)
+DECIMAL_TEXTS = ("0.0", "-0.5", "3.25", "1.0", "-0.000", "12345678901234567890.125")
+STRING_TEXTS = ("", "ada", "it's", "''", "a -- b", "x\ny", "SELECT", "7")
+TIMESTAMP_TEXTS = ("2024-02-29T23:59:59Z", "0001-01-01T00:00:00Z", "2023-10-21T01:02:03Z")
+BAD_TIMESTAMP_TEXTS = ("2023-02-29T00:00:00Z", "2024-13-01T00:00:00Z", "2024-01-01 00:00:00")
+SHAPE_TEMPLATES = (
+    "SELECT * FROM w1.r0 WHERE k0 = {i} OR k0 = {i}",
+    "SELECT a, b FROM w.r WHERE a = {s} AND NOT b >= {d} OR c <> {i}",
+    "SELECT a FROM w.r WHERE t < TIMESTAMP {t} AND f = TRUE OR g = FALSE AND h = NULL",
+    "SELECT concat(a, {s}) AS c, hash(b) AS h FROM w.r WHERE {i} = a UNION SELECT c, h FROM w.s",
+    "SELECT a FROM w.r JOIN w.s ON a = b WHERE (a = {i} OR b = {i}) AND c = {s}",
+    "SELECT a FROM w.r WHERE a = {d} OR a = {d} OR b = TIMESTAMP {t}",
+)
+
+
+def respelled(rng: random.Random, text: str) -> str:
+    """A text of the shape of `text`: each literal given a new text of its
+    token class, now and then one the parser refuses, and the text spelled
+    anew as `variant` spells it."""
+    words = []
+    tokens = tokenize(text)[:-1]
+    for position, token in enumerate(tokens):
+        if token.type == "NUMBER":
+            pool = DECIMAL_TEXTS if "." in token.text else INTEGER_TEXTS
+            if "." not in token.text and rng.random() < 0.05:
+                pool = BAD_INTEGER_TEXTS
+            words.append(rng.choice(pool))
+        elif token.type == "STRING":
+            after_timestamp = position and tokens[position - 1].text == "TIMESTAMP"
+            pool = TIMESTAMP_TEXTS if after_timestamp else STRING_TEXTS
+            if after_timestamp and rng.random() < 0.1:
+                pool = BAD_TIMESTAMP_TEXTS
+            words.append("'" + rng.choice(pool).replace("'", "''") + "'")
+        else:
+            words.append(token.text)
+    spelled = "\n".join(words)  # a line break between every two tokens
+    return variant(rng, spelled) if rng.random() < 0.8 else spelled
+
+
+def outcome_of(parse, text):
+    """The tree parse gives for text, or the class, message, line and
+    column of the error it raises."""
+    try:
+        return parse(text)
+    except MeshError as exc:
+        return type(exc), exc.message, getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+class TestShapePath:
+    """A memo that binds a kept shape's tree to a text's own literals gives
+    what `parse_query` gives for the text: an equal tree, whose kept lifted
+    pair equals `lift_literals` of the parsed tree, or the same error."""
+
+    def test_seeded_texts_bind_to_the_parsed_tree_or_fail_alike(self, parse_calls):
+        rng = random.Random(3232)
+        env = make_environment(rng, namespaces=("w1", "w2"))
+        bases = [template.format(i="1", d="1.5", s="'x'", t="'2024-01-01T00:00:00Z'")
+                 for template in SHAPE_TEMPLATES]
+        bases += [render_query(random_query(rng, env)) for _ in range(6)]
+        memo = QueryMemo()
+        failures = trees = 0
+        for case in range(1500):
+            text = respelled(rng, rng.choice(bases))
+            roll = rng.random()
+            if roll < 0.03:  # a character no token starts with
+                cut = rng.randint(0, len(text))
+                text = text[:cut] + rng.choice("!?{$") + text[cut:]
+            elif roll < 0.06:  # past the memo's length cap
+                text += "\n-- " + "x" * QUERY_MEMO_TEXT_CHARS
+            expected = outcome_of(parse_query, text)
+            got = outcome_of(memo.lookup, text)
+            assert got == expected, f"case {case}: {text!r}"
+            if isinstance(expected, tuple):
+                failures += 1
+                continue
+            trees += 1
+            if len(text) <= QUERY_MEMO_TEXT_CHARS:  # a longer text is parsed, not kept
+                kept = vars(got).get("_lifted")
+                assert kept == lift_literals(parse_query(text)), f"case {case}: {text!r}"
+            assert (got, hash(got), repr(got)) == (expected, hash(expected), repr(expected))
+        assert failures > 60 and trees > 1000
+        # Most texts bound a kept shape: a parse for each shape spelled anew
+        # and each failure, not for each text.
+        assert memo.shapes.hits > 900
+        assert len(parse_calls) < 1500 - 900
+
+
 def nums_wrapper() -> Wrapper:
     env = make_environment(random.Random(7), namespaces=("w1",), relations_per_namespace=1)
     (schema,) = env.values()
@@ -176,8 +268,20 @@ class TestEndpointMemo:
             assert len(memo) == QUERY_MEMO_ENTRIES
             assert all(text in memo for text in distinct[-QUERY_MEMO_ENTRIES:])
             assert not any(text in memo for text in long)
-            # Each long text was parsed on both sends, each distinct one once.
-            assert len(parse_calls) == len(distinct) + 2 * len(long)
+            # Each long text was parsed on both sends. The distinct texts
+            # share one shape, parsed once; the others bind its tree.
+            assert len(parse_calls) == 1 + 2 * len(long)
+            assert len(memo.shapes) == 1
+            # Texts of distinct shapes are each parsed once.
+            del parse_calls[:]
+            shapes = [
+                "SELECT * FROM w1.r0 WHERE " + " OR ".join(["k0 = 7"] * links)
+                for links in range(2, 2 + 2 * QUERY_MEMO_ENTRIES)
+            ]
+            responses = send_lines(server, [exec_line(text) for text in shapes])
+            assert all(response["type"] == "table" for response in responses)
+            assert parse_calls == shapes
+            assert len(memo) == len(memo.shapes) == QUERY_MEMO_ENTRIES
         finally:
             server.close()
 
