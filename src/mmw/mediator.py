@@ -12,9 +12,10 @@ or a downstream restarted in place gives a token never seen before.
 One `mmw.kept.Kept` store of at most `cache_capacity` slots (0 turns it
 off) keeps four kinds of slot, each as (token, value) under a key tagged
 with its kind. A result, fetch or join slot counts its table's cells
-(rows times attributes) toward `CACHE_CELLS`, least recently used first
-out, and a table of more than an eighth of it is served but not kept; a
-plan slot counts none.
+(rows times attributes, plus a row's worth per column a selection has
+indexed) toward `CACHE_CELLS`, least recently used first out, and a table
+of more than an eighth of it is served but not kept; a plan slot counts
+none.
 A request's tokens come from one scoped `epoch()` probe: its own token,
 then, for each alias the plan fetches from, that downstream's token scoped
 to the relations its fetches read (the plan's reads), so a request probes
@@ -85,6 +86,7 @@ from mmw.planner import (
     plan,
 )
 from mmw.query.ast import QualifiedName, Query, rewrite_namespaces, scan_names
+from mmw.query.execute import indexed_columns
 from mmw.query.infer import infer_schema
 from mmw.relational import ProductSchema, RelationSchema, Table, is_identifier
 from mmw.views import ViewDeclaration, ViewMap, derive_global_schema, parse_view_source, unfold
@@ -94,24 +96,23 @@ ViewInput = TypingUnion[str, ViewDeclaration]
 # the relations its fetches scan.
 Reads = tuple[tuple[str, tuple[str, ...]], ...]
 
-# Table cells (rows times attributes) a mediator's result, fetch and join
-# slots hold in all, beside the `cache_capacity` bound on their number; a
-# table of more than an eighth of it is served but not kept. A decoded table
-# takes about 180 bytes per cell and 260 with its response line kept
-# (tracemalloc, 150- and 200-row files), so full slots hold about 17 MB. An
-# index a selection keeps on a table (`mmw.query.execute`) takes 90-225
-# bytes more per cell of the column it indexes when payloads are distinct
+# Table cells a mediator's result, fetch and join slots hold in all, beside
+# the `cache_capacity` bound on their number; a table of more than an eighth
+# of it is served but not kept. A decoded table takes about 180 bytes per
+# cell and 260 with its response line kept (tracemalloc, 150- and 200-row
+# files). An index a selection keeps on a table (`mmw.query.execute`) takes
+# 90-225 bytes per cell of the column it indexes when payloads are distinct
 # (integers least, timestamps most) and 13 for a column of four values
-# (tracemalloc, the 150-row join of the federate_cold workload); the two
-# columns its reads index add 25 bytes per cell of that join. Indexes are
-# not counted against this budget. A round of a benchmark workload keeps at
-# most 2 300 cells, none over 900.
+# (tracemalloc, the 150-row join of the federate_cold workload), so each
+# indexed column counts one more cell per row. Full slots hold about 17 MB.
+# A round of a benchmark workload keeps at most 2 300 cells, none over 900.
 CACHE_CELLS = 1 << 16
 
 
 def _cells(table: Table) -> int:
-    """The size a slot holding `table` counts toward `CACHE_CELLS`."""
-    return len(table.rows) * len(table.schema.attributes)
+    """The size a slot holding `table` counts toward `CACHE_CELLS`: its rows
+    times its attributes and its indexed columns."""
+    return len(table.rows) * (len(table.schema.attributes) + indexed_columns(table))
 
 
 class _PlanKey(tuple):
@@ -344,6 +345,8 @@ class Mediator(ComponentBase):
 
         downstream_tokens = {alias: t for (alias, _), t in zip(reads, token[1:])} if caching else {}
         fetch_keys: dict[QualifiedName, Optional[tuple]] = {}
+        # (key, token, table, its cells) of each fetch and join slot used
+        kept_tables: list[tuple[tuple, object, Table, int]] = []
 
         def fetch(step):
             alias = step.namespace
@@ -356,6 +359,8 @@ class Mediator(ComponentBase):
             if table is None:
                 table = self.downstream[alias].execute(translated, self.component_id)
                 self._keep(slot, downstream_token, table, _cells(table))
+            if slot is not None:
+                kept_tables.append((slot, downstream_token, table, _cells(table)))
             return table
 
         def join(step, compute):
@@ -368,11 +373,18 @@ class Mediator(ComponentBase):
             if table is None:
                 table = compute()
                 self._keep(slot, join_token, table, _cells(table))
+            kept_tables.append((slot, join_token, table, _cells(table)))
             return table
 
         # Client-facing schema comes from inference against the product
         # environment, not from plan internals.
         result = execute_plan(exec_plan, fetch, self.salt, join, result_schema)
+        # The residual may have indexed a kept table: its slot is put again
+        # at its new size. The pair was kept together, so putting it back
+        # over a newer one costs at most a miss, never a stale answer.
+        for slot, slot_token, table, cells in kept_tables:
+            if _cells(table) != cells:
+                self._keep(slot, slot_token, table, _cells(table))
         self._keep(key, token, (result, reads), _cells(result))
         return result, len(result.rows), False
 

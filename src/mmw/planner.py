@@ -29,7 +29,7 @@ caller may keep what it derives from one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Callable, Mapping, Optional, Sequence
 
@@ -142,57 +142,15 @@ def keep_lifted(q: Query, lifted: tuple[Query, tuple[Value, ...]]) -> None:
     vars(q)["_lifted"] = lifted  # past the frozen __setattr__
 
 
-def _compile_binding(node) -> Optional[Callable[[tuple[Value, ...]], object]]:
-    """A function of the values that builds node, a tree, a tuple of trees
-    or a field of a node, with each placeholder bound to its value; it
-    rebuilds only the nodes over a placeholder. None when node holds no
-    placeholder, so binds to itself."""
-    if isinstance(node, Literal):
-        payload = node.value.payload
-        if not isinstance(payload, Placeholder):
-            return None
-        index = payload.index
-        return lambda values: Literal(values[index])
-    if isinstance(node, tuple):
-        parts, make = node, lambda *built: built
-    elif isinstance(node, (Query, Predicate, Expr, ProjectItem)):
-        parts, make = [getattr(node, field.name) for field in fields(node)], type(node)
-    else:
-        return None
-    builders = [_compile_binding(part) for part in parts]
-    if not any(builders):
-        return None
-    builders = [
-        builder or (lambda values, part=part: part) for builder, part in zip(builders, parts)
-    ]
-    return lambda values: make(*[build(values) for build in builders])
-
-
-# Bindings of a tree by walking it before its binding function is compiled:
-# compiling one costs about three walks of its tree.
-_WALKS = 3
-
-
 def bind_query(lifted: Query, values: tuple[Value, ...]) -> Query:
     """A lifted query, or a tree of one, with its placeholders bound to
-    `values`. The first `_WALKS` bindings of a tree walk it, as most trees
-    of a fresh mesh are bound once or twice; the next compiles its binding
-    function and keeps it on the tree, outside its fields, as a kept shape
-    or plan is bound on every read."""
-    kept = vars(lifted)
-    binder = kept.get("_binder")
-    if binder is None:
-        walks = kept.get("_walks", 0)
-        if walks < _WALKS:
-            kept["_walks"] = walks + 1
+    `values`; literals that hold no placeholder are left as they are."""
 
-            def bind(literal: Literal) -> Literal:
-                payload = literal.value.payload
-                return Literal(values[payload.index]) if isinstance(payload, Placeholder) else literal
+    def bind(literal: Literal) -> Literal:
+        payload = literal.value.payload
+        return Literal(values[payload.index]) if isinstance(payload, Placeholder) else literal
 
-            return _map_literals(lifted, bind)
-        binder = kept["_binder"] = _compile_binding(lifted) or False
-    return binder(values) if binder else lifted
+    return _map_literals(lifted, bind)
 
 
 def bind_literals(exec_plan: ExecutionPlan, values: tuple[Value, ...]) -> ExecutionPlan:

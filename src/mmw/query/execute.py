@@ -377,6 +377,11 @@ def _column_index(table: Table, position: int) -> dict[tuple, list[int]]:
     return index
 
 
+def indexed_columns(table: Table) -> int:
+    """The number of table's columns that selections have indexed."""
+    return len(vars(table).get("_indexes", ()))
+
+
 def _indexed_positions(
     predicate: Predicate, table: Table, index: Mapping[str, int]
 ) -> Optional[tuple[list[int], bool]]:

@@ -39,7 +39,7 @@ from mmw.query.ast import (
     walk,
 )
 from mmw.query.evaluate import evaluate
-from mmw.query.execute import execute
+from mmw.query.execute import execute, indexed_columns
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value
 from support import make_environment, random_database, random_query
 
@@ -342,10 +342,6 @@ def random_kept_predicate(rng: random.Random, depth: int = 3) -> Predicate:
         left, right = random_kept_predicate(rng, depth - 1), random_kept_predicate(rng, depth - 1)
         return (LogicalOr if roll < 0.6 else LogicalAnd)(left, right)
     return LogicalNot(random_kept_predicate(rng, depth - 1))
-
-
-def indexed_columns(table: Table) -> int:
-    return len(vars(table).get("_indexes", ()))
 
 
 class TestIndexedSelection:

@@ -39,6 +39,7 @@ from mmw.query.ast import (
     Select,
 )
 from mmw.query.evaluate import evaluate, fnv1a_hex
+from mmw.query.execute import indexed_columns
 from mmw.query.infer import infer_schema
 from mmw.query.parse import parse_query
 from mmw.query.render import render_query
@@ -197,20 +198,30 @@ class TestConfigurationSnapshot:
         self, capacity, monkeypatch
     ):
         mediator, answers = flip_mediator(capacity)
-        real = mediator._count_cache
+        real_count, real_epoch = mediator._count_cache, mediator.epoch
         rng = random.Random(16)
         flips = 0
 
-        # Every request counts a hit or a miss once it has read its
-        # configuration, and a miss does so before it plans.
-        def count_then_maybe_flip(hit):
+        def maybe_flip():
             nonlocal flips
-            real(hit)
             if rng.random() < 0.5:
                 flips += 1
                 mediator.reconfigure(views=FLIP_VIEWS[flips % 2])
 
+        # Every request counts a hit or a miss once it has read its
+        # configuration, and a miss does so before it plans.
+        def count_then_maybe_flip(hit):
+            real_count(hit)
+            maybe_flip()
+
+        # With caching on, a request reads its tokens after its
+        # configuration, and a kept result is probed before it is served.
+        def maybe_flip_then_epoch(*args, **kwargs):
+            maybe_flip()
+            return real_epoch(*args, **kwargs)
+
         monkeypatch.setattr(mediator, "_count_cache", count_then_maybe_flip)
+        monkeypatch.setattr(mediator, "epoch", maybe_flip_then_epoch)
         for _ in range(60):
             assert_answer_of_one_configuration(
                 mediator.execute(parse_query("SELECT * FROM prod.v")), answers
@@ -1030,6 +1041,21 @@ class TestPlanAndJoinSlots:
                     f"cannot plan {render_query(other)}",
                 )
         assert warm.cache_info()["plan_slots"] == 1  # the one planned before
+
+    def test_a_kept_join_counts_the_columns_its_selections_index(self):
+        # The first selection from the kept join marks it and the second
+        # indexes its oid and name columns; the slot is then put again,
+        # counting one more cell per row for each indexed column.
+        mediator = self._join_mediator(64)
+        store = mediator._cache
+        for oid, indexed in ((10, 0), (11, 2), (12, 2)):
+            mediator.execute(parse_query(f"SELECT * FROM prod.v WHERE oid = {oid} OR name = 'x'"))
+            [((_, table), cells)] = [
+                entry for key, entry in store._entries.items() if key[0] == "join"
+            ]
+            assert indexed_columns(table) == indexed
+            assert cells == len(table.rows) * (len(table.schema.attributes) + indexed)
+        assert store.size == sum(cells for _, cells in store._entries.values())
 
     def test_a_new_literal_replans_and_rejoins_nothing(self, monkeypatch):
         mediator = self._join_mediator(64)
