@@ -1,8 +1,9 @@
 """One bounded LRU map for every kept derived form: an endpoint's parsed
-queries and a binding's decoded tables (`mmw.runtime.protocol.Memo`), the
-file readers' images of settled texts (`mmw.formats`) and a mediator's
-slots (`mmw.mediator`). Each entry is put with a size in its use's unit: a
-text's characters, a line's bytes, a table's cells."""
+queries and epoch response lines, a binding's decoded tables and tokens and
+its request lines (`mmw.runtime.protocol`), the file readers' images of
+settled texts (`mmw.formats`) and a mediator's slots (`mmw.mediator`). Each
+entry is put with a size in its use's unit: a text's characters, a line's
+bytes, a table's cells."""
 
 from __future__ import annotations
 

@@ -364,7 +364,7 @@ class Mediator(ComponentBase):
             return table
 
         def join(step, compute):
-            inputs = tuple(fetch_keys[name] for name in scan_names(step.query))
+            inputs = tuple(fetch_keys[name] for name in step.inputs)
             if None in inputs:
                 return compute()
             slot = ("join", step.query, inputs)

@@ -86,6 +86,12 @@ class JoinStep:
     query: Query  # a Join or Union of two fetch scans
     intermediate: QualifiedName
 
+    @cached_property
+    def inputs(self) -> tuple[QualifiedName, ...]:
+        """The intermediate relations the query scans, in tree order; worked
+        out once per step, as a kept plan is run many times."""
+        return tuple(scan_names(self.query))
+
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -416,6 +422,6 @@ def execute_plan(
         db[step.intermediate] = fetch(step)
     for step in exec_plan.joins:
         # Each fetch is scanned once, here or in the residual.
-        inputs = {name: db.pop(name) for name in scan_names(step.query)}
+        inputs = {name: db.pop(name) for name in step.inputs}
         db[step.intermediate] = join(step, lambda: evaluate(step.query, inputs))
     return evaluate(exec_plan.residual, db, salt, schema)

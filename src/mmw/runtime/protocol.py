@@ -47,19 +47,38 @@ is the parser's. A bound tree keeps its lifted pair, so a mediator lifts
 nothing. Both maps live and die with their endpoint:
 `ProtocolServer.close` empties them.
 
-A repeated answer is encoded, decoded and rendered once. Each kept form is
-keyed by the exact object or bytes it is a pure function of, and tables,
-rows and values are immutable, so none can go stale:
+A line that repeats on a hop is encoded, decoded and rendered once. Each
+kept form is keyed by the exact value or bytes it is a pure function of,
+and tables, renderings, rows, values and tokens are immutable, so none can
+go stale. Every kept response line is `_encode_line` of its response object,
+which `handle_request` still returns:
 - an endpoint encodes a `Table` to its table response once and keeps the
   response, with its line, on the frozen table, outside its fields
   (`table_response`), so a mediator's result hit, which returns the kept
   table itself, is written as kept bytes;
+- an endpoint encodes a `Rendering` to its rendering response once and
+  keeps it on the rendering (`rendering_response`); a mask keeps each
+  format's rendering on the table it rendered (`mmw.mask`);
+- an endpoint keeps the epoch response of each well-formed token (a string,
+  or a tuple of them at most `MAX_DEPTH` deep) in a `Kept` of at most
+  `EPOCH_MEMO_ENTRIES` lines, each of at most `EPOCH_MEMO_LINE_BYTES`
+  bytes (`epoch_response`); any other token is encoded on every request
+  and never kept;
 - a `TcpBinding` keeps a `Memo` from the exact response line to its decoded
-  table: at most `TABLE_MEMO_ENTRIES` lines, least recently used first out,
-  each of at most `TABLE_MEMO_LINE_BYTES` bytes; an error response or a
-  longer line is never kept;
-- a mask keeps each format's rendering on the table it rendered
-  (`mmw.mask`).
+  table: at most `TABLE_MEMO_ENTRIES` lines, each of at most
+  `TABLE_MEMO_LINE_BYTES` bytes, and one from the exact epoch response line
+  to its token: at most `EPOCH_MEMO_ENTRIES` lines of at most
+  `EPOCH_MEMO_LINE_BYTES` bytes; an error response or a longer line is
+  never kept;
+- a `TcpBinding` encodes the request line of each epoch scope once (at
+  most `EPOCH_MEMO_ENTRIES` lines of at most `EPOCH_MEMO_LINE_BYTES` bytes)
+  and of each (text, principal, format) exec_query once (at most
+  `REQUEST_MEMO_ENTRIES` lines of at most `REQUEST_MEMO_LINE_BYTES` bytes),
+  in a `LineMemo`; `ProtocolClient.request` takes a request object or its
+  encoded line.
+Every store is least recently used first out, and lives and dies with its
+endpoint or binding: `ProtocolServer.close` and `TcpBinding.close` empty
+them.
 """
 
 from __future__ import annotations
@@ -126,6 +145,20 @@ QUERY_MEMO_TEXT_CHARS = 1024
 TABLE_MEMO_ENTRIES = 32
 TABLE_MEMO_LINE_BYTES = 8 * 1024
 
+# exec_query request lines one binding keeps encoded, by (text, principal,
+# format), and the longest line it keeps. A product's consumers send a
+# handful of distinct texts; a line is its text and about 70 bytes more.
+REQUEST_MEMO_ENTRIES = 32
+REQUEST_MEMO_LINE_BYTES = 4 * 1024
+
+# Epoch lines kept at each end of a hop, and the longest line kept: a
+# binding's request line of each scope and token of each response line, and
+# an endpoint's response line of each token. A plan probes a handful of
+# scopes of each downstream, and a token moves only when a source does; a
+# wrapper's one-relation answer is a line of about 50 bytes.
+EPOCH_MEMO_ENTRIES = 32
+EPOCH_MEMO_LINE_BYTES = 4 * 1024
+
 # Most relation names one scoped epoch request may carry. A wrapper answers
 # one token per name, so without a bound one request line could ask for
 # tens of thousands (18 278 three-letter names took 0.16 s and drew a
@@ -171,16 +204,25 @@ def error_from_obj(obj: dict) -> MeshError:
     return exc
 
 
+# One encoder for every line: json.dumps with these arguments builds a new
+# one on each call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def _encode_line(obj: dict) -> bytes:
-    return (json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_ENCODER.encode(obj) + "\n").encode("utf-8")
 
 
 class _EncodedResponse(dict):
     """A response object with its encoded line, which the server writes as
-    it is. Shared by every request that answers the same table, so never
-    changed once built."""
+    it is. Shared by every request that answers the same table, rendering
+    or token, so never changed once built."""
 
     __slots__ = ("line",)
+
+    def __init__(self, **fields):
+        super().__init__(**fields)
+        self.line = _encode_line(self)
 
 
 def table_response(table: Table) -> dict:
@@ -195,8 +237,46 @@ def table_response(table: Table) -> dict:
             schema=[attribute_to_obj(attr) for attr in attrs],
             rows=rows_to_wire([attr.data_type for attr in attrs], table.rows),
         )
-        response.line = _encode_line(response)
         vars(table)["_response"] = response  # past the frozen __setattr__
+    return response
+
+
+def rendering_response(rendering: Rendering) -> dict:
+    """The rendering response of `rendering`, encoded once and kept on the
+    frozen rendering, as `table_response` keeps a table's. A mask keeps its
+    renderings on the tables it rendered, so a repeated answer is written
+    as kept bytes."""
+    response = vars(rendering).get("_response")
+    if response is None:
+        response = _EncodedResponse(type="rendering", format=rendering.format, data=rendering.text)
+        vars(rendering)["_response"] = response  # past the frozen __setattr__
+    return response
+
+
+def _is_token(obj, depth: int = 0) -> bool:
+    """True for a well-formed epoch token: a string, or a tuple of tokens
+    nested at most MAX_DEPTH deep, of exactly those types. Two such tokens
+    are equal only when their JSON forms are."""
+    if type(obj) is str:
+        return True
+    return type(obj) is tuple and depth < MAX_DEPTH and all(_is_token(item, depth + 1) for item in obj)
+
+
+def epoch_response(token, kept: Kept) -> dict:
+    """The epoch response of `token`, encoded once per well-formed token and
+    kept in `kept`, an endpoint's. Any other token, such as a broken
+    component's list or number, is encoded afresh and never kept: an
+    unhashable one cannot be, and 1 and True are equal keys of unequal
+    lines."""
+    try:
+        response = kept.get(token)
+    except TypeError:  # unhashable
+        response = None
+    if response is None:
+        if not _is_token(token):
+            return {"type": "epoch", "epoch": token}
+        response = _EncodedResponse(type="epoch", epoch=token)
+        kept.put(token, response, len(response.line))
     return response
 
 
@@ -268,6 +348,19 @@ class Memo(Kept):
             value = self._make(key)
             self.put(key, value, len(key))
         return value
+
+
+class LineMemo(Memo):
+    """A `Memo` from a key to the line `make` encodes for it, sized by the
+    line: each of at most `longest` bytes, a longer one encoded on every
+    lookup."""
+
+    def lookup(self, key) -> bytes:
+        line = self.get(key)
+        if line is None:
+            line = self._make(key)
+            self.put(key, line, len(line))
+        return line
 
 
 # The keyword constants, each a literal of its own shape.
@@ -355,12 +448,13 @@ class QueryMemo(Memo):
         self.shapes.clear()
 
 
-def handle_request(component, request: dict, queries: QueryMemo) -> dict:
+def handle_request(component, request: dict, queries: QueryMemo, epochs: Kept) -> dict:
     """Dispatch one decoded request against a component, looking an
     exec_query text up in the endpoint's `queries`; returns the response
-    object (errors are raised, the server serializes them). A table
-    response is the one kept on its table (`table_response`), whose kept
-    line the server writes."""
+    object (errors are raised, the server serializes them). A table or
+    rendering response is the one kept on its table or rendering, and an
+    epoch response the one kept in the endpoint's `epochs`
+    (`epoch_response`); the server writes their kept lines."""
     if not isinstance(request, dict) or "type" not in request:
         raise ProtocolError("request must be an object with a 'type' field")
     request_type = request["type"]
@@ -379,8 +473,7 @@ def handle_request(component, request: dict, queries: QueryMemo) -> dict:
         if format_tag == "table":
             return table_response(component.execute(q, principal))
         if format_tag in FORMATS:
-            rendering = component.serve(q, format_tag, principal)
-            return {"type": "rendering", "format": rendering.format, "data": rendering.text}
+            return rendering_response(component.serve(q, format_tag, principal))
         raise ProtocolError(f"unknown format {format_tag!r}")
     if request_type == "stats":
         return {
@@ -394,7 +487,7 @@ def handle_request(component, request: dict, queries: QueryMemo) -> dict:
     if request_type == "epoch":
         relations = _relations_field(request)
         token = component.epoch() if relations is None else component.epoch(relations)
-        return {"type": "epoch", "epoch": token}
+        return epoch_response(token, epochs)
     if request_type == "materialize":
         return {"type": "report", "report": component.materialize()}
     raise ProtocolError(f"unknown request type {request_type!r}")
@@ -432,7 +525,9 @@ class _Handler(socketserver.StreamRequestHandler):
                     response = error_to_obj(error)
                 else:
                     try:
-                        response = handle_request(component, request, server.queries)
+                        response = handle_request(
+                            component, request, server.queries, server.epochs
+                        )
                     except Exception as exc:  # serialized, connection stays up
                         if not isinstance(exc, MeshError):
                             logger.exception("request failed on %s", component.component_id)
@@ -455,11 +550,11 @@ class _Handler(socketserver.StreamRequestHandler):
 
 class _Server(socketserver.ThreadingTCPServer):
     """The listening socket of one endpoint with the component it serves, its
-    query memo and the connections being served, so that close can end them
-    too. Nothing
-    here refers back to the `ProtocolServer`, and the handler class is
-    shared, so a closed endpoint and its component are freed by reference
-    counting alone, without waiting for the cycle collector."""
+    query memo, its kept epoch responses and the connections being served,
+    so that close can end them too. Nothing here refers back to the
+    `ProtocolServer`, and the handler class is shared, so a closed endpoint
+    and its component are freed by reference counting alone, without
+    waiting for the cycle collector."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -467,6 +562,7 @@ class _Server(socketserver.ThreadingTCPServer):
     def __init__(self, address, component):
         self.component = component
         self.queries = QueryMemo()
+        self.epochs = Kept(EPOCH_MEMO_ENTRIES, largest=EPOCH_MEMO_LINE_BYTES)
         self.lock = threading.Lock()
         self.connections: set[socket.socket] = set()
         self.closed = False
@@ -496,7 +592,7 @@ class ProtocolServer:
     def close(self) -> None:
         """Stop accepting, then end every connection still being served, so
         clients connected before the close get no further answers, and drop
-        the query memo."""
+        the query memo and the kept epoch responses."""
         server = self._server
         server.shutdown()
         server.server_close()
@@ -510,6 +606,7 @@ class ProtocolServer:
                 pass  # the client hung up first
         self._thread.join(timeout=5)
         server.queries.clear()
+        server.epochs.clear()
 
 
 class ProtocolClient:
@@ -551,17 +648,18 @@ class ProtocolClient:
                 pass
             self._sock = None
 
-    def request(self, payload: dict, memo: Optional[Memo] = None):
-        """Send one request and return its decoded response; an error
-        response raises its decoded error. With a `memo` from response lines
-        to what they hold, such as a binding's decoded tables, return
-        `memo.lookup(line)` instead, so a line seen before is not decoded.
+    def request(self, payload: dict | bytes, memo: Optional[Memo] = None):
+        """Send one request, given as its object or its encoded line, and
+        return its decoded response; an error response raises its decoded
+        error. With a `memo` from response lines to what they hold, such as
+        a binding's decoded tables, return `memo.lookup(line)` instead, so a
+        line seen before is not decoded.
 
         A connection kept from an earlier request may have been closed by the
         server since. If it fails before the first byte of the response (end
         of file, or a socket error other than a timeout), the request is sent
         once more on a new connection. A new connection that fails raises."""
-        data = _encode_line(payload)
+        data = payload if type(payload) is bytes else _encode_line(payload)
         with self._lock:
             may_resend = self._sock is not None
             while True:
@@ -607,6 +705,22 @@ def _table_from_line(line: bytes) -> Table:
     return table_from_response(_response_from_line(line))
 
 
+def _token_from_line(line: bytes):
+    response = _response_from_line(line)
+    return token_from_wire(response.get("epoch") if isinstance(response, dict) else None)
+
+
+def _exec_query_line(key: tuple[str, str, str]) -> bytes:
+    text, principal, format = key
+    return _encode_line({"type": "exec_query", "query": text, "principal": principal, "format": format})
+
+
+def _epoch_request_line(scope: Optional[tuple[str, ...]]) -> bytes:
+    if scope is None:
+        return _encode_line({"type": "epoch"})
+    return _encode_line({"type": "epoch", "relations": list(scope)})
+
+
 class TcpBinding:
     """Consumer-side view of a remote component, mirroring the in-process
     component surface used by mediators and masks."""
@@ -614,6 +728,9 @@ class TcpBinding:
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self._client = ProtocolClient(host, port, timeout)
         self._tables = Memo(_table_from_line, TABLE_MEMO_ENTRIES, TABLE_MEMO_LINE_BYTES)
+        self._requests = LineMemo(_exec_query_line, REQUEST_MEMO_ENTRIES, REQUEST_MEMO_LINE_BYTES)
+        self._probes = LineMemo(_epoch_request_line, EPOCH_MEMO_ENTRIES, EPOCH_MEMO_LINE_BYTES)
+        self._epochs = Memo(_token_from_line, EPOCH_MEMO_ENTRIES, EPOCH_MEMO_LINE_BYTES)
         schema_obj = self._client.request({"type": "get_schema"})
         self.component_id = schema_obj.get("component", f"{host}:{port}")
         self.kind = schema_obj.get("kind", "component")
@@ -625,24 +742,22 @@ class TcpBinding:
         return product_from_obj(obj["schema"])
 
     def _exec_query(self, q, principal: str, format: str, memo: Optional[Memo] = None):
-        """Send q as its canonical text; a tree with no textual form raises
-        `RenderError` before anything is sent."""
+        """Send q as its canonical text, in a line encoded once per (text,
+        principal, format); a tree with no textual form raises `RenderError`
+        before anything is sent."""
         text = canonical_query_text(q) or render_query(q)  # the latter raises
-        return self._client.request(
-            {"type": "exec_query", "query": text, "principal": principal, "format": format},
-            memo=memo,
-        )
+        return self._client.request(self._requests.lookup((text, principal, format)), memo=memo)
 
     def execute(self, q, principal: str = "") -> Table:
         """The answer table, decoded once per distinct response line."""
         return self._exec_query(q, principal, "table", self._tables)
 
     def epoch(self, relations=None):
-        request = {"type": "epoch"}
-        if relations is not None and len(relations) <= MAX_EPOCH_RELATIONS:
-            request["relations"] = list(relations)
-        response = self._client.request(request)
-        return token_from_wire(response.get("epoch") if isinstance(response, dict) else None)
+        """The token, probed with the request line of its scope, encoded
+        once per scope, and decoded once per distinct response line. A scope
+        past `MAX_EPOCH_RELATIONS` is probed unscoped."""
+        scope = None if relations is None or len(relations) > MAX_EPOCH_RELATIONS else tuple(relations)
+        return self._client.request(self._probes.lookup(scope), memo=self._epochs)
 
     def lineage(self, relation: str) -> LineageNode:
         response = self._client.request({"type": "lineage", "relation": relation})
@@ -660,4 +775,5 @@ class TcpBinding:
 
     def close(self) -> None:
         self._client.close()
-        self._tables.clear()
+        for memo in (self._tables, self._requests, self._probes, self._epochs):
+            memo.clear()

@@ -285,7 +285,7 @@ def _free_port() -> int:
 
 def _parity_doc(tcp: bool) -> dict:
     """small_doc plus a materializing mask; with tcp, every mediator and
-    mask gets an endpoint at a free port."""
+    mask gets an endpoint on a port the system picks."""
     document = small_doc()
     document["components"].append(
         {
@@ -300,7 +300,7 @@ def _parity_doc(tcp: bool) -> dict:
     if tcp:
         for component in document["components"]:
             if component["kind"] != "wrapper":
-                component["endpoint"] = f"tcp 127.0.0.1:{_free_port()}"
+                component["endpoint"] = "tcp 127.0.0.1:0"
     return document
 
 
@@ -311,8 +311,16 @@ def run_cli(request, tmp_path, capsys):
     same mesh hosted in this process."""
     tcp = request.param == "tcp"
     path = tmp_path / "mesh.json"
-    path.write_text(json.dumps(_parity_doc(tcp)), encoding="utf-8")
+    document = _parity_doc(tcp)
+    path.write_text(json.dumps(document), encoding="utf-8")
     mesh = Mesh(load_topology_file(path)).up() if tcp else None
+    if mesh is not None:
+        # The CLI reaches each endpoint at the port it was bound to.
+        for component in document["components"]:
+            if component["id"] in mesh.endpoints:
+                host, port = mesh.endpoints[component["id"]]
+                component["endpoint"] = f"tcp {host}:{port}"
+        path.write_text(json.dumps(document), encoding="utf-8")
     mode = [] if tcp else ["--ephemeral"]
 
     def run(subcommand, *argv):

@@ -1,7 +1,9 @@
 """Answers kept in their wire forms: the response line an endpoint keeps on
 the table it encoded (`protocol.table_response`), the tables a binding keeps
-decoded by their exact response line (`TcpBinding.execute`), and the
-renderings a mask keeps on the table it rendered (`mmw.mask`).
+decoded by their exact response line (`TcpBinding.execute`), the
+renderings a mask keeps on the table it rendered (`mmw.mask`), and the lines
+kept on each hop: a binding's request lines and decoded epoch tokens, an
+endpoint's epoch and rendering response lines.
 
 Checked against fresh encodes and decodes, and, over a TCP mask, mediator
 and wrappers with inserts and file rewrites, against the same reads from an
@@ -22,21 +24,28 @@ import pytest
 
 import mmw.mask
 import mmw.runtime.protocol as protocol
-from mmw.adapters import MemoryAdapter
+from mmw.adapters import DelimitedDirAdapter, MemoryAdapter
 from mmw.errors import MeshError
+from mmw.kept import Kept
+from mmw.mask import Mask, Rendering
 from mmw.mediator import Mediator
 from mmw.query.parse import parse_query
 from mmw.relational import Attribute, Kind, RelationSchema, Table, Value
 from mmw.runtime.mesh import Mesh
 from mmw.runtime.protocol import (
+    EPOCH_MEMO_ENTRIES,
+    REQUEST_MEMO_ENTRIES,
     TABLE_MEMO_ENTRIES,
     TABLE_MEMO_LINE_BYTES,
     ProtocolClient,
     ProtocolServer,
     TcpBinding,
     _encode_line,
+    epoch_response,
+    rendering_response,
     table_from_response,
     table_response,
+    token_from_wire,
 )
 from mmw.runtime.topology import load_topology
 from mmw.wrapper import Wrapper, WrapperConfig
@@ -54,14 +63,14 @@ def same_table(a: Table, b: Table) -> bool:
 @pytest.fixture()
 def decoded_lines(monkeypatch):
     """(line, was it kept already, table) for every response line a binding
-    looked up, in order."""
+    looked up in its table memo, in order."""
     seen: list[tuple[bytes, bool, Table]] = []
     real = protocol.Memo.lookup
 
     def lookup(memo, key):
         kept = key in memo
         value = real(memo, key)
-        if isinstance(key, bytes):
+        if memo._make is protocol._table_from_line:
             seen.append((key, kept, value))
         return value
 
@@ -383,3 +392,243 @@ class TestEncodedTables:
         assert [len(answer["rows"]) for answer in answers] == [1, 1, 2, 2]
         assert len(encodes) == 2  # the first answer, and the first after the insert
         assert [entry.cache_hit for entry in mediator.access_log] == [False, True, False, True]
+
+
+# --- lines kept on each hop: epoch probes, request lines, renderings -------------
+
+
+def fresh_token(line: bytes):
+    return token_from_wire(json.loads(line)["epoch"])
+
+
+@pytest.fixture()
+def probed_lines(monkeypatch):
+    """(line, token) for every epoch response line a binding looked up in
+    its token memo, from any thread."""
+    seen: list[tuple[bytes, object]] = []
+    real = protocol.Memo.lookup
+
+    def lookup(memo, key):
+        value = real(memo, key)
+        if memo._make is protocol._token_from_line:
+            seen.append((key, value))
+        return value
+
+    monkeypatch.setattr(protocol.Memo, "lookup", lookup)
+    return seen
+
+
+class RawLine:
+    """A `ProtocolClient.request` memo that returns the response line as it
+    came."""
+
+    @staticmethod
+    def lookup(line: bytes) -> bytes:
+        return line
+
+
+STOCK = RelationSchema("items", [Attribute("sku", Kind.INTEGER), Attribute("name", Kind.TEXT),
+                                 Attribute("grp", Kind.INTEGER)])
+HOP_VIEWS = [
+    "CREATE VIEW items AS SELECT sku, name, grp FROM north.items",
+    "CREATE VIEW stocked AS SELECT sku, name, grp, qty FROM north.items JOIN files.stock ON sku = ssku",
+    "CREATE VIEW stock AS SELECT ssku, qty FROM files.stock",
+]
+HOP_TEMPLATES = (
+    "SELECT sku, name FROM shop.items WHERE grp = {g}",
+    "SELECT * FROM shop.stocked WHERE grp <= {g}",
+    "SELECT ssku, qty FROM shop.stock WHERE qty >= {g}",
+)
+HOP_BAD_TEMPLATE = "SELECT * FROM shop.items WHERE name = {g}"  # a type error
+
+
+def stock_row(rng: random.Random, sku: int) -> tuple:
+    return (Value.integer(sku), Value.text(rng.choice(["ant", "bee", "é-ü"])),
+            Value.integer(rng.randint(0, 3)))
+
+
+def rewrite_stock_in_place(path: Path, rng: random.Random) -> None:
+    """Each quantity, one digit, drawn again: the file keeps its size."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    body = "".join(line.split(",")[0] + f",{rng.randint(0, 9)}\n" for line in lines)
+    with open(path, "r+", encoding="utf-8") as handle:
+        handle.write(header + body)
+
+
+def expected_line(thunk) -> tuple:
+    """The response line an endpoint writes for an in-process answer, or an
+    error as its wire code and message."""
+    try:
+        answer = thunk()
+    except MeshError as exc:
+        return "error", exc.code, exc.message
+    if isinstance(answer, Table):
+        return "ok", _encode_line(dict(table_response(answer)))
+    return "ok", _encode_line({"type": "rendering", "format": answer.format, "data": answer.text})
+
+
+def received_line(line: bytes) -> tuple:
+    response = json.loads(line)
+    if response["type"] == "error":
+        return "error", response["code"], response["message"]
+    return "ok", line
+
+
+class TestHopLines:
+    def test_kept_responses_are_the_lines_of_their_objects(self):
+        kept = Kept(EPOCH_MEMO_ENTRIES)
+        for token in ("n:1", ("n:a:1", ("n:2", "é")), ()):
+            response = epoch_response(token, kept)
+            assert epoch_response(token, kept) is response
+            assert response.line == _encode_line({"type": "epoch", "epoch": token})
+        rendering = Rendering("csv", "k:integer\n1,\"é\"\n".encode())
+        response = rendering_response(rendering)
+        assert rendering_response(rendering) is response
+        assert response.line == _encode_line({"type": "rendering", "format": "csv",
+                                               "data": rendering.text})
+        assert rendering == Rendering("csv", rendering.data)
+        assert len(kept) == 3 and (kept.misses, kept.hits) == (3, 3)
+
+    @pytest.mark.parametrize(
+        "token", [1, True, 1.0, None, ["n:1"], {"n": 1}, ("n:1", 2), ("n:1", ["n:2"])]
+    )
+    def test_a_malformed_token_is_encoded_afresh_and_never_kept(self, token):
+        # 1, 1.0 and True are equal keys of unequal lines.
+        kept = Kept(EPOCH_MEMO_ENTRIES)
+        for _ in range(2):
+            response = epoch_response(token, kept)
+            assert type(response) is dict and response == {"type": "epoch", "epoch": token}
+        assert len(kept) == 0
+
+    def test_every_read_over_tcp_equals_the_uncached_in_process_mesh(self, tmp_path, probed_lines):
+        rng = random.Random(3033)
+        files = tmp_path / "files"
+        files.mkdir()
+        memory = MemoryAdapter([STOCK], {"items": [stock_row(rng, sku) for sku in range(100, 112)]})
+        skus = iter(range(112, 1000))
+        (files / "stock.csv").write_text(
+            STOCK_HEADER + "".join(f"{sku},{rng.randint(0, 9)}\n" for sku in range(100, 118, 2)),
+            encoding="utf-8",
+        )
+        csv = DelimitedDirAdapter(files)
+
+        def wrappers():
+            return {"north": Wrapper(WrapperConfig("w_north", "north", memory)),
+                    "files": Wrapper(WrapperConfig("w_files", "files", csv))}
+
+        cold_mask = Mask("cold_mask", Mediator("cold", "shop", wrappers(), HOP_VIEWS, cache_capacity=0))
+        outcomes = Counter()
+        with contextlib.ExitStack() as stack:
+            servers = {}
+
+            def serve(name, component, port=0):
+                servers[name] = server = ProtocolServer(component, "127.0.0.1", port)
+                stack.callback(lambda: servers[name].close())
+                return server
+
+            def bind(server):
+                binding = TcpBinding(server.host, server.port)
+                stack.callback(binding.close)
+                return binding
+
+            for alias, wrapper in wrappers().items():
+                serve(alias, wrapper)
+            downstream = {alias: bind(servers[alias]) for alias in ("north", "files")}
+            mediator = Mediator("shop_product", "shop", downstream, HOP_VIEWS)
+            mask_binding = bind(serve("mediator", mediator))
+            mask_server = serve("mask", Mask("shop_mask", mask_binding))
+            client = ProtocolClient(mask_server.host, mask_server.port)
+            stack.callback(client.close)
+            for _ in range(360):
+                roll = rng.random()
+                if roll < 0.05:
+                    memory.insert("items", stock_row(rng, next(skus)))
+                    outcomes["insert"] += 1
+                    continue
+                if roll < 0.1:
+                    rewrite_stock_in_place(files / "stock.csv", rng)
+                    outcomes["rewrite"] += 1
+                    continue
+                if roll < 0.12:
+                    # A new instance, so a new token, behind the same port.
+                    alias = rng.choice(("north", "files"))
+                    port = servers[alias].port
+                    servers[alias].close()
+                    serve(alias, wrappers()[alias], port)
+                    outcomes["restart"] += 1
+                    continue
+                template = HOP_BAD_TEMPLATE if rng.random() < 0.05 else rng.choice(HOP_TEMPLATES)
+                text = template.format(g=rng.randint(0, 3))
+                format_tag = rng.choice(("csv", "jsonl", "table"))
+                request = {"type": "exec_query", "query": text, "principal": "reader",
+                           "format": format_tag}
+                got = received_line(client.request(request, memo=RawLine))
+                if format_tag == "table":
+                    expected = expected_line(lambda: cold_mask.execute(parse_query(text), "reader"))
+                else:
+                    expected = expected_line(
+                        lambda: cold_mask.serve(parse_query(text), format_tag, "reader")
+                    )
+                assert got == expected, (text, format_tag)
+                outcomes[got[0]] += 1
+                for line, token in probed_lines:
+                    assert token == fresh_token(line)
+                outcomes["probed"] += len(probed_lines)
+                del probed_lines[:]
+            kept_epochs = sum(binding._epochs.hits for binding in downstream.values())
+            kept_requests = mask_binding._requests.hits
+        assert min(outcomes.values()) >= 5, outcomes
+        assert kept_epochs >= 100 and kept_requests >= 100, (kept_epochs, kept_requests)
+
+    def test_each_store_stays_within_its_bound_under_distinct_scopes_and_tokens(
+        self, probed_lines
+    ):
+        # A relation the wrapper lacks gets a fresh token on every probe, so
+        # each probe of it is a new response line at both ends.
+        adapter = MemoryAdapter([ITEMS], {"items": [(Value.integer(k), Value.text("a")) for k in range(8)]})
+        server = ProtocolServer(Wrapper(WrapperConfig("w_keyed", "north", adapter)), "127.0.0.1", 0)
+        binding = TcpBinding(server.host, server.port)
+        failures: list[str] = []
+        interval = sys.getswitchinterval()
+
+        def prober(seed: int) -> None:
+            order = random.Random(seed)
+            try:
+                for serial in range(3 * EPOCH_MEMO_ENTRIES):
+                    ghost = f"ghost_{seed}_{serial}"
+                    token = binding.epoch([ghost])
+                    if len(token) != 1 or ":ghost_" not in token[0]:
+                        failures.append(f"{ghost}: {token}")
+                    if binding.epoch(("items",)) != binding.epoch(["items"]):
+                        failures.append("items")
+                    k = order.randrange(2 * REQUEST_MEMO_ENTRIES)
+                    if len(binding.execute(point(k)).rows) != (k < 8):
+                        failures.append(f"k = {k}")
+            except Exception as exc:  # reported below
+                failures.append(repr(exc))
+
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=prober, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        endpoint = server._server.epochs
+        try:
+            assert failures == []
+            assert all(token == fresh_token(line) for line, token in probed_lines)
+            for store, bound in ((binding._probes, EPOCH_MEMO_ENTRIES),
+                                 (binding._epochs, EPOCH_MEMO_ENTRIES),
+                                 (endpoint, EPOCH_MEMO_ENTRIES),
+                                 (binding._requests, REQUEST_MEMO_ENTRIES)):
+                assert len(store) <= bound and store.evictions > 0 and store.hits > 0
+        finally:
+            binding.close()
+            server.close()
+        assert len(endpoint) == 0
+        stores = (binding._tables, binding._requests, binding._probes, binding._epochs)
+        assert [len(store) for store in stores] == [0, 0, 0, 0]

@@ -638,6 +638,61 @@ class TestBenchmarkTraffic:
         assert sorted(indexed) == list(range(reads))
         assert all(all(indexed[later]) for later in range(2, reads))
 
+    def test_a_warm_tcp_read_encodes_and_decodes_no_epoch_request_or_rendering_line(
+        self, tmp_path, monkeypatch
+    ):
+        # A serve_tcp read of a query already read since the last write is
+        # a mediator result hit: every line on its hops was met before.
+        workload = load_workloads().ServeTcp(1, "tiny", tmp_path)
+        renderings: list[bool] = []  # whether each rendering response was kept
+        real = mmw.runtime.protocol.rendering_response
+
+        def counted(rendering):
+            renderings.append("_response" in vars(rendering))
+            return real(rendering)
+
+        monkeypatch.setattr(mmw.runtime.protocol, "rendering_response", counted)
+        workload.prepare()
+        workload.setup()
+        try:
+            bindings = list(workload.mesh._bindings)
+            endpoints = [server._server for server in workload.mesh.servers.values()]
+            # Each kind of kept hop line, as the stores that keep it.
+            stores = {
+                "epoch request encoded": [binding._probes for binding in bindings],
+                "epoch response encoded": [endpoint.epochs for endpoint in endpoints],
+                "epoch response decoded": [binding._epochs for binding in bindings],
+                "exec_query request encoded": [binding._requests for binding in bindings],
+            }
+
+            def counts():
+                found = {kind: (sum(store.misses for store in kept), sum(store.hits for store in kept))
+                         for kind, kept in stores.items()}
+                found["rendering encoded"] = (renderings.count(False), renderings.count(True))
+                return found
+
+            read_since_write: set[int] = set()
+            warm = 0
+            for op in workload.ops:
+                kind, query = op
+                before = counts()
+                assert workload.check(op, workload.perform(op)) == "ok"
+                if kind == "write":
+                    read_since_write.clear()
+                    continue
+                if query in read_since_write:
+                    warm += 1
+                    for line_kind, (misses, hits) in counts().items():
+                        assert misses == before[line_kind][0], (line_kind, op)
+                        assert hits > before[line_kind][1], (line_kind, op)
+                read_since_write.add(query)
+        finally:
+            workload.teardown()
+        assert warm >= 30 and len(bindings) == 4 and len(endpoints) == 5
+        # Tear-down closes every binding and endpoint, which empties them.
+        assert all(len(store) == 0 for kept in stores.values() for store in kept)
+
+
 
 PAIRS = RelationSchema("pairs", [Attribute("id", Kind.INTEGER), Attribute("name", Kind.TEXT)])
 

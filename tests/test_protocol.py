@@ -29,6 +29,7 @@ from mmw.errors import (
     UnknownRelationError,
     ViewCycleError,
 )
+from mmw.kept import Kept
 from mmw.mask import Mask
 from mmw.mediator import Mediator
 from mmw.relational import INT64_MAX, INT64_MIN, Attribute, Kind, RelationSchema, Table, Value
@@ -679,6 +680,35 @@ class TestEpochToken:
             binding.close()
             server.close()
 
+    @pytest.mark.parametrize(
+        "token",
+        [
+            pytest.param(7, id="int"),
+            pytest.param(True, id="bool"),
+            pytest.param({"nonce": "ab", "counter": 1}, id="dict"),
+            pytest.param(["ab:1"], id="list"),
+            pytest.param(
+                json.loads("[" * (MAX_DEPTH + 1) + '"ab:1"' + "]" * (MAX_DEPTH + 1)), id="deep-list"
+            ),
+        ],
+    )
+    def test_an_endpoint_keeps_the_line_of_a_well_formed_token_alone(self, token):
+        component = wrapper_component()
+        good = component.epoch()
+        tokens = [token, good, token, good]
+        component.epoch = lambda: tokens.pop(0)
+        server = ProtocolServer(component, "127.0.0.1", 0)
+        client = ProtocolClient(server.host, server.port)
+        try:
+            answers = [client.request({"type": "epoch"})["epoch"] for _ in range(4)]
+            assert answers == [token, good, token, good]
+            kept = server._server.epochs
+            assert kept.keys() == [good] and kept.hits == 1
+        finally:
+            client.close()
+            server.close()
+        assert len(kept) == 0
+
     def test_token_nested_to_the_limit_round_trips(self):
         token = wrapper_component().epoch()
         for _ in range(MAX_DEPTH):
@@ -718,7 +748,7 @@ class HangUpServer(socketserver.ThreadingTCPServer):
                     line = handler.rfile.readline()
                     if not line:
                         return
-                    response = handle_request(component, json.loads(line), QueryMemo())
+                    response = handle_request(component, json.loads(line), QueryMemo(), Kept())
                     handler.wfile.write(json.dumps(response).encode() + b"\n")
 
         super().__init__(("127.0.0.1", 0), Handler)
